@@ -1,8 +1,10 @@
 """Shared configuration of the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper at a CPU-scale
-preset and saves the rows it produced under ``benchmarks/results/`` so that
-EXPERIMENTS.md can reference concrete numbers.
+preset and saves the rows it produced under ``benchmarks/latest/``, a
+gitignored directory, so a test run never rewrites the recorded snapshot in
+``benchmarks/results/`` that the README cites.  Refreshing that snapshot is a
+deliberate copy from ``benchmarks/latest/``.
 
 The preset is selected with the ``REPRO_BENCH_PRESET`` environment variable
 ("bench" by default, "smoke" for a fast sanity pass, "paper" for the full
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).parent / "latest"
 
 
 def bench_preset_name() -> str:

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the native ``cchain`` backend vs the numpy paths.
 
-Records to ``benchmarks/results/backend_kernel.json``:
+Records to ``benchmarks/latest/backend_kernel.json``:
 
 * **Propagation** -- the compiled C rotation-chain walk
   (:func:`repro.photonics.engine.native_propagate`) against the vectorized
@@ -11,10 +11,15 @@ Records to ``benchmarks/results/backend_kernel.json``:
   ``STACK_THRESHOLDS`` axis moved from "not worth batching" (numpy needs
   three matrices) to "batch it" (the C stack kernel pays off at two), and
   CI pins a conservative 1.5x floor on it.
+* **Warm dense apply** -- the cached dense transfer matmul against the
+  column program and, when loaded, the native kernel, at dimension 16 and
+  at ``engine.DENSE_DIMENSION_LIMIT``: the sizes the ``"auto"`` backend
+  sends down the dense path must be ones where it wins.
 
-Without a C toolchain every test here auto-skips with a logged reason and
-the JSON records ``skip_reason`` instead of timings, so the artifact always
-says *why* numbers are absent.  All timed paths are parity-pinned to the
+Without a C toolchain every kernel test here auto-skips with a logged reason
+and the JSON records ``skip_reason`` instead of timings, so the artifact
+always says *why* numbers are absent (the dense rows then time the column
+program only).  All timed paths are parity-pinned to the
 numpy reference at 1e-10 before any floor is asserted.
 """
 
@@ -40,6 +45,7 @@ _results: dict = {
     "skip_reason": None,
     "propagate": [],
     "clements_chain": [],
+    "dense_apply": [],
 }
 
 
@@ -162,3 +168,36 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
         # floor leaves room for shared-runner noise)
         assert speedup >= 1.5, (
             f"two-matrix Clements stack only {speedup:.2f}x over numpy")
+
+
+@pytest.mark.parametrize("dimension", [16, engine.DENSE_DIMENSION_LIMIT])
+def test_warm_dense_apply_beats_chain_backends(best_of, results_dir, dimension):
+    """The cached dense matmul must beat every chain backend where auto uses it."""
+    batch = 32
+    rng = np.random.default_rng(dimension)
+    mesh = clements_decompose(_random_unitary(dimension, rng))
+    program = mesh.compiled()
+    states = rng.normal(size=(batch, dimension)) + 1j * rng.normal(size=(batch, dimension))
+    dense = engine.dense_transfer(program, mesh.thetas, mesh.phis, mesh.output_phases)
+    column = engine.propagate(program, states, mesh.thetas, mesh.phis,
+                              mesh.output_phases)
+    assert np.abs(states @ dense.T - column).max() <= PARITY
+
+    seconds = {
+        "dense": best_of(lambda: states @ dense.T, repeats=5),
+        "column": best_of(
+            lambda: engine.propagate(program, states, mesh.thetas, mesh.phis,
+                                     mesh.output_phases), repeats=5),
+        "cchain": None,
+    }
+    if _native.kernel() is not None:
+        seconds["cchain"] = best_of(
+            lambda: engine.native_propagate(mesh.modes, states, mesh.thetas,
+                                            mesh.phis, mesh.output_phases),
+            repeats=5)
+    _results["dense_apply"].append({"dimension": dimension, "batch": batch,
+                                    "backend_seconds": seconds})
+    _save(results_dir)
+    for backend in ("column", "cchain"):
+        if seconds[backend] is not None:
+            assert seconds["dense"] < seconds[backend], (backend, seconds)

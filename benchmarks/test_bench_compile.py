@@ -1,6 +1,6 @@
 """Micro-benchmarks of the ``repro.compile`` pipeline.
 
-Two quantities are measured and recorded to ``benchmarks/results/compile.json``:
+Two quantities are measured and recorded to ``benchmarks/latest/compile.json``:
 
 * **Batched-stack decomposition** -- decomposing a stack of same-size
   unitaries in one vectorized Reck/Clements pass

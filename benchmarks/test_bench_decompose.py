@@ -3,7 +3,7 @@
 Measures per-unitary decomposition throughput of the wavefront-vectorized
 Reck and the array-level Clements paths against the seed scalar references
 (full embedded matrix products per nulled element), and records the results
-to ``benchmarks/results/decompose.json``.  Deployment itself -- not just
+to ``benchmarks/latest/decompose.json``.  Deployment itself -- not just
 propagation -- is now the quantity being accelerated: deploying a stack of
 conv im2col matrices decomposes many same-size unitaries back to back.
 """

@@ -2,7 +2,7 @@
 
 Trains the SCVNN LeNet-5 student at the session preset, lowers it onto
 simulated meshes through the lowering pipeline and records fidelity plus the
-batched phase-noise sweep to ``benchmarks/results/deployed_cnn.json``.
+batched phase-noise sweep to ``benchmarks/latest/deployed_cnn.json``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Measures per-mesh apply throughput of the three propagation strategies --
 the historical per-MZI reference walk, the vectorized column program and the
 cached dense transfer matrix -- on Haar-random unitaries, and records the
 results (including the speedup over the reference walk) to
-``benchmarks/results/mesh_engine.json``.
+``benchmarks/latest/mesh_engine.json``.
 
 The acceptance bar of the engine refactor is a >= 10x wall-clock win over the
 seed per-MZI loop at dimension >= 64; the assertions below pin that.

@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.assignment import get_scheme
-from repro.core.deploy import deploy_linear_model
 from repro.core.training import prepare_batch
 from repro.models import ComplexFCNN
 from repro.photonics import (
@@ -71,7 +71,7 @@ def test_fcnn_deployment_fidelity(benchmark):
     model = ComplexFCNN(98, (50,), 10, decoder="merge", rng=rng)
     images = rng.normal(size=(16, 1, 14, 14))
 
-    deployed = benchmark(deploy_linear_model, model)
+    deployed = benchmark(repro.compile, model)
 
     with no_grad():
         expected = model(prepare_batch(images, scheme)).data

@@ -1,6 +1,6 @@
 """Micro-benchmarks of the plan runtime and the dynamic-batching server.
 
-Two quantities are measured and recorded to ``benchmarks/results/runtime.json``:
+Two quantities are measured and recorded to ``benchmarks/latest/runtime.json``:
 
 * **Plan vs node-walk** -- executing a compiled program through its
   :class:`~repro.core.runtime.ExecutionPlan` (fused dense stages, slot-reuse

@@ -1,7 +1,7 @@
 """Benchmark of the hardware-realism scenario suite and the serving-layer
 drift-detect-recalibrate loop.
 
-Records to ``benchmarks/results/scenarios.json``:
+Records to ``benchmarks/latest/scenarios.json``:
 
 * **Degradation trajectories** -- prediction agreement vs the clean program
   as a function of scenario time for each registered scenario, evaluated as

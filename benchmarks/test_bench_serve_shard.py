@@ -2,7 +2,7 @@
 
 Records batched request throughput of :class:`ShardedInferenceService` at
 worker counts {1, 2, 4} over identical synthetic traffic to
-``benchmarks/results/serve_shard.json``.  Two properties are pinned:
+``benchmarks/latest/serve_shard.json``.  Two properties are pinned:
 
 * **Parity** -- every sharded request's logits are compared against the
   in-process :class:`PhotonicInferenceService` reference path serving the

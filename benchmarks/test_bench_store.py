@@ -2,7 +2,7 @@
 
 Records cold (live decomposition) versus warm (content-addressed store hit)
 program-build time for the three deployable model families to
-``benchmarks/results/store.json``.  Two properties are pinned:
+``benchmarks/latest/store.json``.  Two properties are pinned:
 
 * **Parity** -- warm-loaded programs must land on the same logits as a live
   compile of the same weights to <= 1e-12 (the stored phases and dense

@@ -6,7 +6,7 @@ versus the pre-optimization reference path
 (:func:`repro.tensor.functional.use_reference_kernels`: 4-real-op complex
 layers, index-table im2col, ``np.add.at`` col2im), plus the isolated cost of
 the in-place versus allocating optimizer steps -- all saved to
-``benchmarks/results/train.json``.
+``benchmarks/latest/train.json``.
 
 Two regression floors are pinned: the LeNet-style complex CNN training step
 must stay at least 3x faster than the reference path at batch 64 (the

@@ -4,7 +4,7 @@ Records full :meth:`Trainer.train_step` latency (batch packing, forward,
 backward, optimizer tail) of the complex model families at several batch
 sizes, compiled plan versus the pre-compilation eager tape (the ISSUE-5
 configuration: fused kernels but closure-driven backward and composed
-batch norm), saved to ``benchmarks/results/train_plan.json``.
+batch norm), saved to ``benchmarks/latest/train_plan.json``.
 
 One regression floor is pinned: the complex ResNet at batch 64 must train
 at least 1.5x faster under the plan than on the eager tape (the ISSUE-6

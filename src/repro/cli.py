@@ -14,7 +14,7 @@ Examples
     python -m repro serve --workload fcnn --workers 1 2 4   # sharded service
     python -m repro precompile --store ./store --workloads fcnn lenet5
     python -m repro serve --workload fcnn --store ./store   # warm cold-start
-    python -m repro backends --calibrate    # native kernel state + crossovers
+    python -m repro backends                # native kernel state + policy
     python -m repro store prune ./store --max-entries 64 --max-age-days 30
     python -m repro scenarios               # hardware-degradation registry
     python -m repro scenarios --demo        # degradation-vs-time curves
@@ -381,7 +381,7 @@ def _run_precompile(args: argparse.Namespace) -> None:
 
 
 def _run_backends(args: argparse.Namespace) -> None:
-    """List mesh execution backends, native-kernel build state, crossovers."""
+    """List mesh execution backends and the native-kernel build state."""
     from repro.photonics import _native, engine
     from repro.photonics.mzi_mesh import MeshDecomposition
     from repro.photonics.svd_mapping import chain_backend, stack_threshold
@@ -393,7 +393,7 @@ def _run_backends(args: argparse.Namespace) -> None:
         ["column", "yes", "vectorized numpy column program (reference)"],
         ["cchain", "yes" if kernel is not None else "no",
          "compiled C rotation-chain kernel"],
-        ["auto", "yes", "dense below limit, then cchain, then column"],
+        ["auto", "yes", "dense up to the size limit, then cchain, then column"],
     ]
     print(format_table(["backend", "available", "description"], rows,
                        title="Mesh execution backends (MeshDecomposition.BACKENDS)"))
@@ -412,30 +412,6 @@ def _run_backends(args: argparse.Namespace) -> None:
 
     payload = {"backends": list(MeshDecomposition.BACKENDS),
                "native": info, "load_error": error}
-    if args.calibrate:
-        print("\nre-measuring dense/backend crossover "
-              f"(dims {args.dimensions}, batch {args.batch}) ...")
-        crossover = engine.measure_dense_crossover(
-            dimensions=tuple(args.dimensions), batch=args.batch,
-            repeats=args.repeats, seed=args.seed)
-        table = []
-        for row in crossover:
-            seconds = row["backend_seconds"]
-            table.append([row["dimension"],
-                          f"{seconds['dense'] * 1e6:.0f}",
-                          f"{seconds['column'] * 1e6:.0f}",
-                          "n/a" if seconds.get("cchain") is None
-                          else f"{seconds['cchain'] * 1e6:.0f}",
-                          f"{row['dense_speedup_vs_best']:.2f}x"])
-        print(format_table(
-            ["dim", "dense us", "column us", "cchain us", "dense vs best"],
-            table, title="Per-backend apply time (warm caches)"))
-        limit = engine.calibrate_dense_limit(
-            dimensions=tuple(args.dimensions), batch=args.batch,
-            repeats=args.repeats, seed=args.seed, apply=False)
-        print(f"calibrated dense size limit: {limit}")
-        payload["crossover"] = crossover
-        payload["calibrated_dense_limit"] = limit
     _maybe_save(payload, args.output)
 
 
@@ -516,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="mesh decomposition scheme (HardwareTarget.method)")
         deploy.add_argument("--backend", default="auto", choices=_BACKEND_CHOICES,
                             help="mesh execution backend (CompileOptions.backend): "
-                                 "'auto' picks dense below the calibrated size "
+                                 "'auto' picks dense up to the fixed size "
                                  "limit, then the compiled cchain kernel when "
                                  "built, then the column program; 'cchain' "
                                  "forces the native kernel (falls back to "
@@ -621,15 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     backends = subparsers.add_parser(
         "backends",
         help="list mesh execution backends and the native kernel build state")
-    backends.add_argument("--calibrate", action="store_true",
-                          help="re-measure the dense/column/cchain crossover "
-                               "and report the calibrated dense size limit")
-    backends.add_argument("--dimensions", type=int, nargs="+",
-                          default=[16, 32, 48, 64, 96, 128],
-                          help="mesh dimensions to time with --calibrate")
-    backends.add_argument("--batch", type=int, default=32)
-    backends.add_argument("--repeats", type=int, default=5)
-    backends.add_argument("--seed", type=int, default=0)
     backends.add_argument("--output", default=None,
                           help="optional path of a JSON file to store the report")
     backends.set_defaults(runner=_run_backends)

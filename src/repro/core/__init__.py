@@ -30,12 +30,9 @@ from repro.core.training import Trainer, TrainingHistory, evaluate_accuracy
 from repro.core.distillation import MutualLearningTrainer, MutualLearningResult
 from repro.core.area_analysis import model_area_report, compare_area
 from repro.core.pipeline import OplixNet
-from repro.core.deploy import deploy_linear_model, deploy_model, DeployedModel
 from repro.core.graph_ir import GraphNode, GraphProgram
 from repro.core.lowering import (
-    LoweredProgram,
     LoweringContext,
-    lower_model,
     lower_to_graph,
     register_head_lowering,
     register_lowering,
@@ -68,11 +65,6 @@ __all__ = [
     "model_area_report",
     "compare_area",
     "OplixNet",
-    "deploy_linear_model",
-    "deploy_model",
-    "LoweredProgram",
-    "lower_model",
-    "DeployedModel",
     "GraphNode",
     "GraphProgram",
     "LoweringContext",

@@ -1,7 +1,7 @@
 """``repro.compile()``: the photonic compiler entry point.
 
-Compiling replaces the historical ``deploy_model`` free functions with an
-explicit compiler shape::
+``repro.compile`` is the one way to map a trained model onto photonic
+hardware::
 
     import repro
     from repro.core.compile import CompileOptions, HardwareTarget
@@ -9,18 +9,16 @@ explicit compiler shape::
     program = repro.compile(
         model,
         target=HardwareTarget(method="clements"),
-        options=CompileOptions(backend="auto", dense_dimension_limit=128),
+        options=CompileOptions(backend="auto"),
     )
     logits = program.predict_logits(images, scheme)
 
 * :class:`HardwareTarget` describes the hardware the program runs on: the
   mesh decomposition scheme and the non-idealities to bake in at compile
   time (phase-noise model, phase quantization, Monte-Carlo trial count).
-* :class:`CompileOptions` is the compiler policy: dense/column backend
-  selection, the per-mesh dense-dimension limit (replacing the old
-  thread-unsafe ``engine.DENSE_DIMENSION_LIMIT`` global mutation) and
-  whether same-size unitaries across the whole model are decomposed as one
-  batched Reck/Clements stack.
+* :class:`CompileOptions` is the compiler policy: the mesh execution
+  backend and whether same-size unitaries across the whole model are
+  decomposed as one batched Reck/Clements stack.
 * :class:`CompiledProgram` wraps the lowered
   :class:`~repro.core.graph_ir.GraphProgram` -- a dataflow graph with
   photonic stage nodes and electronic ops, so residual architectures
@@ -29,7 +27,7 @@ explicit compiler shape::
   full optical pipeline.
 
 Both dataclasses are frozen: two concurrent compiles with different policies
-never observe each other, unlike the module-global knobs they replace.
+never observe each other.
 """
 
 from __future__ import annotations
@@ -91,18 +89,12 @@ class CompileOptions:
     ----------
     backend:
         How compiled meshes execute: ``"auto"`` (cached dense matmul up to
-        the dense-dimension limit, then the native ``cchain`` kernel when it
-        is loaded, then the compiled numpy column program), ``"dense"`` /
+        ``engine.DENSE_DIMENSION_LIMIT``, then the native ``cchain`` kernel
+        when it is loaded, then the compiled numpy column program), ``"dense"`` /
         ``"column"`` to force one path, or ``"cchain"`` to request the
         native C chain kernel (logged fallback to the column program on
         hosts without a C toolchain; see
         :mod:`repro.photonics._native`).
-    dense_dimension_limit:
-        Per-mesh dense/column crossover used by the ``"auto"`` backend.
-        ``None`` falls back to the process default
-        (``engine.DENSE_DIMENSION_LIMIT``); setting it here is the supported
-        replacement for the deprecated ``set_dense_dimension_limit`` global
-        mutation and is safe under concurrent compiles.
     batch_unitaries:
         Decompose all same-size SVD factors of the model as one vectorized
         Reck/Clements stack (identical results to the per-matrix path, pinned
@@ -111,15 +103,12 @@ class CompileOptions:
     """
 
     backend: str = "auto"
-    dense_dimension_limit: Optional[int] = None
     batch_unitaries: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in MeshDecomposition.BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"choose from {MeshDecomposition.BACKENDS}")
-        if self.dense_dimension_limit is not None and self.dense_dimension_limit < 0:
-            raise ValueError("dense_dimension_limit must be non-negative")
 
 
 @dataclass
@@ -175,17 +164,16 @@ class CompiledProgram:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def plan(self, options: Optional[Any] = None):
+    def plan(self):
         """The program's :class:`~repro.core.runtime.ExecutionPlan`.
 
         Compiled once and cached on the graph; every ``forward`` /
         ``predict_logits`` call executes it.  Call this eagerly to pay the
         plan compilation (eager dense matrices, buffer-lifetime analysis)
         before the first request -- the serving layer does so when a program
-        enters the cache.  Pass :class:`~repro.core.runtime.PlanOptions` to
-        compile a fresh plan with a different fusion policy.
+        enters the cache.
         """
-        return self.graph.plan(options)
+        return self.graph.plan()
 
     def forward_signals(self, complex_inputs: np.ndarray) -> np.ndarray:
         """Propagate complex input amplitudes through the program graph.
@@ -303,7 +291,6 @@ def compile(model, target: Optional[HardwareTarget] = None,
     def lower(deploy_fn=None) -> GraphProgram:
         return lower_to_graph(model, method=target.method,
                               backend=options.backend,
-                              dense_dimension_limit=options.dense_dimension_limit,
                               batch_unitaries=options.batch_unitaries,
                               deploy_fn=deploy_fn)
 
@@ -335,8 +322,7 @@ def compile(model, target: Optional[HardwareTarget] = None,
                 matrices = svd_decompose_many(
                     weights, method=target.method,
                     batch_unitaries=options.batch_unitaries,
-                    backend=options.backend,
-                    dense_dimension_limit=options.dense_dimension_limit)
+                    backend=options.backend)
                 captured.extend(matrices)
                 return matrices
 

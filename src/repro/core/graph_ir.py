@@ -29,8 +29,7 @@ over executing that (cached) plan.  The original interpreted node-walk is
 kept as :meth:`GraphProgram.forward_reference`, the executable specification
 the test-suite pins every plan against to 1e-12.  Chain-shaped graphs
 (purely sequential models) can be flattened back to a stage list with
-:meth:`GraphProgram.chain_stages`, which is what keeps the deprecated
-``DeployedModel`` shims working on top of the new compiler.
+:meth:`GraphProgram.chain_stages` (``CompiledProgram.stages``).
 """
 
 from __future__ import annotations
@@ -217,19 +216,16 @@ class GraphProgram:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def plan(self, options: Optional[Any] = None):
+    def plan(self):
         """The graph compiled to an :class:`~repro.core.runtime.ExecutionPlan`.
 
-        The default plan (``options=None``) is compiled once and cached on
-        the program, and recompiled when a baked mesh's phases were mutated
-        in place through ``update_phases`` (plans fold phases into dense
-        matrices, so they track each mesh's phase version); explicit
-        :class:`~repro.core.runtime.PlanOptions` always compile a fresh plan.
+        Compiled once and cached on the program, and recompiled when a baked
+        mesh's phases were mutated in place through ``update_phases`` (plans
+        fold phases into dense matrices, so they track each mesh's phase
+        version).
         """
         from repro.core.runtime import compile_plan
 
-        if options is not None:
-            return compile_plan(self, options)
         if self._plan is None or self._plan.is_stale():
             self._plan = compile_plan(self)
         return self._plan

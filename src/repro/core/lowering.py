@@ -37,16 +37,10 @@ Every stage is *batch-first*: ``forward`` takes ``(batch, n)`` feature
 batches (or ``(batch, channels, height, width)`` image batches) and composes
 with the leading trials axes that noise-ensemble meshes introduce, so a whole
 Monte-Carlo sweep of a deployed model runs as a single vectorized pass.
-
-The historical chain API (:func:`lower_model` / :func:`lower_sequential` /
-:class:`LoweredProgram`) remains as a deprecated veneer over the graph
-compiler for purely sequential models; graph-shaped models (ComplexResNet)
-must go through :func:`repro.compile`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
@@ -285,10 +279,6 @@ class FlattenStage:
         return self
 
 
-PhotonicStage = Union[LinearStage, Conv2dStage, AvgPool2dStage,
-                      GlobalAvgPool2dStage, FlattenStage]
-
-
 # --------------------------------------------------------------------------- #
 # lowering-rule registries
 # --------------------------------------------------------------------------- #
@@ -359,7 +349,6 @@ class LoweringContext:
     """
 
     def __init__(self, method: str = "clements", backend: str = "auto",
-                 dense_dimension_limit: Optional[int] = None,
                  batch_unitaries: bool = True,
                  deploy_fn: Optional[Callable] = None):
         if backend not in MeshDecomposition.BACKENDS:
@@ -367,7 +356,6 @@ class LoweringContext:
                              f"choose from {MeshDecomposition.BACKENDS}")
         self.method = method
         self.backend = backend
-        self.dense_dimension_limit = dense_dimension_limit
         self.batch_unitaries = batch_unitaries
         # optional replacement for the live svd_decompose_many call in
         # finalize(); the artifact store serves precompiled matrices here
@@ -442,8 +430,7 @@ class LoweringContext:
         else:
             matrices = svd_decompose_many(
                 weights, method=self.method,
-                batch_unitaries=self.batch_unitaries, backend=self.backend,
-                dense_dimension_limit=self.dense_dimension_limit)
+                batch_unitaries=self.batch_unitaries, backend=self.backend)
         for (_weight, layer), matrix in zip(self._pending, matrices):
             layer.photonic_matrix = matrix
         self._pending.clear()
@@ -451,16 +438,13 @@ class LoweringContext:
     # ------------------------------------------------------------------ #
     # results
     # ------------------------------------------------------------------ #
-    def _folded(self) -> Tuple[List[GraphNode], str]:
-        """Deploy pending weights and run the activation-folding peephole."""
-        self.finalize()
-        return fold_activation_nodes(self.builder.nodes(), self.cursor)
-
     def program(self) -> GraphProgram:
+        """Deploy pending weights, fold activations and return the graph."""
         if self.readout is None or self.num_classes is None:
             raise RuntimeError("model rule finished without lowering a decoder "
                                "head (ctx.lower_head was never called)")
-        nodes, output = self._folded()
+        self.finalize()
+        nodes, output = fold_activation_nodes(self.builder.nodes(), self.cursor)
         return GraphProgram(nodes=nodes, output=output, readout=self.readout,
                             num_classes=self.num_classes,
                             input_kind=self.input_kind)
@@ -585,17 +569,8 @@ def _lower_batchnorm_rule(module, name: str, ctx: LoweringContext) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# eager single-layer helpers (kept for direct use and tests)
+# eager single-layer helper (direct use and tests)
 # --------------------------------------------------------------------------- #
-def lower_complex_linear(layer: ComplexLinear, name: str,
-                         method: str = "clements") -> LinearStage:
-    """Lower one ``ComplexLinear`` onto an SVD pair of MZI meshes."""
-    photonic = PhotonicLinearLayer.from_weight(layer.complex_weight(),
-                                               bias=_complex_bias(layer),
-                                               method=method, name=name)
-    return LinearStage(layer=photonic)
-
-
 def lower_complex_conv2d(layer: ComplexConv2d, name: str,
                          method: str = "clements") -> Conv2dStage:
     """Lower one ``ComplexConv2d`` to its im2col matrix on MZI meshes."""
@@ -606,21 +581,6 @@ def lower_complex_conv2d(layer: ComplexConv2d, name: str,
                        in_channels=layer.in_channels, out_channels=layer.out_channels,
                        kernel_size=_as_pair(layer.kernel_size),
                        stride=_as_pair(layer.stride), padding=_as_pair(layer.padding))
-
-
-def lower_sequential(modules, method: str = "clements",
-                     prefix: str = "trunk") -> List[PhotonicStage]:
-    """Lower a chain of complex modules into photonic stages.
-
-    Dispatches through the ``@register_lowering`` rule registry.  ``CReLU``
-    modules fold into the preceding linear/conv stage as its electro-optic
-    activation (:func:`fold_activation_nodes`); pooling and flatten become
-    structural stages; unregistered module types raise ``TypeError``.
-    """
-    ctx = LoweringContext(method=method)
-    ctx.lower_chain(modules, prefix)
-    nodes, _output = ctx._folded()
-    return [node.op for node in nodes]
 
 
 # --------------------------------------------------------------------------- #
@@ -706,44 +666,10 @@ def _lower_photodiode_head(head: PhotodiodeHead, ctx: LoweringContext):
     return power_readout
 
 
-def lower_decoder_head(head: DecoderHead, method: str = "clements"
-                       ) -> Tuple[List[PhotonicStage], Callable[[np.ndarray], np.ndarray]]:
-    """Lower a decoder head: extra photonic stages plus the detector readout.
-
-    The per-class electronic calibration (scale + offset of the photocurrents)
-    trained with the head is replicated digitally inside the readout closure --
-    it lives in the electrical domain and costs no optical area.
-    """
-    ctx = LoweringContext(method=method)
-    ctx.lower_head(head)
-    nodes, _output = ctx._folded()
-    return [node.op for node in nodes], ctx.readout
-
-
 # --------------------------------------------------------------------------- #
 # model lowering
 # --------------------------------------------------------------------------- #
-@dataclass
-class LoweredProgram:
-    """A model lowered to photonic stages plus its electronic readout.
-
-    ``input_kind`` records what the first stage consumes: ``"flat"`` feature
-    vectors (FCNN trunks) or ``"image"`` maps ``(batch, channels, h, w)``
-    (convolutional trunks).
-    """
-
-    stages: List[PhotonicStage]
-    readout: Callable[[np.ndarray], np.ndarray]
-    num_classes: int
-    input_kind: str = "flat"
-
-    @property
-    def mzi_count(self) -> int:
-        return sum(stage.mzi_count for stage in self.stages)
-
-
 def lower_to_graph(model, method: str = "clements", backend: str = "auto",
-                   dense_dimension_limit: Optional[int] = None,
                    batch_unitaries: bool = True,
                    deploy_fn: Optional[Callable] = None) -> GraphProgram:
     """Lower a trained complex model into a photonic dataflow graph.
@@ -764,31 +690,7 @@ def lower_to_graph(model, method: str = "clements", backend: str = "auto",
     model.eval()
     rule = _find_rule(_MODEL_RULES, model, "lower model")
     ctx = LoweringContext(method=method, backend=backend,
-                          dense_dimension_limit=dense_dimension_limit,
                           batch_unitaries=batch_unitaries,
                           deploy_fn=deploy_fn)
     rule(model, ctx)
     return ctx.program()
-
-
-def lower_model(model, method: str = "clements") -> LoweredProgram:
-    """Deprecated: lower a sequential model into a photonic stage *chain*.
-
-    Thin shim over the graph compiler: builds the program graph and flattens
-    it back to the historical stage list.  Only purely sequential models have
-    a chain form -- graph-shaped models (ComplexResNet) raise ``TypeError``
-    here and must go through :func:`repro.compile`.
-    """
-    warnings.warn("lower_model() is deprecated; use repro.compile(model) which "
-                  "also handles graph-shaped (residual) models",
-                  DeprecationWarning, stacklevel=2)
-    graph = lower_to_graph(model, method=method)
-    try:
-        stages = graph.chain_stages()
-    except ValueError as error:
-        raise TypeError(
-            f"model of type {type(model).__name__} lowers to a graph-shaped "
-            "program (skip additions / fan-out); it has no stage-chain form. "
-            "Use repro.compile(model) instead") from error
-    return LoweredProgram(stages=stages, readout=graph.readout,
-                          num_classes=graph.num_classes, input_kind=graph.input_kind)

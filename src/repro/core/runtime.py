@@ -5,7 +5,7 @@ DAG of photonic stages and electronic ops.  This module decides *how* it
 executes: :func:`compile_plan` lowers a :class:`~repro.core.graph_ir.GraphProgram`
 once into an :class:`ExecutionPlan`, a flat topologically-ordered instruction
 list, so the per-request hot path does none of the interpretation work the
-node-walk repeats on every call:
+node-walk repeats on every call.  Every plan applies all four:
 
 * **Slot-reuse buffer allocation.**  Buffer lifetimes are precomputed from
   the graph's last-use table and mapped onto a small set of reusable slots by
@@ -16,11 +16,12 @@ node-walk repeats on every call:
   matrix ``scale * U @ diag(S) @ V`` at plan time; the stage becomes one
   matmul (plus electronic bias and optional in-place CReLU) instead of two
   mesh applications with an intermediate.  Linear stages that must run on
-  the rotation-chain path (forced ``"column"``/``"cchain"`` backends,
-  trials-batched noise ensembles) lower to a :class:`ChainInstruction` --
-  two mesh applications that resolve to the native ``cchain`` kernel when
-  it is loaded, with bias/CReLU applied in place -- and their dense caches
-  are still warmed eagerly where the policy allows.
+  the rotation-chain path (forced ``"column"``/``"cchain"`` backends, meshes
+  above ``engine.DENSE_DIMENSION_LIMIT``, trials-batched noise ensembles)
+  lower to a :class:`ChainInstruction` -- two mesh applications that resolve
+  to the native ``cchain`` kernel when it is loaded, with bias/CReLU applied
+  in place -- and their dense caches are still warmed eagerly where the
+  policy allows.
 * **Electronic-affine peephole.**  Chains of adjacent electronic affine ops
   (eval-mode batch norms folded to per-channel scale/shift) whose
   intermediate value has no other consumer are composed into a single
@@ -33,10 +34,10 @@ node-walk repeats on every call:
   writes into pooled storage -- the returned array is always safe to keep.
 
 The original node-walk survives as
-:meth:`~repro.core.graph_ir.GraphProgram.forward_reference`; the test-suite
-pins every plan against it to 1e-12.
+:meth:`~repro.core.graph_ir.GraphProgram.forward_reference`, the one oracle
+the test-suite pins every plan against to 1e-12.
 
-A plan that reuses buffers is not safe for *concurrent* execution; a lock
+A plan's reused buffers are not safe for *concurrent* execution; a lock
 serializes `execute` calls (the serving layer batches requests onto a single
 executor thread anyway, see :mod:`repro.serve`).
 """
@@ -53,29 +54,6 @@ from repro.core.graph_ir import INPUT, ElectronicBatchNorm, GraphNode
 from repro.core.lowering import Conv2dStage, FlattenStage, LinearStage
 
 
-@dataclass(frozen=True)
-class PlanOptions:
-    """Policy knobs of the plan compiler.
-
-    Parameters
-    ----------
-    fuse_matrices:
-        Fold mesh stages whose meshes run on the dense path into single
-        effective weight matrices (one matmul per stage).
-    fuse_affine:
-        Compose chains of adjacent electronic affine ops into single
-        ``a * x + b`` instructions.
-    reuse_buffers:
-        Keep per-instruction output buffers across calls and write fused
-        matmuls through ``out=`` so steady-state execution allocates nothing
-        on the interior of the hot path.
-    """
-
-    fuse_matrices: bool = True
-    fuse_affine: bool = True
-    reuse_buffers: bool = True
-
-
 # --------------------------------------------------------------------------- #
 # instructions
 # --------------------------------------------------------------------------- #
@@ -87,17 +65,17 @@ def _inplace_crelu(signal: np.ndarray) -> np.ndarray:
 
 
 def _pooled_matmul(states: np.ndarray, weight_t: np.ndarray,
-                   pool: Optional[Dict[int, np.ndarray]], index: int,
+                   pool: Dict[int, np.ndarray], index: int,
                    pooled: bool) -> np.ndarray:
     """``states @ weight_t``, writing into the instruction's persistent buffer.
 
-    The shared hot-path matmul of the fused instructions: when the plan
-    reuses buffers (and this instruction may pool -- the program-output one
-    must not) the product lands in ``pool[index]``, reallocated only when
-    the batch shape changes.  Trials-batched effective matrices (ndim > 2)
-    broadcast through a plain matmul.
+    The shared hot-path matmul of the fused instructions: when this
+    instruction may pool (the program-output one must not) the product
+    lands in ``pool[index]``, reallocated only when the batch shape changes.
+    Trials-batched effective matrices (ndim > 2) broadcast through a plain
+    matmul.
     """
-    if pool is not None and pooled and weight_t.ndim == 2:
+    if pooled and weight_t.ndim == 2:
         shape = states.shape[:-1] + (weight_t.shape[-1],)
         out = pool.get(index)
         if out is None or out.shape != shape:
@@ -116,7 +94,7 @@ class CallInstruction:
     out_slot: int
 
     def run(self, buffers: List[Optional[np.ndarray]],
-            pool: Optional[Dict[int, np.ndarray]]) -> None:
+            pool: Dict[int, np.ndarray]) -> None:
         buffers[self.out_slot] = self.op.forward(
             *(buffers[slot] for slot in self.in_slots))
 
@@ -141,7 +119,7 @@ class MatmulInstruction:
     pooled: bool = True
 
     def run(self, buffers: List[Optional[np.ndarray]],
-            pool: Optional[Dict[int, np.ndarray]]) -> None:
+            pool: Dict[int, np.ndarray]) -> None:
         outputs = _pooled_matmul(buffers[self.in_slot], self.weight_t, pool,
                                  self.index, self.pooled)
         if self.bias is not None:
@@ -174,7 +152,7 @@ class ConvInstruction:
     pooled: bool = True
 
     def run(self, buffers: List[Optional[np.ndarray]],
-            pool: Optional[Dict[int, np.ndarray]]) -> None:
+            pool: Dict[int, np.ndarray]) -> None:
         flat, batch, out_h, out_w = self.stage.extract_patches(buffers[self.in_slot])
         outputs = _pooled_matmul(flat, self.weight_t, pool, self.index, self.pooled)
         bias = self.stage.layer.bias
@@ -208,7 +186,7 @@ class ChainInstruction:
     out_slot: int
 
     def run(self, buffers: List[Optional[np.ndarray]],
-            pool: Optional[Dict[int, np.ndarray]]) -> None:
+            pool: Dict[int, np.ndarray]) -> None:
         outputs = self.stage.layer.photonic_matrix.apply(buffers[self.in_slot])
         bias = self.stage.layer.bias
         if bias is not None:
@@ -232,7 +210,7 @@ class AffineInstruction:
     out_slot: int
 
     def run(self, buffers: List[Optional[np.ndarray]],
-            pool: Optional[Dict[int, np.ndarray]]) -> None:
+            pool: Dict[int, np.ndarray]) -> None:
         buffers[self.out_slot] = self.op.forward(buffers[self.in_slot])
 
 
@@ -243,15 +221,14 @@ class AffineInstruction:
 class ExecutionPlan:
     """A compiled program lowered to a flat instruction list over buffer slots.
 
-    Execute with :meth:`execute` (also ``__call__``).  With
-    ``options.reuse_buffers`` the plan owns per-instruction interior buffers
-    that persist across calls; a lock serializes concurrent execution.
+    Execute with :meth:`execute` (also ``__call__``).  The plan owns
+    per-instruction interior buffers that persist across calls; a lock
+    serializes concurrent execution.
     """
 
     instructions: List[Any]
     slot_count: int
     output_slot: int
-    options: PlanOptions
     fused_matmuls: int = 0
     fused_affine_chains: int = 0
     chain_stages: int = 0
@@ -295,14 +272,10 @@ class ExecutionPlan:
         """
         buffers: List[Optional[np.ndarray]] = [None] * self.slot_count
         buffers[0] = np.asarray(signal, dtype=complex)
-        if self.options.reuse_buffers:
-            with self._lock:
-                for instruction in self.instructions:
-                    instruction.run(buffers, self._pool)
-                return buffers[self.output_slot]
-        for instruction in self.instructions:
-            instruction.run(buffers, None)
-        return buffers[self.output_slot]
+        with self._lock:
+            for instruction in self.instructions:
+                instruction.run(buffers, self._pool)
+            return buffers[self.output_slot]
 
     __call__ = execute
 
@@ -329,17 +302,6 @@ def _materialize_dense_caches(stage: Any) -> None:
     for mesh in (matrix.left_mesh, matrix.right_mesh):
         if mesh.uses_dense_path():
             mesh._dense_matrix(0.0)
-
-
-def _effective_weight_t(stage: Any) -> np.ndarray:
-    """Pre-transposed effective matrix ``(scale * U @ diag(S) @ V).T``.
-
-    Delegates to the :class:`~repro.photonics.svd_mapping.PhotonicMatrix`
-    cache so repeated plan builds reuse one reconstruction -- and so the
-    artifact store can seed it with a memory-mapped precomputed copy that
-    warm plan builds pick up without touching the meshes at all.
-    """
-    return stage.layer.photonic_matrix.effective_weight_t()
 
 
 def _fuse_affine_nodes(nodes: List[GraphNode],
@@ -385,7 +347,7 @@ def _fuse_affine_nodes(nodes: List[GraphNode],
     return fused, renamed.get(output, output)
 
 
-def compile_plan(graph: Any, options: Optional[PlanOptions] = None) -> ExecutionPlan:
+def compile_plan(graph: Any) -> ExecutionPlan:
     """Lower a :class:`~repro.core.graph_ir.GraphProgram` to an execution plan.
 
     The graph's nodes are already topologically ordered; this pass runs the
@@ -393,14 +355,8 @@ def compile_plan(graph: Any, options: Optional[PlanOptions] = None) -> Execution
     conv / affine / generic call), and maps node outputs onto reusable buffer
     slots from the precomputed last-use table.
     """
-    options = PlanOptions() if options is None else options
-    nodes = list(graph.nodes)
-    output = graph.output
-    fused_affine = 0
-    if options.fuse_affine:
-        before = len(nodes)
-        nodes, output = _fuse_affine_nodes(nodes, output)
-        fused_affine = before - len(nodes)
+    nodes, output = _fuse_affine_nodes(list(graph.nodes), graph.output)
+    fused_affine = len(graph.nodes) - len(nodes)
 
     last_use: Dict[str, int] = {}
     for index, node in enumerate(nodes):
@@ -428,10 +384,12 @@ def compile_plan(graph: Any, options: Optional[PlanOptions] = None) -> Execution
     baked_meshes: List[Tuple[Any, int]] = []
 
     def bake(stage: Any) -> np.ndarray:
+        # the PhotonicMatrix caches (scale * U @ diag(S) @ V).T, which the
+        # artifact store may have seeded with a memory-mapped copy
         matrix = stage.layer.photonic_matrix
         for mesh in (matrix.left_mesh, matrix.right_mesh):
             baked_meshes.append((mesh, mesh.phase_version))
-        return _effective_weight_t(stage)
+        return matrix.effective_weight_t()
     for index, node in enumerate(nodes):
         in_slots = tuple(slot_of[name] for name in node.inputs)
         # release slots whose value has no later consumer; rebinding the
@@ -448,13 +406,13 @@ def compile_plan(graph: Any, options: Optional[PlanOptions] = None) -> Execution
 
         op = node.op
         may_pool = node.name not in escapes
-        if options.fuse_matrices and isinstance(op, LinearStage) and _stage_fusible(op):
+        if isinstance(op, LinearStage) and _stage_fusible(op):
             instructions.append(MatmulInstruction(
                 weight_t=bake(op), bias=op.layer.bias,
                 activation=op.activation_after, in_slot=in_slots[0],
                 out_slot=out_slot, index=index, pooled=may_pool))
             fused_matmuls += 1
-        elif options.fuse_matrices and isinstance(op, Conv2dStage) and _stage_fusible(op):
+        elif isinstance(op, Conv2dStage) and _stage_fusible(op):
             instructions.append(ConvInstruction(
                 stage=op, weight_t=bake(op),
                 in_slot=in_slots[0], out_slot=out_slot, index=index,
@@ -482,7 +440,7 @@ def compile_plan(graph: Any, options: Optional[PlanOptions] = None) -> Execution
                                                 out_slot=out_slot))
 
     return ExecutionPlan(instructions=instructions, slot_count=slot_count,
-                         output_slot=slot_of[output], options=options,
+                         output_slot=slot_of[output],
                          fused_matmuls=fused_matmuls,
                          fused_affine_chains=fused_affine,
                          chain_stages=chain_stages,

@@ -81,7 +81,7 @@ class ComplexLeNet5(Module):
     channel-lossless assignment, 1 with channel remapping.
 
     The trained model is deployable onto simulated MZI meshes:
-    :func:`repro.core.deploy.deploy_model` lowers the convolution kernels to
+    :func:`repro.compile` lowers the convolution kernels to
     im2col matrices and the trunk/head to SVD mesh pairs (see
     :mod:`repro.core.lowering`).
     """

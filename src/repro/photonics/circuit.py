@@ -33,16 +33,10 @@ class PhotonicLinearLayer:
 
     @classmethod
     def from_weight(cls, weight: np.ndarray, bias: Optional[np.ndarray] = None,
-                    method: str = "clements", name: str = "layer",
-                    backend: str = "auto",
-                    dense_dimension_limit: Optional[int] = None) -> "PhotonicLinearLayer":
-        """Deploy a (complex or real) weight matrix onto MZI meshes.
-
-        ``backend`` / ``dense_dimension_limit`` are the per-mesh execution
-        policy (see :func:`repro.photonics.svd_mapping.svd_decompose`).
-        """
-        matrix = svd_decompose(weight, method=method, backend=backend,
-                               dense_dimension_limit=dense_dimension_limit)
+                    method: str = "clements",
+                    name: str = "layer") -> "PhotonicLinearLayer":
+        """Deploy a (complex or real) weight matrix onto ``"auto"`` MZI meshes."""
+        matrix = svd_decompose(weight, method=method)
         return cls(photonic_matrix=matrix, bias=bias, name=name)
 
     @property

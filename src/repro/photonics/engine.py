@@ -44,11 +44,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-#: meshes up to this dimension are applied through a cached dense transfer
-#: matrix (one BLAS matmul) instead of the column program; the cache is built
-#: lazily and invalidated by :meth:`MeshDecomposition.update_phases`.  The
-#: default is a conservative measured value; :func:`calibrate_dense_limit`
-#: re-measures the crossover on the current machine and can replace it.
+#: largest mesh dimension the ``"auto"`` backend runs through a dense
+#: transfer matrix (one BLAS matmul) instead of the rotation chain.  A warm
+#: dense apply beats every chain backend at every size, so this does not
+#: bound apply speed: it bounds the O(n^3) dense transfer builds that
+#: ``plan()`` performs at compile time (a 160-mode build through the numpy
+#: column program costs tens of milliseconds).  A constant, never reassigned.
 DENSE_DIMENSION_LIMIT = 96
 
 
@@ -406,134 +407,6 @@ def dense_transfer(program: MeshProgram, thetas: np.ndarray, phis: np.ndarray,
                         insertion_loss_db=insertion_loss_db)
     # row i of the propagated identity is U @ e_i, i.e. the i-th column of U
     return np.swapaxes(columns, -1, -2)
-
-
-def _set_default_dense_limit(limit: int) -> int:
-    """Replace :data:`DENSE_DIMENSION_LIMIT`; returns the previous value."""
-    global DENSE_DIMENSION_LIMIT
-    previous = DENSE_DIMENSION_LIMIT
-    DENSE_DIMENSION_LIMIT = int(limit)
-    return previous
-
-
-def set_dense_dimension_limit(limit: int) -> int:
-    """Deprecated: mutate the module-global dense/column crossover.
-
-    The global is shared by every mesh in the process, so concurrent compiles
-    with different policies race on it.  Prefer
-    ``CompileOptions(dense_dimension_limit=...)`` (threaded per-mesh by
-    ``repro.compile``); this shim only seeds the default that meshes without
-    an explicit per-mesh limit fall back to.  Returns the previous value.
-    """
-    import warnings
-
-    warnings.warn(
-        "set_dense_dimension_limit() mutates process-global state and is "
-        "deprecated; pass CompileOptions(dense_dimension_limit=...) to "
-        "repro.compile() instead", DeprecationWarning, stacklevel=2)
-    return _set_default_dense_limit(limit)
-
-
-def measure_dense_crossover(dimensions=(16, 32, 48, 64, 96, 128, 192),
-                            batch: int = 32, repeats: int = 5,
-                            method: str = "clements", seed: int = 0,
-                            backends=("column", "cchain")):
-    """Time the cached dense matmul against every execution backend per dimension.
-
-    For each mesh dimension the warm-cache dense apply (``states @ U.T``) and
-    each requested non-dense backend (the compiled numpy ``column`` program
-    and, when the kernel is loaded, the native ``cchain`` chain) are timed
-    ``repeats`` times (best-of), on the same Haar-random mesh and the same
-    ``(batch, dim)`` state batch.  Returns one dict per dimension carrying a
-    ``backend_seconds`` mapping (the per-backend axis the ``"auto"`` policy
-    is calibrated from; an unavailable backend maps to None) alongside the
-    legacy flat keys (``dense_seconds``/``column_seconds``/``dense_speedup``)
-    older result readers expect.
-    """
-    import time
-
-    from repro.photonics.mzi_mesh import decompose_unitary, random_unitary
-
-    def best_of(fn) -> float:
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    rng = np.random.default_rng(seed)
-    rows = []
-    for dimension in dimensions:
-        mesh = decompose_unitary(random_unitary(int(dimension), rng), method=method)
-        program = mesh.compiled()
-        states = (rng.normal(size=(batch, dimension))
-                  + 1j * rng.normal(size=(batch, dimension)))
-        dense_matrix = dense_transfer(program, mesh.thetas, mesh.phis,
-                                      mesh.output_phases)
-        backend_seconds = {
-            "dense": best_of(lambda: states @ dense_matrix.T),
-        }
-        for backend in backends:
-            if backend == "column":
-                backend_seconds["column"] = best_of(
-                    lambda: propagate(program, states, mesh.thetas,
-                                      mesh.phis, mesh.output_phases))
-            elif backend == "cchain":
-                if native_kernel() is None:
-                    backend_seconds["cchain"] = None
-                    continue
-                backend_seconds["cchain"] = best_of(
-                    lambda: native_propagate(mesh.modes, states, mesh.thetas,
-                                             mesh.phis, mesh.output_phases))
-            else:
-                raise ValueError(f"unknown crossover backend {backend!r}")
-        dense_seconds = backend_seconds["dense"]
-        column_seconds = backend_seconds.get("column")
-        alternatives = [s for name, s in backend_seconds.items()
-                        if name != "dense" and s is not None]
-        best_alternative = min(alternatives) if alternatives else None
-        rows.append({
-            "dimension": int(dimension),
-            "method": method,
-            "batch": int(batch),
-            "optical_depth": program.depth,
-            "backend_seconds": backend_seconds,
-            "dense_seconds": dense_seconds,
-            "column_seconds": column_seconds,
-            "dense_speedup": (column_seconds / dense_seconds
-                              if column_seconds is not None else None),
-            "dense_speedup_vs_best": (best_alternative / dense_seconds
-                                      if best_alternative is not None else None),
-        })
-    return rows
-
-
-def calibrate_dense_limit(dimensions=(16, 32, 48, 64, 96, 128, 192),
-                          batch: int = 32, repeats: int = 5,
-                          method: str = "clements", seed: int = 0,
-                          apply: bool = False,
-                          backends=("column", "cchain")):
-    """Pick :data:`DENSE_DIMENSION_LIMIT` from measured crossover data.
-
-    The limit is the largest measured dimension at which the warm-cache dense
-    matmul still beats the *fastest available* non-dense backend (the numpy
-    column program, or the native chain kernel when it is loaded -- the same
-    alternative the ``"auto"`` policy would otherwise pick); if the dense
-    path never wins the limit is 0, disabling it.  With ``apply=True`` the
-    module global is updated in place.  Returns ``(limit, rows)`` so callers
-    can record the measurements.
-    """
-    rows = measure_dense_crossover(dimensions=dimensions, batch=batch,
-                                   repeats=repeats, method=method, seed=seed,
-                                   backends=backends)
-    dense_wins = [row["dimension"] for row in rows
-                  if row["dense_speedup_vs_best"] is not None
-                  and row["dense_speedup_vs_best"] >= 1.0]
-    limit = max(dense_wins) if dense_wins else 0
-    if apply:
-        _set_default_dense_limit(limit)
-    return limit, rows
 
 
 def reference_apply(modes: np.ndarray, thetas: np.ndarray, phis: np.ndarray,

@@ -36,10 +36,9 @@ model (e.g. every conv-kernel matrix of a ResNet stage) in one batched pass;
 both stack paths are parity-pinned against the per-matrix paths to 1e-10.
 
 Execution policy is explicit: each :class:`MeshDecomposition` carries a
-``backend`` ("auto" / "dense" / "column" / "cchain") and an optional per-mesh
-``dense_dimension_limit``, threaded in by the compiler instead of consulting
-mutable module globals (``engine.DENSE_DIMENSION_LIMIT`` remains only as the
-default when no per-mesh limit is set).  ``"cchain"`` runs the rotation chain
+``backend`` ("auto" / "dense" / "column" / "cchain"), threaded in by the
+compiler; ``"auto"`` takes the dense path up to the fixed
+``engine.DENSE_DIMENSION_LIMIT``.  ``"cchain"`` runs the rotation chain
 through the compiled C kernel of :mod:`repro.photonics._native`; when the
 kernel is loaded, the sequential Clements nulling chains of
 :func:`clements_decompose` / :func:`clements_decompose_stack` also execute
@@ -164,13 +163,12 @@ class MeshDecomposition:
     matrix) or :meth:`with_phases` (returns a new mesh sharing the topology).
 
     ``backend`` selects how :meth:`apply` executes: ``"auto"`` (dense matmul
-    below the dense-dimension limit, the fastest available chain path
+    up to ``engine.DENSE_DIMENSION_LIMIT``, the fastest available chain path
     otherwise), ``"dense"`` (always the cached dense transfer matrix),
     ``"column"`` (always the compiled numpy column program -- the
     always-available reference) or ``"cchain"`` (the native C chain kernel,
     with a logged fallback to the column program when no kernel could be
-    built).  ``dense_dimension_limit`` overrides the module-global default
-    crossover for this mesh; both are normally set by the compiler from
+    built).  The compiler sets it from
     :class:`~repro.core.compile.CompileOptions`.
     """
 
@@ -183,15 +181,12 @@ class MeshDecomposition:
                  modes: Optional[np.ndarray] = None,
                  thetas: Optional[np.ndarray] = None,
                  phis: Optional[np.ndarray] = None,
-                 backend: str = "auto",
-                 dense_dimension_limit: Optional[int] = None):
+                 backend: str = "auto"):
         self.dimension = int(dimension)
         self.method = method
         if backend not in self.BACKENDS:
             raise ValueError(f"unknown mesh backend {backend!r}; choose from {self.BACKENDS}")
         self.backend = backend
-        self.dense_dimension_limit = (None if dense_dimension_limit is None
-                                      else int(dense_dimension_limit))
         if settings is not None:
             if modes is not None or thetas is not None or phis is not None:
                 raise ValueError("pass either settings or modes/thetas/phis, not both")
@@ -343,7 +338,7 @@ class MeshDecomposition:
             thetas=self._thetas if thetas is None else thetas,
             phis=self._phis if phis is None else phis,
             output_phases=self._output_phases if output_phases is None else output_phases,
-            backend=self.backend, dense_dimension_limit=self.dense_dimension_limit,
+            backend=self.backend,
         )
         mesh._program = self._program  # the column schedule depends only on modes
         return mesh
@@ -374,17 +369,13 @@ class MeshDecomposition:
         Part of the single backend-policy source (see :meth:`resolve_backend`
         for the full resolution): ``"dense"`` forces the dense path,
         ``"column"``/``"cchain"`` never take it; ``"auto"`` picks the dense
-        matmul for unbatched meshes up to the dense-dimension limit (per-mesh
-        limit if set, module default otherwise).  The plan compiler consults
-        this to decide which stages it may fold into eager dense matrices.
+        matmul for unbatched meshes up to ``engine.DENSE_DIMENSION_LIMIT``.
+        The plan compiler consults this to decide which stages it may fold
+        into eager dense matrices.
         """
-        if self.backend == "dense":
-            return True
-        if self.backend in ("column", "cchain"):
-            return False
-        limit = (engine.DENSE_DIMENSION_LIMIT if self.dense_dimension_limit is None
-                 else self.dense_dimension_limit)
-        return not self.is_batched and self.dimension <= limit
+        if self.backend == "auto":
+            return not self.is_batched and self.dimension <= engine.DENSE_DIMENSION_LIMIT
+        return self.backend == "dense"
 
     def resolve_backend(self) -> str:
         """The execution path :meth:`apply` takes right now.
@@ -394,11 +385,9 @@ class MeshDecomposition:
         path.  ``"cchain"`` resolves to the native kernel when it is loaded
         and the mesh is unbatched (trials ensembles stay on the vectorized
         numpy path), with a once-logged fallback to the column program
-        otherwise.  ``"auto"`` takes the dense matmul below the
-        dense-dimension limit, then the native kernel when available, then
-        the column program -- the ordering the measured per-backend
-        crossovers (:func:`repro.photonics.engine.measure_dense_crossover`)
-        justify on every machine calibrated so far.
+        otherwise.  ``"auto"`` takes the dense matmul up to
+        ``engine.DENSE_DIMENSION_LIMIT``, then the native kernel when
+        available, then the column program.
         """
         if self.backend == "dense":
             return "dense"

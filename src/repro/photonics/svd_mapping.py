@@ -172,14 +172,11 @@ def _count_decompositions(count: int) -> None:
     _DECOMPOSITIONS += count
 
 
-def _apply_mesh_policy(mesh: MeshDecomposition, backend: str,
-                       dense_dimension_limit: Optional[int]) -> MeshDecomposition:
+def _apply_mesh_policy(mesh: MeshDecomposition, backend: str) -> MeshDecomposition:
     if backend not in MeshDecomposition.BACKENDS:
         raise ValueError(f"unknown mesh backend {backend!r}; "
                          f"choose from {MeshDecomposition.BACKENDS}")
     mesh.backend = backend
-    mesh.dense_dimension_limit = (None if dense_dimension_limit is None
-                                  else int(dense_dimension_limit))
     return mesh
 
 
@@ -247,8 +244,7 @@ def _svd_factors_many(weights: Sequence[np.ndarray], normalize: bool) -> List[tu
 
 
 def svd_decompose(weight: np.ndarray, method: str = "clements",
-                  normalize: bool = True, backend: str = "auto",
-                  dense_dimension_limit: Optional[int] = None) -> PhotonicMatrix:
+                  normalize: bool = True, backend: str = "auto") -> PhotonicMatrix:
     """Map a weight matrix onto a photonic circuit via SVD.
 
     Parameters
@@ -262,17 +258,15 @@ def svd_decompose(weight: np.ndarray, method: str = "clements",
         If True, scale the singular values so the largest attenuator
         transmission is 1 (physically realisable); the scale factor is stored
         in :attr:`PhotonicMatrix.scale`.
-    backend, dense_dimension_limit:
+    backend:
         Execution policy stamped onto both meshes (see
         :class:`~repro.photonics.mzi_mesh.MeshDecomposition`); the compiler
-        threads these in from ``CompileOptions`` instead of module globals.
+        threads it in from ``CompileOptions``.
     """
     _count_decompositions(1)
     (rows, cols), left, right, singular_values, scale = _svd_factors(weight, normalize)
-    left_mesh = _apply_mesh_policy(decompose_unitary(left, method=method),
-                                   backend, dense_dimension_limit)
-    right_mesh = _apply_mesh_policy(decompose_unitary(right, method=method),
-                                    backend, dense_dimension_limit)
+    left_mesh = _apply_mesh_policy(decompose_unitary(left, method=method), backend)
+    right_mesh = _apply_mesh_policy(decompose_unitary(right, method=method), backend)
     return _assemble(rows, cols, left_mesh, right_mesh, singular_values, scale)
 
 
@@ -321,9 +315,7 @@ def stack_threshold(method: str, backend: Optional[str] = None) -> int:
 
 def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
                        normalize: bool = True, batch_unitaries: bool = True,
-                       backend: str = "auto",
-                       dense_dimension_limit: Optional[int] = None
-                       ) -> List[PhotonicMatrix]:
+                       backend: str = "auto") -> List[PhotonicMatrix]:
     """Map many weight matrices onto photonic circuits in one batched pass.
 
     The batching happens at both ends of the pipeline: the *SVDs* of
@@ -353,8 +345,7 @@ def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
             decomposed = [decompose_unitary(unitary, method=method)
                           for _index, _side, unitary in members]
         for (index, side, _unitary), mesh in zip(members, decomposed):
-            meshes[index, side] = _apply_mesh_policy(mesh, backend,
-                                                     dense_dimension_limit)
+            meshes[index, side] = _apply_mesh_policy(mesh, backend)
     return [_assemble(rows, cols, meshes[index, 0], meshes[index, 1],
                       singular_values, scale)
             for index, ((rows, cols), _left, _right, singular_values, scale)

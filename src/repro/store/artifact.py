@@ -243,8 +243,7 @@ class ArtifactStore:
                 thetas=_frozen_loaded(payload[f"w{index}.{tag}.thetas"]),
                 phis=_frozen_loaded(payload[f"w{index}.{tag}.phis"]),
                 output_phases=_frozen_loaded(payload[f"w{index}.{tag}.out"]),
-                backend=options.backend,
-                dense_dimension_limit=options.dense_dimension_limit)
+                backend=options.backend)
             if mesh.mzi_count != int(record[side]["mzi_count"]):
                 raise ArtifactError(f"matrix {index} {side} mesh has "
                                     f"{mesh.mzi_count} MZIs, manifest says "
@@ -269,9 +268,9 @@ class ArtifactStore:
         """Memory-map stored dense matrices into the caches the runtime reads.
 
         Seeding is policy-checked against the *reconstructed* meshes: a
-        payload the current dense/column crossover would not use is simply
-        skipped (the phases alone are always sufficient), so a process
-        default differing from the writer's can never execute a wrong path.
+        payload their backend would not use is simply skipped (the phases
+        alone are always sufficient), so a stored dense matrix can never put
+        a mesh on a path its policy rejects.
         """
         left, right = matrix.left_mesh, matrix.right_mesh
         if "eff" in dense and left.uses_dense_path() and right.uses_dense_path():

@@ -39,6 +39,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["deploy-resnet", "--backend", "warp"])
 
+    def test_backends_takes_no_calibration_flags(self):
+        parser = build_parser()
+        assert parser.parse_args(["backends", "--output", "b.json"]).output == "b.json"
+        for flag in ("--calibrate", "--dimensions", "--batch", "--repeats", "--seed"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["backends", flag])
+
     def test_requires_a_command(self, capsys):
         with pytest.raises(SystemExit):
             main([])
@@ -54,6 +61,13 @@ class TestExecution:
         output = capsys.readouterr().out
         assert "FCNN" in output and "ResNet-32" in output
         assert "31.7" in output        # the paper's FCNN MZI count (x1e4)
+
+    def test_backends_reports_the_fixed_dense_limit(self, tmp_path, capsys):
+        output_path = tmp_path / "backends.json"
+        assert main(["backends", "--output", str(output_path)]) == 0
+        assert "dense size limit: 96" in capsys.readouterr().out
+        payload = json.loads(output_path.read_text())
+        assert payload["backends"] == ["auto", "dense", "column", "cchain"]
 
     def test_table2_smoke_with_json_output(self, tmp_path, capsys):
         output_path = tmp_path / "rows.json"

@@ -1,9 +1,8 @@
 """Tests of the ``repro.compile`` graph compiler API.
 
 Covers the compiler entry point and its dataclasses, the graph IR produced
-for residual models (fan-out, electronic skip adds, folded batch norms), the
-execution-policy threading that replaced the module globals, and the
-deprecated ``deploy_model`` / ``lower_model`` shims.
+for residual models (fan-out, electronic skip adds, folded batch norms) and
+the execution-policy threading from ``CompileOptions`` to every mesh.
 """
 
 import numpy as np
@@ -96,8 +95,6 @@ class TestCompileEntryPoint:
             HardwareTarget(trials=4)          # trials without a noise model
         with pytest.raises(ValueError):
             CompileOptions(backend="warp")
-        with pytest.raises(ValueError):
-            CompileOptions(dense_dimension_limit=-1)
 
 
 class TestResNetGraphCompile:
@@ -179,19 +176,17 @@ class TestResNetGraphCompile:
 class TestExecutionPolicy:
     def test_backend_is_threaded_to_every_mesh(self, rng):
         program = repro.compile(tiny_lenet(rng),
-                                options=CompileOptions(backend="column",
-                                                       dense_dimension_limit=5))
+                                options=CompileOptions(backend="column"))
         meshes = [mesh for stage in program.stages if isinstance(stage, (LinearStage, Conv2dStage))
                   for mesh in (stage.layer.photonic_matrix.left_mesh,
                                stage.layer.photonic_matrix.right_mesh)]
         assert meshes
         assert all(mesh.backend == "column" for mesh in meshes)
-        assert all(mesh.dense_dimension_limit == 5 for mesh in meshes)
 
     @pytest.mark.parametrize("options", [CompileOptions(backend="dense"),
                                          CompileOptions(backend="column"),
-                                         CompileOptions(dense_dimension_limit=0)],
-                             ids=["dense", "column", "limit0"])
+                                         CompileOptions(backend="cchain")],
+                             ids=["dense", "column", "cchain"])
     def test_backends_agree_numerically(self, options, rng):
         scheme = get_scheme("CL")
         model = tiny_lenet(rng)
@@ -200,19 +195,15 @@ class TestExecutionPolicy:
         assert np.allclose(repro.compile(model, options=options)
                            .predict_logits(images, scheme), reference, atol=1e-9)
 
-    def test_per_compile_limits_do_not_share_state(self, rng):
-        # two programs with different limits coexist: no global was mutated
-        from repro.photonics import engine
-
-        before = engine.DENSE_DIMENSION_LIMIT
+    def test_per_compile_backends_do_not_share_state(self, rng):
+        # two programs with different backends coexist on their own paths
         model = tiny_lenet(rng)
-        dense_program = repro.compile(model, options=CompileOptions(dense_dimension_limit=999))
-        column_program = repro.compile(model, options=CompileOptions(dense_dimension_limit=0))
-        assert engine.DENSE_DIMENSION_LIMIT == before
+        dense_program = repro.compile(model, options=CompileOptions(backend="dense"))
+        column_program = repro.compile(model, options=CompileOptions(backend="column"))
         sample = dense_program.stages[0].layer.photonic_matrix.left_mesh
-        assert sample.dense_dimension_limit == 999
+        assert sample.resolve_backend() == "dense"
         sample = column_program.stages[0].layer.photonic_matrix.left_mesh
-        assert sample.dense_dimension_limit == 0
+        assert sample.resolve_backend() == "column"
 
     def test_target_noise_is_baked_in(self, rng):
         scheme = get_scheme("CL")
@@ -275,52 +266,40 @@ class TestQuantizationEndToEnd:
         assert coarse.mzi_count == clean.mzi_count
 
 
-class TestDeprecatedShims:
-    def test_deploy_model_warns_and_matches_compile(self, rng):
-        from repro.core.deploy import DeployedModel, deploy_model
+class TestOneCompilePath:
+    """``repro.compile`` is the only entry point and ``backend`` the only policy."""
 
-        scheme = get_scheme("CL")
-        model = tiny_lenet(rng)
-        with pytest.warns(DeprecationWarning):
-            deployed = deploy_model(model)
-        assert isinstance(deployed, DeployedModel)
-        program = repro.compile(model)
-        images = rng.normal(size=(4, 3, 12, 12))
-        assert np.allclose(deployed.predict_logits(images, scheme),
-                           program.predict_logits(images, scheme), atol=1e-12)
-        assert deployed.mzi_count == program.mzi_count
+    def test_compile_options_hold_only_backend_and_batch_unitaries(self):
+        import dataclasses
 
-    def test_deploy_linear_model_warns(self, rng):
-        from repro.core.deploy import deploy_linear_model
+        assert [f.name for f in dataclasses.fields(CompileOptions)] == [
+            "backend", "batch_unitaries"]
 
-        with pytest.warns(DeprecationWarning):
-            deploy_linear_model(ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng))
+    def test_backend_is_the_only_policy_threaded_to_the_meshes(self):
+        import inspect
 
-    def test_lower_model_warns_and_rejects_graph_programs(self, rng):
-        from repro.core.lowering import lower_model
+        from repro.core.lowering import lower_to_graph
+        from repro.photonics.circuit import PhotonicLinearLayer
+        from repro.photonics.mzi_mesh import MeshDecomposition
+        from repro.photonics.svd_mapping import svd_decompose, svd_decompose_many
 
-        with pytest.warns(DeprecationWarning):
-            lower_model(tiny_lenet(rng))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="repro.compile"):
-                lower_model(tiny_resnet(rng))
+        for function in (lower_to_graph, svd_decompose, svd_decompose_many,
+                         PhotonicLinearLayer.from_weight, MeshDecomposition.__init__,
+                         MeshDecomposition.with_phases):
+            parameters = inspect.signature(function).parameters
+            assert not [name for name in parameters if "dense" in name], function
 
-    def test_deploy_model_rejects_graph_programs(self, rng):
-        from repro.core.deploy import deploy_model
+    def test_compile_is_the_only_compile_entry_point(self):
+        import importlib
 
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="repro.compile"):
-                deploy_model(tiny_resnet(rng))
+        import repro.core
 
-    def test_set_dense_dimension_limit_warns_but_still_seeds_default(self):
-        from repro.photonics import engine
-
-        with pytest.warns(DeprecationWarning):
-            previous = engine.set_dense_dimension_limit(33)
-        try:
-            assert engine.DENSE_DIMENSION_LIMIT == 33
-        finally:
-            engine._set_default_dense_limit(previous)
+        assert repro.core.compile is repro.compile
+        stale = [name for name in dir(repro.core)
+                 if name.startswith(("deploy", "Deployed", "Lowered"))]
+        assert stale == []
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.deploy")
 
 
 class TestLoweringRegistry:

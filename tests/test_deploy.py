@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.assignment import get_scheme
 from repro.core.area_analysis import model_area_report
-from repro.core.deploy import DeployedModel, deploy_linear_model
+from repro.core.compile import CompiledProgram, HardwareTarget
 from repro.core.training import prepare_batch
 from repro.models import ComplexFCNN, RealFCNN
 from repro.photonics.noise import PhaseNoiseModel
@@ -28,7 +29,7 @@ class TestDeploymentFidelity:
         # give the calibration non-trivial values so the digital replication is exercised
         model.head.calibration.scale.data[:] = rng.uniform(0.5, 1.5, size=4)
         model.head.calibration.bias.data[:] = rng.normal(size=4)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(6, 1, 6, 6))
         expected = software_logits(model, images, scheme)
         actual = deployed.predict_logits(images, scheme)
@@ -38,7 +39,7 @@ class TestDeploymentFidelity:
     def test_both_mesh_methods_are_equivalent(self, method, rng):
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model, method=method)
+        deployed = repro.compile(model, target=HardwareTarget(method=method))
         images = rng.normal(size=(4, 1, 4, 4))
         assert np.allclose(deployed.predict_logits(images, scheme),
                            software_logits(model, images, scheme), atol=1e-6)
@@ -46,34 +47,34 @@ class TestDeploymentFidelity:
     def test_classification_agreement(self, rng):
         scheme = get_scheme("SI")
         model = ComplexFCNN(18, (10,), 3, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(10, 1, 6, 6))
         software_predictions = software_logits(model, images, scheme).argmax(axis=1)
         assert np.array_equal(deployed.classify(images, scheme), software_predictions)
 
     def test_mzi_count_matches_area_report(self, rng):
         model = ComplexFCNN(18, (10,), 4, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         assert deployed.mzi_count == model_area_report(model).total_mzis
 
     def test_conventional_cvnn_also_deploys(self, rng):
         scheme = get_scheme("conventional")
         model = ComplexFCNN(16, (8,), 3, decoder="photodiode", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(5, 1, 4, 4))
         assert np.allclose(deployed.predict_logits(images, scheme),
                            software_logits(model, images, scheme), atol=1e-6)
 
     def test_real_model_rejected(self, rng):
         with pytest.raises(TypeError):
-            deploy_linear_model(RealFCNN(16, (8,), 3, rng=rng))
+            repro.compile(RealFCNN(16, (8,), 3, rng=rng))
 
 
 class TestDeploymentUnderNoise:
     def test_zero_noise_copy_is_identical(self, rng):
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         clean_copy = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.0))
         images = rng.normal(size=(3, 1, 4, 4))
         assert np.allclose(deployed.predict_logits(images, scheme),
@@ -82,7 +83,7 @@ class TestDeploymentUnderNoise:
     def test_noise_changes_logits_but_not_structure(self, rng):
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         noisy = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.1, rng=rng))
         assert noisy.mzi_count == deployed.mzi_count
         images = rng.normal(size=(3, 1, 4, 4))
@@ -92,7 +93,7 @@ class TestDeploymentUnderNoise:
     def test_small_noise_small_error(self, rng):
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(4, 1, 4, 4))
         clean = deployed.predict_logits(images, scheme)
         errors = []
@@ -106,7 +107,7 @@ class TestDeploymentUnderNoise:
     def test_quantization_applied(self, rng):
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         quantized = deployed.with_noise(quantization_bits=6)
         images = rng.normal(size=(3, 1, 4, 4))
         clean = deployed.predict_logits(images, scheme)
@@ -115,8 +116,8 @@ class TestDeploymentUnderNoise:
         fine = deployed.with_noise(quantization_bits=14).predict_logits(images, scheme)
         assert np.abs(fine - clean).max() < np.abs(coarse - clean).max()
 
-    def test_deployed_model_is_a_dataclass_with_encoder(self, rng):
+    def test_compiled_program_carries_its_encoder(self, rng):
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
-        assert isinstance(deployed, DeployedModel)
+        deployed = repro.compile(model)
+        assert isinstance(deployed, CompiledProgram)
         assert deployed.encoder.name == "dc"

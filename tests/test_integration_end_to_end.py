@@ -9,10 +9,10 @@ analysis and photonic deployment with non-idealities.
 import numpy as np
 import pytest
 
+import repro
 from repro.assignment import get_scheme
 from repro.core.area_analysis import compare_area, model_area_report
 from repro.core.config import ExperimentConfig, TrainingConfig
-from repro.core.deploy import deploy_linear_model
 from repro.core.pipeline import OplixNet
 from repro.core.training import evaluate_accuracy
 from repro.photonics.noise import PhaseNoiseModel
@@ -47,7 +47,7 @@ class TestFCNNEndToEnd:
         student, history = pipeline.train_student(mutual_learning=False)
         assert history.final_test_accuracy > 0.3    # 10 classes -> chance is 0.1
 
-        deployed = deploy_linear_model(student)
+        deployed = repro.compile(student)
         _train, test = pipeline.datasets()
         images = np.stack([test[i][0] for i in range(40)])
         labels = np.array([test[i][1] for i in range(40)])
@@ -65,7 +65,7 @@ class TestFCNNEndToEnd:
     def test_phase_noise_degrades_deployed_accuracy_gracefully(self):
         pipeline = OplixNet(config_for("fcnn"))
         student, _ = pipeline.train_student(mutual_learning=False)
-        deployed = deploy_linear_model(student)
+        deployed = repro.compile(student)
         _train, test = pipeline.datasets()
         images = np.stack([test[i][0] for i in range(60)])
         labels = np.array([test[i][1] for i in range(60)])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.assignment import get_scheme
 from repro.core.area_analysis import model_area_report
-from repro.core.deploy import DeployedModel, deploy_model
+from repro.core.compile import CompiledProgram, HardwareTarget
 from repro.core.lowering import (
     AvgPool2dStage,
     Conv2dStage,
@@ -13,7 +14,6 @@ from repro.core.lowering import (
     LinearStage,
     complex_im2col,
     lower_complex_conv2d,
-    lower_model,
 )
 from repro.core.training import prepare_batch
 from repro.models import ComplexFCNN
@@ -67,7 +67,7 @@ class TestDeployedCNNFidelity:
         model = tiny_lenet(rng, decoder=decoder)
         model.head.calibration.scale.data[:] = rng.uniform(0.5, 1.5, size=4)
         model.head.calibration.bias.data[:] = rng.normal(size=4)
-        deployed = deploy_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(5, 3, 12, 12))
         expected = software_logits(model, images, scheme)
         actual = deployed.predict_logits(images, scheme)
@@ -77,7 +77,7 @@ class TestDeployedCNNFidelity:
     def test_both_mesh_methods(self, method, rng):
         scheme = get_scheme("CL")
         model = tiny_lenet(rng)
-        deployed = deploy_model(model, method=method)
+        deployed = repro.compile(model, target=HardwareTarget(method=method))
         images = rng.normal(size=(3, 3, 12, 12))
         assert np.allclose(deployed.predict_logits(images, scheme),
                            software_logits(model, images, scheme), atol=1e-8)
@@ -85,18 +85,18 @@ class TestDeployedCNNFidelity:
     def test_classification_agreement(self, rng):
         scheme = get_scheme("CL")
         model = tiny_lenet(rng)
-        deployed = deploy_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(6, 3, 12, 12))
         assert np.array_equal(deployed.classify(images, scheme),
                               software_logits(model, images, scheme).argmax(axis=1))
 
     def test_mzi_count_matches_area_report(self, rng):
         model = tiny_lenet(rng)
-        deployed = deploy_model(model)
+        deployed = repro.compile(model)
         assert deployed.mzi_count == model_area_report(model).total_mzis
 
     def test_stage_chain_shape(self, rng):
-        program = lower_model(tiny_lenet(rng))
+        program = repro.compile(tiny_lenet(rng))
         kinds = [type(stage) for stage in program.stages]
         # conv, pool, conv, pool, flatten, linear, linear, head
         assert kinds[:5] == [Conv2dStage, AvgPool2dStage, Conv2dStage,
@@ -107,17 +107,19 @@ class TestDeployedCNNFidelity:
 
     def test_unsupported_models_rejected(self, rng):
         with pytest.raises(TypeError):
-            deploy_model(RealLeNet5(3, 4, image_size=(12, 12), kernel_size=3,
+            repro.compile(RealLeNet5(3, 4, image_size=(12, 12), kernel_size=3,
                                     padding=1, rng=rng))
         from repro.models.resnet import ComplexResNet
+        # a residual program compiles, but has no sequential stage chain
         with pytest.raises(TypeError):
-            lower_model(ComplexResNet(depth=8, in_channels=2, num_classes=4, rng=rng))
+            repro.compile(ComplexResNet(depth=8, in_channels=2, num_classes=4,
+                                        rng=rng)).stages
 
 
 class TestBatchFirstForward:
     def test_cnn_batched_equals_looped(self, rng):
         scheme = get_scheme("CL")
-        deployed = deploy_model(tiny_lenet(rng))
+        deployed = repro.compile(tiny_lenet(rng))
         images = rng.normal(size=(5, 3, 12, 12))
         batched = deployed.predict_logits(images, scheme)
         looped = np.concatenate([deployed.predict_logits(images[i:i + 1], scheme)
@@ -126,7 +128,7 @@ class TestBatchFirstForward:
 
     def test_fcnn_batched_equals_looped(self, rng):
         scheme = get_scheme("SI")
-        deployed = deploy_model(ComplexFCNN(18, (10,), 4, decoder="merge", rng=rng))
+        deployed = repro.compile(ComplexFCNN(18, (10,), 4, decoder="merge", rng=rng))
         images = rng.normal(size=(6, 1, 6, 6))
         batched = deployed.predict_logits(images, scheme)
         looped = np.concatenate([deployed.predict_logits(images[i:i + 1], scheme)
@@ -134,7 +136,7 @@ class TestBatchFirstForward:
         assert np.allclose(batched, looped, atol=1e-12)
 
     def test_forward_signals_alias(self, rng):
-        deployed = deploy_model(ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng))
+        deployed = repro.compile(ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng))
         vectors = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         assert np.allclose(deployed.forward(vectors), deployed(vectors))
 
@@ -142,7 +144,7 @@ class TestBatchFirstForward:
 class TestDeployedCNNUnderNoise:
     def test_trials_axis_composes_with_batch(self, rng):
         scheme = get_scheme("CL")
-        deployed = deploy_model(tiny_lenet(rng, num_classes=3))
+        deployed = repro.compile(tiny_lenet(rng, num_classes=3))
         images = rng.normal(size=(4, 3, 12, 12))
         noisy = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.02, rng=rng), trials=5)
         logits = noisy.predict_logits(images, scheme)
@@ -152,7 +154,7 @@ class TestDeployedCNNUnderNoise:
 
     def test_sigma_axis_composes_with_trials(self, rng):
         scheme = get_scheme("CL")
-        deployed = deploy_model(tiny_lenet(rng, num_classes=3))
+        deployed = repro.compile(tiny_lenet(rng, num_classes=3))
         images = rng.normal(size=(2, 3, 12, 12))
         noise = PhaseNoiseModel(sigma=np.array([0.0, 0.05]), rng=rng)
         logits = deployed.with_noise(noise=noise, trials=3).predict_logits(images, scheme)
@@ -164,7 +166,7 @@ class TestDeployedCNNUnderNoise:
 
     def test_quantization_through_conv_stages(self, rng):
         scheme = get_scheme("CL")
-        deployed = deploy_model(tiny_lenet(rng))
+        deployed = repro.compile(tiny_lenet(rng))
         images = rng.normal(size=(3, 3, 12, 12))
         clean = deployed.predict_logits(images, scheme)
         coarse = deployed.with_noise(quantization_bits=6).predict_logits(images, scheme)
@@ -173,11 +175,11 @@ class TestDeployedCNNUnderNoise:
         assert np.abs(fine - clean).max() < np.abs(coarse - clean).max()
 
     def test_with_noise_preserves_structure(self, rng):
-        deployed = deploy_model(tiny_lenet(rng))
+        deployed = repro.compile(tiny_lenet(rng))
         noisy = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.1, rng=rng))
         assert noisy.mzi_count == deployed.mzi_count
         assert noisy.input_kind == "image"
-        assert isinstance(noisy, DeployedModel)
+        assert isinstance(noisy, CompiledProgram)
 
 
 class TestConvStageValidation:

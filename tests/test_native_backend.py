@@ -133,16 +133,19 @@ class TestSvdFactors:
         # and both agree with the plain matmul the SVD factors encode
         assert np.abs(native.apply(states) - states @ weight.T).max() <= 1e-8
 
-    @requires_kernel
-    def test_auto_policy_prefers_cchain_above_the_dense_limit(self):
+    def test_auto_policy_switches_to_the_chain_above_the_dense_limit(self):
+        # a (96, 97) weight factors into a 96-mode and a 97-mode mesh: the
+        # first sits exactly at DENSE_DIMENSION_LIMIT, the second just above
+        assert engine.DENSE_DIMENSION_LIMIT == 96
         rng = np.random.default_rng(5)
-        weight = rng.normal(size=(6, 6))
-        matrix = svd_decompose(weight, backend="auto", dense_dimension_limit=2)
-        assert matrix.left_mesh.resolve_backend() == "cchain"
-        assert matrix.right_mesh.resolve_backend() == "cchain"
-        # below the limit the dense matmul still wins
-        dense = svd_decompose(weight, backend="auto", dense_dimension_limit=64)
-        assert dense.left_mesh.resolve_backend() == "dense"
+        matrix = svd_decompose(rng.normal(size=(96, 97)), backend="auto")
+        assert matrix.left_mesh.dimension == 96
+        assert matrix.left_mesh.resolve_backend() == "dense"
+        assert matrix.right_mesh.dimension == 97
+        # the native kernel when loaded; the column program under
+        # REPRO_FORCE_REFERENCE=1 or without a C toolchain
+        chain = "column" if _native.kernel() is None else "cchain"
+        assert matrix.right_mesh.resolve_backend() == chain
 
 
 class TestDegradation:
@@ -153,9 +156,9 @@ class TestDegradation:
             assert chain_backend() == "numpy"
             assert stack_threshold("clements") == 3      # numpy threshold
             mesh = clements_decompose(unitary)
-            mesh.dense_dimension_limit = 2
-            assert mesh.resolve_backend() == "column"    # auto, no warning
             assert np.abs(mesh.reconstruct() - unitary).max() <= PARITY
+            above = clements_decompose(random_unitary(97, seed=40))
+            assert above.resolve_backend() == "column"   # auto, no warning
         assert not caplog.records                        # silent degradation
         assert "missing-cc" in (_native.load_error() or "")
 

@@ -373,13 +373,13 @@ class TestSoAStorageAndCaching:
 class TestDeployedEnsembles:
     def test_deployed_noise_ensemble_matches_sequential_draws(self, rng):
         """A trials-batched deployed model equals T seeded sequential copies."""
+        import repro
         from repro.assignment import get_scheme
-        from repro.core.deploy import deploy_linear_model
         from repro.models import ComplexFCNN
 
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(3, 1, 4, 4))
         trials = 4
         noisy = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.05,
@@ -392,13 +392,13 @@ class TestDeployedEnsembles:
         assert predictions.shape == (trials, 3)
 
     def test_zero_sigma_ensemble_matches_clean_model(self, rng):
+        import repro
         from repro.assignment import get_scheme
-        from repro.core.deploy import deploy_linear_model
         from repro.models import ComplexFCNN
 
         scheme = get_scheme("SI")
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         images = rng.normal(size=(3, 1, 4, 4))
         clean = deployed.predict_logits(images, scheme)
         ensemble = deployed.with_noise(noise=PhaseNoiseModel(sigma=0.0),
@@ -407,11 +407,11 @@ class TestDeployedEnsembles:
             assert np.allclose(ensemble[t], clean)
 
     def test_trials_without_noise_model_rejected(self, rng):
-        from repro.core.deploy import deploy_linear_model
+        import repro
         from repro.models import ComplexFCNN
 
         model = ComplexFCNN(8, (6,), 2, decoder="merge", rng=rng)
-        deployed = deploy_linear_model(model)
+        deployed = repro.compile(model)
         with pytest.raises(ValueError):
             deployed.with_noise(quantization_bits=6, trials=3)
 
@@ -468,23 +468,18 @@ class TestSigmaAxisEnsembles:
                            mesh.output_phases * np.exp(1j * phase_errors), atol=1e-15)
 
 
-class TestAdaptiveDenseLimit:
-    def test_set_dense_dimension_limit_round_trips(self):
-        previous = engine.set_dense_dimension_limit(12)
-        try:
-            assert engine.DENSE_DIMENSION_LIMIT == 12
-        finally:
-            engine.set_dense_dimension_limit(previous)
-        assert engine.DENSE_DIMENSION_LIMIT == previous
+class TestDenseDimensionLimit:
+    def test_limit_is_a_constant_without_setters_or_calibration(self):
+        assert engine.DENSE_DIMENSION_LIMIT == 96
+        related = [name for name in vars(engine)
+                   if any(word in name.lower()
+                          for word in ("dense_limit", "dense_dimension", "crossover"))]
+        assert related == ["DENSE_DIMENSION_LIMIT"]
 
-    def test_measure_dense_crossover_rows(self):
-        rows = engine.measure_dense_crossover(dimensions=(4, 8), batch=4, repeats=1)
-        assert [row["dimension"] for row in rows] == [4, 8]
-        for row in rows:
-            assert row["dense_seconds"] > 0 and row["column_seconds"] > 0
-            assert row["dense_speedup"] == row["column_seconds"] / row["dense_seconds"]
-
-    def test_calibrate_limit_is_a_measured_dimension_or_disabled(self):
-        limit, rows = engine.calibrate_dense_limit(dimensions=(4, 8), batch=4, repeats=1)
-        # 0 disables the dense path on machines where it never wins
-        assert limit in {row["dimension"] for row in rows} | {0}
+    def test_auto_keeps_noise_ensembles_off_the_dense_path(self, rng):
+        mesh = clements_decompose(random_unitary(6, rng))
+        assert mesh.backend == "auto"
+        assert mesh.uses_dense_path()
+        noisy = PhaseNoiseModel(sigma=0.01, rng=rng).perturb(mesh, trials=3)
+        assert noisy.is_batched and not noisy.uses_dense_path()
+        assert noisy.resolve_backend() == "column"

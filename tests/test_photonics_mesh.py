@@ -297,11 +297,9 @@ class TestSvdDecomposeMany:
         from repro.photonics import svd_decompose_many
 
         weights = [rng.normal(size=(4, 4)) + 0j, rng.normal(size=(4, 4)) + 0j]
-        matrices = svd_decompose_many(weights, backend="column",
-                                      dense_dimension_limit=7)
+        matrices = svd_decompose_many(weights, backend="column")
         for photonic in matrices:
             for mesh in (photonic.left_mesh, photonic.right_mesh):
                 assert mesh.backend == "column"
-                assert mesh.dense_dimension_limit == 7
         with pytest.raises(ValueError):
             svd_decompose_many(weights, backend="warp")

@@ -28,12 +28,12 @@ from repro.core.runtime import (
     ConvInstruction,
     ExecutionPlan,
     MatmulInstruction,
-    PlanOptions,
     compile_plan,
 )
 from repro.models import ComplexFCNN
+from repro.models.resnet import ComplexResNet
 from repro.photonics.noise import PhaseNoiseModel
-from tests.test_compile import DECODERS, tiny_lenet, tiny_resnet
+from tests.test_compile import DECODERS, randomize_batchnorms, tiny_lenet, tiny_resnet
 
 PARITY = 1e-12
 
@@ -137,14 +137,15 @@ class TestPlanParity:
         assert program.plan() is not stale_plan
         assert not program.plan().is_stale()
 
-    def test_unfused_plan_matches_fused(self, rng):
+    def test_unfused_plan_matches_walk(self, rng):
+        # a forced chain backend keeps every mesh stage out of the matmul
+        # fusion, so this pins the unfused instructions against the walk
         scheme = get_scheme("CL")
-        program = repro.compile(tiny_lenet(rng))
+        program = repro.compile(tiny_lenet(rng), options=CompileOptions(backend="column"))
         signal = encoded_light(program, rng.normal(size=(3, 3, 12, 12)), scheme)
-        fused = program.plan().execute(signal)
-        plain = program.plan(PlanOptions(fuse_matrices=False, fuse_affine=False,
-                                         reuse_buffers=False)).execute(signal)
-        assert np.abs(fused - plain).max() <= PARITY
+        assert program.plan().fused_matmuls == 0
+        assert np.abs(program.plan().execute(signal)
+                      - program.graph.forward_reference(signal)).max() <= PARITY
 
     def test_noise_ensemble_plan_matches_walk(self, rng):
         scheme = get_scheme("CL")
@@ -191,16 +192,30 @@ class TestPlanCompilation:
         assert any(isinstance(instruction, ChainInstruction)
                    for instruction in plan.instructions)
 
-    def test_plan_is_cached_until_options_differ(self, rng):
+    def test_plan_is_cached(self, rng):
         program = repro.compile(tiny_lenet(rng))
         assert program.plan() is program.plan()
-        fresh = program.plan(PlanOptions(fuse_matrices=False))
-        assert fresh is not program.plan()
 
     def test_describe_mentions_instructions(self, rng):
         plan = repro.compile(tiny_lenet(rng)).plan()
         text = plan.describe()
         assert "instructions" in text and "buffer slots" in text
+
+    def test_serve_conv_resnet_plan_shape(self, rng):
+        # the ResNet-8 the serve-conv benchmark workload serves: base widths
+        # (4, 8, 16) on 3x12x12 images under CL
+        model = ComplexResNet(depth=8, in_channels=2, num_classes=10,
+                              base_widths=(4, 8, 16), rng=rng)
+        randomize_batchnorms(model, rng)
+        program = repro.compile(model)
+        plan = program.plan()
+        assert plan.describe().startswith("30 instructions")
+        assert "(9 AffineInstruction, 12 CallInstruction, 8 ConvInstruction, " \
+               "1 MatmulInstruction)" in plan.describe()
+        signal = encoded_light(program, rng.normal(size=(4, 3, 12, 12)),
+                               get_scheme("CL"))
+        assert np.abs(plan.execute(signal)
+                      - program.graph.forward_reference(signal)).max() <= PARITY
 
 
 class TestAffinePeephole:
@@ -303,5 +318,13 @@ class TestCompilePlanFunction:
     def test_compile_plan_defaults(self, rng):
         program = repro.compile(tiny_lenet(rng))
         plan = compile_plan(program.graph)
-        assert plan.options == PlanOptions()
         assert plan.instruction_count == len(program.graph.nodes)
+
+    def test_plans_take_no_options(self, rng):
+        program = repro.compile(tiny_lenet(rng))
+        for build in (compile_plan, lambda graph, options: program.plan(options),
+                      lambda graph, options: graph.plan(options)):
+            with pytest.raises(TypeError):
+                build(program.graph, None)
+        # with nothing to switch it off, every plan fuses its dense stages
+        assert compile_plan(program.graph).fused_matmuls == 5

@@ -72,7 +72,7 @@ class TestContentKey:
             store.key_for(tiny_fcnn(), target=HardwareTarget(method="reck")),
             store.key_for(tiny_fcnn(), options=CompileOptions(backend="column")),
             store.key_for(tiny_fcnn(),
-                          options=CompileOptions(dense_dimension_limit=2)),
+                          options=CompileOptions(batch_unitaries=False)),
             store.key_for(tiny_fcnn(),
                           target=HardwareTarget(quantization_bits=6)),
         }
