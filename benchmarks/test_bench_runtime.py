@@ -32,7 +32,7 @@ from repro.models import ComplexFCNN
 from repro.models.lenet import ComplexLeNet5
 from repro.models.resnet import ComplexResNet
 from repro.nn.normalization import _BatchNorm
-from repro.serve import measure_plan_speedup, run_serving_benchmark
+from repro.experiments.serving import measure_plan_speedup, run_serving_benchmark
 
 PARITY = 1e-12
 SERVING_BATCHES = (1, 8, 64)

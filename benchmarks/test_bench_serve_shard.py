@@ -5,8 +5,8 @@ worker counts {1, 2, 4} over identical synthetic traffic to
 ``benchmarks/latest/serve_shard.json``.  Two properties are pinned:
 
 * **Parity** -- every sharded request's logits are compared against the
-  in-process :class:`PhotonicInferenceService` reference path serving the
-  same model object (<= 1e-10, asserted unconditionally).
+  ``forward_reference`` oracle of the same model compiled in-process
+  (<= 1e-10, asserted unconditionally).
 * **Scaling** -- request throughput at 2 workers must clear a conservative
   1.6x CI floor over 1 worker.  The floor assertion needs real parallelism,
   so it auto-skips (with the reason logged into the JSON) when fewer than
@@ -29,7 +29,7 @@ import pytest
 
 from repro.experiments.reporting import save_json
 from repro.models import ComplexFCNN
-from repro.serve import run_shard_benchmark
+from repro.experiments.serving import run_shard_benchmark
 
 PARITY = 1e-10
 SCALING_FLOOR = 1.6          # CI floor at 2 workers vs 1 (measured ~1.9x)

@@ -134,7 +134,8 @@ def _run_serve(args: argparse.Namespace) -> None:
     from repro.core.pipeline import OplixNet
     from repro.experiments.common import get_workload, workload_config
     from repro.experiments.presets import get_preset
-    from repro.serve import ProgramCache, measure_plan_speedup, run_serving_benchmark
+    from repro.experiments.serving import measure_plan_speedup, run_serving_benchmark
+    from repro.serve import ProgramCache
 
     preset = get_preset(args.preset)
     workload = get_workload(args.workload)
@@ -209,8 +210,7 @@ def _run_serve_sharded(args: argparse.Namespace, student, scheme,
     import dataclasses
     import os
 
-    from repro.core.compile import CompileOptions, HardwareTarget
-    from repro.serve import run_shard_benchmark
+    from repro.experiments.serving import run_shard_benchmark
 
     worker_counts = sorted(set(args.workers))
     if args.replicas is not None:
@@ -243,7 +243,7 @@ def _run_serve_sharded(args: argparse.Namespace, student, scheme,
                       f"({drift.get('recalibrations', 0)} recals)"])
     print(format_table(
         ["workers", "clients", "requests", "req/s", "gain vs 1 worker",
-         "parity vs in-process", "overload retries", "alive", "restarts",
+         "parity vs oracle", "overload retries", "alive", "restarts",
          "drift"],
         table, title="Sharded serving throughput (shared-memory worker pools)"))
     _maybe_save({"cpus": cpus,

@@ -510,7 +510,6 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     x_real, x_imag, weight_real, weight_imag = entry.parents[:4]
     bias_real = entry.parents[4] if has_bias else None
     bias_imag = entry.parents[5] if has_bias else None
-    product = entry.params["product"]
     kernel_h, kernel_w = entry.params["kernel"]
     stride_h, stride_w = entry.params["stride"]
     pad_h, pad_w = entry.params["padding"]
@@ -541,17 +540,8 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     cache["columns"] = columns
     buf_real, buf_imag = buf[0], buf[1]
     bias_shape = (1, out_channels, 1, 1)
-    if product == "block":
-        out_matrix = np.empty((2 * out_channels, n_cols), dtype)
-        out_view = out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3)
-    else:
-        a = np.empty((out_channels, n_cols), dtype)
-        b = np.empty((out_channels, n_cols), dtype)
-        c = np.empty((out_channels, n_cols), dtype)
-        d = np.empty((out_channels, n_cols), dtype)
-        cols_sum = np.empty((patch, n_cols), dtype)
-        w_sum = np.empty((out_channels, patch), dtype)
-        plane_shape = matrix_shape[1:]
+    out_matrix = np.empty((2 * out_channels, n_cols), dtype)
+    out_view = out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3)
 
     def run():
         interior_real[...] = x_real.data.transpose(1, 2, 3, 0)
@@ -562,27 +552,13 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
                   windows[:, ::stride_h, ::stride_w].transpose(0, 4, 5, 1, 2, 3))
         wr = weight_real.data.reshape(out_channels, -1)
         wi = weight_imag.data.reshape(out_channels, -1)
-        if product == "block":
-            w_block = cache["w_block"]  # persistent block matrix, refreshed in place
-            w_block[:out_channels, :patch] = wr
-            np.negative(wi, out=w_block[:out_channels, patch:])
-            w_block[out_channels:, :patch] = wi
-            w_block[out_channels:, patch:] = wr
-            np.matmul(w_block, columns, out=out_matrix)
-            np.copyto(buf, out_view)
-        else:
-            cols_real = columns[:patch]
-            cols_imag = columns[patch:]
-            np.matmul(wr, cols_real, out=a)
-            np.matmul(wi, cols_imag, out=b)
-            np.add(wr, wi, out=w_sum)
-            np.add(cols_real, cols_imag, out=cols_sum)
-            np.matmul(w_sum, cols_sum, out=c)
-            np.subtract(a, b, out=d)
-            np.copyto(buf_real, d.reshape(plane_shape).transpose(3, 0, 1, 2))
-            np.subtract(c, a, out=c)
-            np.subtract(c, b, out=c)
-            np.copyto(buf_imag, c.reshape(plane_shape).transpose(3, 0, 1, 2))
+        w_block = cache["w_block"]  # persistent block matrix, refreshed in place
+        w_block[:out_channels, :patch] = wr
+        np.negative(wi, out=w_block[:out_channels, patch:])
+        w_block[out_channels:, :patch] = wi
+        w_block[out_channels:, patch:] = wr
+        np.matmul(w_block, columns, out=out_matrix)
+        np.copyto(buf, out_view)
         if has_bias:
             np.add(buf_real, bias_real.data.reshape(bias_shape), out=buf_real)
             np.add(buf_imag, bias_imag.data.reshape(bias_shape), out=buf_imag)
@@ -946,14 +922,12 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
            for position in (2, 3, 4, 5)):
         return None  # accumulated weight/bias gradients: keep the closure
     params = entry.params
-    product = params["product"]
     cache = params["cache"]
     patch = params["patch"]
     in_channels = params["in_channels"]
     out_channels = params["out_channels"]
     kernel, stride, padding = params["kernel"], params["stride"], params["padding"]
     stacked_shape = params["stacked_shape"]
-    x_real, x_imag, weight_real, weight_imag = entry.parents[:4]
     dtype = grad_in.dtype
     n_cols = grad_in[0].size // out_channels
     grad_source = grad_in.transpose(0, 2, 3, 4, 1)
@@ -973,20 +947,8 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
         else:
             col2im_fn = _make_col2im_planes(stacked_shape, in_channels,
                                             kernel, stride, padding, dtype)
-    if product == "block":
-        if needs_weight:
-            dw_block = np.empty((2 * out_channels, 2 * patch), dtype)
-    else:
-        grad_sum = np.empty((out_channels, n_cols), dtype) if (needs_input or needs_weight) else None
-        if needs_weight:
-            p1 = np.empty((out_channels, patch), dtype)
-            p2 = np.empty((out_channels, patch), dtype)
-            cols_diff = np.empty((patch, n_cols), dtype)
-            t_w = np.empty((out_channels, patch), dtype)
-        if needs_input:
-            q1 = np.empty((patch, n_cols), dtype)
-            q2 = np.empty((patch, n_cols), dtype)
-            w_diff = np.empty((out_channels, patch), dtype)
+    if needs_weight:
+        dw_block = np.empty((2 * out_channels, 2 * patch), dtype)
 
     xr_slot, xr_first = by_pos.get(0, (None, True))
     xi_slot, xi_first = by_pos.get(1, (None, True))
@@ -997,42 +959,16 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
 
     def run():
         np.copyto(grad_view, grad_source)
-        if product == "block":
-            if needs_weight:
-                np.matmul(grad_matrix, cache["columns"].T, out=dw_block)
-                if wr_slot is not None:
-                    np.add(dw_block[:out_channels, :patch],
-                           dw_block[out_channels:, patch:], out=wr_slot)
-                if wi_slot is not None:
-                    np.subtract(dw_block[out_channels:, :patch],
-                                dw_block[:out_channels, patch:], out=wi_slot)
-            if needs_input:
-                np.matmul(cache["w_block"].T, grad_matrix, out=dcols)
-        else:
-            cols = cache["columns"]
-            if grad_sum is not None:
-                np.add(grad_r, grad_i, out=grad_sum)
-            if needs_weight:
-                np.matmul(grad_r, cols[:patch].T, out=p1)
-                np.matmul(grad_i, cols[patch:].T, out=p2)
-                if wr_slot is not None:
-                    np.add(p1, p2, out=wr_slot)
-                if wi_slot is not None:
-                    np.subtract(cols[:patch], cols[patch:], out=cols_diff)
-                    np.matmul(grad_sum, cols_diff.T, out=t_w)
-                    np.subtract(t_w, p1, out=t_w)
-                    np.add(t_w, p2, out=wi_slot)
-            if needs_input:
-                bwr = weight_real.data.reshape(out_channels, -1)
-                bwi = weight_imag.data.reshape(out_channels, -1)
-                np.matmul(bwr.T, grad_r, out=q1)
-                np.matmul(bwi.T, grad_i, out=q2)
-                np.add(q1, q2, out=dcols[:patch])
-                np.subtract(bwr, bwi, out=w_diff)
-                np.matmul(w_diff.T, grad_sum, out=dcols[patch:])
-                np.subtract(dcols[patch:], q1, out=dcols[patch:])
-                np.add(dcols[patch:], q2, out=dcols[patch:])
+        if needs_weight:
+            np.matmul(grad_matrix, cache["columns"].T, out=dw_block)
+            if wr_slot is not None:
+                np.add(dw_block[:out_channels, :patch],
+                       dw_block[out_channels:, patch:], out=wr_slot)
+            if wi_slot is not None:
+                np.subtract(dw_block[out_channels:, :patch],
+                            dw_block[:out_channels, patch:], out=wi_slot)
         if needs_input:
+            np.matmul(cache["w_block"].T, grad_matrix, out=dcols)
             dx_real, dx_imag = col2im_fn(dcols)
             if xr_slot is not None:
                 if xr_first:

@@ -7,10 +7,11 @@ identification string, so upgrading the compiler or editing the source
 triggers exactly one rebuild and CI can cache the artifact by hashing the
 source file.
 
-Loading prefers :mod:`cffi` (releases the GIL around kernel calls, stable
-ABI-mode ``dlopen``) and falls back to :mod:`ctypes` when cffi is absent.
-Every failure mode -- no C compiler on PATH, a failed compile, a failed
-``dlopen`` -- degrades to ``None`` with one logged message, after which the
+The library is loaded through :mod:`ctypes` (standard library; foreign
+calls release the GIL) and called with raw buffer addresses, so
+:meth:`ChainKernel._check` is what keeps a wrongly typed or strided buffer
+from reaching C.  Every failure mode -- no C compiler on PATH, a failed
+compile, a failed ``dlopen`` -- degrades to ``None`` with one logged message, after which the
 pure-numpy paths carry the process exactly as before.
 
 Environment knobs:
@@ -44,24 +45,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SOURCE_PATH = Path(__file__).with_name("cchain.c")
-
-#: C declarations of the kernel entry points (shared by cffi and ctypes).
-CDEF = """
-int cchain_propagate(double *work, long batch, long dim,
-                     const long *modes, long n_mzi,
-                     const double *thetas, const double *phis,
-                     const double *output_phases, double transmission);
-int cchain_clements_chain(double *work, long n,
-                          const unsigned char *is_left,
-                          const long *op_modes, const long *op_pivots,
-                          long n_ops, double *thetas, double *phis,
-                          double tol);
-int cchain_clements_chain_stack(double *work, long count, long n,
-                                const unsigned char *is_left,
-                                const long *op_modes, const long *op_pivots,
-                                long n_ops, double *thetas, double *phis,
-                                double tol);
-"""
 
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-fno-math-errno")
 
@@ -144,24 +127,19 @@ def _compile(compiler: str, library_path: Path) -> None:
 class ChainKernel:
     """Loaded native kernel with numpy-aware entry points.
 
-    All methods operate **in place** on the caller's buffers; the caller is
-    responsible for passing C-contiguous arrays of the documented dtypes
-    (asserted cheaply here).  Calls release the GIL (both cffi ``dlopen``
-    bindings and ctypes foreign calls do), so sharded workers and threaded
-    plan executors overlap native time freely.
+    All methods operate **in place** on the caller's buffers and pass their
+    addresses (``array.ctypes.data``) straight to C, so every buffer is
+    checked first: a wrong dtype or a non-C-contiguous array raises
+    ``ValueError`` instead of corrupting memory.  ctypes foreign calls
+    release the GIL, so sharded workers and threaded plan executors overlap
+    native time freely.
     """
 
-    def __init__(self, lib, binding: str, library_path: Path,
-                 compiler: str, key: str):
+    def __init__(self, lib, library_path: Path, compiler: str, key: str):
         self._lib = lib
-        self.binding = binding
         self.library_path = library_path
         self.compiler = compiler
         self.key = key
-
-    @staticmethod
-    def _ptr(array: np.ndarray) -> int:
-        return array.ctypes.data
 
     def _check(self, array: np.ndarray, dtype, name: str) -> np.ndarray:
         if array.dtype != dtype or not array.flags.c_contiguous:
@@ -179,9 +157,9 @@ class ChainKernel:
         self._check(output_phases, np.complex128, "output_phases")
         batch, dim = work.shape
         rc = self._lib.cchain_propagate(
-            self._cast_d(work), batch, dim, self._cast_l(modes), modes.size,
-            self._cast_d(thetas), self._cast_d(phis),
-            self._cast_d(output_phases), float(transmission))
+            work.ctypes.data, batch, dim, modes.ctypes.data, modes.size,
+            thetas.ctypes.data, phis.ctypes.data,
+            output_phases.ctypes.data, float(transmission))
         if rc != 0:
             raise MemoryError("cchain_propagate scratch allocation failed")
 
@@ -198,9 +176,9 @@ class ChainKernel:
         thetas = np.empty(n_ops, dtype=float)
         phis = np.empty(n_ops, dtype=float)
         self._lib.cchain_clements_chain(
-            self._cast_d(work), n, self._cast_u8(is_left),
-            self._cast_l(op_modes), self._cast_l(op_pivots), n_ops,
-            self._cast_d(thetas), self._cast_d(phis), float(tol))
+            work.ctypes.data, n, is_left.ctypes.data,
+            op_modes.ctypes.data, op_pivots.ctypes.data, n_ops,
+            thetas.ctypes.data, phis.ctypes.data, float(tol))
         return thetas, phis
 
     def clements_chain_stack(self, work: np.ndarray, is_left: np.ndarray,
@@ -216,55 +194,13 @@ class ChainKernel:
         thetas = np.empty((count, n_ops), dtype=float)
         phis = np.empty((count, n_ops), dtype=float)
         self._lib.cchain_clements_chain_stack(
-            self._cast_d(work), count, n, self._cast_u8(is_left),
-            self._cast_l(op_modes), self._cast_l(op_pivots), n_ops,
-            self._cast_d(thetas), self._cast_d(phis), float(tol))
+            work.ctypes.data, count, n, is_left.ctypes.data,
+            op_modes.ctypes.data, op_pivots.ctypes.data, n_ops,
+            thetas.ctypes.data, phis.ctypes.data, float(tol))
         return thetas, phis
-
-    # the cast hooks are replaced per binding in the loader below
-    def _cast_d(self, array: np.ndarray):
-        raise NotImplementedError
-
-    def _cast_l(self, array: np.ndarray):
-        raise NotImplementedError
-
-    def _cast_u8(self, array: np.ndarray):
-        raise NotImplementedError
-
-
-class _CffiKernel(ChainKernel):
-    def __init__(self, ffi, lib, library_path, compiler, key):
-        super().__init__(lib, "cffi", library_path, compiler, key)
-        self._ffi = ffi
-
-    def _cast_d(self, array):
-        return self._ffi.cast("double *", array.ctypes.data)
-
-    def _cast_l(self, array):
-        return self._ffi.cast("long *", array.ctypes.data)
-
-    def _cast_u8(self, array):
-        return self._ffi.cast("unsigned char *", array.ctypes.data)
-
-
-class _CtypesKernel(ChainKernel):
-    def _cast_d(self, array):
-        return array.ctypes.data
-
-    _cast_l = _cast_d
-    _cast_u8 = _cast_d
 
 
 def _load_library(library_path: Path, compiler: str, key: str) -> ChainKernel:
-    try:
-        import cffi
-
-        ffi = cffi.FFI()
-        ffi.cdef(CDEF)
-        lib = ffi.dlopen(str(library_path))
-        return _CffiKernel(ffi, lib, library_path, compiler, key)
-    except ImportError:
-        pass
     import ctypes
 
     lib = ctypes.CDLL(str(library_path))
@@ -281,7 +217,7 @@ def _load_library(library_path: Path, compiler: str, key: str) -> ChainKernel:
     lib.cchain_clements_chain.argtypes = chain_args
     lib.cchain_clements_chain_stack.argtypes = (
         chain_args[:1] + [ctypes.c_long] + chain_args[1:])
-    return _CtypesKernel(lib, "ctypes", library_path, compiler, key)
+    return ChainKernel(lib, library_path, compiler, key)
 
 
 def build_and_load() -> ChainKernel:
@@ -357,6 +293,6 @@ def build_info() -> dict:
         "load_error": _LOAD_ERROR,
     }
     if loaded is not None:
-        info.update(binding=loaded.binding, compiler=loaded.compiler,
+        info.update(compiler=loaded.compiler,
                     library=str(loaded.library_path), key=loaded.key)
     return info

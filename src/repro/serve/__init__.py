@@ -8,10 +8,7 @@ Bottom up:
 * :class:`~repro.serve.batcher.DynamicBatcher` -- coalesces concurrent
   ``classify`` / ``logits`` requests into one batched forward pass under a
   max-batch / max-latency flush policy.
-* :class:`~repro.serve.service.PhotonicInferenceService` -- the in-process
-  frontend tying both together, one request lane per deployed model; always
-  available and the parity reference for every faster path.
-* :class:`~repro.serve.shard.ShardedInferenceService` -- the multi-process
+* :class:`~repro.serve.shard.ShardedInferenceService` -- the serving
   frontend: per-model worker pools (:mod:`repro.serve.worker`) fed through
   shared-memory slab rings (:mod:`repro.serve.shm`), with admission control,
   backpressure and least-outstanding replica routing.
@@ -21,28 +18,25 @@ Bottom up:
   degradation from logit statistics and heals it through a drain-then-swap
   redeploy with requests flowing throughout.
 
+In-process serving is the first two alone: ``DynamicBatcher(program,
+scheme)`` over a program from ``repro.compile`` or
+``ProgramCache.get_or_compile``.
+
 ``python -m repro serve`` runs the serving throughput demos on top of these
 (``--workers`` switches to the sharded service, ``--recalibrate`` the
-drift-and-heal demo).
+drift-and-heal demo); their measurement harnesses live in
+:mod:`repro.experiments.serving`.
 """
 
 from repro.serve.batcher import BatcherStats, DynamicBatcher
 from repro.serve.cache import CacheStats, ProgramCache, cache_key
 from repro.serve.drift import DriftInjector
 from repro.serve.recalibrate import RecalibrationManager
-from repro.serve.service import (
-    PhotonicInferenceService,
-    ServingBenchRow,
-    measure_plan_speedup,
-    run_serving_benchmark,
-)
 from repro.serve.shard import (
     ServiceOverloadedError,
-    ShardBenchRow,
     ShardedInferenceService,
     WorkerError,
     WorkerTimeoutError,
-    run_shard_benchmark,
 )
 from repro.serve.shm import SharedSlab, SlabRing, segment_exists
 from repro.serve.worker import WorkerSpec
@@ -52,12 +46,9 @@ __all__ = [
     "CacheStats",
     "DriftInjector",
     "DynamicBatcher",
-    "PhotonicInferenceService",
     "ProgramCache",
     "RecalibrationManager",
     "ServiceOverloadedError",
-    "ServingBenchRow",
-    "ShardBenchRow",
     "ShardedInferenceService",
     "SharedSlab",
     "SlabRing",
@@ -65,8 +56,5 @@ __all__ = [
     "WorkerSpec",
     "WorkerTimeoutError",
     "cache_key",
-    "measure_plan_speedup",
-    "run_serving_benchmark",
-    "run_shard_benchmark",
     "segment_exists",
 ]

@@ -168,8 +168,8 @@ class RecalibrationManager:
         status = self.status()
         try:
             self.service.lane(self.model_key).drift_status = status
-        except KeyError:  # pragma: no cover -- lane undeployed mid-check
-            pass
+        except (KeyError, RuntimeError):  # pragma: no cover -- lane undeployed,
+            pass                          # or service closed, mid-check
         return status
 
     # ------------------------------------------------------------------ #

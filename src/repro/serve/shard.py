@@ -1,9 +1,10 @@
 """Multi-process sharded inference: worker pools, admission control, routing.
 
-:class:`ShardedInferenceService` lifts the in-process
-:class:`~repro.serve.service.PhotonicInferenceService` across process
-boundaries so request throughput scales with cores instead of stopping at
-one plan-executor thread per model:
+:class:`ShardedInferenceService` is the serving frontend.  It lifts
+in-process serving (a compiled program behind a
+:class:`~repro.serve.batcher.DynamicBatcher`) across process boundaries so
+request throughput scales with cores instead of stopping at one
+plan-executor thread per model:
 
 * **Per-model worker pools.**  Each deployed model gets ``replicas``
   spawn-started worker processes (:mod:`repro.serve.worker`); every worker
@@ -17,7 +18,7 @@ one plan-executor thread per model:
 * **Flush policy per worker.**  Each replica is fronted by its own
   :class:`~repro.serve.batcher.DynamicBatcher` whose "program" is a
   :class:`_WorkerProxy` -- the exact max-batch / max-latency coalescing of
-  the in-process service, with the flushed batch executing in the worker.
+  in-process serving, with the flushed batch executing in the worker.
 * **Admission control.**  A lane bounds its queued-but-unresolved samples;
   :meth:`submit` fast-fails with :class:`ServiceOverloadedError` once the
   bound is hit, giving callers backpressure instead of unbounded latency.
@@ -26,15 +27,16 @@ one plan-executor thread per model:
   absorb a dominant traffic share evenly.
 * **Drain-then-swap redeploys.**  Re-deploying a served key builds the new
   lane first, swaps it in, then drains and dismantles the old one -- queued
-  futures on the old lane still resolve.
+  futures on the old lane still resolve, and a request that looked up the
+  old lane just before the swap is handed to the new one.
 * **Bounded worker auto-restart.**  A replica whose process dies mid-request
   fails the in-flight flush's futures with the child's error, then respawns
   within the lane's restart budget (``max_worker_restarts``); requests
   submitted after the respawn are served by the fresh process.  A lane out
   of budget keeps serving from its surviving replicas.
 
-The in-process service remains the always-available reference path; the
-test-suite pins sharded logits against it to 1e-10.
+The test-suite pins sharded logits to 1e-10 against the program's
+``forward_reference`` node-walk, the one oracle every serving path shares.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ import queue as queue_module
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,6 +90,11 @@ def _scheme_name(scheme: Any) -> str:
         return name
     raise TypeError("scheme must be a registry name or an AssignmentScheme "
                     f"with a .name, got {scheme!r}")
+
+
+class _LaneRetired(Exception):
+    """The lane started closing (a redeploy swapped it out, or the service
+    closed) before this request was enqueued; nothing was admitted."""
 
 
 class _Replica:
@@ -316,23 +322,22 @@ class _ModelLane:
             raise ValueError(f"request of {samples} samples exceeds the lane's "
                              f"slab capacity (max_batch={self.max_batch}); "
                              "split the request or deploy with a larger max_batch")
+        # enqueueing under the lane lock orders every submit before or after
+        # close(): one that gets in is drained by the batchers, one that comes
+        # later sees `_closing` and never reaches a closed batcher
         with self._lock:
+            if self._closing:
+                raise _LaneRetired(self.model_key)
             if self.pending_samples + samples > self.max_queue_samples:
                 self.rejected += 1
                 raise ServiceOverloadedError(
                     f"model {self.model_key!r} is overloaded: "
                     f"{self.pending_samples} samples pending against a bound of "
                     f"{self.max_queue_samples}; retry with backoff")
-            self.pending_samples += samples
             replica = self._route_locked()
-            replica.outstanding += samples
-        try:
             future = replica.batcher.submit(images, kind=kind)
-        except BaseException:
-            with self._lock:
-                self.pending_samples -= samples
-                replica.outstanding -= samples
-            raise
+            self.pending_samples += samples
+            replica.outstanding += samples
         future.add_done_callback(
             lambda f: self._resolve(replica, samples, f, kind))
         return future
@@ -628,6 +633,8 @@ class ShardedInferenceService:
 
     def lane(self, model_key: str) -> _ModelLane:
         with self._lock:
+            if self._closed:
+                raise RuntimeError("service is closed")
             lane = self._lanes.get(model_key)
         if lane is None:
             raise KeyError(f"model {model_key!r} is not deployed; call deploy() first")
@@ -638,7 +645,14 @@ class ShardedInferenceService:
     # ------------------------------------------------------------------ #
     def submit(self, model_key: str, images: np.ndarray,
                kind: str = "logits") -> Future:
-        return self.lane(model_key).submit(images, kind=kind)
+        lane = self.lane(model_key)
+        while True:
+            try:
+                return lane.submit(images, kind=kind)
+            except _LaneRetired:
+                # a redeploy swapped the lane out after the lookup: the
+                # request goes to the lane now registered under the key
+                lane = self.lane(model_key)
 
     def logits(self, model_key: str, images: np.ndarray) -> np.ndarray:
         return self.submit(model_key, images, kind="logits").result()
@@ -681,111 +695,3 @@ class ShardedInferenceService:
     def __exit__(self, *_exc_info) -> None:
         self.close()
 
-
-# --------------------------------------------------------------------------- #
-# measurement harness (CLI + benchmarks)
-# --------------------------------------------------------------------------- #
-@dataclass
-class ShardBenchRow:
-    """Throughput of one worker count over the same synthetic traffic."""
-
-    workers: int
-    requests: int
-    clients: int
-    images_per_request: int
-    seconds: float
-    requests_per_s: float
-    samples_per_s: float
-    max_parity: float               # vs the in-process reference service
-    overload_retries: int
-    gain_vs_single: float = 0.0     # filled once the 1-worker row exists
-    replicas: dict = field(default_factory=dict)
-    lane: dict = field(default_factory=dict)    # restarts_used / drift status
-
-
-def run_shard_benchmark(model: Any, scheme: Any, image_shape: Sequence[int],
-                        worker_counts: Sequence[int] = (1, 2, 4),
-                        requests: int = 96, clients: int = 8,
-                        images_per_request: int = 4, max_batch: int = 32,
-                        max_latency_s: float = 0.002, seed: int = 0,
-                        warmup_requests: int = 8,
-                        store_path: Optional[str] = None) -> List[ShardBenchRow]:
-    """Fire one request wave per worker count and pin parity per request.
-
-    The expected logits come from the in-process
-    :class:`~repro.serve.service.PhotonicInferenceService` reference path
-    serving the *same* model object; every sharded result is compared against
-    its row before timings are reported.  Clients that hit admission control
-    back off and retry (counted in ``overload_retries``), so the numbers
-    describe a loaded-but-live service, not a fast-fail storm.
-    """
-    from repro.serve.service import PhotonicInferenceService
-
-    rng = np.random.default_rng(seed)
-    pool = rng.normal(size=(requests, images_per_request, *image_shape))
-    with PhotonicInferenceService(max_batch=max_batch,
-                                  max_latency_s=max_latency_s) as reference:
-        from repro.assignment import get_scheme
-
-        reference.deploy("bench", model, get_scheme(_scheme_name(scheme)),
-                         max_batch=max_batch)
-        expected = [reference.logits("bench", pool[index])
-                    for index in range(requests)]
-
-    rows: List[ShardBenchRow] = []
-    for workers in worker_counts:
-        with ShardedInferenceService(workers=int(workers), max_batch=max_batch,
-                                     max_latency_s=max_latency_s,
-                                     store_path=store_path) as service:
-            service.deploy("bench", model, scheme, image_shape)
-            for index in range(min(warmup_requests, requests)):
-                service.logits("bench", pool[index])
-
-            results: List[Optional[np.ndarray]] = [None] * requests
-            errors: List[BaseException] = []
-            retries = [0] * clients
-
-            def client(worker_index: int) -> None:
-                try:
-                    futures = []
-                    for index in range(worker_index, requests, clients):
-                        while True:
-                            try:
-                                futures.append((index, service.submit("bench",
-                                                                      pool[index])))
-                                break
-                            except ServiceOverloadedError:
-                                retries[worker_index] += 1
-                                time.sleep(0.0005)
-                    for index, future in futures:
-                        results[index] = future.result(timeout=120)
-                except BaseException as error:  # noqa: BLE001 -- surfaced below
-                    errors.append(error)
-
-            start = time.perf_counter()
-            threads = [threading.Thread(target=client, args=(index,))
-                       for index in range(clients)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            seconds = time.perf_counter() - start
-            if errors:
-                raise errors[0]
-            parity = max(float(np.abs(results[index] - expected[index]).max())
-                         for index in range(requests))
-            lane_stats = service.stats()["bench"]
-            stats = lane_stats["replicas"]
-        rows.append(ShardBenchRow(
-            workers=int(workers), requests=requests, clients=clients,
-            images_per_request=images_per_request, seconds=seconds,
-            requests_per_s=requests / seconds,
-            samples_per_s=requests * images_per_request / seconds,
-            max_parity=parity, overload_retries=sum(retries), replicas=stats,
-            lane={key: lane_stats.get(key) for key in
-                  ("restarts_used", "max_restarts", "drift",
-                   "pending_samples", "rejected")}))
-    baseline = next((row for row in rows if row.workers == 1), rows[0])
-    for row in rows:
-        row.gain_vs_single = row.requests_per_s / baseline.requests_per_s
-    return rows

@@ -120,6 +120,48 @@ class TestDecompositionChainParity:
             assert np.abs(mesh_native.reconstruct() - unitary).max() <= PARITY
 
 
+def _guard_call(method: str, fault: str):
+    """A kernel call whose ``fault`` argument is the only bad buffer."""
+    is_left = np.zeros(3, dtype=np.uint8)
+    index = np.zeros(3, dtype=np.int32 if fault == "int32_index" else np.intp)
+    if method == "propagate":
+        work = np.zeros((4, 2), dtype=complex)
+        work = work if fault == "int32_index" else work.T    # (2, 4) view
+        return lambda kernel: kernel.propagate(
+            work, index, np.zeros(3), np.zeros(3), np.ones(4, dtype=complex), 1.0)
+    if method == "clements_chain":
+        work = np.zeros((4, 4), dtype=complex)
+        work = work if fault == "int32_index" else work.T
+        return lambda kernel: kernel.clements_chain(work, is_left, index, index, 1e-12)
+    work = np.zeros((2, 4, 4), dtype=complex)
+    work = work if fault == "int32_index" else work.transpose(0, 2, 1)
+    return lambda kernel: kernel.clements_chain_stack(work, is_left, index, index,
+                                                      1e-12)
+
+
+class TestKernelBufferGuards:
+    """The kernel hands raw buffer addresses to C: the dtype/contiguity check
+    is all that stands between a bad buffer and memory corruption."""
+
+    @requires_kernel
+    @pytest.mark.parametrize("fault", ["transposed_work", "int32_index"])
+    @pytest.mark.parametrize("method", ["propagate", "clements_chain",
+                                        "clements_chain_stack"])
+    def test_bad_buffers_raise_before_reaching_c(self, method, fault):
+        call = _guard_call(method, fault)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            call(_native.kernel())
+
+    def test_one_ctypes_binding(self):
+        assert "binding" not in _native.build_info()
+        kernel = _native.kernel()
+        if kernel is not None:
+            import ctypes
+
+            assert type(kernel) is _native.ChainKernel
+            assert isinstance(kernel._lib, ctypes.CDLL)
+
+
 class TestSvdFactors:
     @requires_kernel
     @pytest.mark.parametrize("shape", [(7, 4), (4, 9), (5, 5), (1, 6)])

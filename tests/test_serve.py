@@ -2,7 +2,10 @@
 
 Covers the dynamic micro-batcher (scatter correctness under concurrency,
 flush policy, single-sample convenience, error relay, lifecycle), the LRU
-program cache and the inference-service frontend.
+program cache and the serving measurement harnesses of
+:mod:`repro.experiments.serving`.  In-process serving is a compiled program
+behind a :class:`DynamicBatcher`; the multi-process frontend is tested in
+``tests/test_serve_shard.py``.
 """
 
 import threading
@@ -13,15 +16,10 @@ import pytest
 import repro
 from repro.assignment import get_scheme
 from repro.core.compile import CompileOptions, HardwareTarget
+from repro.experiments.serving import measure_plan_speedup, run_serving_benchmark
 from repro.models import ComplexFCNN
 from repro.photonics.noise import PhaseNoiseModel
-from repro.serve import (
-    DynamicBatcher,
-    PhotonicInferenceService,
-    ProgramCache,
-    cache_key,
-    run_serving_benchmark,
-)
+from repro.serve import DynamicBatcher, ProgramCache, cache_key
 from tests.test_compile import tiny_lenet
 
 
@@ -376,57 +374,6 @@ class TestProgramCache:
         assert fresh is not stale
 
 
-class TestInferenceService:
-    def test_deploy_and_classify(self, rng):
-        model = tiny_lenet(rng)
-        scheme = get_scheme("CL")
-        images = rng.normal(size=(3, 3, 12, 12))
-        expected = repro.compile(model).predict_logits(images, scheme)
-        with PhotonicInferenceService(max_latency_s=0.001) as service:
-            program = service.deploy("lenet", model, scheme)
-            assert service.deploy("lenet", model, scheme) is program  # cache hit
-            logits = service.logits("lenet", images)
-            labels = service.classify("lenet", images)
-        assert np.allclose(logits, expected, atol=1e-10)
-        assert np.array_equal(labels, expected.argmax(axis=-1))
-
-    def test_unknown_model_rejected(self, rng):
-        with PhotonicInferenceService() as service:
-            with pytest.raises(KeyError, match="deploy"):
-                service.classify("ghost", rng.normal(size=(1, 3, 12, 12)))
-
-    def test_stats_shape(self, rng):
-        with PhotonicInferenceService(max_latency_s=0.001) as service:
-            service.deploy("lenet", tiny_lenet(rng), get_scheme("CL"))
-            service.classify("lenet", np.zeros((1, 3, 12, 12)))
-            stats = service.stats()
-        assert stats["cache"]["misses"] == 1
-        assert stats["models"]["lenet"]["requests"] == 1
-
-    def test_closed_service_rejects_deploys(self, rng):
-        service = PhotonicInferenceService()
-        assert service.close() is True
-        with pytest.raises(RuntimeError, match="closed"):
-            service.deploy("lenet", tiny_lenet(rng), get_scheme("CL"))
-
-    def test_refresh_redeploy_serves_updated_weights(self, rng):
-        model = tiny_lenet(rng)
-        scheme = get_scheme("CL")
-        images = rng.normal(size=(2, 3, 12, 12))
-        with PhotonicInferenceService(max_latency_s=0.001) as service:
-            service.deploy("lenet", model, scheme)
-            before = service.logits("lenet", images)
-            state = {name: value * 0.5 for name, value in model.state_dict().items()}
-            model.load_state_dict(state)
-            # a plain redeploy hits the stale cache entry; refresh recompiles
-            assert service.deploy("lenet", model, scheme) is not \
-                service.deploy("lenet", model, scheme, refresh=True)
-            after = service.logits("lenet", images)
-        assert not np.allclose(before, after)
-        assert np.allclose(after, repro.compile(model).predict_logits(images, scheme),
-                           atol=1e-10)
-
-
 class TestServingBenchmarkHarness:
     def test_benchmark_reports_consistent_counts(self, rng):
         program = repro.compile(ComplexFCNN(18, (10,), 4, decoder="merge", rng=rng))
@@ -437,3 +384,26 @@ class TestServingBenchmarkHarness:
         assert row.batcher["samples"] == 12
         assert row.sequential_requests_per_s > 0
         assert row.batched_requests_per_s > 0
+
+    def test_plan_speedup_reports_parity_and_plan_shape(self, lenet_program, rng):
+        program, scheme = lenet_program
+        row = measure_plan_speedup(program, rng.normal(size=(4, 3, 12, 12)),
+                                   scheme, repeats=1)
+        assert row["batch"] == 4
+        assert row["max_deviation"] <= 1e-12
+        assert row["instructions"] == program.plan().instruction_count
+        assert row["walk_seconds"] > 0 and row["plan_seconds"] > 0
+
+
+class TestOneServingFrontend:
+    def test_serve_exports_one_frontend_and_no_harnesses(self):
+        import importlib
+
+        import repro.serve as serve
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serve.service")
+        frontends = [name for name in serve.__all__ if name.endswith("Service")]
+        assert frontends == ["ShardedInferenceService"]
+        assert not [name for name in serve.__all__
+                    if name.startswith(("run_", "measure_")) or name.endswith("Row")]

@@ -4,7 +4,8 @@ Process spawns are expensive (each worker imports the stack and compiles its
 program), so most tests share one module-scoped two-replica service; the
 lifecycle-sensitive cases (admission control, slab unlinking, drain-then-swap
 redeploys) build their own small services.  Sharded results are parity-pinned
-against the in-process :class:`PhotonicInferenceService` reference path.
+to 1e-10 against the program's oracle,
+``readout(graph.forward_reference(encode_images(...)))``.
 """
 
 import asyncio
@@ -17,7 +18,6 @@ import repro
 from repro.assignment import get_scheme
 from repro.models import ComplexFCNN
 from repro.serve import (
-    PhotonicInferenceService,
     ServiceOverloadedError,
     ShardedInferenceService,
     SlabRing,
@@ -33,14 +33,19 @@ def tiny_fcnn(seed: int = 0) -> ComplexFCNN:
                        rng=np.random.default_rng(seed))
 
 
+def oracle_logits(model, images: np.ndarray) -> np.ndarray:
+    """The one kept serving oracle: the reference node-walk of the program."""
+    program = repro.compile(model)
+    signal = program.encode_images(images, get_scheme("SI"))
+    return program.readout(program.graph.forward_reference(signal))
+
+
 @pytest.fixture(scope="module")
 def shard_service():
-    """A running 2-replica service plus the in-process reference logits."""
+    """A running 2-replica service plus the oracle logits."""
     model = tiny_fcnn()
-    with PhotonicInferenceService(max_latency_s=0.001) as reference:
-        reference.deploy("fcnn", model, get_scheme("SI"))
-        images = np.random.default_rng(7).normal(size=(6, *IMAGE_SHAPE))
-        expected = reference.logits("fcnn", images)
+    images = np.random.default_rng(7).normal(size=(6, *IMAGE_SHAPE))
+    expected = oracle_logits(model, images)
     service = ShardedInferenceService(workers=2, max_batch=8,
                                       max_latency_s=0.002)
     service.deploy("fcnn", model, "SI", image_shape=IMAGE_SHAPE)
@@ -151,6 +156,22 @@ class TestShardedService:
         with pytest.raises(ValueError, match="workers"):
             ShardedInferenceService(workers=0)
 
+    def test_closed_service_rejects_deploys_and_requests(self):
+        # closed before any deploy: the checks below must fire before a lane
+        # (and its worker processes) is built
+        service = ShardedInferenceService(workers=1)
+        assert service.close() is True
+        sample = np.zeros((1, *IMAGE_SHAPE))
+        with pytest.raises(RuntimeError, match="service is closed"):
+            service.deploy("fcnn", tiny_fcnn(), "SI", image_shape=IMAGE_SHAPE)
+        with pytest.raises(RuntimeError, match="service is closed"):
+            service.submit("fcnn", sample)
+        with pytest.raises(RuntimeError, match="service is closed"):
+            service.logits("fcnn", sample)
+        with pytest.raises(RuntimeError, match="service is closed"):
+            service.classify("fcnn", sample)
+        assert service.stats() == {}
+
 
 class TestLifecycle:
     def test_admission_control_and_slab_unlink(self):
@@ -200,6 +221,80 @@ class TestLifecycle:
             assert set(new_pids).isdisjoint(old_pids)
             expected = repro.compile(model).predict_logits(images, get_scheme("SI"))
             assert np.abs(service.logits("fcnn", images) - expected).max() <= 1e-10
+
+    def test_submit_holding_the_pre_swap_lane_reaches_the_new_lane(self, monkeypatch):
+        """A request that looked its lane up just before a redeploy retired
+        it is handed to the lane now registered under the key."""
+        model = tiny_fcnn()
+        images = np.random.default_rng(23).normal(size=(3, *IMAGE_SHAPE))
+        with ShardedInferenceService(workers=1, max_batch=8,
+                                     max_latency_s=0.001) as service:
+            service.deploy("fcnn", model, "SI", image_shape=IMAGE_SHAPE)
+            stale = service.lane("fcnn")
+            service.redeploy("fcnn")        # closes `stale` and its batchers
+            current = service.lane("fcnn")
+            assert current is not stale
+            # the next lookup returns the lane as it was before the swap,
+            # exactly what a submit racing the redeploy would have seen
+            lookups = [stale]
+            lookup = service.lane
+            monkeypatch.setattr(service, "lane", lambda key: lookups.pop()
+                                if lookups else lookup(key))
+            got = service.logits("fcnn", images)
+            assert not lookups
+            assert np.abs(got - oracle_logits(model, images)).max() <= 1e-10
+            assert stale.stats()["pending_samples"] == 0
+            assert current.stats()["pending_samples"] == 0
+            assert sum(replica["requests"] for replica
+                       in current.stats()["replicas"].values()) == 1
+            # once the service closes, the same stale lookup fails the way
+            # every other call on a closed service does
+            lookups.append(current)
+            service.close()
+            with pytest.raises(RuntimeError, match="service is closed"):
+                service.submit("fcnn", images)
+
+    def test_clients_racing_redeploys_all_resolve(self):
+        """More client threads than cores submit through two redeploys with
+        a tiny switch interval; every request resolves to oracle logits."""
+        import sys
+
+        model = tiny_fcnn()
+        images = np.random.default_rng(31).normal(size=(2, *IMAGE_SHAPE))
+        expected = oracle_logits(model, images)
+        results, errors = [], []
+        swaps_done = threading.Event()
+        interval = sys.getswitchinterval()
+        with ShardedInferenceService(workers=1, max_batch=8,
+                                     max_latency_s=0.001) as service:
+            service.deploy("fcnn", model, "SI", image_shape=IMAGE_SHAPE)
+
+            def client():
+                try:
+                    while not swaps_done.is_set():
+                        results.append(service.submit("fcnn", images)
+                                       .result(timeout=60))
+                except Exception as error:  # noqa: BLE001 -- asserted below
+                    errors.append(error)
+
+            clients = [threading.Thread(target=client) for _ in range(6)]
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in clients:
+                    thread.start()
+                for _ in range(2):
+                    service.redeploy("fcnn")
+            finally:
+                swaps_done.set()
+                sys.setswitchinterval(interval)
+                for thread in clients:
+                    thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+            assert service.stats()["fcnn"]["pending_samples"] == 0
+        assert errors == []
+        assert len(results) >= len(clients)
+        for logits in results:
+            assert np.abs(logits - expected).max() <= 1e-10
 
 
 class TestWorkerAutoRestart:

@@ -26,7 +26,6 @@ from repro.core.compile import compile as compile_model
 from repro.models import ComplexFCNN
 from repro.photonics.noise import PhaseNoiseModel
 from repro.serve.cache import ProgramCache
-from repro.serve.service import PhotonicInferenceService
 from repro.store import ArtifactMismatchError, ArtifactStore
 from repro.store.manifest import MANIFEST_NAME, PAYLOAD_NAME
 
@@ -313,20 +312,6 @@ class TestServingIntegration:
         fresh = cache.get_or_compile("fcnn", tiny_fcnn())
         assert not fresh.store_hit and cache.store.has(key)
         assert cache.store.stats.saves == 2
-
-    def test_service_refresh_deploy_rewrites_entry(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        scheme = get_scheme("SI")
-        with PhotonicInferenceService(max_latency_s=0.001, store=store) as service:
-            first = service.deploy("fcnn", tiny_fcnn(), scheme)
-            assert store.has(first.store_key) and store.stats.saves == 1
-            refreshed = service.deploy("fcnn", tiny_fcnn(), scheme, refresh=True)
-            assert not refreshed.store_hit          # bypassed the warm entry
-            assert store.stats.deletes == 1 and store.stats.saves == 2
-            assert store.has(refreshed.store_key)
-            images = sample_images()
-            assert np.abs(service.logits("fcnn", images)
-                          - refreshed.predict_logits(images, scheme)).max() <= 1e-12
 
     def test_warm_worker_spawns_with_zero_decompositions(self, tmp_path):
         from repro.serve.shard import ShardedInferenceService
