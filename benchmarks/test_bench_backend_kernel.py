@@ -5,12 +5,11 @@ Records to ``benchmarks/latest/backend_kernel.json``:
 * **Propagation** -- the compiled C rotation-chain walk
   (:func:`repro.photonics.engine.native_propagate`) against the vectorized
   numpy column program on the same mesh/batch, per dimension.
-* **Clements chain decomposition** -- the native scalar nulling chain
-  against the pure-numpy chain, single-matrix and stacked.  The two-matrix
-  stack is the headline row: it is exactly the case the per-backend
-  ``STACK_THRESHOLDS`` axis moved from "not worth batching" (numpy needs
-  three matrices) to "batch it" (the C stack kernel pays off at two), and
-  CI pins a conservative 1.5x floor on it.
+* **Clements chain decomposition** -- the native nulling chain against the
+  pure-numpy chain on stacks of one, two and four matrices.  The
+  two-matrix stack is the headline row: numpy still runs the scalar chain
+  once per matrix there (below ``BATCHED_CHAIN_MIN_STACK``), and CI pins a
+  conservative 1.5x floor on the kernel's gain.
 * **Warm dense apply** -- the cached dense transfer matmul against the
   column program and, when loaded, the native kernel, at dimension 16 and
   at ``engine.DENSE_DIMENSION_LIMIT``: the sizes the ``"auto"`` backend
@@ -34,7 +33,6 @@ import pytest
 from repro.experiments.reporting import save_json
 from repro.photonics import _native, engine
 from repro.photonics.mzi_mesh import clements_decompose, clements_decompose_stack
-from repro.photonics.svd_mapping import stack_threshold
 
 logger = logging.getLogger("repro.benchmarks.backend_kernel")
 
@@ -116,12 +114,11 @@ def test_native_propagate_vs_column_program(best_of, results_dir):
 
 @pytest.mark.parametrize("stack_size", [1, 2, 4])
 def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
-    """Native Clements nulling chain vs the pure-numpy scalar chain.
+    """Native Clements nulling chain vs the pure-numpy chain.
 
     ``stack_size == 2`` is the CI-pinned row: the two-matrix stacked
     decomposition through the C kernel must be at least 1.5x faster than
-    the pure-numpy chain over the same matrices -- that gap is what
-    justifies the clements ``cchain`` stack threshold of 2.
+    the pure-numpy chain over the same matrices.
     """
     _require_kernel(results_dir)
     dimension = 16 if bench_preset_name() == "smoke" else 32
@@ -129,15 +126,11 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
     stack = np.stack([_random_unitary(dimension, rng) for _ in range(stack_size)])
 
     def decompose_native():
-        if stack_size == 1:
-            return [clements_decompose(stack[0])]
         return clements_decompose_stack(stack)
 
     def decompose_numpy():
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_FORCE_REFERENCE", "1")
-            if stack_size == 1:
-                return [clements_decompose(stack[0])]
             return clements_decompose_stack(stack)
 
     native_meshes = decompose_native()
@@ -159,7 +152,6 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
         "numpy_seconds": numpy_seconds,
         "speedup": speedup,
         "parity": parity,
-        "configured_stack_threshold": stack_threshold("clements"),
     })
     _save(results_dir)
     if stack_size == 2:

@@ -4,12 +4,16 @@ Two quantities are measured and recorded to ``benchmarks/latest/compile.json``:
 
 * **Batched-stack decomposition** -- decomposing a stack of same-size
   unitaries in one vectorized Reck/Clements pass
-  (:func:`~repro.photonics.mzi_mesh.decompose_unitary_stack`) versus the
-  per-matrix loop.  The Clements chain is a sequential dependency chain per
-  matrix, so the stack axis is the only batch-level parallelism available --
-  this is the decomposition win the ROADMAP called out.
-* **Deployed-ResNet throughput** -- compile time of a residual model (batched
-  versus sequential decomposition of its conv-kernel SVD factors) and the
+  (:func:`~repro.photonics.mzi_mesh.decompose_unitary_stack`) versus one
+  stack-of-one call per matrix.  The Clements chain is a sequential
+  dependency chain per matrix, so the stack axis is the only batch-level
+  parallelism available.  Every slice is pinned to the scalar reference
+  loops at 1e-10.
+* **Numpy-chain crossover** -- with the native kernel disabled, the batched
+  Clements chain against the scalar chain run once per matrix at small
+  stacks: the measurement behind
+  :data:`~repro.photonics.mzi_mesh.BATCHED_CHAIN_MIN_STACK`.
+* **Deployed-ResNet throughput** -- compile time of a residual model and the
   forward throughput of the compiled graph program, with the noiseless
   fidelity against the eval-mode software model asserted to 1e-8.
 """
@@ -24,7 +28,17 @@ import pytest
 import os
 
 from repro.experiments.reporting import save_json
-from repro.photonics import decompose_unitary, decompose_unitary_stack, random_unitary
+from repro.photonics import (
+    clements_decompose_reference,
+    decompose_unitary,
+    decompose_unitary_stack,
+    mzi_mesh,
+    random_unitary,
+    reck_decompose_reference,
+)
+
+REFERENCES = {"clements": clements_decompose_reference,
+              "reck": reck_decompose_reference}
 
 
 def bench_preset_name() -> str:
@@ -48,27 +62,23 @@ class ResnetBenchRow:
     base_widths: tuple
     image_size: int
     mzi_count: int
-    sequential_compile_seconds: float
-    batched_compile_seconds: float
-    compile_speedup: float
+    compile_seconds: float
     forward_seconds: float
     images_per_second: float
     max_logit_error: float
 
 
 @dataclass
-class ThresholdBenchRow:
+class CrossoverBenchRow:
     dimension: int
     stack_size: int
-    method: str
-    per_matrix_seconds: float
+    scalar_seconds: float
     batched_seconds: float
     speedup: float
-    configured_threshold: int
-    chain_backend: str = "numpy"    # which scalar-chain kernel the run used
+    batched_chain_min_stack: int
 
 
-_results: dict = {"stack_decomposition": [], "stack_threshold": [],
+_results: dict = {"stack_decomposition": [], "numpy_chain_crossover": [],
                   "deployed_resnet": []}
 
 
@@ -98,12 +108,12 @@ def test_batched_stack_decomposition_speedup(benchmark, best_of, method, results
 
     deviation = 0.0
     for unitary, mesh in zip(stack, meshes):
-        reference = decompose_unitary(unitary, method=method)
+        reference = REFERENCES[method](unitary)
         deviation = max(deviation,
                         float(np.abs(mesh.thetas - reference.thetas).max()),
                         float(np.abs(mesh.phis - reference.phis).max()),
                         float(np.abs(mesh.output_phases - reference.output_phases).max()))
-    assert deviation < 1e-10
+    assert deviation <= 1e-10
 
     speedup = per_matrix_seconds / batched_seconds
     # measured ~8x (clements) / ~3x (reck) for a 16-stack at dimension 48;
@@ -117,51 +127,46 @@ def test_batched_stack_decomposition_speedup(benchmark, best_of, method, results
     _save(results_dir)
 
 
-@pytest.mark.parametrize("method", ["clements", "reck"])
-def test_stack_threshold_crossover(best_of, method, results_dir):
-    """Re-measure the per-method stack/per-matrix crossover at small stacks.
+def test_stack_threshold_crossover(best_of, monkeypatch, results_dir):
+    """Re-measure the numpy Clements chain choice at small stacks.
 
-    The ``STACK_THRESHOLDS`` defaults are picked from exactly this
-    measurement, per chain backend: the smallest stack size whose batched
-    decomposition does not lose to the per-matrix loop.  On the pure-numpy
-    chain the fused small-array kernel
-    (:func:`repro.photonics.engine.nulling_rotation_blocks`, one solve + one
-    batched 2x2 matmul per Clements chain step) moved the Clements crossover
-    from four matrices to three; with the native ``cchain`` kernel the
-    per-matrix loop gets faster too, but the stacked C pass amortizes its
-    call overhead already at two matrices.  Reck wins from two either way.
-    The batched path must be at (or above) break-even at the configured
-    threshold -- asserted with headroom for shared-runner noise.
+    Without the native kernel, :func:`clements_decompose_stack` runs the
+    scalar chain once per matrix below
+    :data:`~repro.photonics.mzi_mesh.BATCHED_CHAIN_MIN_STACK` matrices and
+    the batched chain from there up.  The constant is the smallest stack
+    whose batched chain does not lose to the scalar loop; here each chain is
+    forced in turn by moving the constant.  At the configured size the
+    batched chain must be at (or above) break-even, asserted with headroom
+    for shared-runner noise.
     """
-    from repro.photonics.svd_mapping import chain_backend, stack_threshold
-
+    monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
+    configured = mzi_mesh.BATCHED_CHAIN_MIN_STACK
     dimension = 16 if bench_preset_name() == "smoke" else 32
-    backend = chain_backend()
-    threshold = stack_threshold(method, backend=backend)
     rng = np.random.default_rng(1)
+
+    def timed(stack, min_stack):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mzi_mesh, "BATCHED_CHAIN_MIN_STACK", min_stack)
+            return best_of(lambda: decompose_unitary_stack(stack), repeats=5)
+
     for stack_size in (2, 3, 4):
         stack = np.stack([random_unitary(dimension, rng) for _ in range(stack_size)])
-        decompose_unitary_stack(stack, method=method)   # warm the schedule caches
-        batched_seconds = best_of(
-            lambda: decompose_unitary_stack(stack, method=method), repeats=5)
-        per_matrix_seconds = best_of(
-            lambda: [decompose_unitary(unitary, method=method) for unitary in stack],
-            repeats=5)
-        speedup = per_matrix_seconds / batched_seconds
-        if stack_size == threshold:
+        decompose_unitary_stack(stack)   # warm the schedule caches
+        batched_seconds = timed(stack, min_stack=1)
+        scalar_seconds = timed(stack, min_stack=stack_size + 1)
+        speedup = scalar_seconds / batched_seconds
+        if stack_size == configured:
             assert speedup >= 0.7
-        _results["stack_threshold"].append(ThresholdBenchRow(
-            dimension=dimension, stack_size=stack_size, method=method,
-            per_matrix_seconds=per_matrix_seconds, batched_seconds=batched_seconds,
-            speedup=speedup, configured_threshold=threshold,
-            chain_backend=backend))
+        _results["numpy_chain_crossover"].append(CrossoverBenchRow(
+            dimension=dimension, stack_size=stack_size,
+            scalar_seconds=scalar_seconds, batched_seconds=batched_seconds,
+            speedup=speedup, batched_chain_min_stack=configured))
     _save(results_dir)
 
 
 def test_compiled_resnet_forward_throughput(best_of, results_dir):
     import repro
     from repro.assignment import get_scheme
-    from repro.core.compile import CompileOptions
     from repro.core.training import prepare_batch
     from repro.models.resnet import ComplexResNet
     from repro.nn.normalization import _BatchNorm
@@ -169,7 +174,7 @@ def test_compiled_resnet_forward_throughput(best_of, results_dir):
 
     smoke = bench_preset_name() == "smoke"
     # depth 14 gives two blocks per stage, so the conv-kernel SVD factors form
-    # dimension groups large enough to cross the Clements stack threshold
+    # dimension groups large enough for the batched numpy Clements chain
     depth = 8 if smoke else 14
     widths = (2, 4, 8) if smoke else (4, 8, 16)
     image = 8 if smoke else 12
@@ -183,10 +188,7 @@ def test_compiled_resnet_forward_throughput(best_of, results_dir):
             module._set_buffer("running_mean", rng.normal(size=module.num_features) * 0.3)
             module._set_buffer("running_var", rng.uniform(0.5, 2.0, size=module.num_features))
 
-    sequential_seconds = best_of(
-        lambda: repro.compile(model, options=CompileOptions(batch_unitaries=False)),
-        repeats=2)
-    batched_seconds = best_of(lambda: repro.compile(model), repeats=2)
+    compile_seconds = best_of(lambda: repro.compile(model), repeats=2)
     program = repro.compile(model)
 
     scheme = get_scheme("CL")
@@ -202,9 +204,7 @@ def test_compiled_resnet_forward_throughput(best_of, results_dir):
     _results["deployed_resnet"].append(ResnetBenchRow(
         depth=model.depth, base_widths=widths, image_size=image,
         mzi_count=program.mzi_count,
-        sequential_compile_seconds=sequential_seconds,
-        batched_compile_seconds=batched_seconds,
-        compile_speedup=sequential_seconds / batched_seconds,
+        compile_seconds=compile_seconds,
         forward_seconds=forward_seconds,
         images_per_second=batch / forward_seconds,
         max_logit_error=max_logit_error))

@@ -8,10 +8,12 @@ worker counts {1, 2, 4} over identical synthetic traffic to
   ``forward_reference`` oracle of the same model compiled in-process
   (<= 1e-10, asserted unconditionally).
 * **Scaling** -- request throughput at 2 workers must clear a conservative
-  1.6x CI floor over 1 worker.  The floor assertion needs real parallelism,
-  so it auto-skips (with the reason logged into the JSON) when fewer than
-  two CPUs are available to this process; the throughput sweep itself still
-  runs and records honest numbers.
+  1.6x CI floor over 1 worker.  The gain is the median over three
+  alternating 1-worker/2-worker waves of four times the sweep's requests,
+  so one slow wave cannot fail it.  The floor assertion needs real
+  parallelism, so it auto-skips (with the reason logged into the JSON) when
+  fewer than two CPUs are available to this process; the throughput sweep
+  itself still runs and records honest numbers.
 
 A final hygiene check asserts no ``repro-shard-*`` shared-memory segment
 created by this process survives service shutdown, so CI machines never
@@ -34,6 +36,7 @@ from repro.experiments.serving import run_shard_benchmark
 PARITY = 1e-10
 SCALING_FLOOR = 1.6          # CI floor at 2 workers vs 1 (measured ~1.9x)
 WORKER_COUNTS = (1, 2, 4)
+SCALING_WAVES = 3            # alternating 1-worker / 2-worker waves
 IMAGE_SHAPE = (1, 16, 16)    # SI assignment -> 128 complex features
 
 
@@ -66,13 +69,20 @@ def _leaked_segments() -> list:
     return glob.glob(f"/dev/shm/repro-shard-{os.getpid()}-*")
 
 
+def _sweep_requests() -> int:
+    return 48 if bench_preset_name() == "smoke" else 96
+
+
+def _run_waves(worker_counts, requests):
+    return run_shard_benchmark(
+        _bench_model(bench_preset_name() == "smoke"), "SI", IMAGE_SHAPE,
+        worker_counts=worker_counts, requests=requests, clients=8,
+        images_per_request=4, max_batch=32, max_latency_s=0.002, seed=0)
+
+
 def test_shard_throughput_sweep(results_dir):
-    smoke = bench_preset_name() == "smoke"
     cpus = effective_cpus()
-    rows = run_shard_benchmark(
-        _bench_model(smoke), "SI", IMAGE_SHAPE, worker_counts=WORKER_COUNTS,
-        requests=48 if smoke else 96, clients=8, images_per_request=4,
-        max_batch=32, max_latency_s=0.002, seed=0)
+    rows = _run_waves(WORKER_COUNTS, _sweep_requests())
     for row in rows:
         assert row.max_parity <= PARITY, (row.workers, row.max_parity)
     floor_checked = cpus >= 2
@@ -99,7 +109,14 @@ def test_scaling_floor_at_two_workers(results_dir):
                     "asserting the floor")
     rows = {row["workers"]: row for row in _results["rows"]}
     assert rows, "sweep must run first"
-    assert rows[2]["gain_vs_single"] >= SCALING_FLOOR
+    # a ~0.15-s sweep wave is too short for a steady gain: take the median
+    # of longer alternating 1-worker / 2-worker waves instead
+    gains = [_run_waves((1, 2), 4 * _sweep_requests())[1].gain_vs_single
+             for _wave in range(SCALING_WAVES)]
+    gain = float(np.median(gains))
+    _results.update(scaling_gains=gains, scaling_gain_median=gain)
+    save_json(_results, results_dir / "serve_shard.json")
+    assert gain >= SCALING_FLOOR, gains
     # four workers must not serve worse than two (allow scheduler noise)
     if cpus >= 4:
         assert rows[4]["requests_per_s"] >= 0.9 * rows[2]["requests_per_s"]

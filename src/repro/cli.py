@@ -384,7 +384,6 @@ def _run_backends(args: argparse.Namespace) -> None:
     """List mesh execution backends and the native-kernel build state."""
     from repro.photonics import _native, engine
     from repro.photonics.mzi_mesh import MeshDecomposition
-    from repro.photonics.svd_mapping import chain_backend, stack_threshold
 
     kernel = _native.kernel()
     info = _native.build_info()
@@ -405,9 +404,6 @@ def _run_backends(args: argparse.Namespace) -> None:
     error = _native.load_error()
     if error:
         print(f"  load error: {error}")
-    print(f"  decomposition chain backend: {chain_backend()} "
-          f"(clements stack threshold "
-          f"{stack_threshold('clements')}, reck {stack_threshold('reck')})")
     print(f"  dense size limit: {engine.DENSE_DIMENSION_LIMIT}")
 
     payload = {"backends": list(MeshDecomposition.BACKENDS),

@@ -17,8 +17,9 @@ hardware::
   mesh decomposition scheme and the non-idealities to bake in at compile
   time (phase-noise model, phase quantization, Monte-Carlo trial count).
 * :class:`CompileOptions` is the compiler policy: the mesh execution
-  backend and whether same-size unitaries across the whole model are
-  decomposed as one batched Reck/Clements stack.
+  backend.  How weights map onto meshes is not a policy: every same-size
+  group of SVD factors across the model decomposes as one Reck/Clements
+  stack (:func:`repro.photonics.svd_mapping.svd_decompose_many`).
 * :class:`CompiledProgram` wraps the lowered
   :class:`~repro.core.graph_ir.GraphProgram` -- a dataflow graph with
   photonic stage nodes and electronic ops, so residual architectures
@@ -95,15 +96,9 @@ class CompileOptions:
         native C chain kernel (logged fallback to the column program on
         hosts without a C toolchain; see
         :mod:`repro.photonics._native`).
-    batch_unitaries:
-        Decompose all same-size SVD factors of the model as one vectorized
-        Reck/Clements stack (identical results to the per-matrix path, pinned
-        to 1e-10 by the test-suite; substantially faster for models with many
-        same-size kernels).
     """
 
     backend: str = "auto"
-    batch_unitaries: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in MeshDecomposition.BACKENDS:
@@ -290,9 +285,7 @@ def compile(model, target: Optional[HardwareTarget] = None,
 
     def lower(deploy_fn=None) -> GraphProgram:
         return lower_to_graph(model, method=target.method,
-                              backend=options.backend,
-                              batch_unitaries=options.batch_unitaries,
-                              deploy_fn=deploy_fn)
+                              backend=options.backend, deploy_fn=deploy_fn)
 
     key = store.try_key_for(model, target, options) if store is not None else None
     graph = None
@@ -320,9 +313,7 @@ def compile(model, target: Optional[HardwareTarget] = None,
 
             def capturing(weights):
                 matrices = svd_decompose_many(
-                    weights, method=target.method,
-                    batch_unitaries=options.batch_unitaries,
-                    backend=options.backend)
+                    weights, method=target.method, backend=options.backend)
                 captured.extend(matrices)
                 return matrices
 

@@ -28,10 +28,6 @@ class TrainingConfig:
     distillation_alpha: float = 1.0
     #: softmax temperature of the distillation loss
     distillation_temperature: float = 2.0
-    #: lower the training step to a compiled execution plan once per batch
-    #: shape (bit-identical to the eager tape; falls back automatically on
-    #: models the tracer cannot replay)
-    compile_train_step: bool = True
     seed: int = 0
 
     def __post_init__(self):

@@ -340,23 +340,22 @@ class LoweringContext:
     deployed together in :meth:`finalize` so that all same-size SVD factors
     of the walk decompose as one batched Reck/Clements stack.
 
-    ``backend`` is the per-mesh execution policy stamped onto every deployed
-    mesh (any of :data:`MeshDecomposition.BACKENDS`, including the native
-    ``"cchain"`` kernel) -- the lowering walk is the single place the
+    ``backend``, the one compile policy, is the execution policy stamped
+    onto every deployed mesh (any of :data:`MeshDecomposition.BACKENDS`,
+    including the native ``"cchain"`` kernel) -- the lowering walk is the
+    single place the
     :class:`~repro.core.compile.CompileOptions` selection reaches the
     photonics layer, which is how compiled programs, execution plans and
     sharded workers all end up on the same kernel.
     """
 
     def __init__(self, method: str = "clements", backend: str = "auto",
-                 batch_unitaries: bool = True,
                  deploy_fn: Optional[Callable] = None):
         if backend not in MeshDecomposition.BACKENDS:
             raise ValueError(f"unknown mesh backend {backend!r}; "
                              f"choose from {MeshDecomposition.BACKENDS}")
         self.method = method
         self.backend = backend
-        self.batch_unitaries = batch_unitaries
         # optional replacement for the live svd_decompose_many call in
         # finalize(); the artifact store serves precompiled matrices here
         self.deploy_fn = deploy_fn
@@ -428,9 +427,8 @@ class LoweringContext:
                 raise ValueError(f"deploy_fn returned {len(matrices)} matrices "
                                  f"for {len(weights)} weights")
         else:
-            matrices = svd_decompose_many(
-                weights, method=self.method,
-                batch_unitaries=self.batch_unitaries, backend=self.backend)
+            matrices = svd_decompose_many(weights, method=self.method,
+                                          backend=self.backend)
         for (_weight, layer), matrix in zip(self._pending, matrices):
             layer.photonic_matrix = matrix
         self._pending.clear()
@@ -670,7 +668,6 @@ def _lower_photodiode_head(head: PhotodiodeHead, ctx: LoweringContext):
 # model lowering
 # --------------------------------------------------------------------------- #
 def lower_to_graph(model, method: str = "clements", backend: str = "auto",
-                   batch_unitaries: bool = True,
                    deploy_fn: Optional[Callable] = None) -> GraphProgram:
     """Lower a trained complex model into a photonic dataflow graph.
 
@@ -689,8 +686,6 @@ def lower_to_graph(model, method: str = "clements", backend: str = "auto",
 
     model.eval()
     rule = _find_rule(_MODEL_RULES, model, "lower model")
-    ctx = LoweringContext(method=method, backend=backend,
-                          batch_unitaries=batch_unitaries,
-                          deploy_fn=deploy_fn)
+    ctx = LoweringContext(method=method, backend=backend, deploy_fn=deploy_fn)
     rule(model, ctx)
     return ctx.program()

@@ -15,7 +15,6 @@ lower (dropout, custom ops) falls back to the eager tape transparently.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -98,14 +97,6 @@ class TrainingHistory:
         return self.test_accuracy[-1] if self.test_accuracy else 0.0
 
 
-def _plan_enabled_from_env(default: bool) -> bool:
-    """Resolve the ``REPRO_TRAIN_PLAN`` override (``0``/``1``)."""
-    value = os.environ.get("REPRO_TRAIN_PLAN")
-    if value is None:
-        return default
-    return value.strip().lower() not in ("0", "false", "off", "no", "")
-
-
 class Trainer:
     """Standard cross-entropy trainer.
 
@@ -118,9 +109,10 @@ class Trainer:
     scheme:
         Data-assignment scheme for complex models; ``None`` for real models.
     compile_train_step:
-        Override ``config.compile_train_step``.  ``None`` keeps the config
-        value; the ``REPRO_TRAIN_PLAN`` environment variable (``0`` or ``1``)
-        beats both.
+        Replay each batch shape's training step as a compiled plan
+        (bit-identical to the eager tape; falls back automatically on models
+        the tracer cannot replay).  ``False`` runs the eager tape, the plan's
+        reference.
     """
 
     #: distinct batch shapes the trainer keeps compiled plans for; typically a
@@ -129,15 +121,13 @@ class Trainer:
 
     def __init__(self, model: Module, config: TrainingConfig,
                  scheme: Optional[AssignmentScheme] = None,
-                 compile_train_step: Optional[bool] = None):
+                 compile_train_step: bool = True):
         self.model = model
         self.config = config
         self.scheme = scheme
         self.optimizer = self._build_optimizer()
         self.scheduler = self._build_scheduler()
-        if compile_train_step is None:
-            compile_train_step = config.compile_train_step
-        self._plan_enabled = _plan_enabled_from_env(compile_train_step)
+        self._plan_enabled = compile_train_step
         self._plans: Dict[Tuple, TrainStepPlan] = {}
         self._plan_fallback_reason: Optional[str] = None
 

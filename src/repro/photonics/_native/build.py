@@ -163,24 +163,6 @@ class ChainKernel:
         if rc != 0:
             raise MemoryError("cchain_propagate scratch allocation failed")
 
-    def clements_chain(self, work: np.ndarray, is_left: np.ndarray,
-                       op_modes: np.ndarray, op_pivots: np.ndarray,
-                       tol: float):
-        """Full Clements nulling chain on one ``(n, n)`` matrix, in place."""
-        self._check(work, np.complex128, "work")
-        self._check(is_left, np.uint8, "is_left")
-        self._check(op_modes, np.intp, "op_modes")
-        self._check(op_pivots, np.intp, "op_pivots")
-        n = work.shape[-1]
-        n_ops = op_modes.size
-        thetas = np.empty(n_ops, dtype=float)
-        phis = np.empty(n_ops, dtype=float)
-        self._lib.cchain_clements_chain(
-            work.ctypes.data, n, is_left.ctypes.data,
-            op_modes.ctypes.data, op_pivots.ctypes.data, n_ops,
-            thetas.ctypes.data, phis.ctypes.data, float(tol))
-        return thetas, phis
-
     def clements_chain_stack(self, work: np.ndarray, is_left: np.ndarray,
                              op_modes: np.ndarray, op_pivots: np.ndarray,
                              tol: float):
@@ -204,19 +186,13 @@ def _load_library(library_path: Path, compiler: str, key: str) -> ChainKernel:
     import ctypes
 
     lib = ctypes.CDLL(str(library_path))
-    for name in ("cchain_propagate", "cchain_clements_chain",
-                 "cchain_clements_chain_stack"):
-        fn = getattr(lib, name)
-        fn.restype = ctypes.c_int
-    ptr = ctypes.c_void_p
-    lib.cchain_propagate.argtypes = [ptr, ctypes.c_long, ctypes.c_long, ptr,
-                                     ctypes.c_long, ptr, ptr, ptr,
+    ptr, long = ctypes.c_void_p, ctypes.c_long
+    lib.cchain_propagate.restype = ctypes.c_int
+    lib.cchain_propagate.argtypes = [ptr, long, long, ptr, long, ptr, ptr, ptr,
                                      ctypes.c_double]
-    chain_args = [ptr, ctypes.c_long, ptr, ptr, ptr, ctypes.c_long, ptr, ptr,
-                  ctypes.c_double]
-    lib.cchain_clements_chain.argtypes = chain_args
-    lib.cchain_clements_chain_stack.argtypes = (
-        chain_args[:1] + [ctypes.c_long] + chain_args[1:])
+    lib.cchain_clements_chain_stack.restype = ctypes.c_int
+    lib.cchain_clements_chain_stack.argtypes = [ptr, long, long, ptr, ptr, ptr,
+                                                long, ptr, ptr, ctypes.c_double]
     return ChainKernel(lib, library_path, compiler, key)
 
 

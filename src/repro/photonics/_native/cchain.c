@@ -7,8 +7,9 @@
  *
  * The closed forms are bit-for-bit the ones the numpy engine evaluates
  * (engine.mzi_block_coefficients and the scalar Clements chain in
- * mzi_mesh.clements_decompose); the test-suite pins both kernels against the
- * pure-numpy reference walks to 1e-10.
+ * mzi_mesh._clements_chain_scalar); the test-suite pins both kernels against
+ * the pure-numpy reference walks to 1e-10.  Two symbols are exported:
+ * cchain_propagate and cchain_clements_chain_stack.
  *
  * All integer arguments are C `long` (LP64 => 64-bit), matching np.intp on
  * the Linux targets this builds on.
@@ -102,7 +103,7 @@ int cchain_propagate(double *work, long batch, long dim,
 
 /* One full anti-diagonal nulling chain over an (n, n) complex work matrix,
  * mutated in place; thetas/phis receive one entry per op.  This is the
- * native form of the "slim scalar chain" in mzi_mesh.clements_decompose:
+ * native form of the "slim scalar chain" in mzi_mesh._clements_chain_scalar:
  * the ops form one sequential dependency chain, so a C loop (instead of
  * n(n-1)/2 Python iterations of small-slice updates) is the entire win.
  *
@@ -112,11 +113,11 @@ int cchain_propagate(double *work, long batch, long dim,
  * (NULL_TOLERANCE): pivot magnitudes at or below it are treated as zero so
  * dark subspaces get parked deterministically, matching the numpy solvers.
  */
-int cchain_clements_chain(double *work, long n,
-                          const unsigned char *is_left,
-                          const long *op_modes, const long *op_pivots,
-                          long n_ops, double *thetas, double *phis,
-                          double tol)
+static void cchain_clements_chain(double *work, long n,
+                                  const unsigned char *is_left,
+                                  const long *op_modes, const long *op_pivots,
+                                  long n_ops, double *thetas, double *phis,
+                                  double tol)
 {
     long i, j;
     for (i = 0; i < n_ops; ++i) {
@@ -198,7 +199,6 @@ int cchain_clements_chain(double *work, long n,
         thetas[i] = theta;
         phis[i] = phi;
     }
-    return 0;
 }
 
 /* Stacked form: `count` independent (n, n) matrices decomposed back to back.
@@ -213,13 +213,9 @@ int cchain_clements_chain_stack(double *work, long count, long n,
                                 double tol)
 {
     long s;
-    for (s = 0; s < count; ++s) {
-        int rc = cchain_clements_chain(work + 2 * s * n * n, n, is_left,
-                                       op_modes, op_pivots, n_ops,
-                                       thetas + s * n_ops, phis + s * n_ops,
-                                       tol);
-        if (rc != 0)
-            return rc;
-    }
+    for (s = 0; s < count; ++s)
+        cchain_clements_chain(work + 2 * s * n * n, n, is_left, op_modes,
+                              op_pivots, n_ops, thetas + s * n_ops,
+                              phis + s * n_ops, tol);
     return 0;
 }

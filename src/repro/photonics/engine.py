@@ -186,7 +186,7 @@ def nulling_rotation_blocks(a: np.ndarray, b: np.ndarray, left: bool,
     halves the number of small-array ufunc dispatches, which is what
     dominates when the stack axis is short (2-4 conv-kernel SVD factors).
     The closed forms are identical, so the phases agree with the scalar
-    per-matrix chain to the last bit.
+    chain (``mzi_mesh._clements_chain_scalar``) to the last bit.
 
     Parameters
     ----------

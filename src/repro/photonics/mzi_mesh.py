@@ -20,29 +20,28 @@ propagation runs through the compiled column engine of
 :mod:`repro.photonics.engine`; :class:`MZISetting` remains as a per-MZI view
 for code that walks the mesh device by device.
 
-The decompositions themselves are *vectorized*: nulling operations are packed
-into wavefronts of disjoint mode pairs (the same greedy schedule the engine
-uses for propagation) and every wavefront solves its MZI parameters and
-applies its two-column/two-row updates as one array operation.  The original
-scalar nulling loops are kept as ``reck_decompose_reference`` /
-``clements_decompose_reference`` -- executable specifications the test-suite
-pins the vectorized paths against to 1e-10.
-
-On top of the per-matrix paths, :func:`reck_decompose_stack` /
-:func:`clements_decompose_stack` decompose a whole *stack* of same-size
-unitaries at once, vectorizing every nulling operation over a leading matrix
-axis.  The compiler uses this to decompose all same-size SVD factors of a
-model (e.g. every conv-kernel matrix of a ResNet stage) in one batched pass;
-both stack paths are parity-pinned against the per-matrix paths to 1e-10.
+There is one implementation of each scheme, and it works on a *stack* of
+same-size unitaries: :func:`reck_decompose_stack` /
+:func:`clements_decompose_stack` vectorize every nulling operation over a
+leading matrix axis, which is how the compiler decomposes all same-size SVD
+factors of a model (e.g. every conv-kernel matrix of a ResNet stage) in one
+pass.  :func:`reck_decompose`, :func:`clements_decompose` and
+:func:`decompose_unitary` are the same paths on a stack of one.  Reck packs
+its nulling operations into wavefronts of disjoint mode pairs (the greedy
+schedule the engine uses for propagation).  The Clements nulling chain is
+sequential per matrix: it runs in the native kernel of
+:mod:`repro.photonics._native` when one is loaded, otherwise in numpy, per
+matrix below :data:`BATCHED_CHAIN_MIN_STACK` matrices and batched over the
+stack from there up.  The original scalar nulling loops are kept as
+``reck_decompose_reference`` / ``clements_decompose_reference`` --
+executable specifications the test-suite pins the stack paths against to
+1e-10.
 
 Execution policy is explicit: each :class:`MeshDecomposition` carries a
 ``backend`` ("auto" / "dense" / "column" / "cchain"), threaded in by the
 compiler; ``"auto"`` takes the dense path up to the fixed
 ``engine.DENSE_DIMENSION_LIMIT``.  ``"cchain"`` runs the rotation chain
-through the compiled C kernel of :mod:`repro.photonics._native`; when the
-kernel is loaded, the sequential Clements nulling chains of
-:func:`clements_decompose` / :func:`clements_decompose_stack` also execute
-natively (one C call per matrix or stack), parity-pinned to the numpy chain.
+through the compiled C kernel of :mod:`repro.photonics._native`.
 """
 
 from __future__ import annotations
@@ -679,11 +678,10 @@ def _reck_oplist(n: int):
 
 
 def _reck_nulling(work: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared wavefront-nulling core of the Reck scheme, stack-generic.
+    """Wavefront-nulling core of the Reck scheme on a ``(count, n, n)`` stack.
 
-    ``work`` is mutated in place and may be a single matrix ``(n, n)`` or a
-    stack ``(..., n, n)``; the returned ``(modes, thetas, phis,
-    output_phases)`` arrays carry the same leading axes.
+    ``work`` is mutated in place; the returned ``thetas``, ``phis`` and
+    ``output_phases`` carry its leading stack axis (``modes`` is shared).
     """
     n = work.shape[-1]
     op_rows, op_cols, schedule = _reck_oplist(n)
@@ -698,23 +696,6 @@ def _reck_nulling(work: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
         phis[..., indices] = phi
     output_phases = np.diagonal(work, axis1=-2, axis2=-1).copy()
     return op_cols, thetas, phis, output_phases
-
-
-def reck_decompose(unitary: np.ndarray) -> MeshDecomposition:
-    """Triangular (Reck) decomposition of a unitary into physical MZIs.
-
-    Vectorized: the nulling operations are packed into wavefronts of disjoint
-    column pairs.  Each wavefront reads its pivot pairs, solves every MZI
-    parameter at once and applies all two-column updates in one array
-    operation, so the Python-level loop count drops from ``n (n - 1) / 2`` to
-    the mesh depth ``2 n - 3``.  Agrees with
-    :func:`reck_decompose_reference` to 1e-10.
-    """
-    unitary = _check_unitary_input(unitary)
-    work = unitary.copy()
-    modes, thetas, phis, output_phases = _reck_nulling(work)
-    return MeshDecomposition(dimension=unitary.shape[0], modes=modes, thetas=thetas,
-                             phis=phis, output_phases=output_phases, method="reck")
 
 
 @lru_cache(maxsize=128)
@@ -775,17 +756,17 @@ def _refactor_phase_mzi_vec(left_thetas: np.ndarray, left_phis: np.ndarray,
     return new_d0, new_d1, theta, phi
 
 
-def _clements_finalize(n: int, work: np.ndarray, is_left: np.ndarray,
+def _clements_finalize(work: np.ndarray, is_left: np.ndarray,
                        op_modes: np.ndarray, thetas: np.ndarray,
                        phis: np.ndarray, left_reversed: np.ndarray,
                        push_modes: np.ndarray, push_schedule):
-    """Push-phase commutation + application-order assembly, stack-generic.
+    """Push-phase commutation + application-order assembly on a stack.
 
-    Shared tail of the Clements paths (native or numpy chain, single matrix
-    or stack): commute every left op through the output phase screen in
-    wavefronts of disjoint diagonal pairs, then assemble the physical-MZI
-    arrays in application order.  ``thetas``/``phis`` may carry a leading
-    stack axis; the returned arrays carry the same leading axes.
+    Shared tail of the Clements chains (native, scalar or batched): commute
+    every left op through the output phase screen in wavefronts of disjoint
+    diagonal pairs, then assemble the physical-MZI arrays in application
+    order.  ``thetas``/``phis`` carry the leading stack axis of ``work``; the
+    returned arrays carry it too.
     """
     diagonal = np.diagonal(work, axis1=-2, axis2=-1).copy()
     pushed_thetas = np.empty(thetas.shape[:-1] + (left_reversed.size,), dtype=float)
@@ -808,37 +789,28 @@ def _clements_finalize(n: int, work: np.ndarray, is_left: np.ndarray,
     return modes, all_thetas, all_phis, diagonal
 
 
-def clements_decompose(unitary: np.ndarray) -> MeshDecomposition:
-    """Rectangular (Clements) decomposition of a unitary into physical MZIs.
+# --------------------------------------------------------------------------- #
+# numpy Clements nulling chains
+# --------------------------------------------------------------------------- #
+#: smallest stack the numpy Clements chain runs batched over the stack axis.
+#: Below it the scalar chain, run once per matrix, is faster: the fused
+#: small-array kernel of the batched chain
+#: (:func:`repro.photonics.engine.nulling_rotation_blocks`) only amortizes its
+#: per-op overhead from three matrices up.  The native kernel, when loaded,
+#: replaces both numpy chains.
+BATCHED_CHAIN_MIN_STACK = 3
 
-    Array-level: the anti-diagonal nulling ops chain sequentially (see
-    :func:`_clements_oplist`), so they run as a slim scalar-parameter loop
-    whose two-column / two-row updates are ``O(n)`` array slices instead of
-    the reference's embedded full ``n x n`` matrix products; the commutation
-    of the left ops through the output phase screen is wavefront-vectorized
-    over disjoint diagonal pairs.  Agrees with
-    :func:`clements_decompose_reference` to 1e-10.
+
+def _clements_chain_scalar(work: np.ndarray, is_left: np.ndarray,
+                           op_modes: np.ndarray, op_pivots: np.ndarray,
+                           thetas: np.ndarray, phis: np.ndarray) -> None:
+    """The slim scalar nulling chain on one ``(n, n)`` matrix, in place.
+
+    Closed-form 2x2 entries (Eq. 1, the same closed form the engine
+    evaluates) and ``O(n)`` two-row / two-column slice updates instead of the
+    reference's embedded full ``n x n`` matrix products; ``thetas``/``phis``
+    receive one entry per op.
     """
-    unitary = _check_unitary_input(unitary)
-    n = unitary.shape[0]
-    work = unitary.copy()
-    is_left, op_modes, op_pivots, left_reversed, push_modes, push_schedule = \
-        _clements_oplist(n)
-    kernel = engine.native_kernel()
-    if kernel is not None:
-        # one C call runs the whole sequential chain in place on `work`
-        thetas, phis = kernel.clements_chain(
-            work, is_left.view(np.uint8), op_modes, op_pivots, NULL_TOLERANCE)
-        modes, all_thetas, all_phis, diagonal = _clements_finalize(
-            n, work, is_left, op_modes, thetas, phis, left_reversed,
-            push_modes, push_schedule)
-        return MeshDecomposition(dimension=n, modes=modes, thetas=all_thetas,
-                                 phis=all_phis, output_phases=diagonal,
-                                 method="clements")
-    thetas = np.empty(op_modes.size, dtype=float)
-    phis = np.empty(op_modes.size, dtype=float)
-    # slim scalar chain: closed-form 2x2 entries (Eq. 1, the same closed form
-    # the engine evaluates) and O(n) two-row / two-column slice updates
     for index, (left, mode, pivot) in enumerate(
             zip(is_left.tolist(), op_modes.tolist(), op_pivots.tolist())):
         if left:
@@ -875,95 +847,12 @@ def clements_decompose(unitary: np.ndarray) -> MeshDecomposition:
         thetas[index] = theta
         phis[index] = phi
 
-    # U = L_1^{-1} ... L_q^{-1} D M_p ... M_1; commute each L_k^{-1} through
-    # the diagonal (in reversed recording order) so the final expression is
-    # D' * (physical MZI chain).  Push steps conflict only on overlapping
-    # diagonal pairs, so the column scheduler groups them into wavefronts.
-    modes, all_thetas, all_phis, diagonal = _clements_finalize(
-        n, work, is_left, op_modes, thetas, phis, left_reversed,
-        push_modes, push_schedule)
-    return MeshDecomposition(dimension=n, modes=modes, thetas=all_thetas,
-                             phis=all_phis, output_phases=diagonal, method="clements")
 
-
-def decompose_unitary(unitary: np.ndarray, method: str = "clements") -> MeshDecomposition:
-    """Dispatch to :func:`reck_decompose` or :func:`clements_decompose`."""
-    method = method.lower()
-    if method == "reck":
-        return reck_decompose(unitary)
-    if method == "clements":
-        return clements_decompose(unitary)
-    raise ValueError(f"unknown mesh decomposition method {method!r} (use 'reck' or 'clements')")
-
-
-# --------------------------------------------------------------------------- #
-# batched-stack decompositions
-# --------------------------------------------------------------------------- #
-def _check_unitary_stack(unitaries: np.ndarray) -> np.ndarray:
-    stack = np.asarray(unitaries, dtype=complex)
-    if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
-        raise ValueError("stack decomposition requires a (stack, n, n) array")
-    identity = np.eye(stack.shape[-1])
-    grams = np.swapaxes(stack.conj(), -1, -2) @ stack
-    if not np.allclose(grams, identity, atol=1e-6):
-        raise ValueError("stack contains a non-unitary matrix; map general "
-                         "matrices via svd_decompose_many()")
-    return stack
-
-
-def reck_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
-    """Reck-decompose a stack of same-size unitaries in one vectorized pass.
-
-    Every wavefront of nulling operations is applied to all matrices of the
-    stack at once, so the Python-level loop count stays at the mesh depth
-    ``2 n - 3`` regardless of the stack size.  Each returned mesh is
-    parity-pinned against :func:`reck_decompose` of its slice to 1e-10.
-    """
-    stack = _check_unitary_stack(unitaries)
-    work = stack.copy()
-    modes, thetas, phis, output_phases = _reck_nulling(work)
-    dimension = stack.shape[-1]
-    return [MeshDecomposition(dimension=dimension, modes=modes, thetas=thetas[index],
-                              phis=phis[index], output_phases=output_phases[index],
-                              method="reck")
-            for index in range(stack.shape[0])]
-
-
-def clements_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
-    """Clements-decompose a stack of same-size unitaries in one vectorized pass.
-
-    The anti-diagonal nulling operations of the Clements scheme form one
-    sequential dependency chain per matrix (see :func:`_clements_oplist`), so
-    the per-matrix path cannot wavefront-vectorize them.  Across a *stack*
-    they are embarrassingly parallel: every chain step solves its parameters
-    and applies its two-row / two-column update for all matrices at once,
-    which is how the compiler amortizes deploying many same-size conv-kernel
-    SVD factors.  Each returned mesh is parity-pinned against
-    :func:`clements_decompose` of its slice to 1e-10.
-    """
-    stack = _check_unitary_stack(unitaries)
-    count, n = stack.shape[0], stack.shape[-1]
-    work = stack.copy()
-    is_left, op_modes, op_pivots, left_reversed, push_modes, push_schedule = \
-        _clements_oplist(n)
-    kernel = engine.native_kernel()
-    if kernel is not None:
-        # one C call runs every matrix's sequential chain in place on `work`
-        # (the chains are independent, so the kernel keeps the stack loop
-        # outer for cache locality)
-        thetas, phis = kernel.clements_chain_stack(
-            work, is_left.view(np.uint8), op_modes, op_pivots, NULL_TOLERANCE)
-        modes, all_thetas, all_phis, diagonal = _clements_finalize(
-            n, work, is_left, op_modes, thetas, phis, left_reversed,
-            push_modes, push_schedule)
-        return [MeshDecomposition(dimension=n, modes=modes,
-                                  thetas=all_thetas[index], phis=all_phis[index],
-                                  output_phases=diagonal[index],
-                                  method="clements")
-                for index in range(count)]
-    thetas = np.empty((count, op_modes.size), dtype=float)
-    phis = np.empty_like(thetas)
-    blocks = np.empty((count, 2, 2), dtype=complex)
+def _clements_chain_batched(work: np.ndarray, is_left: np.ndarray,
+                            op_modes: np.ndarray, op_pivots: np.ndarray,
+                            thetas: np.ndarray, phis: np.ndarray) -> None:
+    """Every nulling-chain step for all matrices of a ``(count, n, n)`` stack."""
+    blocks = np.empty((work.shape[0], 2, 2), dtype=complex)
     for index, (left, mode, pivot) in enumerate(
             zip(is_left.tolist(), op_modes.tolist(), op_pivots.tolist())):
         # the fused small-array kernel solves the rotation and assembles the
@@ -982,8 +871,79 @@ def clements_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
         thetas[:, index] = theta
         phis[:, index] = phi
 
+
+# --------------------------------------------------------------------------- #
+# stack decompositions: the one implementation of both schemes
+# --------------------------------------------------------------------------- #
+def _check_unitary_stack(unitaries: np.ndarray) -> np.ndarray:
+    stack = np.asarray(unitaries, dtype=complex)
+    if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
+        raise ValueError("stack decomposition requires a (stack, n, n) array")
+    identity = np.eye(stack.shape[-1])
+    grams = np.swapaxes(stack.conj(), -1, -2) @ stack
+    if not np.allclose(grams, identity, atol=1e-6):
+        raise ValueError("stack contains a non-unitary matrix; map general "
+                         "matrices via svd_decompose_many()")
+    return stack
+
+
+def reck_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
+    """Triangular (Reck) decomposition of a stack of same-size unitaries.
+
+    The nulling operations are packed into wavefronts of disjoint column
+    pairs.  Each wavefront reads its pivot pairs, solves every MZI parameter
+    and applies all two-column updates for every matrix of the stack in one
+    array operation, so the Python-level loop count is the mesh depth
+    ``2 n - 3`` regardless of the stack size.  Each returned mesh agrees with
+    :func:`reck_decompose_reference` of its slice to 1e-10.
+    """
+    stack = _check_unitary_stack(unitaries)
+    work = stack.copy()
+    modes, thetas, phis, output_phases = _reck_nulling(work)
+    dimension = stack.shape[-1]
+    return [MeshDecomposition(dimension=dimension, modes=modes, thetas=thetas[index],
+                              phis=phis[index], output_phases=output_phases[index],
+                              method="reck")
+            for index in range(stack.shape[0])]
+
+
+def clements_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
+    """Rectangular (Clements) decomposition of a stack of same-size unitaries.
+
+    The anti-diagonal nulling operations form one sequential dependency chain
+    per matrix (see :func:`_clements_oplist`); across a stack the chains are
+    independent.  The native kernel, when loaded, runs every chain in one C
+    call.  Otherwise numpy runs the scalar chain once per matrix below
+    :data:`BATCHED_CHAIN_MIN_STACK` matrices and the batched chain (every
+    step for the whole stack at once) from there up; both give the same
+    phases.  The commutation of the left ops through the output phase screen
+    is wavefront-vectorized over disjoint diagonal pairs.  Each returned mesh
+    agrees with :func:`clements_decompose_reference` of its slice to 1e-10.
+    """
+    stack = _check_unitary_stack(unitaries)
+    count, n = stack.shape[0], stack.shape[-1]
+    work = stack.copy()
+    is_left, op_modes, op_pivots, left_reversed, push_modes, push_schedule = \
+        _clements_oplist(n)
+    kernel = engine.native_kernel()
+    if kernel is not None:
+        # one C call runs every matrix's sequential chain in place on `work`
+        thetas, phis = kernel.clements_chain_stack(
+            work, is_left.view(np.uint8), op_modes, op_pivots, NULL_TOLERANCE)
+    else:
+        thetas = np.empty((count, op_modes.size), dtype=float)
+        phis = np.empty_like(thetas)
+        if count >= BATCHED_CHAIN_MIN_STACK:
+            _clements_chain_batched(work, is_left, op_modes, op_pivots, thetas, phis)
+        else:
+            for matrix, matrix_thetas, matrix_phis in zip(work, thetas, phis):
+                _clements_chain_scalar(matrix, is_left, op_modes, op_pivots,
+                                       matrix_thetas, matrix_phis)
+    # U = L_1^{-1} ... L_q^{-1} D M_p ... M_1; commute each L_k^{-1} through
+    # the diagonal (in reversed recording order) so the final expression is
+    # D' * (physical MZI chain)
     modes, all_thetas, all_phis, diagonal = _clements_finalize(
-        n, work, is_left, op_modes, thetas, phis, left_reversed,
+        work, is_left, op_modes, thetas, phis, left_reversed,
         push_modes, push_schedule)
     return [MeshDecomposition(dimension=n, modes=modes, thetas=all_thetas[index],
                               phis=all_phis[index], output_phases=diagonal[index],
@@ -1000,3 +960,18 @@ def decompose_unitary_stack(unitaries: np.ndarray,
     if method == "clements":
         return clements_decompose_stack(unitaries)
     raise ValueError(f"unknown mesh decomposition method {method!r} (use 'reck' or 'clements')")
+
+
+def reck_decompose(unitary: np.ndarray) -> MeshDecomposition:
+    """Reck-decompose one unitary (:func:`reck_decompose_stack` of a stack of one)."""
+    return reck_decompose_stack(np.asarray(unitary)[None])[0]
+
+
+def clements_decompose(unitary: np.ndarray) -> MeshDecomposition:
+    """Clements-decompose one unitary (:func:`clements_decompose_stack` of a stack of one)."""
+    return clements_decompose_stack(np.asarray(unitary)[None])[0]
+
+
+def decompose_unitary(unitary: np.ndarray, method: str = "clements") -> MeshDecomposition:
+    """Decompose one unitary by ``method`` (:func:`decompose_unitary_stack` of a stack of one)."""
+    return decompose_unitary_stack(np.asarray(unitary)[None], method=method)[0]

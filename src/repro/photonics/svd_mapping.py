@@ -14,11 +14,12 @@ The MZI count of the mapped matrix is::
 
 which is the formula the paper uses for every area number.
 
-:func:`svd_decompose_many` maps a whole list of weight matrices at once:
-the SVD factors of every weight are grouped by dimension and each group is
-decomposed as one batched stack
+:func:`svd_decompose_many` is the one mapping routine: it SVD-factors
+every same-shape group of weights as one stack and decomposes every
+same-dimension group of unitaries as one Reck/Clements stack
 (:func:`~repro.photonics.mzi_mesh.decompose_unitary_stack`), which is how the
 compiler amortizes deploying models with many same-size kernels.
+:func:`svd_decompose` maps one weight as a list of one.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.photonics.area import mzi_count_matrix
-from repro.photonics.mzi_mesh import (
-    MeshDecomposition,
-    decompose_unitary,
-    decompose_unitary_stack,
-)
+from repro.photonics.mzi_mesh import MeshDecomposition, decompose_unitary_stack
 
 
 @dataclass
@@ -203,130 +200,72 @@ def _normalized(singular_values: np.ndarray, normalize: bool):
     return singular_values, scale
 
 
-def _svd_factors(weight: np.ndarray, normalize: bool):
-    weight = np.asarray(weight, dtype=complex)
-    if weight.ndim != 2:
-        raise ValueError("svd_decompose expects a 2-D matrix")
-    left, singular_values, right = np.linalg.svd(weight, full_matrices=True)
-    singular_values, scale = _normalized(singular_values, normalize)
-    return weight.shape, left, right, singular_values, scale
-
-
 def _svd_factors_many(weights: Sequence[np.ndarray], normalize: bool) -> List[tuple]:
-    """SVD-factor many weights, grouping same-shape matrices into one call.
+    """SVD-factor many weights, one ``np.linalg.svd`` call per shape.
 
     ``np.linalg.svd`` is a gufunc: a group of same-shape weights stacked
     along a leading axis factors in one batched call (same LAPACK routine
-    per slice, so the factors match the per-matrix path; the parity tests
-    pin this).  The returned list is index-aligned with ``weights``.
+    per slice, so the factors match a per-matrix call; the parity tests pin
+    this).  A group of one is a stack of one.  The returned list is
+    index-aligned with ``weights``.
     """
     arrays = [np.asarray(weight, dtype=complex) for weight in weights]
-    for array in arrays:
-        if array.ndim != 2:
-            raise ValueError("svd_decompose expects 2-D matrices")
+    for index, array in enumerate(arrays):
+        if array.ndim != 2 or 0 in array.shape:
+            raise ValueError(f"weight {index} has shape {array.shape}; "
+                             "svd_decompose_many expects non-empty 2-D matrices")
     by_shape: Dict[Tuple[int, int], List[int]] = {}
     for index, array in enumerate(arrays):
         by_shape.setdefault(array.shape, []).append(index)
     factored: List[Optional[tuple]] = [None] * len(arrays)
     for shape, indices in by_shape.items():
-        if len(indices) >= 2:
-            stack = np.stack([arrays[index] for index in indices])
-            lefts, stacked_values, rights = np.linalg.svd(stack, full_matrices=True)
-            for position, index in enumerate(indices):
-                singular_values, scale = _normalized(stacked_values[position],
-                                                     normalize)
-                factored[index] = (shape, lefts[position], rights[position],
-                                   singular_values, scale)
-        else:
-            index = indices[0]
-            factored[index] = _svd_factors(arrays[index], normalize)
+        stack = np.stack([arrays[index] for index in indices])
+        lefts, stacked_values, rights = np.linalg.svd(stack, full_matrices=True)
+        for position, index in enumerate(indices):
+            singular_values, scale = _normalized(stacked_values[position], normalize)
+            factored[index] = (shape, lefts[position], rights[position],
+                               singular_values, scale)
     return factored
 
 
 def svd_decompose(weight: np.ndarray, method: str = "clements",
                   normalize: bool = True, backend: str = "auto") -> PhotonicMatrix:
-    """Map a weight matrix onto a photonic circuit via SVD.
+    """Map one weight matrix onto a photonic circuit via SVD.
+
+    :func:`svd_decompose_many` of a list of one; see there for the
+    parameters.
+    """
+    return svd_decompose_many([weight], method=method, normalize=normalize,
+                              backend=backend)[0]
+
+
+def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
+                       normalize: bool = True,
+                       backend: str = "auto") -> List[PhotonicMatrix]:
+    """Map weight matrices onto photonic circuits via SVD, in batched passes.
+
+    The SVDs of same-shape weights run as one stacked ``np.linalg.svd`` call
+    (:func:`_svd_factors_many`), and the resulting unitaries are grouped by
+    dimension, each group decomposed as one Reck/Clements stack
+    (:func:`~repro.photonics.mzi_mesh.decompose_unitary_stack`); groups of
+    one are stacks of one.  The returned list is index-aligned with
+    ``weights``.
 
     Parameters
     ----------
-    weight:
-        Real or complex matrix of shape ``(m, n)``.
+    weights:
+        Real or complex matrices of shape ``(m, n)`` with ``m, n >= 1``.
     method:
-        Mesh decomposition method for the two unitaries (``"clements"`` or
+        Mesh decomposition method for the unitaries (``"clements"`` or
         ``"reck"``).
     normalize:
         If True, scale the singular values so the largest attenuator
         transmission is 1 (physically realisable); the scale factor is stored
         in :attr:`PhotonicMatrix.scale`.
     backend:
-        Execution policy stamped onto both meshes (see
+        Execution policy stamped onto every mesh (see
         :class:`~repro.photonics.mzi_mesh.MeshDecomposition`); the compiler
         threads it in from ``CompileOptions``.
-    """
-    _count_decompositions(1)
-    (rows, cols), left, right, singular_values, scale = _svd_factors(weight, normalize)
-    left_mesh = _apply_mesh_policy(decompose_unitary(left, method=method), backend)
-    right_mesh = _apply_mesh_policy(decompose_unitary(right, method=method), backend)
-    return _assemble(rows, cols, left_mesh, right_mesh, singular_values, scale)
-
-
-#: smallest dimension group that is decomposed as a batched stack, per mesh
-#: method and per *chain backend* (the backend axis of the measured
-#: ``stack_threshold`` rows of ``benchmarks/results/compile.json``).  The
-#: Reck stack path replaces an already-vectorized wavefront loop and wins
-#: from two matrices up regardless of backend.  The Clements stack path
-#: replaces a *scalar* nulling chain: on the ``numpy`` chain backend the
-#: small-array per-op overhead of the fused
-#: :func:`repro.photonics.engine.nulling_rotation_blocks` kernel only
-#: amortizes from three matrices up, while the native ``cchain`` kernel
-#: (one C call per stack, :mod:`repro.photonics._native`) removes the
-#: per-op overhead entirely, so the stack path wins from two.
-STACK_THRESHOLDS: Dict[str, Dict[str, int]] = {
-    "reck": {"numpy": 2, "cchain": 2},
-    "clements": {"numpy": 3, "cchain": 2},
-}
-
-
-def chain_backend() -> str:
-    """The decomposition-chain backend active in this process.
-
-    ``"cchain"`` when the native kernel is loaded (and not force-disabled),
-    ``"numpy"`` otherwise -- the key :func:`stack_threshold` resolves the
-    per-backend crossover table with.
-    """
-    from repro.photonics import engine
-
-    return "cchain" if engine.native_kernel() is not None else "numpy"
-
-
-def stack_threshold(method: str, backend: Optional[str] = None) -> int:
-    """Measured stack-vs-per-matrix crossover for ``method``.
-
-    ``backend`` is the chain backend (``"numpy"`` / ``"cchain"``); by
-    default the one active in this process (:func:`chain_backend`), so the
-    grouping policy of :func:`svd_decompose_many` automatically tracks
-    whether the native kernel is available.
-    """
-    table = STACK_THRESHOLDS.get(method.lower())
-    if table is None:
-        return 2
-    return table.get(backend if backend is not None else chain_backend(), 2)
-
-
-def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
-                       normalize: bool = True, batch_unitaries: bool = True,
-                       backend: str = "auto") -> List[PhotonicMatrix]:
-    """Map many weight matrices onto photonic circuits in one batched pass.
-
-    The batching happens at both ends of the pipeline: the *SVDs* of
-    same-shape weight matrices run as one stacked ``np.linalg.svd`` call
-    (:func:`_svd_factors_many`), and the resulting unitaries are grouped by
-    dimension with every group at or above the method's measured
-    :func:`stack_threshold` size (per chain backend, see
-    :data:`STACK_THRESHOLDS`) decomposed as a single stacked Reck/Clements
-    pass (``batch_unitaries=False`` falls back to the per-matrix
-    decomposition path, same results).  The returned list is index-aligned
-    with ``weights``.
     """
     _count_decompositions(len(weights))
     factored = _svd_factors_many(weights, normalize)
@@ -336,14 +275,9 @@ def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
         for side, unitary in enumerate((left, right)):
             groups.setdefault(unitary.shape[0], []).append((index, side, unitary))
     meshes: Dict[Tuple[int, int], MeshDecomposition] = {}
-    threshold = stack_threshold(method)
     for members in groups.values():
-        if batch_unitaries and len(members) >= threshold:
-            stack = np.stack([unitary for _index, _side, unitary in members])
-            decomposed = decompose_unitary_stack(stack, method=method)
-        else:
-            decomposed = [decompose_unitary(unitary, method=method)
-                          for _index, _side, unitary in members]
+        stack = np.stack([unitary for _index, _side, unitary in members])
+        decomposed = decompose_unitary_stack(stack, method=method)
         for (index, side, _unitary), mesh in zip(members, decomposed):
             meshes[index, side] = _apply_mesh_policy(mesh, backend)
     return [_assemble(rows, cols, meshes[index, 0], meshes[index, 1],

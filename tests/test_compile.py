@@ -162,16 +162,6 @@ class TestResNetGraphCompile:
         assert np.allclose(logits[0], np.broadcast_to(clean, (3,) + clean.shape),
                            atol=1e-8)
 
-    def test_unbatched_decomposition_matches_batched(self, rng):
-        scheme = get_scheme("CL")
-        model = tiny_resnet(rng)
-        images = rng.normal(size=(2, 3, 8, 8))
-        batched = repro.compile(model).predict_logits(images, scheme)
-        sequential = repro.compile(
-            model, options=CompileOptions(batch_unitaries=False)
-        ).predict_logits(images, scheme)
-        assert np.allclose(batched, sequential, atol=1e-10)
-
 
 class TestExecutionPolicy:
     def test_backend_is_threaded_to_every_mesh(self, rng):
@@ -269,11 +259,27 @@ class TestQuantizationEndToEnd:
 class TestOneCompilePath:
     """``repro.compile`` is the only entry point and ``backend`` the only policy."""
 
-    def test_compile_options_hold_only_backend_and_batch_unitaries(self):
+    def test_one_way_to_map_a_weight_onto_meshes(self):
+        """``backend`` is the only option; no layer takes a mapping knob."""
         import dataclasses
+        import inspect
 
-        assert [f.name for f in dataclasses.fields(CompileOptions)] == [
-            "backend", "batch_unitaries"]
+        from repro.core.lowering import LoweringContext, lower_to_graph
+        from repro.photonics import _native
+        from repro.photonics.svd_mapping import svd_decompose, svd_decompose_many
+
+        assert [f.name for f in dataclasses.fields(CompileOptions)] == ["backend"]
+        signatures = {
+            lower_to_graph: ["model", "method", "backend", "deploy_fn"],
+            LoweringContext.__init__: ["self", "method", "backend", "deploy_fn"],
+            svd_decompose_many: ["weights", "method", "normalize", "backend"],
+            svd_decompose: ["weight", "method", "normalize", "backend"],
+        }
+        for function, parameters in signatures.items():
+            assert list(inspect.signature(function).parameters) == parameters
+        # the stack entry point is the kernel's only decomposition chain
+        assert not hasattr(_native.ChainKernel, "clements_chain")
+        assert hasattr(_native.ChainKernel, "clements_chain_stack")
 
     def test_backend_is_the_only_policy_threaded_to_the_meshes(self):
         import inspect

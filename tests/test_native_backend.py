@@ -19,10 +19,11 @@ from repro.photonics import _native, engine, mzi_mesh
 from repro.photonics.mzi_mesh import (
     MeshDecomposition,
     clements_decompose,
+    clements_decompose_reference,
     clements_decompose_stack,
     reck_decompose,
 )
-from repro.photonics.svd_mapping import chain_backend, stack_threshold, svd_decompose
+from repro.photonics.svd_mapping import svd_decompose
 
 requires_kernel = pytest.mark.skipif(
     _native.kernel() is None,
@@ -129,10 +130,6 @@ def _guard_call(method: str, fault: str):
         work = work if fault == "int32_index" else work.T    # (2, 4) view
         return lambda kernel: kernel.propagate(
             work, index, np.zeros(3), np.zeros(3), np.ones(4, dtype=complex), 1.0)
-    if method == "clements_chain":
-        work = np.zeros((4, 4), dtype=complex)
-        work = work if fault == "int32_index" else work.T
-        return lambda kernel: kernel.clements_chain(work, is_left, index, index, 1e-12)
     work = np.zeros((2, 4, 4), dtype=complex)
     work = work if fault == "int32_index" else work.transpose(0, 2, 1)
     return lambda kernel: kernel.clements_chain_stack(work, is_left, index, index,
@@ -145,8 +142,7 @@ class TestKernelBufferGuards:
 
     @requires_kernel
     @pytest.mark.parametrize("fault", ["transposed_work", "int32_index"])
-    @pytest.mark.parametrize("method", ["propagate", "clements_chain",
-                                        "clements_chain_stack"])
+    @pytest.mark.parametrize("method", ["propagate", "clements_chain_stack"])
     def test_bad_buffers_raise_before_reaching_c(self, method, fault):
         call = _guard_call(method, fault)
         with pytest.raises(ValueError, match="C-contiguous"):
@@ -195,9 +191,10 @@ class TestDegradation:
         unitary = random_unitary(5, seed=40)
         with caplog.at_level(logging.WARNING):
             assert _native.kernel() is None
-            assert chain_backend() == "numpy"
-            assert stack_threshold("clements") == 3      # numpy threshold
             mesh = clements_decompose(unitary)
+            spec = clements_decompose_reference(unitary)
+            assert np.abs(mesh.thetas - spec.thetas).max() <= PARITY
+            assert np.abs(mesh.phis - spec.phis).max() <= PARITY
             assert np.abs(mesh.reconstruct() - unitary).max() <= PARITY
             above = clements_decompose(random_unitary(97, seed=40))
             assert above.resolve_backend() == "column"   # auto, no warning
@@ -219,7 +216,11 @@ class TestDegradation:
     def test_force_reference_env_gates_the_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
         assert engine.native_kernel() is None
-        assert chain_backend() == "numpy"
+        unitary = random_unitary(6, seed=42)
+        mesh = clements_decompose(unitary)
+        spec = clements_decompose_reference(unitary)
+        assert np.abs(mesh.thetas - spec.thetas).max() <= PARITY
+        assert np.abs(mesh.phis - spec.phis).max() <= PARITY
         monkeypatch.delenv("REPRO_FORCE_REFERENCE")
         # the gate is re-read per call: lifting it restores the kernel
         # without any module reload (when a toolchain exists at all)

@@ -217,33 +217,61 @@ class TestVectorizedDecompositionParity:
 
 
 class TestBatchedStackDecomposition:
-    """The stack paths must agree with the per-matrix paths to 1e-10."""
+    """Every stack slice must agree with the scalar reference loops to 1e-10."""
 
     @staticmethod
     def _assert_stack_parity(stack, method):
-        from repro.photonics import decompose_unitary_stack
+        from repro.photonics import (
+            clements_decompose_reference,
+            decompose_unitary_stack,
+            reck_decompose_reference,
+        )
 
+        reference = {"reck": reck_decompose_reference,
+                     "clements": clements_decompose_reference}[method]
         meshes = decompose_unitary_stack(stack, method=method)
         assert len(meshes) == len(stack)
         for unitary, mesh in zip(stack, meshes):
-            reference = decompose_unitary(unitary, method=method)
-            assert np.array_equal(mesh.modes, reference.modes)
-            assert np.allclose(mesh.thetas, reference.thetas, atol=1e-10)
-            assert np.allclose(mesh.phis, reference.phis, atol=1e-10)
-            assert np.allclose(mesh.output_phases, reference.output_phases, atol=1e-10)
+            spec = reference(unitary)
+            assert np.array_equal(mesh.modes, spec.modes)
+            assert np.abs(mesh.thetas - spec.thetas).max(initial=0.0) <= 1e-10
+            assert np.abs(mesh.phis - spec.phis).max(initial=0.0) <= 1e-10
+            assert np.abs(mesh.output_phases - spec.output_phases).max() <= 1e-10
             assert np.allclose(mesh.reconstruct(), unitary, atol=1e-9)
 
     @pytest.mark.parametrize("method", ["reck", "clements"])
     @pytest.mark.parametrize("dimension", [1, 2, 5, 12])
-    def test_haar_random_stack_matches_per_matrix(self, method, dimension, rng):
-        stack = np.stack([random_unitary(dimension, rng) for _ in range(4)])
+    @pytest.mark.parametrize("stack_size", [1, 2, 3, 4])
+    def test_haar_random_stack_matches_reference(self, method, dimension,
+                                                 stack_size, rng):
+        # stack sizes 1-4 straddle BATCHED_CHAIN_MIN_STACK, so both numpy
+        # Clements chains (scalar per matrix, batched) run when the native
+        # kernel is disabled
+        stack = np.stack([random_unitary(dimension, rng) for _ in range(stack_size)])
         self._assert_stack_parity(stack, method)
+
+    def test_stack_sizes_straddle_the_numpy_chain_choice(self):
+        from repro.photonics import mzi_mesh
+
+        assert 1 < mzi_mesh.BATCHED_CHAIN_MIN_STACK <= 4
+
+    def test_single_matrix_calls_are_stacks_of_one(self, rng):
+        from repro.photonics import decompose_unitary_stack
+
+        unitary = random_unitary(7, rng)
+        for method, single in (("reck", reck_decompose),
+                               ("clements", clements_decompose)):
+            [stacked] = decompose_unitary_stack(unitary[None], method=method)
+            for mesh in (single(unitary), decompose_unitary(unitary, method)):
+                assert np.array_equal(mesh.thetas, stacked.thetas)
+                assert np.array_equal(mesh.phis, stacked.phis)
+                assert np.array_equal(mesh.output_phases, stacked.output_phases)
 
     @pytest.mark.parametrize("method", ["reck", "clements"])
     def test_rank_deficient_svd_factors(self, method, rng):
         # SVD factors of rank-deficient weights contain null-space completion
         # rows whose nulling pivots are optically dark; the stack path must
-        # apply the same dark-cell clamp as the per-matrix path
+        # apply the same dark-cell clamp as the reference loops
         stacks = {}
         for rank in (1, 3):
             weight = ((rng.normal(size=(9, rank)) + 1j * rng.normal(size=(9, rank)))
@@ -257,7 +285,7 @@ class TestBatchedStackDecomposition:
     @pytest.mark.parametrize("method", ["reck", "clements"])
     def test_non_square_weight_factors(self, method, rng):
         # left (m x m) and right (n x n) factors of non-square weights land in
-        # different dimension groups; each group must keep per-matrix parity
+        # different dimension groups; each group must keep reference parity
         weights = [rng.normal(size=(4, 10)) + 1j * rng.normal(size=(4, 10)),
                    rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))]
         groups = {}
@@ -284,7 +312,7 @@ class TestSvdDecomposeMany:
         weights = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
                    rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
                    rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))]
-        batched = svd_decompose_many(weights, batch_unitaries=True)
+        batched = svd_decompose_many(weights)
         for weight, photonic in zip(weights, batched):
             reference = svd_decompose(weight)
             assert photonic.mzi_count == reference.mzi_count

@@ -85,15 +85,15 @@ class TestBatchedSVDs:
         return weights
 
     def test_stacked_factors_match_per_matrix_svd(self, rng):
-        from repro.photonics.svd_mapping import _svd_factors, _svd_factors_many
+        from repro.photonics.svd_mapping import _svd_factors_many
 
         weights = self._mixed_weights(rng)
-        stacked = _svd_factors_many(weights, normalize=True)
+        stacked = _svd_factors_many(weights, normalize=False)
         for weight, factors in zip(weights, stacked):
             shape, left, right, singular_values, scale = factors
-            ref_shape, ref_left, ref_right, ref_values, ref_scale = \
-                _svd_factors(weight, normalize=True)
-            assert shape == ref_shape and scale == ref_scale
+            ref_left, ref_values, ref_right = np.linalg.svd(
+                np.asarray(weight, dtype=complex), full_matrices=True)
+            assert shape == weight.shape and scale == 1.0
             # the gufunc runs the same LAPACK routine per slice
             assert np.abs(left - ref_left).max() <= 1e-12
             assert np.abs(right - ref_right).max() <= 1e-12
@@ -115,6 +115,15 @@ class TestBatchedSVDs:
 
         with pytest.raises(ValueError):
             svd_decompose_many([rng.normal(size=(2, 3, 4))])
+
+    def test_zero_dimension_weight_rejected(self, rng):
+        from repro.photonics.svd_mapping import svd_decompose_many
+
+        empty = np.zeros((0, 3))
+        with pytest.raises(ValueError, match=r"weight 0 has shape \(0, 3\)"):
+            svd_decompose(empty)
+        with pytest.raises(ValueError, match=r"weight 1 has shape \(0, 3\)"):
+            svd_decompose_many([rng.normal(size=(2, 3)), empty])
 
 
 class TestPhotonicLayersAndNetworks:

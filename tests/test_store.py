@@ -71,11 +71,9 @@ class TestContentKey:
             store.key_for(tiny_fcnn(), target=HardwareTarget(method="reck")),
             store.key_for(tiny_fcnn(), options=CompileOptions(backend="column")),
             store.key_for(tiny_fcnn(),
-                          options=CompileOptions(batch_unitaries=False)),
-            store.key_for(tiny_fcnn(),
                           target=HardwareTarget(quantization_bits=6)),
         }
-        assert len(keys) == 7      # every perturbation lands on its own key
+        assert len(keys) == 6      # every perturbation lands on its own key
 
     def test_noise_targets_bypass_the_store(self, store):
         noisy = HardwareTarget(noise=PhaseNoiseModel.seeded(0.01), trials=2)

@@ -218,7 +218,7 @@ class _DropoutNet(Module):
         return self.network(inputs.flatten(start_dim=1))
 
 
-class TestFallbackAndOverrides:
+class TestFallback:
     def test_volatile_trace_falls_back_to_eager(self, rng):
         model = _DropoutNet(np.random.default_rng(7))
         config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0)
@@ -236,34 +236,6 @@ class TestFallbackAndOverrides:
         loss, _ = trainer.train_step(images, labels)
         assert np.isfinite(loss)
         assert trainer.plan_stats["compiled"] == 0
-
-    def test_env_variable_disables_compilation(self, monkeypatch, rng):
-        monkeypatch.setenv("REPRO_TRAIN_PLAN", "0")
-        model = ComplexFCNN(18, (12,), 2, decoder="merge",
-                            rng=np.random.default_rng(7))
-        config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0)
-        trainer = Trainer(model, config, scheme=get_scheme("SI"),
-                          compile_train_step=True)
-        assert trainer.plan_stats["enabled"] is False
-        images = rng.normal(size=(8, 1, 6, 6))
-        labels = rng.integers(0, 2, size=8)
-        trainer.model.train()
-        trainer.train_step(images, labels)
-        assert trainer.plan_stats["compiled"] == 0
-
-    def test_env_variable_forces_compilation(self, monkeypatch, rng):
-        monkeypatch.setenv("REPRO_TRAIN_PLAN", "1")
-        model = ComplexFCNN(18, (12,), 2, decoder="merge",
-                            rng=np.random.default_rng(7))
-        config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0)
-        trainer = Trainer(model, config, scheme=get_scheme("SI"),
-                          compile_train_step=False)
-        assert trainer.plan_stats["enabled"] is True
-        images = rng.normal(size=(8, 1, 6, 6))
-        labels = rng.integers(0, 2, size=8)
-        trainer.model.train()
-        trainer.train_step(images, labels)
-        assert trainer.plan_stats["compiled"] == 1
 
     def test_eval_mode_skips_the_plan(self, rng):
         model = ComplexFCNN(18, (12,), 2, decoder="merge",
