@@ -15,11 +15,12 @@ Records to ``benchmarks/latest/backend_kernel.json``:
   at ``engine.DENSE_DIMENSION_LIMIT``: the sizes the ``"auto"`` backend
   sends down the dense path must be ones where it wins.
 
-Without a C toolchain every kernel test here auto-skips with a logged reason
-and the JSON records ``skip_reason`` instead of timings, so the artifact
-always says *why* numbers are absent (the dense rows then time the column
-program only).  All timed paths are parity-pinned to the
-numpy reference at 1e-10 before any floor is asserted.
+Without a C toolchain, or under the reference switch
+(:func:`repro.reference.enabled`), every kernel test here auto-skips with a
+logged reason and the JSON records ``skip_reason`` instead of timings, so
+the artifact always says *why* numbers are absent (the dense rows then time
+the column program only).  All timed paths are parity-pinned to the numpy
+reference at 1e-10 before any floor is asserted.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.experiments.reporting import save_json
 from repro.photonics import _native, engine
 from repro.photonics.mzi_mesh import clements_decompose, clements_decompose_stack
@@ -60,7 +62,7 @@ def _require_kernel(results_dir):
     """Skip (with a recorded reason) when the native kernel is unavailable."""
     if _native.kernel() is not None:
         return
-    if _native.force_reference_enabled():
+    if reference.enabled():
         reason = "disabled by REPRO_FORCE_REFERENCE"
     else:
         reason = _native.load_error() or "kernel not loaded"

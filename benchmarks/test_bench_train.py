@@ -2,9 +2,9 @@
 
 Records per-training-step latency (forward + backward + optimizer step) of
 the complex model families at several batch sizes, fused fast-path kernels
-versus the pre-optimization reference path
-(:func:`repro.tensor.functional.use_reference_kernels`: 4-real-op complex
-layers, index-table im2col, ``np.add.at`` col2im), plus the isolated cost of
+versus the reference path under ``REPRO_FORCE_REFERENCE=1`` (4-real-op
+complex layers, index-table im2col, ``np.add.at`` col2im and, on the ResNet
+rows, composed batch norm), plus the isolated cost of
 the in-place versus allocating optimizer steps -- all saved to
 ``benchmarks/latest/train.json``.
 
@@ -29,7 +29,6 @@ from repro.models.resnet import ComplexResNet
 from repro.nn.complex import ComplexTensor
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD, Adam
-from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
 
@@ -100,7 +99,8 @@ def models():
 
 @pytest.mark.parametrize("model_name", ["fcnn", "lenet", "resnet"])
 @pytest.mark.parametrize("batch", _batch_sizes())
-def test_train_step_speedup(best_of, results_dir, models, model_name, batch):
+def test_train_step_speedup(best_of, results_dir, monkeypatch, models,
+                            model_name, batch):
     smoke = bench_preset_name() == "smoke"
     if model_name == "resnet" and batch > (32 if smoke else 64):
         pytest.skip("resnet reference path at large batch is too slow for CI")
@@ -117,9 +117,11 @@ def test_train_step_speedup(best_of, results_dir, models, model_name, batch):
         optimizer.step()
 
     repeats = 3 if model_name == "resnet" else 5
+    monkeypatch.delenv("REPRO_FORCE_REFERENCE", raising=False)
     fused_seconds = best_of(step, repeats=repeats)
-    with F.use_reference_kernels():
-        reference_seconds = best_of(step, repeats=repeats)
+    monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
+    reference_seconds = best_of(step, repeats=repeats)
+    monkeypatch.delenv("REPRO_FORCE_REFERENCE")
     speedup = reference_seconds / fused_seconds
 
     # the fused path must not lose to the reference (0.8 floor leaves room

@@ -939,10 +939,10 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
     needs_weight = 2 in by_pos or 3 in by_pos
     if needs_input:
         dcols = np.empty((2 * patch, n_cols), dtype)
-        if F.reference_kernels_enabled():
+        adjoint = F.col2im_kernel()
+        if adjoint is F.col2im_reference:
             def col2im_fn(columns):
-                image = F.col2im_reference(columns, stacked_shape, kernel,
-                                           stride, padding)
+                image = adjoint(columns, stacked_shape, kernel, stride, padding)
                 return image[:, :in_channels], image[:, in_channels:]
         else:
             col2im_fn = _make_col2im_planes(stacked_shape, in_channels,

@@ -11,6 +11,9 @@ lowered by :mod:`repro.core.train_plan` to a flat instruction plan
 (forward + backward + optimizer update on preallocated buffers).  Later
 steps with the same shapes replay the plan; anything the tracer cannot
 lower (dropout, custom ops) falls back to the eager tape transparently.
+Under ``REPRO_FORCE_REFERENCE=1`` (:func:`repro.reference.enabled`) every
+step runs the eager tape, the plan's reference: the reference kernels it
+then records have no replay emitter.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import reference
 from repro.assignment import AssignmentScheme
 from repro.core.config import TrainingConfig
 from repro.core.train_plan import PlanUnsupported, TrainStepPlan, compile_train_step
@@ -153,7 +157,7 @@ class Trainer:
     def plan_stats(self) -> dict:
         """Diagnostics of the plan compiler: per-shape stats and fallbacks."""
         return {
-            "enabled": self._plan_enabled,
+            "enabled": self._plan_enabled and not reference.enabled(),
             "compiled": len(self._plans),
             "fallback_reason": self._plan_fallback_reason,
             "plans": {str(key): plan.stats for key, plan in self._plans.items()},
@@ -161,7 +165,7 @@ class Trainer:
 
     def train_step(self, images: np.ndarray, labels: np.ndarray):
         """One optimizer update; returns ``(batch loss, predicted labels)``."""
-        if self._plan_enabled and self.model.training:
+        if self._plan_enabled and not reference.enabled() and self.model.training:
             return self._planned_step(images, labels)
         return self._eager_step(images, labels)
 

@@ -6,9 +6,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from repro import reference
 from repro.nn.complex.ctensor import ComplexTensor
 from repro.nn.module import Module, Parameter
-from repro.tensor import functional as F
 from repro.tensor.random import complex_init, default_rng
 
 IntPair = Union[int, Tuple[int, int]]
@@ -30,7 +30,8 @@ class ComplexConv2d(Module):
     ``[[Wr, -Wi], [Wi, Wr]]`` as a single wide matmul per direction.
     :meth:`forward_reference` keeps the literal
     4-real-convolution formulation above as an executable specification,
-    and the two are gradcheck-parity-pinned to 1e-8 in the test-suite.
+    and the two are gradcheck-parity-pinned to 1e-8 in the test-suite;
+    :meth:`forward` runs the reference under ``REPRO_FORCE_REFERENCE=1``.
 
     The channel counts refer to *complex* channels; with OplixNet's
     channel-lossless assignment, a CNN with ``C`` real channels becomes a
@@ -64,7 +65,7 @@ class ComplexConv2d(Module):
     def forward(self, inputs: ComplexTensor) -> ComplexTensor:
         from repro.nn.complex import cfunctional
 
-        if F.reference_kernels_enabled():
+        if reference.enabled():
             return self.forward_reference(inputs)
         return cfunctional.complex_conv2d(
             inputs, self.weight_real, self.weight_imag,

@@ -42,7 +42,6 @@ from repro.tensor import functional as F
 from repro.tensor.functional import (
     IntPair,
     _as_pair,
-    col2im_reference,
     conv2d_reference,
     im2col,
 )
@@ -203,7 +202,7 @@ def complex_conv2d(inputs: ComplexTensor,
     stacked_shape = (batch, 2 * in_channels, height, width)
     kernel = (kernel_h, kernel_w)
     patch = in_channels * kernel_h * kernel_w
-    col2im_fn = col2im_reference if F.reference_kernels_enabled() else F._col2im_fast
+    col2im_fn = F.col2im_kernel()
 
     # one extraction covers both planes: stacking along channels makes the
     # top `patch` column rows the real plane and the bottom the imaginary one

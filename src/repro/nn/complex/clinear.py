@@ -6,10 +6,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro import reference
 from repro.nn.complex.ctensor import ComplexTensor
 from repro.nn.complex.expansion import complex_matrix_to_real
 from repro.nn.module import Module, Parameter
-from repro.tensor import functional as F
 from repro.tensor.random import complex_init, default_rng
 
 
@@ -28,7 +28,8 @@ class ComplexLinear(Module):
     :func:`~repro.nn.complex.cfunctional.complex_linear` (three matmuls
     forward, six backward instead of 4 + 8); :meth:`forward_reference` keeps
     the literal 4-real-product expansion above as an executable
-    specification, gradcheck-parity-pinned to 1e-8 in the test-suite.
+    specification, gradcheck-parity-pinned to 1e-8 in the test-suite, and
+    :meth:`forward` runs it under ``REPRO_FORCE_REFERENCE=1``.
     """
 
     def __init__(self, in_features: int, out_features: int, bias: bool = True,
@@ -52,7 +53,7 @@ class ComplexLinear(Module):
     def forward(self, inputs: ComplexTensor) -> ComplexTensor:
         from repro.nn.complex import cfunctional
 
-        if F.reference_kernels_enabled():
+        if reference.enabled():
             return self.forward_reference(inputs)
         return cfunctional.complex_linear(
             inputs, self.weight_real, self.weight_imag,

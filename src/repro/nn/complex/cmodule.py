@@ -101,8 +101,7 @@ class ComplexMaxPool2d(Module):
         max_idx = columns.argmax(axis=0)
         # capture the adjoint kernel at forward time (same contract as the
         # closures in repro.tensor.functional)
-        col2im_fn = (F.col2im_reference if F.reference_kernels_enabled()
-                     else F._col2im_fast)
+        col2im_fn = F.col2im_kernel()
 
         def gather(part: Tensor) -> Tensor:
             part_reshaped = part.reshape(batch * channels, 1, height, width)

@@ -1,38 +1,18 @@
-"""Batch-normalisation layers with running statistics."""
+"""Batch-normalisation layers with running statistics.
+
+Training runs one fused :func:`repro.tensor.functional.batch_norm` node; the
+composed op-by-op graph is its bit-identical reference (pinned in the
+test-suite) and runs under ``REPRO_FORCE_REFERENCE=1``.
+"""
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
+from repro import reference
 from repro.nn.module import Module, Parameter
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
-
-_COMPOSED_MODE = False
-
-
-@contextlib.contextmanager
-def use_composed_batch_norm():
-    """Route training-mode batch norm through the composed op-by-op graph.
-
-    The fused :func:`repro.tensor.functional.batch_norm` node is bit-identical
-    to the composed formulation (pinned in the test-suite); this context keeps
-    the composed graph executable as the reference and as the pre-fusion
-    baseline for the training benchmarks.
-    """
-    global _COMPOSED_MODE
-    previous = _COMPOSED_MODE
-    _COMPOSED_MODE = True
-    try:
-        yield
-    finally:
-        _COMPOSED_MODE = previous
-
-
-def composed_batch_norm_enabled() -> bool:
-    return _COMPOSED_MODE
 
 
 class _BatchNorm(Module):
@@ -80,7 +60,7 @@ class _BatchNorm(Module):
         axes = self._reduce_axes(inputs)
         shape = self._param_shape(inputs)
         if self.training:
-            if not composed_batch_norm_enabled():
+            if not reference.enabled():
                 return F.batch_norm(inputs, self.weight, self.bias, axes, shape,
                                     self.eps, stats_hook=self._update_running_stats)
             mean = inputs.mean(axis=axes, keepdims=True)

@@ -2,20 +2,20 @@
 
 The package ships :file:`cchain.c` as source and compiles it on first use
 (:mod:`repro.photonics._native.build`); :func:`kernel` returns the loaded
-kernel or ``None``, and every caller treats ``None`` as "run the pure-numpy
-reference path".  See the build module for the environment knobs
-(``REPRO_FORCE_REFERENCE``, ``REPRO_NATIVE_CC``, ``REPRO_NATIVE_CACHE``).
+kernel, or ``None`` when it is unavailable or ``REPRO_FORCE_REFERENCE=1``
+(:mod:`repro.reference`), and every caller treats ``None`` as "run the
+pure-numpy reference path".  See the build module for the toolchain knobs
+(``REPRO_NATIVE_CC``, ``REPRO_NATIVE_CACHE``).
 """
 
 from repro.photonics._native.build import (  # noqa: F401
     ChainKernel,
     build_info,
     cache_dir,
-    force_reference_enabled,
     kernel,
     load_error,
     reset,
 )
 
-__all__ = ["ChainKernel", "build_info", "cache_dir", "force_reference_enabled",
-           "kernel", "load_error", "reset"]
+__all__ = ["ChainKernel", "build_info", "cache_dir", "kernel", "load_error",
+           "reset"]

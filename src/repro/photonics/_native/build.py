@@ -14,12 +14,9 @@ from reaching C.  Every failure mode -- no C compiler on PATH, a failed
 compile, a failed ``dlopen`` -- degrades to ``None`` with one logged message, after which the
 pure-numpy paths carry the process exactly as before.
 
-Environment knobs:
+Under ``REPRO_FORCE_REFERENCE=1`` (:mod:`repro.reference`) :func:`kernel`
+returns ``None``.  Environment knobs:
 
-``REPRO_FORCE_REFERENCE``
-    Truthy value disables the native kernel entirely (checked per call, so a
-    test can flip it without reloading modules); the numpy reference paths
-    run everywhere.  CI runs the full suite once in this mode.
 ``REPRO_NATIVE_CC``
     Compiler executable to use instead of ``$CC``/``cc``/``gcc``/``clang``.
     Pointing it at a nonexistent binary simulates a toolchain-less host.
@@ -42,21 +39,13 @@ from typing import Optional
 
 import numpy as np
 
+from repro import reference
+
 logger = logging.getLogger(__name__)
 
 SOURCE_PATH = Path(__file__).with_name("cchain.c")
 
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-fno-math-errno")
-
-
-def _env_truthy(name: str) -> bool:
-    value = os.environ.get(name, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
-
-
-def force_reference_enabled() -> bool:
-    """Whether ``REPRO_FORCE_REFERENCE`` pins execution to the numpy paths."""
-    return _env_truthy("REPRO_FORCE_REFERENCE")
 
 
 def _find_compiler() -> str:
@@ -222,10 +211,9 @@ def kernel() -> Optional[ChainKernel]:
     """The loaded native kernel, or None (unavailable or force-disabled).
 
     The build/load is attempted once per process and the outcome cached; the
-    ``REPRO_FORCE_REFERENCE`` gate is re-read on every call so tests and the
-    reference CI leg can flip it without reloading modules.
+    reference switch is re-read on every call.
     """
-    if force_reference_enabled():
+    if reference.enabled():
         return None
     global _KERNEL, _ATTEMPTED, _LOAD_ERROR
     if not _ATTEMPTED:
@@ -263,7 +251,7 @@ def build_info() -> dict:
     loaded = kernel()
     info = {
         "available": loaded is not None,
-        "forced_reference": force_reference_enabled(),
+        "forced_reference": reference.enabled(),
         "source": str(SOURCE_PATH),
         "cache_dir": str(cache_dir()),
         "load_error": _LOAD_ERROR,

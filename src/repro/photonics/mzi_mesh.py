@@ -57,6 +57,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+from repro import reference
 from repro.photonics import engine
 from repro.photonics.components import mzi_transfer
 
@@ -139,7 +140,7 @@ def _log_native_fallback() -> None:
 
         reason = _native.load_error() or (
             "disabled by REPRO_FORCE_REFERENCE"
-            if _native.force_reference_enabled() else "kernel not loaded")
+            if reference.enabled() else "kernel not loaded")
         logger.warning("mesh backend 'cchain' requested but the native kernel "
                        "is unavailable (%s); executing the numpy column "
                        "program instead", reason)

@@ -23,19 +23,20 @@ so both directions are built for speed:
 The seed implementations survive as :func:`im2col_reference`,
 :func:`col2im_reference` and :func:`conv2d_reference` -- executable
 specifications pinned by the parity tests and used as the baseline of
-``benchmarks/test_bench_train.py``.  :func:`use_reference_kernels` routes the
-whole module through them to reproduce the pre-optimization path end-to-end.
+``benchmarks/test_bench_train.py``.  ``REPRO_FORCE_REFERENCE=1``
+(:mod:`repro.reference`) routes :func:`im2col`, :func:`col2im` and every
+backward adjoint (:func:`col2im_kernel`) through them.
 """
 
 from __future__ import annotations
 
-import contextlib
 from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import reference
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor, ensure_tensor, mark_trace_volatile
 
@@ -46,36 +47,6 @@ def _as_pair(value: IntPair) -> Tuple[int, int]:
     if isinstance(value, tuple):
         return value
     return (int(value), int(value))
-
-
-_REFERENCE_MODE = False
-
-
-def reference_kernels_enabled() -> bool:
-    """Whether im2col/col2im/conv currently route through the seed kernels."""
-    return _REFERENCE_MODE
-
-
-@contextlib.contextmanager
-def use_reference_kernels():
-    """Route convolution/pooling kernels through the seed implementations.
-
-    Inside the context, :func:`im2col`, :func:`col2im` and :func:`conv2d`
-    dispatch to their ``*_reference`` counterparts (index-table gather,
-    ``np.add.at`` scatter) and the complex layers fall back to the
-    4-real-multiplication formulation.  Backward closures capture the kernel
-    selection at forward time, so a forward pass recorded inside the context
-    also back-propagates through the reference kernels.  Used by the training
-    benchmark to measure the fused fast path against the pre-optimization
-    path.
-    """
-    global _REFERENCE_MODE
-    previous = _REFERENCE_MODE
-    _REFERENCE_MODE = True
-    try:
-        yield
-    finally:
-        _REFERENCE_MODE = previous
 
 
 # --------------------------------------------------------------------------- #
@@ -240,7 +211,7 @@ def im2col(inputs: np.ndarray,
     through a ``sliding_window_view`` -- a zero-copy strided view -- so the
     only data movement is the one contiguous reshape copy of the output.
     """
-    if _REFERENCE_MODE:
+    if reference.enabled():
         return im2col_reference(inputs, kernel_size, stride, padding)
     batch, channels, _height, _width = inputs.shape
     kernel_h, kernel_w = kernel_size
@@ -313,9 +284,16 @@ def col2im(columns: np.ndarray,
     * **shifted accumulation** -- for large per-window blocks, ``kh * kw``
       strided in-place adds of contiguous image-shaped slabs.
     """
-    if _REFERENCE_MODE:
-        return col2im_reference(columns, input_shape, kernel_size, stride, padding)
-    return _col2im_fast(columns, input_shape, kernel_size, stride, padding)
+    return col2im_kernel()(columns, input_shape, kernel_size, stride, padding)
+
+
+def col2im_kernel():
+    """The col2im adjoint the reference switch selects.
+
+    Backward closures capture it at forward time, so a recorded pass
+    back-propagates through the kernel it was recorded with.
+    """
+    return col2im_reference if reference.enabled() else _col2im_fast
 
 
 def _col2im_fast(columns: np.ndarray,
@@ -323,12 +301,7 @@ def _col2im_fast(columns: np.ndarray,
                  kernel_size: Tuple[int, int],
                  stride: Tuple[int, int],
                  padding: Tuple[int, int]) -> np.ndarray:
-    """The reshape/bincount/shifted adjoint behind :func:`col2im`.
-
-    Backward closures capture this function (or :func:`col2im_reference`)
-    directly, so the kernel used by a recorded pass is fixed at forward time
-    regardless of the mode active when ``backward()`` later runs.
-    """
+    """The reshape/bincount/shifted adjoint behind :func:`col2im`."""
     batch, channels, height, width = input_shape
     kernel_h, kernel_w = kernel_size
     stride_h, stride_w = stride
@@ -403,9 +376,7 @@ def conv2d(inputs: Tensor,
     inputs, weight, stride, padding = _conv2d_checked(inputs, weight, stride, padding)
     batch = inputs.shape[0]
     out_channels, _in_channels, kernel_h, kernel_w = weight.shape
-    # capture the kernel selection at forward time so that a pass recorded
-    # inside use_reference_kernels() also back-propagates through it
-    col2im_fn = col2im_reference if _REFERENCE_MODE else _col2im_fast
+    col2im_fn = col2im_kernel()
 
     columns, (out_h, out_w) = im2col(inputs.data, (kernel_h, kernel_w), stride, padding)
     weight_matrix = weight.data.reshape(out_channels, -1)
@@ -492,7 +463,7 @@ def max_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] =
     out_h = _conv_output_size(height, kernel[0], stride[0], 0)
     out_w = _conv_output_size(width, kernel[1], stride[1], 0)
     pool_shape = (batch * channels, 1, height, width)
-    col2im_fn = col2im_reference if _REFERENCE_MODE else _col2im_fast
+    col2im_fn = col2im_kernel()
 
     # Treat each channel independently by folding channels into the batch axis.
     reshaped = inputs.data.reshape(pool_shape)
@@ -529,7 +500,7 @@ def avg_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] =
     out_w = _conv_output_size(width, kernel[1], stride[1], 0)
     window = kernel[0] * kernel[1]
     pool_shape = (batch * channels, 1, height, width)
-    col2im_fn = col2im_reference if _REFERENCE_MODE else _col2im_fast
+    col2im_fn = col2im_kernel()
 
     reshaped = inputs.data.reshape(pool_shape)
     columns, _ = im2col(reshaped, kernel, stride, (0, 0))

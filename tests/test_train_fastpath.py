@@ -31,7 +31,6 @@ from repro.tensor.functional import (
     col2im_reference,
     im2col,
     im2col_reference,
-    use_reference_kernels,
 )
 from repro.tensor.tensor import trace_tape
 
@@ -85,12 +84,13 @@ class TestFusedComplexConv2d:
                   [real, imag, layer.weight_real, layer.weight_imag,
                    layer.bias_real, layer.bias_imag], atol=1e-4)
 
-    def test_layer_routes_through_fused_kernel(self, rng):
+    def test_layer_routes_through_fused_kernel(self, rng, monkeypatch):
         layer = ComplexConv2d(2, 3, 3, rng=np.random.default_rng(5))
         xr, xi = rng.normal(size=(2, 2, 6, 6)), rng.normal(size=(2, 2, 6, 6))
+        monkeypatch.delenv("REPRO_FORCE_REFERENCE", raising=False)
         fast = layer(ComplexTensor(Tensor(xr), Tensor(xi)))
-        with use_reference_kernels():
-            slow = layer(ComplexTensor(Tensor(xr), Tensor(xi)))
+        monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
+        slow = layer(ComplexTensor(Tensor(xr), Tensor(xi)))
         assert np.allclose(fast.to_complex_array(), slow.to_complex_array(), atol=1e-10)
 
     def test_channel_mismatch_raises(self, rng):
@@ -209,12 +209,13 @@ class TestIm2ColFastPath:
             rhs = float((x * col2im(y, shape, kernel, stride, padding)).sum())
             assert np.isclose(lhs, rhs)
 
-    def test_reference_mode_round_trips_backward(self, rng):
+    def test_reference_mode_round_trips_backward(self, rng, monkeypatch):
         """A pass recorded under reference kernels backpropagates through them."""
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.2, requires_grad=True)
-        with use_reference_kernels():
-            out = F.conv2d(x, w, None, stride=1, padding=1)
+        monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
+        out = F.conv2d(x, w, None, stride=1, padding=1)
+        monkeypatch.delenv("REPRO_FORCE_REFERENCE")
         (out ** 2).sum().backward()
         reference_grad = x.grad.copy()
         x.zero_grad(); w.zero_grad()

@@ -20,6 +20,16 @@ from repro.nn import Dropout, Linear, Module, ReLU, Sequential
 from repro.tensor.random import seed_all
 
 
+@pytest.fixture(autouse=True)
+def _fast_kernels(monkeypatch):
+    """The plan contract is stated over the fast kernels.
+
+    Under ``REPRO_FORCE_REFERENCE`` every trainer runs the eager tape, so
+    the forced-reference leg would have no plan to compare against.
+    """
+    monkeypatch.delenv("REPRO_FORCE_REFERENCE", raising=False)
+
+
 def flat_dataset(rng):
     samples, height, width = 60, 6, 6
     labels = np.arange(samples) % 2
