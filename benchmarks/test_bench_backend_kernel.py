@@ -11,9 +11,14 @@ Records to ``benchmarks/latest/backend_kernel.json``:
   once per matrix there (below ``BATCHED_CHAIN_MIN_STACK``), and CI pins a
   conservative 1.5x floor on the kernel's gain.
 * **Warm dense apply** -- the cached dense transfer matmul against the
-  column program and, when loaded, the native kernel, at dimension 16 and
-  at ``engine.DENSE_DIMENSION_LIMIT``: the sizes the ``"auto"`` backend
-  sends down the dense path must be ones where it wins.
+  column program and, when loaded, the native kernel, at the widths the
+  plan now fuses (16, 96, 144, 160): ``"auto"`` sends every unbatched mesh
+  down the dense path, so it must win at each of them.
+* **Dense build** -- the native identity build
+  (:meth:`~repro.photonics.mzi_mesh.MeshDecomposition.reconstruct` on the
+  kernel) against the column-program oracle :func:`engine.dense_transfer`,
+  parity-pinned to 1e-12, with a conservative 2x floor at 160 modes: the
+  plan builds every fused stage's unitaries this way at compile time.
 
 Without a C toolchain, or under the reference switch
 (:func:`repro.reference.enabled`), every kernel test here auto-skips with a
@@ -46,6 +51,7 @@ _results: dict = {
     "propagate": [],
     "clements_chain": [],
     "dense_apply": [],
+    "dense_build": [],
 }
 
 
@@ -164,7 +170,7 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
             f"two-matrix Clements stack only {speedup:.2f}x over numpy")
 
 
-@pytest.mark.parametrize("dimension", [16, engine.DENSE_DIMENSION_LIMIT])
+@pytest.mark.parametrize("dimension", [16, 96, 144, 160])
 def test_warm_dense_apply_beats_chain_backends(best_of, results_dir, dimension):
     """The cached dense matmul must beat every chain backend where auto uses it."""
     batch = 32
@@ -195,3 +201,32 @@ def test_warm_dense_apply_beats_chain_backends(best_of, results_dir, dimension):
     for backend in ("column", "cchain"):
         if seconds[backend] is not None:
             assert seconds["dense"] < seconds[backend], (backend, seconds)
+
+
+@pytest.mark.parametrize("dimension", [96, 160])
+def test_native_dense_build_vs_column_oracle(best_of, results_dir, dimension):
+    """The native identity build must match and clearly beat dense_transfer."""
+    _require_kernel(results_dir)
+    rng = np.random.default_rng(dimension)
+    mesh = clements_decompose(_random_unitary(dimension, rng))
+    program = mesh.compiled()
+
+    def oracle():
+        return engine.dense_transfer(program, mesh.thetas, mesh.phis,
+                                     mesh.output_phases)
+
+    parity = float(np.abs(mesh.reconstruct() - oracle()).max())
+    assert parity <= 1e-12
+    native_seconds = best_of(mesh.reconstruct, repeats=5)
+    column_seconds = best_of(oracle, repeats=5)
+    speedup = column_seconds / native_seconds
+    _results["dense_build"].append({
+        "dimension": dimension, "native_seconds": native_seconds,
+        "column_seconds": column_seconds, "speedup": speedup,
+        "parity": parity,
+    })
+    _save(results_dir)
+    if dimension == 160:
+        # the CI floor: measured around 4x on a 2-vCPU host; the floor
+        # leaves room for shared-runner noise
+        assert speedup >= 2.0, f"native dense build only {speedup:.2f}x"

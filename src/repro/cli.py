@@ -382,17 +382,17 @@ def _run_precompile(args: argparse.Namespace) -> None:
 
 def _run_backends(args: argparse.Namespace) -> None:
     """List mesh execution backends and the native-kernel build state."""
-    from repro.photonics import _native, engine
+    from repro.photonics import _native
     from repro.photonics.mzi_mesh import MeshDecomposition
 
     kernel = _native.kernel()
     info = _native.build_info()
     rows = [
-        ["dense", "yes", "cached unitary matmul (small meshes)"],
+        ["dense", "yes", "cached unitary matmul"],
         ["column", "yes", "vectorized numpy column program (reference)"],
         ["cchain", "yes" if kernel is not None else "no",
          "compiled C rotation-chain kernel"],
-        ["auto", "yes", "dense up to the size limit, then cchain, then column"],
+        ["auto", "yes", "dense when unbatched, column for noise ensembles"],
     ]
     print(format_table(["backend", "available", "description"], rows,
                        title="Mesh execution backends (MeshDecomposition.BACKENDS)"))
@@ -404,7 +404,6 @@ def _run_backends(args: argparse.Namespace) -> None:
     error = _native.load_error()
     if error:
         print(f"  load error: {error}")
-    print(f"  dense size limit: {engine.DENSE_DIMENSION_LIMIT}")
 
     payload = {"backends": list(MeshDecomposition.BACKENDS),
                "native": info, "load_error": error}

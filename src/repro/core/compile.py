@@ -89,9 +89,9 @@ class CompileOptions:
     Parameters
     ----------
     backend:
-        How compiled meshes execute: ``"auto"`` (cached dense matmul up to
-        ``engine.DENSE_DIMENSION_LIMIT``, then the native ``cchain`` kernel
-        when it is loaded, then the compiled numpy column program), ``"dense"`` /
+        How compiled meshes execute: ``"auto"`` (every unbatched stage, at
+        any mesh size, folds into one effective matmul; trials-batched noise
+        ensembles run the compiled numpy column program), ``"dense"`` /
         ``"column"`` to force one path, or ``"cchain"`` to request the
         native C chain kernel (logged fallback to the column program on
         hosts without a C toolchain; see

@@ -250,7 +250,8 @@ class GraphProgram:
         values: Dict[str, np.ndarray] = {INPUT: np.asarray(signal, dtype=complex)}
         for index, node in enumerate(self.nodes):
             values[node.name] = node.op.forward(*(values[name] for name in node.inputs))
-            for name in node.inputs:
+            # a node may read one value twice (``x + x``): free it once
+            for name in set(node.inputs):
                 if self._last_use.get(name, -1) == index:
                     del values[name]
         return values[self.output]

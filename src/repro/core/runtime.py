@@ -11,17 +11,15 @@ node-walk repeats on every call.  Every plan applies all four:
   the graph's last-use table and mapped onto a small set of reusable slots by
   a linear scan -- the per-call consumer refcounting (and its dict churn) of
   the node-walk disappears.
-* **Eager dense transfer matrices.**  A mesh stage whose two SVD meshes both
-  execute on the dense path is folded into a *single* effective complex
-  matrix ``scale * U @ diag(S) @ V`` at plan time; the stage becomes one
-  matmul (plus electronic bias and optional in-place CReLU) instead of two
-  mesh applications with an intermediate.  Linear stages that must run on
-  the rotation-chain path (forced ``"column"``/``"cchain"`` backends, meshes
-  above ``engine.DENSE_DIMENSION_LIMIT``, trials-batched noise ensembles)
-  lower to a :class:`ChainInstruction` -- two mesh applications that resolve
-  to the native ``cchain`` kernel when it is loaded, with bias/CReLU applied
-  in place -- and their dense caches are still warmed eagerly where the
-  policy allows.
+* **Eager effective matrices.**  Under ``backend="auto"`` every unbatched
+  mesh stage, whatever its width, is folded into a *single* effective
+  complex matrix ``scale * U @ diag(S) @ V`` at plan time; the stage
+  becomes one matmul (plus electronic bias and optional in-place CReLU)
+  instead of two mesh simulations with an intermediate.  Stages that must
+  simulate the chain (a forced ``"column"``/``"cchain"`` backend,
+  trials-batched noise ensembles) stay unfused: linear ones lower to a
+  :class:`ChainInstruction` (native ``cchain`` kernel when loaded,
+  bias/CReLU in place), conv ones to a :class:`CallInstruction`.
 * **Electronic-affine peephole.**  Chains of adjacent electronic affine ops
   (eval-mode batch norms folded to per-channel scale/shift) whose
   intermediate value has no other consumer are composed into a single
@@ -169,8 +167,8 @@ class ChainInstruction:
     """A linear mesh stage executing on the rotation-chain path, unfused.
 
     Chosen for linear stages the plan may *not* fold into a dense matmul --
-    forced ``"column"``/``"cchain"`` backends, dimensions above the dense
-    limit, trials-batched noise ensembles.  The two mesh applications route
+    forced ``"column"``/``"cchain"`` backends and trials-batched noise
+    ensembles.  The two mesh applications route
     through :meth:`~repro.photonics.mzi_mesh.MeshDecomposition.apply`, which
     resolves to the native ``cchain`` kernel when it is loaded (one C call
     per mesh) or the numpy column program otherwise; the electronic bias and
@@ -283,27 +281,6 @@ class ExecutionPlan:
 # --------------------------------------------------------------------------- #
 # plan compilation
 # --------------------------------------------------------------------------- #
-def _stage_fusible(stage: Any) -> bool:
-    """Whether a mesh stage may fold into one eager dense matrix.
-
-    Both SVD meshes must execute on the dense path under their own backend
-    policy -- a forced ``"column"`` backend keeps simulating the column
-    program, and trials-batched (noise-ensemble) meshes under ``"auto"``
-    stay on the vectorized column path.
-    """
-    matrix = stage.layer.photonic_matrix
-    return (matrix.left_mesh.uses_dense_path()
-            and matrix.right_mesh.uses_dense_path())
-
-
-def _materialize_dense_caches(stage: Any) -> None:
-    """Eagerly build the dense transfer matrices an unfused stage will use."""
-    matrix = stage.layer.photonic_matrix
-    for mesh in (matrix.left_mesh, matrix.right_mesh):
-        if mesh.uses_dense_path():
-            mesh._dense_matrix(0.0)
-
-
 def _fuse_affine_nodes(nodes: List[GraphNode],
                        output: str) -> Tuple[List[GraphNode], str]:
     """Compose chains of adjacent electronic affine ops into single nodes.
@@ -406,13 +383,17 @@ def compile_plan(graph: Any) -> ExecutionPlan:
 
         op = node.op
         may_pool = node.name not in escapes
-        if isinstance(op, LinearStage) and _stage_fusible(op):
+        # fusibility is a property of the program, not of the mesh size:
+        # both meshes dense under their own policy, whatever their width
+        fusible = (isinstance(op, (LinearStage, Conv2dStage))
+                   and op.layer.photonic_matrix.uses_dense_path())
+        if fusible and isinstance(op, LinearStage):
             instructions.append(MatmulInstruction(
                 weight_t=bake(op), bias=op.layer.bias,
                 activation=op.activation_after, in_slot=in_slots[0],
                 out_slot=out_slot, index=index, pooled=may_pool))
             fused_matmuls += 1
-        elif isinstance(op, Conv2dStage) and _stage_fusible(op):
+        elif fusible:
             instructions.append(ConvInstruction(
                 stage=op, weight_t=bake(op),
                 in_slot=in_slots[0], out_slot=out_slot, index=index,
@@ -423,9 +404,7 @@ def compile_plan(graph: Any) -> ExecutionPlan:
                 op=op, in_slot=in_slots[0], out_slot=out_slot))
         elif isinstance(op, LinearStage):
             # unfused mesh stage: runs on the rotation-chain path (native
-            # cchain kernel when loaded, numpy column program otherwise);
-            # meshes whose own policy still allows dense get warmed eagerly
-            _materialize_dense_caches(op)
+            # cchain kernel when loaded, numpy column program otherwise)
             matrix = op.layer.photonic_matrix
             resolved = sorted({matrix.left_mesh.resolve_backend(),
                                matrix.right_mesh.resolve_backend()})
@@ -434,8 +413,6 @@ def compile_plan(graph: Any) -> ExecutionPlan:
                 in_slot=in_slots[0], out_slot=out_slot))
             chain_stages += 1
         else:
-            if isinstance(op, Conv2dStage):
-                _materialize_dense_caches(op)
             instructions.append(CallInstruction(op=op, in_slots=in_slots,
                                                 out_slot=out_slot))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 import repro
 from repro.assignment import get_scheme
-from repro.core.compile import CompiledProgram
+from repro.core.compile import CompileOptions, CompiledProgram
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.shard import ServiceOverloadedError, ShardedInferenceService
 
@@ -166,11 +166,14 @@ def run_shard_benchmark(model: Any, scheme: Any, image_shape: Sequence[int],
                         images_per_request: int = 4, max_batch: int = 32,
                         max_latency_s: float = 0.002, seed: int = 0,
                         warmup_requests: int = 8,
-                        store_path: Optional[str] = None) -> List[ShardRow]:
+                        store_path: Optional[str] = None,
+                        options: Optional[CompileOptions] = None) -> List[ShardRow]:
     """Fire one request wave per worker count and pin parity per request.
 
     The expected logits come from the oracle of the *same* model compiled
     in-process: ``readout(graph.forward_reference(encode_images(...)))``.
+    ``options`` reaches both that compile and every worker's deploy, so a
+    forced backend changes what the workers compute, not only the oracle.
     Every sharded result is compared against its row before timings are
     reported.  Clients that hit admission control back off and retry
     (counted in ``overload_retries``), so the numbers describe a
@@ -178,7 +181,7 @@ def run_shard_benchmark(model: Any, scheme: Any, image_shape: Sequence[int],
     """
     rng = np.random.default_rng(seed)
     pool = rng.normal(size=(requests, images_per_request, *image_shape))
-    program = repro.compile(model)
+    program = repro.compile(model, options=options)
     signal = program.encode_images(
         pool.reshape(-1, *image_shape),
         get_scheme(scheme) if isinstance(scheme, str) else scheme)
@@ -190,7 +193,7 @@ def run_shard_benchmark(model: Any, scheme: Any, image_shape: Sequence[int],
         with ShardedInferenceService(workers=int(workers), max_batch=max_batch,
                                      max_latency_s=max_latency_s,
                                      store_path=store_path) as service:
-            service.deploy("bench", model, scheme, image_shape)
+            service.deploy("bench", model, scheme, image_shape, options=options)
             for index in range(min(warmup_requests, requests)):
                 service.logits("bench", pool[index])
 

@@ -50,11 +50,21 @@ static void mzi_blocks(const double *thetas, const double *phis, long n_mzi,
     }
 }
 
+/* Rows per tile of the propagate walk: each MZI block is read once per tile
+ * instead of once per row, and a tile of rows (8 x dim complex) stays in L1
+ * for the meshes the compiler builds. */
+#define PROPAGATE_TILE_ROWS 8
+
 /* Propagate `batch` complex state rows of length `dim` through the MZI chain
  * in flat application order, then apply the output phase screen.  Applying
  * the MZIs sequentially is exactly the column program's semantics: the
  * greedy column schedule preserves per-mode application order, so columns
  * are only a vectorization of this walk (reference_apply is the same walk).
+ *
+ * Rows are independent, so the walk runs over tiles of PROPAGATE_TILE_ROWS
+ * rows: every MZI is applied to the whole tile before the next block is
+ * read.  Each row sees the same arithmetic in the same order as a one-row
+ * call, so the result is bit-identical for every batch size.
  *
  * work:          (batch, dim) complex128, interleaved, mutated in place
  * modes:         (n_mzi,) upper mode index of each MZI, application order
@@ -68,29 +78,35 @@ int cchain_propagate(double *work, long batch, long dim,
                      const double *output_phases, double transmission)
 {
     double *blocks = NULL;
-    long b, k, j;
+    long start, b, k, j;
     if (n_mzi > 0) {
         blocks = (double *) malloc((size_t)(8 * n_mzi) * sizeof(double));
         if (blocks == NULL)
             return -1;
         mzi_blocks(thetas, phis, n_mzi, transmission, blocks);
     }
-    for (b = 0; b < batch; ++b) {
-        double *row = work + 2 * b * dim;
+    for (start = 0; start < batch; start += PROPAGATE_TILE_ROWS) {
+        long stop = start + PROPAGATE_TILE_ROWS < batch
+                        ? start + PROPAGATE_TILE_ROWS : batch;
         for (k = 0; k < n_mzi; ++k) {
             const double *t = blocks + 8 * k;
-            double *u = row + 2 * modes[k];
-            double ur = u[0], ui = u[1], lr = u[2], li = u[3];
-            u[0] = t[0] * ur - t[1] * ui + t[2] * lr - t[3] * li;
-            u[1] = t[0] * ui + t[1] * ur + t[2] * li + t[3] * lr;
-            u[2] = t[4] * ur - t[5] * ui + t[6] * lr - t[7] * li;
-            u[3] = t[4] * ui + t[5] * ur + t[6] * li + t[7] * lr;
+            double *u = work + 2 * (start * dim + modes[k]);
+            for (b = start; b < stop; ++b, u += 2 * dim) {
+                double ur = u[0], ui = u[1], lr = u[2], li = u[3];
+                u[0] = t[0] * ur - t[1] * ui + t[2] * lr - t[3] * li;
+                u[1] = t[0] * ui + t[1] * ur + t[2] * li + t[3] * lr;
+                u[2] = t[4] * ur - t[5] * ui + t[6] * lr - t[7] * li;
+                u[3] = t[4] * ui + t[5] * ur + t[6] * li + t[7] * lr;
+            }
         }
-        for (j = 0; j < dim; ++j) {
-            double pr = output_phases[2 * j], pi = output_phases[2 * j + 1];
-            double vr = row[2 * j], vi = row[2 * j + 1];
-            row[2 * j] = vr * pr - vi * pi;
-            row[2 * j + 1] = vr * pi + vi * pr;
+        for (b = start; b < stop; ++b) {
+            double *row = work + 2 * b * dim;
+            for (j = 0; j < dim; ++j) {
+                double pr = output_phases[2 * j], pi = output_phases[2 * j + 1];
+                double vr = row[2 * j], vi = row[2 * j + 1];
+                row[2 * j] = vr * pr - vi * pi;
+                row[2 * j + 1] = vr * pi + vi * pr;
+            }
         }
     }
     free(blocks);

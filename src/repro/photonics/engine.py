@@ -18,9 +18,12 @@ a small compiler pipeline:
    scheduled columns.  Phases may carry a leading *trials* axis -- a whole
    ensemble of noise realizations propagates in one vectorized pass.
 4. :func:`dense_transfer` multiplies the mesh out into a dense matrix by
-   propagating the identity, so small meshes can be applied with a single
-   matmul (the dense matrix is cached on :class:`MeshDecomposition` and
-   invalidated when phases are mutated).
+   propagating the identity through the column program, so a mesh can be
+   applied with a single matmul.  It is the oracle of the dense build:
+   :meth:`MeshDecomposition.reconstruct` pushes the identity through
+   :func:`native_propagate` instead when the kernel is loaded, and the dense
+   matrix is cached on :class:`MeshDecomposition` and invalidated when
+   phases are mutated.
 
 :func:`reference_apply` keeps the original per-MZI walk as an executable
 specification; the property tests pin the compiled engine against it to
@@ -43,15 +46,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-
-#: largest mesh dimension the ``"auto"`` backend runs through a dense
-#: transfer matrix (one BLAS matmul) instead of the rotation chain.  A warm
-#: dense apply beats every chain backend at every size, so this does not
-#: bound apply speed: it bounds the O(n^3) dense transfer builds that
-#: ``plan()`` performs at compile time (a 160-mode build through the numpy
-#: column program costs tens of milliseconds).  A constant, never reassigned.
-DENSE_DIMENSION_LIMIT = 96
-
 
 #: a strided-slice view ``(start, stop, step)`` equivalent to an index array,
 #: or None when the indices form no arithmetic progression

@@ -39,9 +39,12 @@ executable specifications the test-suite pins the stack paths against to
 
 Execution policy is explicit: each :class:`MeshDecomposition` carries a
 ``backend`` ("auto" / "dense" / "column" / "cchain"), threaded in by the
-compiler; ``"auto"`` takes the dense path up to the fixed
-``engine.DENSE_DIMENSION_LIMIT``.  ``"cchain"`` runs the rotation chain
-through the compiled C kernel of :mod:`repro.photonics._native`.
+compiler; ``"auto"`` takes the dense path for every unbatched mesh, whatever
+its size, and the column program for trials-batched noise ensembles.
+``"cchain"`` runs the rotation chain through the compiled C kernel of
+:mod:`repro.photonics._native`.  Dense matrices are built by propagating the
+identity through that kernel when it is loaded, and through
+:func:`engine.dense_transfer` otherwise.
 """
 
 from __future__ import annotations
@@ -162,9 +165,9 @@ class MeshDecomposition:
     :meth:`update_phases` (in place, invalidates the cached dense transfer
     matrix) or :meth:`with_phases` (returns a new mesh sharing the topology).
 
-    ``backend`` selects how :meth:`apply` executes: ``"auto"`` (dense matmul
-    up to ``engine.DENSE_DIMENSION_LIMIT``, the fastest available chain path
-    otherwise), ``"dense"`` (always the cached dense transfer matrix),
+    ``backend`` selects how :meth:`apply` executes: ``"auto"`` (the cached
+    dense matmul for an unbatched mesh of any size, the column program for a
+    trials-batched one), ``"dense"`` (always the cached dense transfer matrix),
     ``"column"`` (always the compiled numpy column program -- the
     always-available reference) or ``"cchain"`` (the native C chain kernel,
     with a logged fallback to the column program when no kernel could be
@@ -299,8 +302,7 @@ class MeshDecomposition:
         key = float(insertion_loss_db)
         matrix = self._dense_cache.get(key)
         if matrix is None:
-            matrix = engine.dense_transfer(self.compiled(), self._thetas, self._phis,
-                                           self._output_phases, insertion_loss_db=key)
+            matrix = self.reconstruct(key)
             self._dense_cache[key] = matrix
         return matrix
 
@@ -354,27 +356,38 @@ class MeshDecomposition:
         full[m:m + 2, m:m + 2] = block
         return full
 
-    def reconstruct(self) -> np.ndarray:
+    def reconstruct(self, insertion_loss_db: float = 0.0) -> np.ndarray:
         """Multiply out the mesh into a dense unitary matrix.
 
-        Returns ``(dimension, dimension)``, or ``(*trials, dimension,
-        dimension)`` for a trials-batched mesh.
+        The identity is propagated through the mesh: through the native
+        kernel when it is loaded and the phases are unbatched (one C call;
+        row ``i`` of the result is ``U @ e_i``), otherwise through
+        :func:`engine.dense_transfer`, which stays the oracle.  Returns
+        ``(dimension, dimension)``, or ``(*trials, dimension, dimension)``
+        for a trials-batched mesh.
         """
-        return engine.dense_transfer(self.compiled(), self._thetas, self._phis,
-                                     self._output_phases)
+        identity = np.eye(self.dimension, dtype=complex)
+        columns = engine.native_propagate(
+            self._modes, identity, self._thetas, self._phis,
+            self._output_phases, insertion_loss_db=insertion_loss_db,
+            out=identity)
+        if columns is None:
+            return engine.dense_transfer(self.compiled(), self._thetas, self._phis,
+                                         self._output_phases,
+                                         insertion_loss_db=insertion_loss_db)
+        return columns.T
 
     def uses_dense_path(self) -> bool:
         """Whether :meth:`apply` executes through the cached dense matrix.
 
         Part of the single backend-policy source (see :meth:`resolve_backend`
         for the full resolution): ``"dense"`` forces the dense path,
-        ``"column"``/``"cchain"`` never take it; ``"auto"`` picks the dense
-        matmul for unbatched meshes up to ``engine.DENSE_DIMENSION_LIMIT``.
-        The plan compiler consults this to decide which stages it may fold
-        into eager dense matrices.
+        ``"column"``/``"cchain"`` never take it; ``"auto"`` takes it for every
+        unbatched mesh, whatever its size.  The plan compiler consults this
+        to decide which stages it folds into eager dense matrices.
         """
         if self.backend == "auto":
-            return not self.is_batched and self.dimension <= engine.DENSE_DIMENSION_LIMIT
+            return not self.is_batched
         return self.backend == "dense"
 
     def resolve_backend(self) -> str:
@@ -385,24 +398,16 @@ class MeshDecomposition:
         path.  ``"cchain"`` resolves to the native kernel when it is loaded
         and the mesh is unbatched (trials ensembles stay on the vectorized
         numpy path), with a once-logged fallback to the column program
-        otherwise.  ``"auto"`` takes the dense matmul up to
-        ``engine.DENSE_DIMENSION_LIMIT``, then the native kernel when
-        available, then the column program.
+        otherwise.  ``"auto"`` takes the dense matmul for an unbatched mesh
+        and the column program for a trials-batched one.
         """
-        if self.backend == "dense":
-            return "dense"
-        if self.backend == "column":
-            return "column"
-        native = not self.is_batched and engine.native_kernel() is not None
-        if self.backend == "cchain":
-            if native:
-                return "cchain"
-            if not self.is_batched:
-                _log_native_fallback()
-            return "column"
         if self.uses_dense_path():
             return "dense"
-        return "cchain" if native else "column"
+        if self.backend == "cchain" and not self.is_batched:
+            if engine.native_kernel() is not None:
+                return "cchain"
+            _log_native_fallback()
+        return "column"
 
     def apply(self, vector: np.ndarray, insertion_loss_db: float = 0.0,
               out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -79,6 +79,11 @@ class PhotonicMatrix:
         """MZIs plus diagonal attenuators -- the paper's per-matrix device count."""
         return self.mzi_count + self.attenuator_count
 
+    def uses_dense_path(self) -> bool:
+        """Whether both meshes run dense: the plan runtime then folds this
+        matrix into one effective matmul, and the artifact store persists it."""
+        return self.left_mesh.uses_dense_path() and self.right_mesh.uses_dense_path()
+
     def matrix(self) -> np.ndarray:
         """Reconstruct the dense matrix implemented by the photonic circuit.
 

@@ -4,8 +4,8 @@ Decomposition is the expensive pure step of the whole pipeline -- mesh
 phases are a deterministic function of ``(weights, method)`` -- so the
 store persists exactly that step's output: per deployed weight matrix, the
 structure-of-arrays phases of both SVD meshes plus the singular values as
-one NPZ payload, and (where the execution policy runs dense) the dense
-transfer matrices as separate raw ``.npy`` files so readers can map them
+one NPZ payload, and (where the execution policy runs dense) the fused
+effective matrix as a separate raw ``.npy`` file so readers can map it
 with ``np.load(..., mmap_mode="r")`` -- N serving replicas on a host then
 share one physical page-cache copy of every dense matrix instead of N
 private allocations.  (``.npy`` beside the zip rather than inside it:
@@ -265,29 +265,20 @@ class ArtifactStore:
 
     def _attach_dense(self, entry: Path, matrix: PhotonicMatrix,
                       dense: Dict[str, str]) -> None:
-        """Memory-map stored dense matrices into the caches the runtime reads.
+        """Memory-map a stored effective matrix into the cache the runtime reads.
 
         Seeding is policy-checked against the *reconstructed* meshes: a
         payload their backend would not use is simply skipped (the phases
         alone are always sufficient), so a stored dense matrix can never put
         a mesh on a path its policy rejects.
         """
-        left, right = matrix.left_mesh, matrix.right_mesh
-        if "eff" in dense and left.uses_dense_path() and right.uses_dense_path():
+        if "eff" in dense and matrix.uses_dense_path():
             mapped = np.load(entry / dense["eff"], mmap_mode="r")
             if mapped.shape != (matrix.cols, matrix.rows):
                 raise ArtifactError("effective dense matrix has shape "
                                     f"{mapped.shape} for a {matrix.rows}x"
                                     f"{matrix.cols} weight")
             matrix.seed_effective_weight_t(mapped)
-        for side, mesh in (("left", left), ("right", right)):
-            if side in dense and mesh.uses_dense_path():
-                mapped = np.load(entry / dense[side], mmap_mode="r")
-                if mapped.shape != (mesh.dimension, mesh.dimension):
-                    raise ArtifactError(f"{side} dense matrix has shape "
-                                        f"{mapped.shape} for dimension "
-                                        f"{mesh.dimension}")
-                mesh._dense_cache[0.0] = mapped
 
     # ------------------------------------------------------------------ #
     # write path
@@ -366,19 +357,12 @@ class ArtifactStore:
             payload[f"w{index}.{tag}.thetas"] = mesh.thetas
             payload[f"w{index}.{tag}.phis"] = mesh.phis
             payload[f"w{index}.{tag}.out"] = mesh.output_phases
-        left, right = matrix.left_mesh, matrix.right_mesh
-        if left.uses_dense_path() and right.uses_dense_path():
+        if matrix.uses_dense_path():
             # the plan runtime fuses this stage into one effective matmul;
             # store that exact matrix so warm loads skip the reconstruction
             name = f"{DENSE_DIR}/w{index}.eff.npy"
             np.save(tmp / name, matrix.effective_weight_t())
             record["dense"]["eff"] = name
-        else:
-            for side, mesh in (("left", left), ("right", right)):
-                if mesh.uses_dense_path():
-                    name = f"{DENSE_DIR}/w{index}.{side}.npy"
-                    np.save(tmp / name, mesh._dense_matrix(0.0))
-                    record["dense"][side] = name
         dense_files.extend(record["dense"].values())
         return record
 

@@ -62,10 +62,12 @@ class TestExecution:
         assert "FCNN" in output and "ResNet-32" in output
         assert "31.7" in output        # the paper's FCNN MZI count (x1e4)
 
-    def test_backends_reports_the_fixed_dense_limit(self, tmp_path, capsys):
+    def test_backends_reports_no_dense_size_limit(self, tmp_path, capsys):
         output_path = tmp_path / "backends.json"
         assert main(["backends", "--output", str(output_path)]) == 0
-        assert "dense size limit: 96" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "dense when unbatched" in output
+        assert "size limit" not in output
         payload = json.loads(output_path.read_text())
         assert payload["backends"] == ["auto", "dense", "column", "cchain"]
 

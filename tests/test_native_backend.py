@@ -23,6 +23,7 @@ from repro.photonics.mzi_mesh import (
     clements_decompose_stack,
     reck_decompose,
 )
+from repro.photonics.noise import PhaseNoiseModel
 from repro.photonics.svd_mapping import svd_decompose
 
 requires_kernel = pytest.mark.skipif(
@@ -91,6 +92,36 @@ class TestPropagateParity:
         before = states.copy()
         mesh.apply(states)
         np.testing.assert_array_equal(states, before)
+
+
+class TestTiledPropagateAndDenseBuild:
+    @requires_kernel
+    @pytest.mark.parametrize("batch", [1, 7, 8, 9, 19])
+    def test_tiled_walk_is_bit_identical_to_one_row_at_a_time(self, batch):
+        # the kernel walks tiles of 8 rows; every row must see exactly the
+        # arithmetic of a one-row call, whatever the tile boundaries
+        mesh = clements_decompose(random_unitary(12, seed=batch))
+        states = random_states(batch, 12, seed=batch + 1)
+        args = (mesh.thetas, mesh.phis, mesh.output_phases)
+        tiled = engine.native_propagate(mesh.modes, states, *args,
+                                        insertion_loss_db=0.3)
+        rows = np.concatenate([
+            engine.native_propagate(mesh.modes, row[None, :], *args,
+                                    insertion_loss_db=0.3)
+            for row in states])
+        assert np.array_equal(tiled, rows)
+
+    @requires_kernel
+    @pytest.mark.parametrize("dim", [16, 97, 160])
+    @pytest.mark.parametrize("loss_db", [0.0, 0.2])
+    def test_native_dense_build_matches_the_column_oracle(self, dim, loss_db):
+        mesh = clements_decompose(random_unitary(dim, seed=dim))
+        oracle = engine.dense_transfer(mesh.compiled(), mesh.thetas, mesh.phis,
+                                       mesh.output_phases,
+                                       insertion_loss_db=loss_db)
+        built = mesh.reconstruct(insertion_loss_db=loss_db)
+        assert np.abs(built - oracle).max() <= 1e-12
+        assert np.abs(mesh._dense_matrix(loss_db) - oracle).max() <= 1e-12
 
 
 class TestDecompositionChainParity:
@@ -171,19 +202,20 @@ class TestSvdFactors:
         # and both agree with the plain matmul the SVD factors encode
         assert np.abs(native.apply(states) - states @ weight.T).max() <= 1e-8
 
-    def test_auto_policy_switches_to_the_chain_above_the_dense_limit(self):
-        # a (96, 97) weight factors into a 96-mode and a 97-mode mesh: the
-        # first sits exactly at DENSE_DIMENSION_LIMIT, the second just above
-        assert engine.DENSE_DIMENSION_LIMIT == 96
-        rng = np.random.default_rng(5)
-        matrix = svd_decompose(rng.normal(size=(96, 97)), backend="auto")
+    def test_auto_policy_is_dense_at_any_width_and_column_when_batched(self):
+        # a (96, 97) weight factors into a 96-mode and a 97-mode mesh: both
+        # run dense under auto, whatever their width
+        weights = np.random.default_rng(5).normal(size=(96, 97))
+        matrix = svd_decompose(weights, backend="auto")
         assert matrix.left_mesh.dimension == 96
-        assert matrix.left_mesh.resolve_backend() == "dense"
         assert matrix.right_mesh.dimension == 97
-        # the native kernel when loaded; the column program under
-        # REPRO_FORCE_REFERENCE=1 or without a C toolchain
-        chain = "column" if _native.kernel() is None else "cchain"
-        assert matrix.right_mesh.resolve_backend() == chain
+        assert matrix.left_mesh.resolve_backend() == "dense"
+        assert matrix.right_mesh.resolve_backend() == "dense"
+        assert matrix.uses_dense_path()
+        # a trials-batched ensemble of the same mesh stays on the column
+        # program, kernel or not
+        noisy = PhaseNoiseModel.seeded(0.01).perturb(matrix.right_mesh, trials=2)
+        assert noisy.resolve_backend() == "column"
 
 
 class TestDegradation:
@@ -196,8 +228,11 @@ class TestDegradation:
             assert np.abs(mesh.thetas - spec.thetas).max() <= PARITY
             assert np.abs(mesh.phis - spec.phis).max() <= PARITY
             assert np.abs(mesh.reconstruct() - unitary).max() <= PARITY
-            above = clements_decompose(random_unitary(97, seed=40))
-            assert above.resolve_backend() == "column"   # auto, no warning
+            wide = clements_decompose(random_unitary(97, seed=40))
+            assert wide.resolve_backend() == "dense"     # auto, no warning
+            states = random_states(2, 97, seed=40)
+            assert np.abs(wide.apply(states)
+                          - states @ wide.reconstruct().T).max() <= PARITY
         assert not caplog.records                        # silent degradation
         assert "missing-cc" in (_native.load_error() or "")
 
@@ -247,8 +282,6 @@ class TestCompileEndToEnd:
 
     @requires_kernel
     def test_trials_batched_meshes_stay_on_numpy(self):
-        from repro.photonics.noise import PhaseNoiseModel
-
         mesh = clements_decompose(random_unitary(6, seed=50))
         noisy = PhaseNoiseModel.seeded(0.01).perturb(mesh, trials=3)
         assert noisy.is_batched

@@ -468,13 +468,12 @@ class TestSigmaAxisEnsembles:
                            mesh.output_phases * np.exp(1j * phase_errors), atol=1e-15)
 
 
-class TestDenseDimensionLimit:
-    def test_limit_is_a_constant_without_setters_or_calibration(self):
-        assert engine.DENSE_DIMENSION_LIMIT == 96
+class TestNoDenseSizeRule:
+    def test_no_dense_limit_names_remain(self):
         related = [name for name in vars(engine)
                    if any(word in name.lower()
                           for word in ("dense_limit", "dense_dimension", "crossover"))]
-        assert related == ["DENSE_DIMENSION_LIMIT"]
+        assert related == []
 
     def test_auto_keeps_noise_ensembles_off_the_dense_path(self, rng):
         mesh = clements_decompose(random_unitary(6, rng))
