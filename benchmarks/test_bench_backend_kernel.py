@@ -1,4 +1,4 @@
-"""Micro-benchmarks of the native ``cchain`` backend vs the numpy paths.
+"""Micro-benchmarks of the native ``cchain`` kernel vs the numpy paths.
 
 Records to ``benchmarks/latest/backend_kernel.json``:
 
@@ -12,8 +12,8 @@ Records to ``benchmarks/latest/backend_kernel.json``:
   conservative 1.5x floor on the kernel's gain.
 * **Warm dense apply** -- the cached dense transfer matmul against the
   column program and, when loaded, the native kernel, at the widths the
-  plan now fuses (16, 96, 144, 160): ``"auto"`` sends every unbatched mesh
-  down the dense path, so it must win at each of them.
+  plan now fuses (16, 96, 144, 160): every unbatched mesh runs the dense
+  path, so it must win at each of them.
 * **Dense build** -- the native identity build
   (:meth:`~repro.photonics.mzi_mesh.MeshDecomposition.reconstruct` on the
   kernel) against the column-program oracle :func:`engine.dense_transfer`,
@@ -74,7 +74,7 @@ def _require_kernel(results_dir):
         reason = _native.load_error() or "kernel not loaded"
     _results["skip_reason"] = reason
     _save(results_dir)
-    logger.warning("skipping native backend benchmark: %s", reason)
+    logger.warning("skipping native kernel benchmark: %s", reason)
     pytest.skip(f"native cchain kernel unavailable: {reason}")
 
 
@@ -172,7 +172,7 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
 
 @pytest.mark.parametrize("dimension", [16, 96, 144, 160])
 def test_warm_dense_apply_beats_chain_backends(best_of, results_dir, dimension):
-    """The cached dense matmul must beat every chain backend where auto uses it."""
+    """The cached dense matmul must beat every chain walk at the fused widths."""
     batch = 32
     rng = np.random.default_rng(dimension)
     mesh = clements_decompose(_random_unitary(dimension, rng))

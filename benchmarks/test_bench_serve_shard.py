@@ -15,13 +15,16 @@ worker counts {1, 2, 4} over identical synthetic traffic to
   fewer than two CPUs are available to this process; the throughput sweep
   itself still runs and records honest numbers.
 
-The sweep and the floor deploy with ``CompileOptions(backend="cchain")``:
-every stage simulates its meshes on the native chain kernel, so a flush is
-a multi-millisecond, compute-bound forward -- the regime process sharding
-targets.  Under the default ``"auto"`` every stage fuses into one matmul and
-a flush costs well under a millisecond; the sweep records that 1/2-worker
-row pair too (``fused_rows``), parity-pinned but with no throughput
-assertion, because there 2 workers are currently *slower* than 1.
+The sweep and the floor deploy one seeded noisy chip
+(``HardwareTarget(noise=PhaseNoiseModel.seeded(0.01, seed=3), trials=1)``):
+its meshes are trials-batched, so every stage simulates them on the numpy
+column program and a flush is a multi-millisecond, compute-bound forward --
+the regime process sharding targets.  The in-process oracle compiles the
+same target, so its logits keep the same leading trials axis.  On the
+default noiseless compile every stage fuses into one matmul and a flush
+costs well under a millisecond; the sweep records that 1/2-worker row pair
+too (``fused_rows``), parity-pinned but with no throughput assertion,
+because there 2 workers are currently *slower* than 1.
 
 A final hygiene check asserts no ``repro-shard-*`` shared-memory segment
 created by this process survives service shutdown, so CI machines never
@@ -37,17 +40,24 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core.compile import CompileOptions
+from repro.core.compile import HardwareTarget
 from repro.experiments.reporting import save_json
-from repro.models import ComplexFCNN
 from repro.experiments.serving import run_shard_benchmark
+from repro.models import ComplexFCNN
+from repro.photonics.noise import PhaseNoiseModel
 
 PARITY = 1e-10
 SCALING_FLOOR = 1.6          # CI floor at 2 workers vs 1 (measured ~1.9x)
 WORKER_COUNTS = (1, 2, 4)
 SCALING_WAVES = 3            # alternating 1-worker / 2-worker waves
 IMAGE_SHAPE = (1, 16, 16)    # SI assignment -> 128 complex features
-CHAIN = CompileOptions(backend="cchain")   # simulate every mesh: compute-bound
+NOISE_SIGMA, NOISE_SEED = 0.01, 3   # one seeded noisy chip, one trial
+
+
+def noise_lane() -> HardwareTarget:
+    """The seeded noisy target: trials-batched meshes, simulated per request."""
+    return HardwareTarget(noise=PhaseNoiseModel.seeded(NOISE_SIGMA, seed=NOISE_SEED),
+                          trials=1)
 
 
 def bench_preset_name() -> str:
@@ -62,7 +72,7 @@ def effective_cpus() -> int:
 
 
 def _bench_model(smoke: bool) -> ComplexFCNN:
-    # wide enough that one 32-sample flush on the chain backend is a
+    # wide enough that one 32-sample flush on the column program is a
     # multi-millisecond, compute-bound forward
     widths = (96, 96) if smoke else (160, 160)
     return ComplexFCNN(128, widths, 10, decoder="merge",
@@ -83,19 +93,19 @@ def _sweep_requests() -> int:
     return 48 if bench_preset_name() == "smoke" else 96
 
 
-def _run_waves(worker_counts, requests, options=CHAIN):
+def _run_waves(worker_counts, requests, noisy=True):
     return run_shard_benchmark(
         _bench_model(bench_preset_name() == "smoke"), "SI", IMAGE_SHAPE,
         worker_counts=worker_counts, requests=requests, clients=8,
         images_per_request=4, max_batch=32, max_latency_s=0.002, seed=0,
-        options=options)
+        target=noise_lane() if noisy else None)
 
 
 def test_shard_throughput_sweep(results_dir):
     cpus = effective_cpus()
     rows = _run_waves(WORKER_COUNTS, _sweep_requests())
     # the default fused compile: recorded, parity-pinned, not asserted on
-    fused_rows = _run_waves((1, 2), _sweep_requests(), options=None)
+    fused_rows = _run_waves((1, 2), _sweep_requests(), noisy=False)
     for row in rows + fused_rows:
         assert row.max_parity <= PARITY, (row.workers, row.max_parity)
     floor_checked = cpus >= 2
@@ -107,7 +117,8 @@ def test_shard_throughput_sweep(results_dir):
         "skip_reason": None if floor_checked else (
             f"only {cpus} CPU(s) available: worker processes time-slice one "
             f"core, so the {SCALING_FLOOR}x floor at 2 workers is not asserted"),
-        "backend": CHAIN.backend,
+        "target": {"noise_sigma": NOISE_SIGMA, "noise_seed": NOISE_SEED,
+                   "trials": 1},
         "rows": [asdict(row) for row in rows],
         "fused_rows": [asdict(row) for row in fused_rows],
     })

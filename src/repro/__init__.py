@@ -25,14 +25,13 @@ The photonic compiler is exposed at the top level::
     program = repro.compile(model)                       # CompiledProgram
     logits = program.predict_logits(images, scheme)
 
-with :class:`repro.HardwareTarget` and :class:`repro.CompileOptions`
-controlling the mesh scheme / noise model and the execution policy (these
-resolve lazily so ``import repro`` stays cheap).
+with :class:`repro.HardwareTarget` describing the mesh scheme and noise
+model (these resolve lazily so ``import repro`` stays cheap).
 """
 
 __version__ = "1.2.0"
 
-_COMPILER_EXPORTS = ("compile", "CompiledProgram", "CompileOptions", "HardwareTarget")
+_COMPILER_EXPORTS = ("compile", "CompiledProgram", "HardwareTarget")
 _STORE_EXPORTS = ("ArtifactStore",)
 
 __all__ = ["__version__", *_COMPILER_EXPORTS, *_STORE_EXPORTS]

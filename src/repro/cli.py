@@ -8,13 +8,13 @@ Examples
     python -m repro fig8 --preset bench
     python -m repro area                  # exact MZI accounting only (no training)
     python -m repro ablations --preset smoke
-    python -m repro deploy-cnn --method reck --backend column
+    python -m repro deploy-cnn --method reck
     python -m repro deploy-resnet --preset smoke   # graph compiler end to end
     python -m repro serve --workload lenet5 --max-batch 1 8 64
     python -m repro serve --workload fcnn --workers 1 2 4   # sharded service
     python -m repro precompile --store ./store --workloads fcnn lenet5
     python -m repro serve --workload fcnn --store ./store   # warm cold-start
-    python -m repro backends                # native kernel state + policy
+    python -m repro backends                # native kernel build state
     python -m repro store prune ./store --max-entries 64 --max-age-days 30
     python -m repro scenarios               # hardware-degradation registry
     python -m repro scenarios --demo        # degradation-vs-time curves
@@ -32,9 +32,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.experiments.reporting import format_table, percent, save_json
-
-# mirrors MeshDecomposition.BACKENDS without importing numpy at parse time
-_BACKEND_CHOICES = ("auto", "dense", "column", "cchain")
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
@@ -110,8 +107,7 @@ def _run_deploy_cnn(args: argparse.Namespace) -> None:
     from repro.experiments.deployed import format_deployed_cnn, run_deployed_cnn
 
     rows = run_deployed_cnn(preset=args.preset, decoder=args.decoder, seed=args.seed,
-                            trials=args.trials, method=args.method,
-                            backend=args.backend)
+                            trials=args.trials, method=args.method)
     print(format_deployed_cnn(rows))
     _maybe_save(rows, args.output)
 
@@ -120,8 +116,7 @@ def _run_deploy_resnet(args: argparse.Namespace) -> None:
     from repro.experiments.deployed import format_deployed_resnet, run_deployed_resnet
 
     rows = run_deployed_resnet(preset=args.preset, decoder=args.decoder, seed=args.seed,
-                               trials=args.trials, method=args.method,
-                               backend=args.backend)
+                               trials=args.trials, method=args.method)
     print(format_deployed_resnet(rows))
     _maybe_save(rows, args.output)
 
@@ -130,7 +125,7 @@ def _run_serve(args: argparse.Namespace) -> None:
     """Serving throughput demo: plan runtime + dynamic micro-batching."""
     import numpy as np
 
-    from repro.core.compile import CompileOptions, HardwareTarget
+    from repro.core.compile import HardwareTarget
     from repro.core.pipeline import OplixNet
     from repro.experiments.common import get_workload, workload_config
     from repro.experiments.presets import get_preset
@@ -163,10 +158,9 @@ def _run_serve(args: argparse.Namespace) -> None:
         store = ArtifactStore(args.store)
     cache = ProgramCache(capacity=4, store=store)
     target = HardwareTarget(method=args.method)
-    options = CompileOptions(backend=args.backend)
-    program = cache.get_or_compile(args.workload, student, target, options)
+    program = cache.get_or_compile(args.workload, student, target)
     # a second deploy of the same key must hit the cache
-    if cache.get_or_compile(args.workload, student, target, options) is not program:
+    if cache.get_or_compile(args.workload, student, target) is not program:
         raise RuntimeError("program cache failed to serve the repeated deploy")
     if store is not None:
         status = "warm hit" if program.store_hit else "miss (populated)"
@@ -333,7 +327,7 @@ def _run_precompile(args: argparse.Namespace) -> None:
     """
     import time
 
-    from repro.core.compile import CompileOptions, HardwareTarget
+    from repro.core.compile import HardwareTarget
     from repro.core.compile import compile as compile_model
     from repro.core.pipeline import OplixNet
     from repro.experiments.common import get_workload, workload_config
@@ -342,7 +336,6 @@ def _run_precompile(args: argparse.Namespace) -> None:
 
     store = ArtifactStore(args.store)
     target = HardwareTarget(method=args.method)
-    options = CompileOptions(backend=args.backend)
     preset = get_preset(args.preset)
     table = []
     for name in args.workloads:
@@ -355,7 +348,7 @@ def _run_precompile(args: argparse.Namespace) -> None:
         else:
             student = pipeline.build_student()
         start = time.perf_counter()
-        program = compile_model(student, target=target, options=options,
+        program = compile_model(student, target=target,
                                 store=store, store_refresh=args.refresh)
         program.plan()
         seconds = time.perf_counter() - start
@@ -381,23 +374,20 @@ def _run_precompile(args: argparse.Namespace) -> None:
 
 
 def _run_backends(args: argparse.Namespace) -> None:
-    """List mesh execution backends and the native-kernel build state."""
+    """Report the native-kernel build state and any load error.
+
+    Mesh execution has no backend to pick: unbatched meshes run their dense
+    matrix and noise ensembles the numpy column program.  The native kernel
+    builds those dense matrices and runs the Clements nulling chains, with
+    the numpy paths as the fallback.
+    """
     from repro.photonics import _native
-    from repro.photonics.mzi_mesh import MeshDecomposition
 
     kernel = _native.kernel()
     info = _native.build_info()
-    rows = [
-        ["dense", "yes", "cached unitary matmul"],
-        ["column", "yes", "vectorized numpy column program (reference)"],
-        ["cchain", "yes" if kernel is not None else "no",
-         "compiled C rotation-chain kernel"],
-        ["auto", "yes", "dense when unbatched, column for noise ensembles"],
-    ]
-    print(format_table(["backend", "available", "description"], rows,
-                       title="Mesh execution backends (MeshDecomposition.BACKENDS)"))
-    print(f"\nnative kernel: "
-          f"{'loaded' if kernel is not None else 'unavailable'}")
+    print(f"native kernel: "
+          f"{'loaded' if kernel is not None else 'unavailable'} "
+          "(dense-matrix build and Clements nulling chains; numpy otherwise)")
     for key in ("source", "compiler", "cache_dir", "forced_reference"):
         if key in info:
             print(f"  {key}: {info[key]}")
@@ -405,8 +395,7 @@ def _run_backends(args: argparse.Namespace) -> None:
     if error:
         print(f"  load error: {error}")
 
-    payload = {"backends": list(MeshDecomposition.BACKENDS),
-               "native": info, "load_error": error}
+    payload = {"native": info, "load_error": error}
     _maybe_save(payload, args.output)
 
 
@@ -485,14 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Monte-Carlo noise realizations per sigma")
         deploy.add_argument("--method", default="clements", choices=("clements", "reck"),
                             help="mesh decomposition scheme (HardwareTarget.method)")
-        deploy.add_argument("--backend", default="auto", choices=_BACKEND_CHOICES,
-                            help="mesh execution backend (CompileOptions.backend): "
-                                 "'auto' picks dense up to the fixed size "
-                                 "limit, then the compiled cchain kernel when "
-                                 "built, then the column program; 'cchain' "
-                                 "forces the native kernel (falls back to "
-                                 "'column' with a logged warning if no C "
-                                 "toolchain is available)")
         deploy.set_defaults(runner=runner)
 
     serve = subparsers.add_parser(
@@ -503,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--decoder", default="merge",
                        choices=("merge", "linear", "unitary", "coherent", "photodiode"))
     serve.add_argument("--method", default="clements", choices=("clements", "reck"))
-    serve.add_argument("--backend", default="auto", choices=_BACKEND_CHOICES)
     serve.add_argument("--train", action="store_true",
                        help="train the student first (default: serve random weights, "
                             "which measures the same throughput)")
@@ -553,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "photodiode"))
     precompile.add_argument("--method", default="clements",
                             choices=("clements", "reck"))
-    precompile.add_argument("--backend", default="auto",
-                            choices=_BACKEND_CHOICES)
     precompile.add_argument("--train", action="store_true",
                             help="train the student first so the stored "
                                  "program serves trained weights")
@@ -591,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     backends = subparsers.add_parser(
         "backends",
-        help="list mesh execution backends and the native kernel build state")
+        help="report the native kernel build state")
     backends.add_argument("--output", default=None,
                           help="optional path of a JSON file to store the report")
     backends.set_defaults(runner=_run_backends)

@@ -40,7 +40,6 @@ from repro.core.lowering import (
 )
 from repro.core.compile import (
     CompiledProgram,
-    CompileOptions,
     HardwareTarget,
     compile,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "register_lowering",
     "register_model_lowering",
     "CompiledProgram",
-    "CompileOptions",
     "HardwareTarget",
     "compile",
 ]

@@ -4,22 +4,21 @@
 hardware::
 
     import repro
-    from repro.core.compile import CompileOptions, HardwareTarget
+    from repro.core.compile import HardwareTarget
 
-    program = repro.compile(
-        model,
-        target=HardwareTarget(method="clements"),
-        options=CompileOptions(backend="auto"),
-    )
+    program = repro.compile(model, target=HardwareTarget(method="clements"))
     logits = program.predict_logits(images, scheme)
 
 * :class:`HardwareTarget` describes the hardware the program runs on: the
   mesh decomposition scheme and the non-idealities to bake in at compile
   time (phase-noise model, phase quantization, Monte-Carlo trial count).
-* :class:`CompileOptions` is the compiler policy: the mesh execution
-  backend.  How weights map onto meshes is not a policy: every same-size
-  group of SVD factors across the model decomposes as one Reck/Clements
-  stack (:func:`repro.photonics.svd_mapping.svd_decompose_many`).
+  It is the only input besides the model.  How weights map onto meshes is
+  fixed: every same-size group of SVD factors across the model decomposes
+  as one Reck/Clements stack
+  (:func:`repro.photonics.svd_mapping.svd_decompose_many`).  How meshes
+  execute follows from the program: every unbatched stage folds into one
+  effective matrix, and trials-batched noise ensembles run the numpy column
+  program (:meth:`~repro.photonics.mzi_mesh.MeshDecomposition.uses_dense_path`).
 * :class:`CompiledProgram` wraps the lowered
   :class:`~repro.core.graph_ir.GraphProgram` -- a dataflow graph with
   photonic stage nodes and electronic ops, so residual architectures
@@ -27,8 +26,8 @@ hardware::
   in the electronic domain -- plus the encoder and readout needed to run the
   full optical pipeline.
 
-Both dataclasses are frozen: two concurrent compiles with different policies
-never observe each other.
+The target is frozen: two concurrent compiles with different targets never
+observe each other.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.assignment import AssignmentScheme
 from repro.core.graph_ir import GraphProgram
 from repro.core.lowering import lower_to_graph
 from repro.photonics.encoders import DCComplexEncoder
-from repro.photonics.mzi_mesh import MeshDecomposition
 from repro.photonics.noise import PhaseNoiseModel
 
 MESH_METHODS = ("clements", "reck")
@@ -82,30 +80,6 @@ class HardwareTarget:
             raise ValueError("HardwareTarget.trials requires a noise model")
 
 
-@dataclass(frozen=True)
-class CompileOptions:
-    """Execution policy threaded explicitly through the compiler.
-
-    Parameters
-    ----------
-    backend:
-        How compiled meshes execute: ``"auto"`` (every unbatched stage, at
-        any mesh size, folds into one effective matmul; trials-batched noise
-        ensembles run the compiled numpy column program), ``"dense"`` /
-        ``"column"`` to force one path, or ``"cchain"`` to request the
-        native C chain kernel (logged fallback to the column program on
-        hosts without a C toolchain; see
-        :mod:`repro.photonics._native`).
-    """
-
-    backend: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.backend not in MeshDecomposition.BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; "
-                             f"choose from {MeshDecomposition.BACKENDS}")
-
-
 @dataclass
 class CompiledProgram:
     """A model compiled onto simulated photonic hardware.
@@ -118,7 +92,6 @@ class CompiledProgram:
 
     graph: GraphProgram
     target: HardwareTarget
-    options: CompileOptions
     encoder: DCComplexEncoder = field(default_factory=DCComplexEncoder)
     #: content key in the artifact store this program was compiled against
     #: (None when no store participated), and whether it was a warm hit
@@ -226,7 +199,7 @@ class CompiledProgram:
                          quantization_bits=quantization_bits, trials=trials)
         return CompiledProgram(
             graph=self.graph.with_noise(noise, quantization_bits, trials=trials),
-            target=target, options=self.options, encoder=self.encoder,
+            target=target, encoder=self.encoder,
             store_key=self.store_key, store_hit=self.store_hit)
 
     def with_scenario(self, scenario: Any, times: Optional[Any] = None,
@@ -240,7 +213,7 @@ class CompiledProgram:
         grid of seconds) the copy's meshes carry the whole degradation
         trajectory as a leading time axis, composing with ``trials`` exactly
         like a sigma sweep.  The scenario rides the same seam as
-        :meth:`with_noise`, so every engine backend runs it unchanged.
+        :meth:`with_noise`, so the plan runtime runs it unchanged.
         """
         from repro.scenarios import build_scenario
         from repro.scenarios.base import ScenarioTrajectory
@@ -252,7 +225,6 @@ class CompiledProgram:
 
 
 def compile(model, target: Optional[HardwareTarget] = None,
-            options: Optional[CompileOptions] = None,
             store: Optional[Any] = None,
             store_refresh: bool = False) -> CompiledProgram:
     """Compile a trained complex model onto simulated photonic hardware.
@@ -268,7 +240,7 @@ def compile(model, target: Optional[HardwareTarget] = None,
     ----------
     store:
         Optional :class:`~repro.store.ArtifactStore`.  A warm entry for the
-        content key of ``(model weights, target, options)`` skips
+        content key of ``(model weights, target)`` skips
         decomposition entirely -- the stored phases and memory-mapped dense
         matrices are deployed in its place; a miss falls through to live
         compilation and (unless the store is read-only) publishes the fresh
@@ -281,17 +253,15 @@ def compile(model, target: Optional[HardwareTarget] = None,
         (:meth:`repro.serve.cache.ProgramCache.invalidate` sets it).
     """
     target = HardwareTarget() if target is None else target
-    options = CompileOptions() if options is None else options
 
     def lower(deploy_fn=None) -> GraphProgram:
-        return lower_to_graph(model, method=target.method,
-                              backend=options.backend, deploy_fn=deploy_fn)
+        return lower_to_graph(model, method=target.method, deploy_fn=deploy_fn)
 
-    key = store.try_key_for(model, target, options) if store is not None else None
+    key = store.try_key_for(model, target) if store is not None else None
     graph = None
     hit = False
     if key is not None and not store_refresh:
-        artifact = store.load(key, options)
+        artifact = store.load(key)
         if artifact is not None:
             from repro.store.errors import ArtifactError
             try:
@@ -312,19 +282,17 @@ def compile(model, target: Optional[HardwareTarget] = None,
             captured: List[Any] = []
 
             def capturing(weights):
-                matrices = svd_decompose_many(
-                    weights, method=target.method, backend=options.backend)
+                matrices = svd_decompose_many(weights, method=target.method)
                 captured.extend(matrices)
                 return matrices
 
             graph = lower(capturing)
             if store_refresh:
                 store.delete(key)
-            store.save(key, captured, model=model, target=target,
-                       options=options)
+            store.save(key, captured, model=model, target=target)
         else:
             graph = lower()
-    program = CompiledProgram(graph=graph, target=target, options=options,
+    program = CompiledProgram(graph=graph, target=target,
                               store_key=key, store_hit=hit)
     if target.noise is not None or target.quantization_bits is not None:
         program = program.with_noise(noise=target.noise,

@@ -26,7 +26,7 @@ will dispatch to it (nearest match in the module's MRO wins).  Models
 register whole-model rules with ``@register_model_lowering`` (the built-in
 families register theirs in :mod:`repro.models`) and decoder heads with
 ``@register_head_lowering``.  Rules receive a :class:`LoweringContext`, which
-carries the compile policy, the :class:`~repro.core.graph_ir.GraphBuilder`
+carries the mesh method, the :class:`~repro.core.graph_ir.GraphBuilder`
 being filled, and the deferred weight-deployment queue: weights requested via
 :meth:`LoweringContext.deploy_weight` are SVD-factored together at the end of
 the walk so that all same-size unitaries of the model decompose as one
@@ -71,7 +71,6 @@ from repro.nn.complex.cmodule import (
 )
 from repro.nn.complex.cnorm import ComplexBatchNorm1d, ComplexBatchNorm2d
 from repro.photonics.circuit import PhotonicLinearLayer, split_relu
-from repro.photonics.mzi_mesh import MeshDecomposition
 from repro.photonics.noise import PhaseNoiseModel
 from repro.photonics.svd_mapping import svd_decompose_many
 
@@ -332,7 +331,7 @@ def _find_rule(registry: Dict[Type, Callable], obj: Any, what: str) -> Callable:
 
 
 class LoweringContext:
-    """Carries the compile policy and the graph being built through a walk.
+    """Carries the mesh method and the graph being built through a walk.
 
     ``cursor`` names the node whose output the next emitted chain node will
     consume; graph rules (e.g. residual blocks) may reposition it to branch
@@ -340,22 +339,15 @@ class LoweringContext:
     deployed together in :meth:`finalize` so that all same-size SVD factors
     of the walk decompose as one batched Reck/Clements stack.
 
-    ``backend``, the one compile policy, is the execution policy stamped
-    onto every deployed mesh (any of :data:`MeshDecomposition.BACKENDS`,
-    including the native ``"cchain"`` kernel) -- the lowering walk is the
-    single place the
-    :class:`~repro.core.compile.CompileOptions` selection reaches the
-    photonics layer, which is how compiled programs, execution plans and
-    sharded workers all end up on the same kernel.
+    ``method`` is the one compile choice: the Reck/Clements scheme every
+    deployed unitary decomposes by.  How a mesh executes is not chosen here;
+    it follows from whether its phases are trials-batched (see
+    :meth:`~repro.photonics.mzi_mesh.MeshDecomposition.uses_dense_path`).
     """
 
-    def __init__(self, method: str = "clements", backend: str = "auto",
+    def __init__(self, method: str = "clements",
                  deploy_fn: Optional[Callable] = None):
-        if backend not in MeshDecomposition.BACKENDS:
-            raise ValueError(f"unknown mesh backend {backend!r}; "
-                             f"choose from {MeshDecomposition.BACKENDS}")
         self.method = method
-        self.backend = backend
         # optional replacement for the live svd_decompose_many call in
         # finalize(); the artifact store serves precompiled matrices here
         self.deploy_fn = deploy_fn
@@ -427,8 +419,7 @@ class LoweringContext:
                 raise ValueError(f"deploy_fn returned {len(matrices)} matrices "
                                  f"for {len(weights)} weights")
         else:
-            matrices = svd_decompose_many(weights, method=self.method,
-                                          backend=self.backend)
+            matrices = svd_decompose_many(weights, method=self.method)
         for (_weight, layer), matrix in zip(self._pending, matrices):
             layer.photonic_matrix = matrix
         self._pending.clear()
@@ -667,7 +658,7 @@ def _lower_photodiode_head(head: PhotodiodeHead, ctx: LoweringContext):
 # --------------------------------------------------------------------------- #
 # model lowering
 # --------------------------------------------------------------------------- #
-def lower_to_graph(model, method: str = "clements", backend: str = "auto",
+def lower_to_graph(model, method: str = "clements",
                    deploy_fn: Optional[Callable] = None) -> GraphProgram:
     """Lower a trained complex model into a photonic dataflow graph.
 
@@ -686,6 +677,6 @@ def lower_to_graph(model, method: str = "clements", backend: str = "auto",
 
     model.eval()
     rule = _find_rule(_MODEL_RULES, model, "lower model")
-    ctx = LoweringContext(method=method, backend=backend, deploy_fn=deploy_fn)
+    ctx = LoweringContext(method=method, deploy_fn=deploy_fn)
     rule(model, ctx)
     return ctx.program()

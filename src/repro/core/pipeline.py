@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.assignment import AssignmentScheme, get_scheme
 from repro.core.area_analysis import compare_area, model_area_report
-from repro.core.compile import CompiledProgram, CompileOptions, HardwareTarget
+from repro.core.compile import CompiledProgram, HardwareTarget
 from repro.core.compile import compile as compile_model
 from repro.core.config import ExperimentConfig
 from repro.core.distillation import MutualLearningResult, MutualLearningTrainer
@@ -209,13 +209,10 @@ class OplixNet:
             mutual_result=mutual,
         )
 
-    def deploy(self, student: Module, method: str = "clements",
-               options: Optional[CompileOptions] = None) -> CompiledProgram:
+    def deploy(self, student: Module, method: str = "clements") -> CompiledProgram:
         """Compile a trained student onto the simulated photonic circuit.
 
         Routes through :func:`repro.compile`, so fully connected,
-        convolutional and residual students all deploy; ``options`` selects
-        the execution policy (dense/column backend, batched decomposition).
+        convolutional and residual students all deploy.
         """
-        return compile_model(student, target=HardwareTarget(method=method),
-                             options=options)
+        return compile_model(student, target=HardwareTarget(method=method))

@@ -11,15 +11,13 @@ node-walk repeats on every call.  Every plan applies all four:
   the graph's last-use table and mapped onto a small set of reusable slots by
   a linear scan -- the per-call consumer refcounting (and its dict churn) of
   the node-walk disappears.
-* **Eager effective matrices.**  Under ``backend="auto"`` every unbatched
-  mesh stage, whatever its width, is folded into a *single* effective
-  complex matrix ``scale * U @ diag(S) @ V`` at plan time; the stage
-  becomes one matmul (plus electronic bias and optional in-place CReLU)
-  instead of two mesh simulations with an intermediate.  Stages that must
-  simulate the chain (a forced ``"column"``/``"cchain"`` backend,
-  trials-batched noise ensembles) stay unfused: linear ones lower to a
-  :class:`ChainInstruction` (native ``cchain`` kernel when loaded,
-  bias/CReLU in place), conv ones to a :class:`CallInstruction`.
+* **Eager effective matrices.**  Every unbatched mesh stage, whatever its
+  width, is folded into a *single* effective complex matrix
+  ``scale * U @ diag(S) @ V`` at plan time; the stage becomes one matmul
+  (plus electronic bias and optional in-place CReLU) instead of two mesh
+  simulations with an intermediate.  Only trials-batched noise ensembles
+  stay unfused: they lower to a :class:`CallInstruction` of the stage's own
+  ``forward``, which runs both meshes on the numpy column program.
 * **Electronic-affine peephole.**  Chains of adjacent electronic affine ops
   (eval-mode batch norms folded to per-channel scale/shift) whose
   intermediate value has no other consumer are composed into a single
@@ -70,10 +68,8 @@ def _pooled_matmul(states: np.ndarray, weight_t: np.ndarray,
     The shared hot-path matmul of the fused instructions: when this
     instruction may pool (the program-output one must not) the product
     lands in ``pool[index]``, reallocated only when the batch shape changes.
-    Trials-batched effective matrices (ndim > 2) broadcast through a plain
-    matmul.
     """
-    if pooled and weight_t.ndim == 2:
+    if pooled:
         shape = states.shape[:-1] + (weight_t.shape[-1],)
         out = pool.get(index)
         if out is None or out.shape != shape:
@@ -163,38 +159,6 @@ class ConvInstruction:
 
 
 @dataclass
-class ChainInstruction:
-    """A linear mesh stage executing on the rotation-chain path, unfused.
-
-    Chosen for linear stages the plan may *not* fold into a dense matmul --
-    forced ``"column"``/``"cchain"`` backends and trials-batched noise
-    ensembles.  The two mesh applications route
-    through :meth:`~repro.photonics.mzi_mesh.MeshDecomposition.apply`, which
-    resolves to the native ``cchain`` kernel when it is loaded (one C call
-    per mesh) or the numpy column program otherwise; the electronic bias and
-    CReLU are applied in place on the fresh chain output, saving the two
-    interior allocations of the generic call path.  ``backend`` records the
-    resolution at plan-compile time so :meth:`ExecutionPlan.describe` shows
-    where the kernel lands.
-    """
-
-    stage: LinearStage
-    backend: str
-    in_slot: int
-    out_slot: int
-
-    def run(self, buffers: List[Optional[np.ndarray]],
-            pool: Dict[int, np.ndarray]) -> None:
-        outputs = self.stage.layer.photonic_matrix.apply(buffers[self.in_slot])
-        bias = self.stage.layer.bias
-        if bias is not None:
-            outputs += bias
-        if self.stage.activation_after:
-            _inplace_crelu(outputs)
-        buffers[self.out_slot] = outputs
-
-
-@dataclass
 class AffineInstruction:
     """One or more folded batch norms as a single split ``a * x + b``.
 
@@ -229,6 +193,8 @@ class ExecutionPlan:
     output_slot: int
     fused_matmuls: int = 0
     fused_affine_chains: int = 0
+    #: mesh stages left unfused (trials-batched noise ensembles), each a
+    #: :class:`CallInstruction` simulating both meshes
     chain_stages: int = 0
     baked_meshes: List[Tuple[Any, int]] = field(default_factory=list, repr=False,
                                                 compare=False)
@@ -384,9 +350,9 @@ def compile_plan(graph: Any) -> ExecutionPlan:
         op = node.op
         may_pool = node.name not in escapes
         # fusibility is a property of the program, not of the mesh size:
-        # both meshes dense under their own policy, whatever their width
-        fusible = (isinstance(op, (LinearStage, Conv2dStage))
-                   and op.layer.photonic_matrix.uses_dense_path())
+        # every stage whose meshes are unbatched folds, whatever its width
+        mesh_stage = isinstance(op, (LinearStage, Conv2dStage))
+        fusible = mesh_stage and op.layer.photonic_matrix.uses_dense_path()
         if fusible and isinstance(op, LinearStage):
             instructions.append(MatmulInstruction(
                 weight_t=bake(op), bias=op.layer.bias,
@@ -402,19 +368,13 @@ def compile_plan(graph: Any) -> ExecutionPlan:
         elif isinstance(op, ElectronicBatchNorm):
             instructions.append(AffineInstruction(
                 op=op, in_slot=in_slots[0], out_slot=out_slot))
-        elif isinstance(op, LinearStage):
-            # unfused mesh stage: runs on the rotation-chain path (native
-            # cchain kernel when loaded, numpy column program otherwise)
-            matrix = op.layer.photonic_matrix
-            resolved = sorted({matrix.left_mesh.resolve_backend(),
-                               matrix.right_mesh.resolve_backend()})
-            instructions.append(ChainInstruction(
-                stage=op, backend="+".join(resolved),
-                in_slot=in_slots[0], out_slot=out_slot))
-            chain_stages += 1
         else:
+            # unfused mesh stages (trials-batched) and every other op run
+            # their own batch-first forward
             instructions.append(CallInstruction(op=op, in_slots=in_slots,
                                                 out_slot=out_slot))
+            if mesh_stage:
+                chain_stages += 1
 
     return ExecutionPlan(instructions=instructions, slot_count=slot_count,
                          output_slot=slot_of[output],

@@ -17,11 +17,10 @@ report
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.compile import CompileOptions
 from repro.core.pipeline import OplixNet
 from repro.core.training import prepare_batch
 from repro.experiments.common import get_workload, workload_config
@@ -52,7 +51,7 @@ DeployedCnnRow = DeployedModelRow
 
 def _deploy_and_sweep(workload_key: str, preset, decoder: str,
                       sigmas: Sequence[float], trials: int, seed: int,
-                      eval_samples: int, method: str, backend: str,
+                      eval_samples: int, method: str,
                       mutual_learning: bool) -> List[DeployedModelRow]:
     """Train one workload's student, compile it and run the noise sweep."""
     preset_obj = get_preset(preset) if isinstance(preset, str) else preset
@@ -61,8 +60,7 @@ def _deploy_and_sweep(workload_key: str, preset, decoder: str,
     pipeline = OplixNet(config)
     student, _ = pipeline.train_student(mutual_learning=mutual_learning)
     scheme = pipeline.student_scheme()
-    deployed = pipeline.deploy(student, method=method,
-                               options=CompileOptions(backend=backend))
+    deployed = pipeline.deploy(student, method=method)
     # compile the execution plan eagerly so the evaluation passes below run
     # through the plan runtime (fused dense stages, reused buffers) rather
     # than paying plan compilation inside the first timed/evaluated forward
@@ -100,7 +98,7 @@ def _deploy_and_sweep(workload_key: str, preset, decoder: str,
 def run_deployed_cnn(preset: str = "bench", decoder: str = "merge",
                      sigmas: Sequence[float] = (0.0, 0.01, 0.03),
                      trials: int = 8, seed: int = 0, eval_samples: int = 64,
-                     method: str = "clements", backend: str = "auto",
+                     method: str = "clements",
                      mutual_learning: bool = False) -> List[DeployedModelRow]:
     """Train, compile and noise-sweep the complex LeNet-5 student.
 
@@ -109,13 +107,13 @@ def run_deployed_cnn(preset: str = "bench", decoder: str = "merge",
     per sigma is returned; fidelity columns repeat across rows.
     """
     return _deploy_and_sweep("lenet5", preset, decoder, sigmas, trials, seed,
-                             eval_samples, method, backend, mutual_learning)
+                             eval_samples, method, mutual_learning)
 
 
 def run_deployed_resnet(preset: str = "bench", decoder: str = "merge",
                         sigmas: Sequence[float] = (0.0, 0.01, 0.03),
                         trials: int = 4, seed: int = 0, eval_samples: int = 32,
-                        method: str = "clements", backend: str = "auto",
+                        method: str = "clements",
                         mutual_learning: bool = False) -> List[DeployedModelRow]:
     """Train, compile and noise-sweep the complex ResNet student.
 
@@ -126,7 +124,7 @@ def run_deployed_resnet(preset: str = "bench", decoder: str = "merge",
     forward to numerical precision).
     """
     return _deploy_and_sweep("resnet20", preset, decoder, sigmas, trials, seed,
-                             eval_samples, method, backend, mutual_learning)
+                             eval_samples, method, mutual_learning)
 
 
 def _format_rows(rows: Sequence[DeployedModelRow], title: str) -> str:

@@ -12,6 +12,7 @@ runtime/sharding benchmarks:
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import numpy as np
 
 import repro
 from repro.assignment import get_scheme
-from repro.core.compile import CompileOptions, CompiledProgram
+from repro.core.compile import CompiledProgram, HardwareTarget
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.shard import ServiceOverloadedError, ShardedInferenceService
 
@@ -167,33 +168,40 @@ def run_shard_benchmark(model: Any, scheme: Any, image_shape: Sequence[int],
                         max_latency_s: float = 0.002, seed: int = 0,
                         warmup_requests: int = 8,
                         store_path: Optional[str] = None,
-                        options: Optional[CompileOptions] = None) -> List[ShardRow]:
+                        target: Optional[HardwareTarget] = None) -> List[ShardRow]:
     """Fire one request wave per worker count and pin parity per request.
 
     The expected logits come from the oracle of the *same* model compiled
     in-process: ``readout(graph.forward_reference(encode_images(...)))``.
-    ``options`` reaches both that compile and every worker's deploy, so a
-    forced backend changes what the workers compute, not only the oracle.
-    Every sharded result is compared against its row before timings are
-    reported.  Clients that hit admission control back off and retry
+    ``target`` reaches both that compile and every worker's deploy; a
+    seeded noisy target (``PhaseNoiseModel.seeded``) gives every replica and
+    the oracle the same trials-batched chip, so each request simulates its
+    meshes on the column program and the expected logits keep the leading
+    trials axis.  Every sharded result is compared against its row before
+    timings are reported.  Clients that hit admission control back off and retry
     (counted in ``overload_retries``), so the numbers describe a
     loaded-but-live service, not a fast-fail storm.
     """
     rng = np.random.default_rng(seed)
     pool = rng.normal(size=(requests, images_per_request, *image_shape))
-    program = repro.compile(model, options=options)
+    # compiling draws the target's noise: the oracle compiles a copy, so each
+    # worker's deploy unpickles the untouched generator and draws the same chip
+    program = repro.compile(model, target=copy.deepcopy(target))
     signal = program.encode_images(
         pool.reshape(-1, *image_shape),
         get_scheme(scheme) if isinstance(scheme, str) else scheme)
     oracle = program.readout(program.graph.forward_reference(signal))
-    expected = oracle.reshape(requests, images_per_request, -1)
+    # the batch axis sits just before the class axis, after any trials axes
+    expected = [oracle[..., index * images_per_request:
+                       (index + 1) * images_per_request, :]
+                for index in range(requests)]
 
     rows: List[ShardRow] = []
     for workers in worker_counts:
         with ShardedInferenceService(workers=int(workers), max_batch=max_batch,
                                      max_latency_s=max_latency_s,
                                      store_path=store_path) as service:
-            service.deploy("bench", model, scheme, image_shape, options=options)
+            service.deploy("bench", model, scheme, image_shape, target=target)
             for index in range(min(warmup_requests, requests)):
                 service.logits("bench", pool[index])
 

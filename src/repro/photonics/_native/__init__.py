@@ -1,6 +1,11 @@
-"""Native (compiled-C) kernels behind the ``"cchain"`` mesh backend.
+"""Native (compiled-C) ``cchain`` kernels: the dense-matrix build and the
+Clements nulling chains.
 
-The package ships :file:`cchain.c` as source and compiles it on first use
+:meth:`~repro.photonics.mzi_mesh.MeshDecomposition.reconstruct` pushes the
+identity through the rotation-chain walk, and
+:func:`~repro.photonics.mzi_mesh.clements_decompose_stack` runs every
+matrix's nulling chain in one call.  The package ships :file:`cchain.c` as
+source and compiles it on first use
 (:mod:`repro.photonics._native.build`); :func:`kernel` returns the loaded
 kernel, or ``None`` when it is unavailable or ``REPRO_FORCE_REFERENCE=1``
 (:mod:`repro.reference`), and every caller treats ``None`` as "run the

@@ -30,14 +30,18 @@ specification; the property tests pin the compiled engine against it to
 1e-10 for both topologies, with and without insertion loss, phase noise and
 quantization.
 
-When the native ``cchain`` kernel is available (:mod:`repro.photonics._native`
-compiles it from shipped C source on first use), :func:`native_propagate`
-executes the whole rotation chain plus the output phase screen in one C call
-per batch, in place on the caller's complex buffer.  Sequential flat-order
-application is exactly the column program's semantics -- the greedy column
-schedule only vectorizes the walk -- so the kernel needs no column
-bookkeeping and is parity-pinned against :func:`reference_apply` like every
-other fast path.
+When the native kernel is available (:mod:`repro.photonics._native` compiles
+it from shipped C source on first use), :func:`native_propagate` executes the
+whole rotation chain plus the output phase screen in one C call per batch, in
+place on the caller's complex buffer.  Its one production use is building
+dense matrices: :meth:`MeshDecomposition.reconstruct` pushes the identity
+through it.  Sequential flat-order application is exactly the column
+program's semantics -- the greedy column schedule only vectorizes the walk --
+so the kernel needs no column bookkeeping and is parity-pinned against
+:func:`propagate` and :func:`reference_apply` like every other fast path.
+Mesh execution itself never picks a kernel: an unbatched mesh applies its
+cached dense matrix (:func:`apply_dense`), a trials-batched one runs
+:func:`propagate`.
 """
 
 from __future__ import annotations
@@ -374,7 +378,7 @@ def apply_dense(states: np.ndarray, dense: np.ndarray,
     ``out``-style preallocated-buffer application: when ``out`` is a
     compatible buffer the matmul writes straight into it (``out`` must not
     alias ``states``), so steady-state plan execution allocates nothing on
-    the hot path.  Trials-batched dense matrices broadcast like matmul.
+    the hot path.
     """
     states = np.asarray(states, dtype=complex)
     dense_t = np.swapaxes(np.asarray(dense, dtype=complex), -1, -2)

@@ -37,20 +37,17 @@ stack from there up.  The original scalar nulling loops are kept as
 executable specifications the test-suite pins the stack paths against to
 1e-10.
 
-Execution policy is explicit: each :class:`MeshDecomposition` carries a
-``backend`` ("auto" / "dense" / "column" / "cchain"), threaded in by the
-compiler; ``"auto"`` takes the dense path for every unbatched mesh, whatever
-its size, and the column program for trials-batched noise ensembles.
-``"cchain"`` runs the rotation chain through the compiled C kernel of
-:mod:`repro.photonics._native`.  Dense matrices are built by propagating the
-identity through that kernel when it is loaded, and through
+Execution policy is a fact about the mesh, not an option: an unbatched mesh
+applies its cached dense matrix, and a trials-batched mesh (a noise
+ensemble) runs the numpy column program of :mod:`repro.photonics.engine`.
+Dense matrices are built by propagating the identity through the native
+kernel of :mod:`repro.photonics._native` when it is loaded, and through
 :func:`engine.dense_transfer` otherwise.
 """
 
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,9 +55,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
-from repro import reference
 from repro.photonics import engine
 from repro.photonics.components import mzi_transfer
 
@@ -131,24 +125,6 @@ def _frozen(array, dtype) -> np.ndarray:
     return array
 
 
-_NATIVE_FALLBACK_LOGGED = False
-
-
-def _log_native_fallback() -> None:
-    """Log (once per process) that ``"cchain"`` fell back to the column path."""
-    global _NATIVE_FALLBACK_LOGGED
-    if not _NATIVE_FALLBACK_LOGGED:
-        _NATIVE_FALLBACK_LOGGED = True
-        from repro.photonics import _native
-
-        reason = _native.load_error() or (
-            "disabled by REPRO_FORCE_REFERENCE"
-            if reference.enabled() else "kernel not loaded")
-        logger.warning("mesh backend 'cchain' requested but the native kernel "
-                       "is unavailable (%s); executing the numpy column "
-                       "program instead", reason)
-
-
 class MeshDecomposition:
     """A unitary expressed as output phases applied after a chain of MZIs.
 
@@ -165,17 +141,10 @@ class MeshDecomposition:
     :meth:`update_phases` (in place, invalidates the cached dense transfer
     matrix) or :meth:`with_phases` (returns a new mesh sharing the topology).
 
-    ``backend`` selects how :meth:`apply` executes: ``"auto"`` (the cached
-    dense matmul for an unbatched mesh of any size, the column program for a
-    trials-batched one), ``"dense"`` (always the cached dense transfer matrix),
-    ``"column"`` (always the compiled numpy column program -- the
-    always-available reference) or ``"cchain"`` (the native C chain kernel,
-    with a logged fallback to the column program when no kernel could be
-    built).  The compiler sets it from
-    :class:`~repro.core.compile.CompileOptions`.
+    :meth:`apply` runs an unbatched mesh, of any size, as one matmul with
+    the cached dense matrix and a trials-batched mesh on the compiled numpy
+    column program (see :meth:`uses_dense_path`).
     """
-
-    BACKENDS = ("auto", "dense", "column", "cchain")
 
     def __init__(self, dimension: int,
                  settings: Optional[Sequence[MZISetting]] = None,
@@ -183,13 +152,9 @@ class MeshDecomposition:
                  method: str = "reck",
                  modes: Optional[np.ndarray] = None,
                  thetas: Optional[np.ndarray] = None,
-                 phis: Optional[np.ndarray] = None,
-                 backend: str = "auto"):
+                 phis: Optional[np.ndarray] = None):
         self.dimension = int(dimension)
         self.method = method
-        if backend not in self.BACKENDS:
-            raise ValueError(f"unknown mesh backend {backend!r}; choose from {self.BACKENDS}")
-        self.backend = backend
         if settings is not None:
             if modes is not None or thetas is not None or phis is not None:
                 raise ValueError("pass either settings or modes/thetas/phis, not both")
@@ -340,7 +305,6 @@ class MeshDecomposition:
             thetas=self._thetas if thetas is None else thetas,
             phis=self._phis if phis is None else phis,
             output_phases=self._output_phases if output_phases is None else output_phases,
-            backend=self.backend,
         )
         mesh._program = self._program  # the column schedule depends only on modes
         return mesh
@@ -380,34 +344,11 @@ class MeshDecomposition:
     def uses_dense_path(self) -> bool:
         """Whether :meth:`apply` executes through the cached dense matrix.
 
-        Part of the single backend-policy source (see :meth:`resolve_backend`
-        for the full resolution): ``"dense"`` forces the dense path,
-        ``"column"``/``"cchain"`` never take it; ``"auto"`` takes it for every
-        unbatched mesh, whatever its size.  The plan compiler consults this
-        to decide which stages it folds into eager dense matrices.
+        True for every unbatched mesh, whatever its size; a trials-batched
+        mesh runs the column program instead.  The plan compiler consults
+        this to decide which stages it folds into eager dense matrices.
         """
-        if self.backend == "auto":
-            return not self.is_batched
-        return self.backend == "dense"
-
-    def resolve_backend(self) -> str:
-        """The execution path :meth:`apply` takes right now.
-
-        Returns ``"dense"``, ``"cchain"`` or ``"column"`` -- the single
-        source of the backend policy.  ``"dense"``/``"column"`` force their
-        path.  ``"cchain"`` resolves to the native kernel when it is loaded
-        and the mesh is unbatched (trials ensembles stay on the vectorized
-        numpy path), with a once-logged fallback to the column program
-        otherwise.  ``"auto"`` takes the dense matmul for an unbatched mesh
-        and the column program for a trials-batched one.
-        """
-        if self.uses_dense_path():
-            return "dense"
-        if self.backend == "cchain" and not self.is_batched:
-            if engine.native_kernel() is not None:
-                return "cchain"
-            _log_native_fallback()
-        return "column"
+        return not self.is_batched
 
     def apply(self, vector: np.ndarray, insertion_loss_db: float = 0.0,
               out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -439,27 +380,17 @@ class MeshDecomposition:
         states = vector[None, :] if single else vector
         if states.shape[-1] != self.dimension:
             raise ValueError(f"expected vectors of length {self.dimension}, got {states.shape[-1]}")
-        resolved = self.resolve_backend()
-        if resolved == "dense":
+        if self.uses_dense_path():
             dense = self._dense_matrix(insertion_loss_db)
             matmul_out = (out if out is not None and out.shape == states.shape
-                          and dense.ndim == 2 and out.dtype == np.complex128
-                          and out.flags.writeable
+                          and out.dtype == np.complex128 and out.flags.writeable
                           and not np.may_share_memory(out, states) else None)
-            # trials-batched dense matrices broadcast through matmul
             outputs = engine.apply_dense(states, dense, out=matmul_out)
         else:
-            outputs = None
-            if resolved == "cchain":
-                outputs = engine.native_propagate(
-                    self._modes, states, self._thetas, self._phis,
-                    self._output_phases, insertion_loss_db=insertion_loss_db,
-                    out=None if single else out)
-            if outputs is None:
-                outputs = engine.propagate(self.compiled(), states, self._thetas,
-                                           self._phis, self._output_phases,
-                                           insertion_loss_db=insertion_loss_db,
-                                           out=None if single else out)
+            outputs = engine.propagate(self.compiled(), states, self._thetas,
+                                       self._phis, self._output_phases,
+                                       insertion_loss_db=insertion_loss_db,
+                                       out=None if single else out)
         return outputs[..., 0, :] if single else outputs
 
     def total_phase_power_mw(self) -> float:

@@ -80,8 +80,8 @@ class PhotonicMatrix:
         return self.mzi_count + self.attenuator_count
 
     def uses_dense_path(self) -> bool:
-        """Whether both meshes run dense: the plan runtime then folds this
-        matrix into one effective matmul, and the artifact store persists it."""
+        """Whether neither mesh is trials-batched: the plan runtime then folds
+        this matrix into one effective matmul, and the artifact store persists it."""
         return self.left_mesh.uses_dense_path() and self.right_mesh.uses_dense_path()
 
     def matrix(self) -> np.ndarray:
@@ -174,14 +174,6 @@ def _count_decompositions(count: int) -> None:
     _DECOMPOSITIONS += count
 
 
-def _apply_mesh_policy(mesh: MeshDecomposition, backend: str) -> MeshDecomposition:
-    if backend not in MeshDecomposition.BACKENDS:
-        raise ValueError(f"unknown mesh backend {backend!r}; "
-                         f"choose from {MeshDecomposition.BACKENDS}")
-    mesh.backend = backend
-    return mesh
-
-
 def _assemble(rows: int, cols: int, left_mesh: MeshDecomposition,
               right_mesh: MeshDecomposition, singular_values: np.ndarray,
               scale: float) -> PhotonicMatrix:
@@ -234,19 +226,17 @@ def _svd_factors_many(weights: Sequence[np.ndarray], normalize: bool) -> List[tu
 
 
 def svd_decompose(weight: np.ndarray, method: str = "clements",
-                  normalize: bool = True, backend: str = "auto") -> PhotonicMatrix:
+                  normalize: bool = True) -> PhotonicMatrix:
     """Map one weight matrix onto a photonic circuit via SVD.
 
     :func:`svd_decompose_many` of a list of one; see there for the
     parameters.
     """
-    return svd_decompose_many([weight], method=method, normalize=normalize,
-                              backend=backend)[0]
+    return svd_decompose_many([weight], method=method, normalize=normalize)[0]
 
 
 def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
-                       normalize: bool = True,
-                       backend: str = "auto") -> List[PhotonicMatrix]:
+                       normalize: bool = True) -> List[PhotonicMatrix]:
     """Map weight matrices onto photonic circuits via SVD, in batched passes.
 
     The SVDs of same-shape weights run as one stacked ``np.linalg.svd`` call
@@ -267,10 +257,6 @@ def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
         If True, scale the singular values so the largest attenuator
         transmission is 1 (physically realisable); the scale factor is stored
         in :attr:`PhotonicMatrix.scale`.
-    backend:
-        Execution policy stamped onto every mesh (see
-        :class:`~repro.photonics.mzi_mesh.MeshDecomposition`); the compiler
-        threads it in from ``CompileOptions``.
     """
     _count_decompositions(len(weights))
     factored = _svd_factors_many(weights, normalize)
@@ -284,7 +270,7 @@ def svd_decompose_many(weights: Sequence[np.ndarray], method: str = "clements",
         stack = np.stack([unitary for _index, _side, unitary in members])
         decomposed = decompose_unitary_stack(stack, method=method)
         for (index, side, _unitary), mesh in zip(members, decomposed):
-            meshes[index, side] = _apply_mesh_policy(mesh, backend)
+            meshes[index, side] = mesh
     return [_assemble(rows, cols, meshes[index, 0], meshes[index, 1],
                       singular_values, scale)
             for index, ((rows, cols), _left, _right, singular_values, scale)

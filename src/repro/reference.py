@@ -5,8 +5,9 @@ A truthy ``REPRO_FORCE_REFERENCE`` (anything but empty, ``0``, ``false``,
 :func:`enabled` is the only reader and re-reads it per call, so tests flip it
 with ``monkeypatch.setenv``.  Switched (fast path -> oracle):
 
-* native ``cchain`` kernel -> numpy column program and chain
-  (``_native.kernel()`` returns ``None``);
+* native ``cchain`` kernel -> ``engine.dense_transfer`` for the dense-matrix
+  build and the numpy Clements nulling chains (``_native.kernel()`` returns
+  ``None``);
 * ``F.im2col`` / ``F.col2im`` and every backward adjoint (picked at forward
   time by ``F.col2im_kernel()``) -> ``im2col_reference`` / ``col2im_reference``;
 * ``ComplexLinear`` / ``ComplexConv2d.forward`` -> ``forward_reference``

@@ -4,7 +4,7 @@ The package extends the i.i.d. Gaussian of ``photonics/noise.py`` with the
 ways real MZI meshes actually fail -- correlated thermal crosstalk, slow
 phase drift, frozen fabrication offsets -- behind a config-driven registry,
 all applied through the same ``perturb``/``with_phases`` seam the noise
-model uses, so every engine backend runs degraded programs unchanged.
+model uses, so the engine and the plan runtime run degraded programs unchanged.
 
 >>> from repro.scenarios import build_scenario
 >>> scenario = build_scenario({"name": "thermal_drift",

@@ -6,9 +6,8 @@ beyond the i.i.d. Gaussian of :class:`~repro.photonics.noise.PhaseNoiseModel`
 into the exact seam the noise model uses: they expose
 ``perturb(mesh, trials=None)`` and apply themselves through
 :meth:`~repro.photonics.mzi_mesh.MeshDecomposition.with_phases`, so the
-vectorized engine, the plan runtime and the native ``cchain`` backend all
-execute scenario-degraded programs unchanged
-(``program.with_noise(noise=scenario)`` works verbatim).
+vectorized engine and the plan runtime execute scenario-degraded programs
+unchanged (``program.with_noise(noise=scenario)`` works verbatim).
 
 What the base class adds over the noise model:
 

@@ -3,7 +3,7 @@
 Bottom up:
 
 * :class:`~repro.serve.cache.ProgramCache` -- LRU cache of compiled programs
-  keyed by ``(model_key, HardwareTarget, CompileOptions)``, so repeated
+  keyed by ``(model_key, HardwareTarget)``, so repeated
   deploys never recompile.
 * :class:`~repro.serve.batcher.DynamicBatcher` -- coalesces concurrent
   ``classify`` / ``logits`` requests into one batched forward pass under a

@@ -3,10 +3,10 @@
 Compiling a model (SVD factoring, mesh decomposition, plan building) costs
 orders of magnitude more than executing it once, so a serving process must
 never recompile a program it already holds.  :class:`ProgramCache` keys
-compiled programs by ``(model_key, HardwareTarget, CompileOptions)`` and
-evicts least-recently-used entries beyond its capacity.
+compiled programs by ``(model_key, HardwareTarget)`` and evicts
+least-recently-used entries beyond its capacity.
 
-The key is canonicalized: both dataclasses are flattened into their policy
+The key is canonicalized: the target dataclass is flattened into its
 fields.  A :class:`~repro.photonics.noise.PhaseNoiseModel` carries a live
 random generator and therefore keys by *identity* -- two targets share a
 cache entry only when they share the noise-model object (the cached program
@@ -22,7 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from repro.core.compile import CompiledProgram, CompileOptions, HardwareTarget
+from repro.core.compile import CompiledProgram, HardwareTarget
 from repro.core.compile import compile as compile_program
 from repro.nn.module import Module
 from repro.photonics.noise import PhaseNoiseModel
@@ -48,8 +48,8 @@ def _frozen_fields(policy: Any) -> Tuple:
     """Every field of a frozen policy dataclass as a hashable tuple.
 
     Derived from ``dataclasses.fields`` so a field added to
-    :class:`HardwareTarget` / :class:`CompileOptions` later joins the key by
-    construction instead of silently colliding.  Noise models carry a live
+    :class:`HardwareTarget` later joins the key by construction instead of
+    silently colliding.  Noise models carry a live
     generator and key by identity (the cached program keeps the object
     alive, so the identity stays unambiguous while the entry lives).
     """
@@ -62,12 +62,10 @@ def _frozen_fields(policy: Any) -> Tuple:
     return tuple(parts)
 
 
-def cache_key(model_key: str, target: Optional[HardwareTarget] = None,
-              options: Optional[CompileOptions] = None) -> Tuple:
-    """Canonical hashable key of one ``(model, target, options)`` deployment."""
+def cache_key(model_key: str, target: Optional[HardwareTarget] = None) -> Tuple:
+    """Canonical hashable key of one ``(model, target)`` deployment."""
     target = HardwareTarget() if target is None else target
-    options = CompileOptions() if options is None else options
-    return (str(model_key), _frozen_fields(target), _frozen_fields(options))
+    return (str(model_key), _frozen_fields(target))
 
 
 class ProgramCache:
@@ -103,10 +101,10 @@ class ProgramCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, model_key: str, target: Optional[HardwareTarget] = None,
-            options: Optional[CompileOptions] = None) -> Optional[CompiledProgram]:
+    def get(self, model_key: str,
+            target: Optional[HardwareTarget] = None) -> Optional[CompiledProgram]:
         """The cached program for the key, or None (counts as hit/miss)."""
-        key = cache_key(model_key, target, options)
+        key = cache_key(model_key, target)
         with self._lock:
             program = self._entries.get(key)
             if program is None:
@@ -125,16 +123,14 @@ class ProgramCache:
             self.stats.evictions += 1
 
     def put(self, model_key: str, program: CompiledProgram,
-            target: Optional[HardwareTarget] = None,
-            options: Optional[CompileOptions] = None) -> None:
-        key = cache_key(model_key, target, options)
+            target: Optional[HardwareTarget] = None) -> None:
+        key = cache_key(model_key, target)
         with self._lock:
             self._insert_locked(key, program)
 
     def get_or_compile(self, model_key: str,
                        model: Any = None,
                        target: Optional[HardwareTarget] = None,
-                       options: Optional[CompileOptions] = None,
                        compile_fn: Callable = compile_program) -> CompiledProgram:
         """The cached program, compiling (and plan-warming) it on a miss.
 
@@ -145,7 +141,7 @@ class ProgramCache:
         misses on the *same* key wait for the one compile instead of
         duplicating it.
         """
-        key = cache_key(model_key, target, options)
+        key = cache_key(model_key, target)
         while True:
             with self._lock:
                 program = self._entries.get(key)
@@ -176,10 +172,10 @@ class ProgramCache:
                 if self.store is not None:
                     with self._lock:
                         refresh = key in self._refresh
-                    program = compile_fn(module, target=target, options=options,
+                    program = compile_fn(module, target=target,
                                          store=self.store, store_refresh=refresh)
                 else:
-                    program = compile_fn(module, target=target, options=options)
+                    program = compile_fn(module, target=target)
                 program.plan()
                 with self._lock:
                     self._insert_locked(key, program)
@@ -192,8 +188,8 @@ class ProgramCache:
                     del self._inflight[key]
                 pending.set()
 
-    def invalidate(self, model_key: str, target: Optional[HardwareTarget] = None,
-                   options: Optional[CompileOptions] = None) -> bool:
+    def invalidate(self, model_key: str,
+                   target: Optional[HardwareTarget] = None) -> bool:
         """Drop one cached entry; returns whether it existed.
 
         Redeploying a model key whose *weights* changed must not hit the
@@ -203,7 +199,7 @@ class ProgramCache:
         recorded on-disk entry is deleted and the next compile of this key
         bypasses the store read and rewrites the entry from a live compile.
         """
-        key = cache_key(model_key, target, options)
+        key = cache_key(model_key, target)
         with self._lock:
             existed = self._entries.pop(key, None) is not None
             store_key = self._store_keys.pop(key, None)

@@ -113,8 +113,7 @@ class RecalibrationManager:
         # modules are callable, so only non-module callables are factories
         if callable(model) and not isinstance(model, Module):
             model = model()
-        program = repro.compile(model, target=args["target"],
-                                options=args["options"], store=store)
+        program = repro.compile(model, target=args["target"], store=store)
         logits = program.predict_logits(images, get_scheme(_scheme_name(
             args["scheme"])))
         logits = logits.reshape(-1, logits.shape[-1])

@@ -52,7 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.compile import CompileOptions, HardwareTarget
+from repro.core.compile import HardwareTarget
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.shm import SlabRing
 from repro.serve.worker import WorkerSpec, worker_main
@@ -487,7 +487,6 @@ class ShardedInferenceService:
     def deploy(self, model_key: str, model: Any, scheme: Any,
                image_shape: Sequence[int], replicas: Optional[int] = None,
                target: Optional[HardwareTarget] = None,
-               options: Optional[CompileOptions] = None,
                max_batch: Optional[int] = None,
                max_latency_s: Optional[float] = None,
                max_queue_samples: Optional[int] = None,
@@ -516,14 +515,14 @@ class ShardedInferenceService:
         deploy_args = {"model_key": model_key, "model": model, "scheme": scheme,
                        "image_shape": tuple(int(s) for s in image_shape),
                        "replicas": replicas, "target": target,
-                       "options": options, "max_batch": max_batch,
+                       "max_batch": max_batch,
                        "max_latency_s": max_latency_s,
                        "max_queue_samples": max_queue_samples,
                        "scenario": scenario}
         lane = self._build_lane(
             model_key, model, scheme, tuple(int(s) for s in image_shape),
             self.workers if replicas is None else int(replicas),
-            target, options,
+            target,
             self.max_batch if max_batch is None else int(max_batch),
             self.max_latency_s if max_latency_s is None else float(max_latency_s),
             max_queue_samples, scenario)
@@ -550,14 +549,14 @@ class ShardedInferenceService:
 
     def _build_lane(self, model_key: str, model: Any, scheme: Any,
                     image_shape: Tuple[int, ...], replicas: int,
-                    target, options, max_batch: int, max_latency_s: float,
+                    target, max_batch: int, max_latency_s: float,
                     max_queue_samples: Optional[int],
                     scenario: Optional[Any] = None) -> _ModelLane:
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
         scheme_name = _scheme_name(scheme)
         spec = WorkerSpec(model_key=model_key, model=model, scheme=scheme_name,
-                          image_shape=image_shape, target=target, options=options,
+                          image_shape=image_shape, target=target,
                           store_path=self.store_path, scenario=scenario)
         pool = [_Replica(f"{model_key}:r{index}", self._context, spec)
                 for index in range(replicas)]

@@ -41,7 +41,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.compile import CompileOptions, HardwareTarget
+from repro.core.compile import HardwareTarget
 from repro.serve.shm import SharedSlab, attach_slab
 
 
@@ -52,8 +52,8 @@ class WorkerSpec:
     ``model`` is the model :class:`~repro.nn.module.Module` itself (its
     pickle is the architecture plus parameter arrays) or a zero-arg factory
     returning one.  The assignment scheme crosses as its registry *name* and
-    is rebuilt worker-side, and compilation policy crosses as the frozen
-    :class:`HardwareTarget` / :class:`CompileOptions` dataclasses.
+    is rebuilt worker-side, and the hardware target crosses as the frozen
+    :class:`HardwareTarget` dataclass.
     ``store_path`` (optional) points at an ahead-of-time compilation
     artifact store: a warm entry turns the replica's rebuild into a
     memory-mapped lookup instead of a full re-decomposition, and the mapped
@@ -73,7 +73,6 @@ class WorkerSpec:
     scheme: str
     image_shape: Tuple[int, ...]
     target: Optional[HardwareTarget] = None
-    options: Optional[CompileOptions] = None
     store_path: Optional[str] = None
     scenario: Optional[Any] = None
 
@@ -95,8 +94,7 @@ def worker_main(spec: WorkerSpec, requests, responses) -> None:
         cache = ProgramCache(capacity=2, store=store)
         # get_or_compile warms the execution plan, so the first request does
         # not pay plan compilation
-        program = cache.get_or_compile(spec.model_key, spec.model,
-                                       spec.target, spec.options)
+        program = cache.get_or_compile(spec.model_key, spec.model, spec.target)
         scenario = None
         if spec.scenario is not None:
             from repro.scenarios import build_scenario

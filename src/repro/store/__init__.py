@@ -11,7 +11,7 @@ memory-mapped disk read instead of re-decomposing every mesh:
 * :class:`StoredArtifact` -- one loaded entry, serving its matrices into
   the lowering walk in place of live decomposition.
 * :func:`store_key` / :func:`weights_digest` -- canonical-JSON content
-  addressing over ``(model weights, HardwareTarget, CompileOptions)``.
+  addressing over ``(model weights, HardwareTarget)``.
 
 Build a store offline with ``python -m repro precompile`` and point
 ``repro.compile()`` / the serving layers at it (``store=`` / ``--store``).

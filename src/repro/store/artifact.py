@@ -4,8 +4,8 @@ Decomposition is the expensive pure step of the whole pipeline -- mesh
 phases are a deterministic function of ``(weights, method)`` -- so the
 store persists exactly that step's output: per deployed weight matrix, the
 structure-of-arrays phases of both SVD meshes plus the singular values as
-one NPZ payload, and (where the execution policy runs dense) the fused
-effective matrix as a separate raw ``.npy`` file so readers can map it
+one NPZ payload, and (for the unbatched meshes the plan runtime fuses) the
+fused effective matrix as a separate raw ``.npy`` file so readers can map it
 with ``np.load(..., mmap_mode="r")`` -- N serving replicas on a host then
 share one physical page-cache copy of every dense matrix instead of N
 private allocations.  (``.npy`` beside the zip rather than inside it:
@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.compile import CompileOptions, HardwareTarget
+from repro.core.compile import HardwareTarget
 from repro.photonics.area import mzi_count_matrix
 from repro.photonics.mzi_mesh import MeshDecomposition
 from repro.photonics.svd_mapping import PhotonicMatrix
@@ -141,19 +141,16 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # keys and paths
     # ------------------------------------------------------------------ #
-    def key_for(self, model: Any, target: Optional[HardwareTarget] = None,
-                options: Optional[CompileOptions] = None) -> str:
+    def key_for(self, model: Any, target: Optional[HardwareTarget] = None) -> str:
         """Content key of one deployment; raises :class:`StoreKeyError` when
         the target has no canonical form (live noise models)."""
-        target = HardwareTarget() if target is None else target
-        options = CompileOptions() if options is None else options
-        return store_key(model, target, options)
+        return store_key(model, HardwareTarget() if target is None else target)
 
-    def try_key_for(self, model: Any, target: Optional[HardwareTarget] = None,
-                    options: Optional[CompileOptions] = None) -> Optional[str]:
+    def try_key_for(self, model: Any,
+                    target: Optional[HardwareTarget] = None) -> Optional[str]:
         """:meth:`key_for`, with unhashable targets mapped to ``None``."""
         try:
-            return self.key_for(model, target, options)
+            return self.key_for(model, target)
         except StoreKeyError:
             return None
 
@@ -175,18 +172,14 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # read path
     # ------------------------------------------------------------------ #
-    def load(self, key: str,
-             options: Optional[CompileOptions] = None) -> Optional[StoredArtifact]:
+    def load(self, key: str) -> Optional[StoredArtifact]:
         """The entry for ``key``, or ``None`` (miss or quarantined corruption).
 
         Validates the manifest and the size + SHA-256 of every payload file
         before deserializing anything, then rebuilds the
-        :class:`PhotonicMatrix` objects with ``options``'s execution policy
-        stamped on (the policy is part of the key, so it always agrees with
-        what the entry was compiled under).  Dense transfer matrices are
+        :class:`PhotonicMatrix` objects.  Dense transfer matrices are
         attached via ``np.load(..., mmap_mode="r")``.
         """
-        options = CompileOptions() if options is None else options
         entry = self.entry_path(key)
         if not (entry / MANIFEST_NAME).is_file():
             self.stats.misses += 1
@@ -203,7 +196,7 @@ class ArtifactStore:
                 if file_sha256(path) != meta["sha256"]:
                     raise ArtifactError(f"{name} fails its SHA-256 digest")
             with np.load(entry / PAYLOAD_NAME, allow_pickle=False) as payload:
-                matrices = [self._build_matrix(entry, payload, index, record, options)
+                matrices = [self._build_matrix(entry, payload, index, record)
                             for index, record in enumerate(manifest["matrices"])]
         except Exception as error:  # noqa: BLE001 -- any damage means "miss"
             logger.warning("store entry %s is unusable (%s); quarantining and "
@@ -231,8 +224,7 @@ class ArtifactStore:
             pass
 
     def _build_matrix(self, entry: Path, payload, index: int,
-                      record: Dict[str, Any],
-                      options: CompileOptions) -> PhotonicMatrix:
+                      record: Dict[str, Any]) -> PhotonicMatrix:
         rows, cols = int(record["rows"]), int(record["cols"])
         meshes = {}
         for side, tag in (("left", "L"), ("right", "R")):
@@ -242,8 +234,7 @@ class ArtifactStore:
                 modes=_frozen_loaded(payload[f"w{index}.{tag}.modes"]),
                 thetas=_frozen_loaded(payload[f"w{index}.{tag}.thetas"]),
                 phis=_frozen_loaded(payload[f"w{index}.{tag}.phis"]),
-                output_phases=_frozen_loaded(payload[f"w{index}.{tag}.out"]),
-                backend=options.backend)
+                output_phases=_frozen_loaded(payload[f"w{index}.{tag}.out"]))
             if mesh.mzi_count != int(record[side]["mzi_count"]):
                 raise ArtifactError(f"matrix {index} {side} mesh has "
                                     f"{mesh.mzi_count} MZIs, manifest says "
@@ -267,12 +258,11 @@ class ArtifactStore:
                       dense: Dict[str, str]) -> None:
         """Memory-map a stored effective matrix into the cache the runtime reads.
 
-        Seeding is policy-checked against the *reconstructed* meshes: a
-        payload their backend would not use is simply skipped (the phases
-        alone are always sufficient), so a stored dense matrix can never put
-        a mesh on a path its policy rejects.
+        Stored phases are never trials-batched, so every reloaded matrix is
+        one the plan runtime fuses; an entry without a dense payload just
+        rebuilds the matrix from its phases on first use.
         """
-        if "eff" in dense and matrix.uses_dense_path():
+        if "eff" in dense:
             mapped = np.load(entry / dense["eff"], mmap_mode="r")
             if mapped.shape != (matrix.cols, matrix.rows):
                 raise ArtifactError("effective dense matrix has shape "
@@ -284,7 +274,7 @@ class ArtifactStore:
     # write path
     # ------------------------------------------------------------------ #
     def save(self, key: str, matrices: Sequence[PhotonicMatrix], model: Any,
-             target: HardwareTarget, options: CompileOptions) -> bool:
+             target: HardwareTarget) -> bool:
         """Publish one entry atomically; returns whether the key is now stored.
 
         The entry is assembled in a sibling ``<key>.<pid>-<n>.tmp`` directory
@@ -315,7 +305,6 @@ class ArtifactStore:
             manifest = build_manifest(
                 key=key, repro_version=__version__,
                 target_doc=policy_document(target),
-                options_doc=policy_document(options),
                 model_doc={"class": type(model).__name__,
                            "arrays": len(model.state_dict())},
                 matrices=records, files=files)

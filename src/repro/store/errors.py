@@ -22,4 +22,4 @@ class ArtifactMismatchError(ArtifactError):
 
 
 class StoreKeyError(ArtifactError):
-    """The (model, target, options) triple has no canonical content key."""
+    """The (model, target) pair has no canonical content key."""

@@ -6,10 +6,10 @@ decomposition step is a pure function of:
 * the **model weights** -- a SHA-256 digest over every parameter and buffer
   of the module's ``state_dict`` (names, dtypes, shapes and raw bytes), so
   two models agree exactly when their deployable weights agree exactly;
-* the frozen **HardwareTarget** and **CompileOptions** dataclasses --
-  flattened field by field (``dataclasses.fields``, so a policy field added
-  later joins the key by construction) into a canonical JSON document:
-  sorted keys, no whitespace, no floats-with-locale surprises.
+* the frozen **HardwareTarget** dataclass -- flattened field by field
+  (``dataclasses.fields``, so a target field added later joins the key by
+  construction) into a canonical JSON document: sorted keys, no
+  whitespace, no floats-with-locale surprises.
 
 The final key is the SHA-256 hex digest of that canonical document.  Targets
 carrying a live :class:`~repro.photonics.noise.PhaseNoiseModel` have no
@@ -31,8 +31,9 @@ import numpy as np
 from repro.store.errors import StoreKeyError
 
 #: bumped when the hashed document layout changes, so entries written by an
-#: older layout can never collide with (or shadow) newer ones
-KEY_LAYOUT_VERSION = 1
+#: older layout can never collide with (or shadow) newer ones (2: the
+#: compile-options document left the key)
+KEY_LAYOUT_VERSION = 2
 
 
 def canonical_json(document: Any) -> str:
@@ -85,19 +86,23 @@ def weights_digest(model: Any) -> str:
     return digest.hexdigest()
 
 
-def store_key(model: Any, target: Any, options: Any) -> str:
-    """The content-addressed entry key of one ``(model, target, options)``.
-
-    Raises :class:`StoreKeyError` when the target/options carry a field with
-    no canonical form (live noise models); callers treat that as "this
-    deployment does not participate in the store".
-    """
-    document = {
+def key_document(model: Any, target: Any) -> Dict[str, Any]:
+    """The canonical document :func:`store_key` hashes for ``(model, target)``."""
+    return {
         "layout": KEY_LAYOUT_VERSION,
         "target": policy_document(target),
-        "options": policy_document(options),
         "weights": weights_digest(model),
     }
+
+
+def store_key(model: Any, target: Any) -> str:
+    """The content-addressed entry key of one ``(model, target)``.
+
+    Raises :class:`StoreKeyError` when the target carries a field with no
+    canonical form (live noise models); callers treat that as "this
+    deployment does not participate in the store".
+    """
+    document = key_document(model, target)
     return hashlib.sha256(canonical_json(document).encode("ascii")).hexdigest()
 
 

@@ -3,7 +3,7 @@
 Each store entry is a directory holding a ``manifest.json`` beside its array
 payloads.  The manifest is the entry's self-description *and* its integrity
 root: schema version, repo version, the content key the entry was written
-under, creation metadata, the hashed target/options documents, one record
+under, creation metadata, the hashed target document, one record
 per deployed matrix (shapes, scale, mesh dimensions, which dense payload
 files exist) and the byte size + SHA-256 of every payload file.  A reader
 validates all of it before touching a single array; any disagreement raises
@@ -29,8 +29,7 @@ DENSE_DIR = "dense"
 
 
 def build_manifest(key: str, repro_version: str,
-                   target_doc: Dict[str, Any], options_doc: Dict[str, Any],
-                   model_doc: Dict[str, Any],
+                   target_doc: Dict[str, Any], model_doc: Dict[str, Any],
                    matrices: List[Dict[str, Any]],
                    files: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     """Assemble the manifest document for one entry about to be published."""
@@ -40,7 +39,6 @@ def build_manifest(key: str, repro_version: str,
         "key": key,
         "created": {"unix_time": time.time(), "pid": os.getpid()},
         "target": target_doc,
-        "options": options_doc,
         "model": model_doc,
         "matrices": matrices,
         "files": files,

@@ -27,17 +27,21 @@ class TestParser:
         assert args.prune_max_entries == 4
         assert args.prune_max_age_days == 7.0
 
-    def test_deploy_subcommands_take_method_and_backend(self):
+    def test_deploy_subcommands_take_method(self):
         parser = build_parser()
         for command in ("deploy-cnn", "deploy-resnet"):
             args = parser.parse_args([command, "--preset", "smoke",
-                                      "--method", "reck", "--backend", "column"])
+                                      "--method", "reck"])
             assert args.method == "reck"
-            assert args.backend == "column"
+            assert not hasattr(args, "backend")
 
-    def test_deploy_rejects_unknown_backend(self):
+    @pytest.mark.parametrize("command", [
+        ["deploy-cnn"], ["deploy-resnet"], ["serve"],
+        ["precompile", "--store", "./s"]])
+    @pytest.mark.parametrize("value", ["auto", "column"])
+    def test_no_subcommand_takes_a_backend(self, command, value):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["deploy-resnet", "--backend", "warp"])
+            build_parser().parse_args(command + ["--backend", value])
 
     def test_backends_takes_no_calibration_flags(self):
         parser = build_parser()
@@ -62,14 +66,15 @@ class TestExecution:
         assert "FCNN" in output and "ResNet-32" in output
         assert "31.7" in output        # the paper's FCNN MZI count (x1e4)
 
-    def test_backends_reports_no_dense_size_limit(self, tmp_path, capsys):
+    def test_backends_reports_the_native_kernel_only(self, tmp_path, capsys):
         output_path = tmp_path / "backends.json"
         assert main(["backends", "--output", str(output_path)]) == 0
         output = capsys.readouterr().out
-        assert "dense when unbatched" in output
+        assert "native kernel:" in output
         assert "size limit" not in output
         payload = json.loads(output_path.read_text())
-        assert payload["backends"] == ["auto", "dense", "column", "cchain"]
+        assert sorted(payload) == ["load_error", "native"]
+        assert "available" in payload["native"]
 
     def test_table2_smoke_with_json_output(self, tmp_path, capsys):
         output_path = tmp_path / "rows.json"

@@ -1,8 +1,9 @@
 """Tests of the ``repro.compile`` graph compiler API.
 
-Covers the compiler entry point and its dataclasses, the graph IR produced
-for residual models (fan-out, electronic skip adds, folded batch norms) and
-the execution-policy threading from ``CompileOptions`` to every mesh.
+Covers the compiler entry point and its target dataclass, the graph IR
+produced for residual models (fan-out, electronic skip adds, folded batch
+norms) and the execution policy, which follows from whether a mesh is
+trials-batched.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import repro
 from repro.assignment import get_scheme
 from repro.core.area_analysis import model_area_report
-from repro.core.compile import CompiledProgram, CompileOptions, HardwareTarget
+from repro.core.compile import CompiledProgram, HardwareTarget
 from repro.core.graph_ir import INPUT, ElectronicAdd, ElectronicBatchNorm, GraphProgram
 from repro.core.lowering import Conv2dStage, LinearStage
 from repro.core.training import prepare_batch
@@ -63,7 +64,6 @@ class TestCompileEntryPoint:
 
         assert repro.compile is compile_function
         assert repro.HardwareTarget is HardwareTarget
-        assert repro.CompileOptions is CompileOptions
 
     def test_compiled_lenet_is_a_chain_program(self, rng):
         program = repro.compile(tiny_lenet(rng))
@@ -88,13 +88,11 @@ class TestCompileEntryPoint:
             repro.compile(RealResNet(depth=8, in_channels=3, num_classes=3,
                                      base_widths=(2, 3, 4), rng=rng))
 
-    def test_invalid_target_and_options(self):
+    def test_invalid_target(self):
         with pytest.raises(ValueError):
             HardwareTarget(method="butterfly")
         with pytest.raises(ValueError):
             HardwareTarget(trials=4)          # trials without a noise model
-        with pytest.raises(ValueError):
-            CompileOptions(backend="warp")
 
 
 class TestResNetGraphCompile:
@@ -163,37 +161,45 @@ class TestResNetGraphCompile:
                            atol=1e-8)
 
 
-class TestExecutionPolicy:
-    def test_backend_is_threaded_to_every_mesh(self, rng):
-        program = repro.compile(tiny_lenet(rng),
-                                options=CompileOptions(backend="column"))
-        meshes = [mesh for stage in program.stages if isinstance(stage, (LinearStage, Conv2dStage))
-                  for mesh in (stage.layer.photonic_matrix.left_mesh,
-                               stage.layer.photonic_matrix.right_mesh)]
-        assert meshes
-        assert all(mesh.backend == "column" for mesh in meshes)
+def mesh_stage_meshes(program):
+    return [mesh for node in program.graph.nodes
+            if isinstance(node.op, (LinearStage, Conv2dStage))
+            for mesh in (node.op.layer.photonic_matrix.left_mesh,
+                         node.op.layer.photonic_matrix.right_mesh)]
 
-    @pytest.mark.parametrize("options", [CompileOptions(backend="dense"),
-                                         CompileOptions(backend="column"),
-                                         CompileOptions(backend="cchain")],
-                             ids=["dense", "column", "cchain"])
-    def test_backends_agree_numerically(self, options, rng):
+
+def zero_noise_lane(program, trials=2):
+    """The program's exact phases, trials-batched: every mesh runs the column
+    program instead of its dense matrix."""
+    return program.with_noise(noise=PhaseNoiseModel(sigma=0.0), trials=trials)
+
+
+class TestExecutionPolicy:
+    def test_policy_follows_trials_batching(self, rng):
+        program = repro.compile(tiny_lenet(rng))
+        meshes = mesh_stage_meshes(program)
+        assert meshes
+        assert all(mesh.uses_dense_path() for mesh in meshes)
+        batched = mesh_stage_meshes(zero_noise_lane(program))
+        assert batched and not any(mesh.uses_dense_path() for mesh in batched)
+
+    def test_column_lane_agrees_with_dense_lane(self, rng):
         scheme = get_scheme("CL")
         model = tiny_lenet(rng)
         images = rng.normal(size=(3, 3, 12, 12))
-        reference = repro.compile(model).predict_logits(images, scheme)
-        assert np.allclose(repro.compile(model, options=options)
-                           .predict_logits(images, scheme), reference, atol=1e-9)
+        program = repro.compile(model)
+        reference = program.predict_logits(images, scheme)
+        lane = zero_noise_lane(program).predict_logits(images, scheme)
+        assert lane.shape == (2,) + reference.shape
+        assert np.allclose(lane, reference, atol=1e-9)
 
-    def test_per_compile_backends_do_not_share_state(self, rng):
-        # two programs with different backends coexist on their own paths
-        model = tiny_lenet(rng)
-        dense_program = repro.compile(model, options=CompileOptions(backend="dense"))
-        column_program = repro.compile(model, options=CompileOptions(backend="column"))
-        sample = dense_program.stages[0].layer.photonic_matrix.left_mesh
-        assert sample.resolve_backend() == "dense"
-        sample = column_program.stages[0].layer.photonic_matrix.left_mesh
-        assert sample.resolve_backend() == "column"
+    def test_clean_and_noisy_programs_do_not_share_state(self, rng):
+        # a noisy copy gets its own meshes; the clean program stays dense
+        program = repro.compile(tiny_lenet(rng))
+        noisy = program.with_noise(noise=PhaseNoiseModel.seeded(0.01, seed=3),
+                                   trials=1)
+        assert all(mesh.uses_dense_path() for mesh in mesh_stage_meshes(program))
+        assert not any(mesh.uses_dense_path() for mesh in mesh_stage_meshes(noisy))
 
     def test_target_noise_is_baked_in(self, rng):
         scheme = get_scheme("CL")
@@ -257,23 +263,22 @@ class TestQuantizationEndToEnd:
 
 
 class TestOneCompilePath:
-    """``repro.compile`` is the only entry point and ``backend`` the only policy."""
+    """``repro.compile`` is the only entry point and the target its only input."""
 
     def test_one_way_to_map_a_weight_onto_meshes(self):
-        """``backend`` is the only option; no layer takes a mapping knob."""
-        import dataclasses
+        """No layer takes a mapping or execution knob."""
         import inspect
 
         from repro.core.lowering import LoweringContext, lower_to_graph
         from repro.photonics import _native
         from repro.photonics.svd_mapping import svd_decompose, svd_decompose_many
 
-        assert [f.name for f in dataclasses.fields(CompileOptions)] == ["backend"]
         signatures = {
-            lower_to_graph: ["model", "method", "backend", "deploy_fn"],
-            LoweringContext.__init__: ["self", "method", "backend", "deploy_fn"],
-            svd_decompose_many: ["weights", "method", "normalize", "backend"],
-            svd_decompose: ["weight", "method", "normalize", "backend"],
+            repro.compile: ["model", "target", "store", "store_refresh"],
+            lower_to_graph: ["model", "method", "deploy_fn"],
+            LoweringContext.__init__: ["self", "method", "deploy_fn"],
+            svd_decompose_many: ["weights", "method", "normalize"],
+            svd_decompose: ["weight", "method", "normalize"],
         }
         for function, parameters in signatures.items():
             assert list(inspect.signature(function).parameters) == parameters
@@ -281,7 +286,7 @@ class TestOneCompilePath:
         assert not hasattr(_native.ChainKernel, "clements_chain")
         assert hasattr(_native.ChainKernel, "clements_chain_stack")
 
-    def test_backend_is_the_only_policy_threaded_to_the_meshes(self):
+    def test_no_execution_knob_reaches_the_meshes(self):
         import inspect
 
         from repro.core.lowering import lower_to_graph
@@ -293,7 +298,8 @@ class TestOneCompilePath:
                          PhotonicLinearLayer.from_weight, MeshDecomposition.__init__,
                          MeshDecomposition.with_phases):
             parameters = inspect.signature(function).parameters
-            assert not [name for name in parameters if "dense" in name], function
+            assert not [name for name in parameters
+                        if "dense" in name or "backend" in name], function
 
     def test_compile_is_the_only_compile_entry_point(self):
         import importlib
@@ -306,6 +312,65 @@ class TestOneCompilePath:
         assert stale == []
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.core.deploy")
+
+
+class TestDeletedExecutionKnobs:
+    """The mesh backend knob and its carriers are gone, not deprecated."""
+
+    def test_compile_options_is_gone(self):
+        import dataclasses
+
+        import repro.core
+        import repro.core.compile as compile_module
+        import repro.store
+
+        for namespace in (repro, repro.core, compile_module, repro.store):
+            assert not hasattr(namespace, "CompileOptions"), namespace
+        assert "CompileOptions" not in repro.__all__
+        assert "CompileOptions" not in repro.core.__all__
+        assert [f.name for f in dataclasses.fields(CompiledProgram)] == [
+            "graph", "target", "encoder", "store_key", "store_hit"]
+
+    def test_mesh_backend_is_gone(self, rng):
+        from repro.photonics import mzi_mesh, svd_mapping
+        from repro.photonics.mzi_mesh import MeshDecomposition
+
+        assert not hasattr(MeshDecomposition, "BACKENDS")
+        assert not hasattr(MeshDecomposition, "resolve_backend")
+        mesh = svd_mapping.svd_decompose(rng.normal(size=(3, 4))).left_mesh
+        assert not hasattr(mesh, "backend")
+        with pytest.raises(TypeError):
+            MeshDecomposition(dimension=2, backend="column")
+        assert not hasattr(svd_mapping, "_apply_mesh_policy")
+        assert not hasattr(mzi_mesh, "_log_native_fallback")
+        assert not hasattr(mzi_mesh, "_NATIVE_FALLBACK_LOGGED")
+
+    def test_chain_instruction_is_gone(self):
+        import dataclasses
+
+        from repro.core import runtime
+
+        assert not hasattr(runtime, "ChainInstruction")
+        # the unfused-stage count stays: the serving benchmarks report it
+        assert "chain_stages" in {f.name for f in
+                                  dataclasses.fields(runtime.ExecutionPlan)}
+
+    def test_serving_and_store_take_no_options(self):
+        import inspect
+
+        from repro.core.pipeline import OplixNet
+        from repro.serve.cache import ProgramCache, cache_key
+        from repro.serve.shard import ShardedInferenceService
+        from repro.serve.worker import WorkerSpec
+        from repro.store import ArtifactStore
+
+        for function in (OplixNet.deploy, ProgramCache.get, ProgramCache.put,
+                         ProgramCache.get_or_compile, ProgramCache.invalidate,
+                         cache_key, ShardedInferenceService.deploy,
+                         WorkerSpec.__init__, ArtifactStore.key_for,
+                         ArtifactStore.try_key_for, ArtifactStore.load,
+                         ArtifactStore.save):
+            assert "options" not in inspect.signature(function).parameters, function
 
 
 class TestLoweringRegistry:

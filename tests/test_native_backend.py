@@ -1,11 +1,12 @@
-"""Tests of the native ``cchain`` backend (:mod:`repro.photonics._native`).
+"""Tests of the native ``cchain`` kernel (:mod:`repro.photonics._native`).
 
-The compiled rotation-chain kernel is an optional accelerator behind the
-existing backend seam: every test here either pins its output against the
-pure-numpy reference paths (``reference_apply``, forced-reference
-decomposition) to 1e-10, or verifies the degradation contract -- no C
-toolchain, or ``REPRO_FORCE_REFERENCE=1``, must silently select the numpy
-paths with identical results.
+The compiled rotation-chain kernel is an optional accelerator of two
+things: the dense-matrix build (:meth:`MeshDecomposition.reconstruct`) and
+the Clements nulling chains.  Every test here either pins its output
+against the pure-numpy reference paths (``propagate``, ``reference_apply``,
+forced-reference decomposition) to 1e-10, or verifies the degradation
+contract -- no C toolchain, or ``REPRO_FORCE_REFERENCE=1``, must silently
+select the numpy paths with identical results.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import logging
 import numpy as np
 import pytest
 
-from repro.photonics import _native, engine, mzi_mesh
+from repro.photonics import _native, engine
 from repro.photonics.mzi_mesh import (
-    MeshDecomposition,
     clements_decompose,
     clements_decompose_reference,
     clements_decompose_stack,
@@ -56,41 +56,57 @@ def no_native(monkeypatch, tmp_path):
     _native.reset()      # next kernel() call re-probes under the real env
 
 
+def native_walk(mesh, states, insertion_loss_db=0.0):
+    return engine.native_propagate(mesh.modes, states, mesh.thetas, mesh.phis,
+                                   mesh.output_phases,
+                                   insertion_loss_db=insertion_loss_db)
+
+
+def column_walk(mesh, states, insertion_loss_db=0.0):
+    return engine.propagate(mesh.compiled(), states, mesh.thetas, mesh.phis,
+                            mesh.output_phases,
+                            insertion_loss_db=insertion_loss_db)
+
+
+def reference_walk(mesh, states, insertion_loss_db=0.0):
+    return np.stack([
+        engine.reference_apply(mesh.modes, mesh.thetas, mesh.phis,
+                               mesh.output_phases, row,
+                               insertion_loss_db=insertion_loss_db)
+        for row in states])
+
+
 class TestPropagateParity:
+    """``native_propagate`` vs ``propagate`` vs ``reference_apply``."""
+
     @requires_kernel
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 16])
     @pytest.mark.parametrize("decompose", [clements_decompose, reck_decompose])
     def test_matches_reference_walk_odd_and_even_dims(self, dim, decompose):
         mesh = decompose(random_unitary(dim, seed=dim))
-        mesh.backend = "cchain"
-        assert mesh.resolve_backend() == "cchain"
         states = random_states(4, dim, seed=dim + 1)
-        expected = np.stack([
-            engine.reference_apply(mesh.modes, mesh.thetas, mesh.phis,
-                                   mesh.output_phases, row)
-            for row in states])
-        assert np.abs(mesh.apply(states) - expected).max() <= PARITY
+        native = native_walk(mesh, states)
+        assert np.abs(native - reference_walk(mesh, states)).max() <= PARITY
+        assert np.abs(native - column_walk(mesh, states)).max() <= PARITY
 
     @requires_kernel
-    def test_single_vector_and_insertion_loss(self):
+    def test_single_row_and_insertion_loss(self):
         mesh = clements_decompose(random_unitary(6, seed=3))
-        mesh.backend = "cchain"
-        state = random_states(1, 6, seed=4)[0]
+        states = random_states(1, 6, seed=4)
         for loss_db in (0.0, 0.5):
-            expected = engine.reference_apply(mesh.modes, mesh.thetas,
-                                              mesh.phis, mesh.output_phases,
-                                              state, insertion_loss_db=loss_db)
-            got = mesh.apply(state, insertion_loss_db=loss_db)
-            assert got.shape == (6,)
-            assert np.abs(got - expected).max() <= PARITY
+            native = native_walk(mesh, states, insertion_loss_db=loss_db)
+            assert native.shape == (1, 6)
+            expected = reference_walk(mesh, states, insertion_loss_db=loss_db)
+            assert np.abs(native - expected).max() <= PARITY
+            assert np.abs(native - column_walk(
+                mesh, states, insertion_loss_db=loss_db)).max() <= PARITY
 
     @requires_kernel
     def test_does_not_mutate_the_input(self):
         mesh = clements_decompose(random_unitary(5, seed=9))
-        mesh.backend = "cchain"
         states = random_states(3, 5)
         before = states.copy()
-        mesh.apply(states)
+        native_walk(mesh, states)
         np.testing.assert_array_equal(states, before)
 
 
@@ -192,30 +208,33 @@ class TestKernelBufferGuards:
 class TestSvdFactors:
     @requires_kernel
     @pytest.mark.parametrize("shape", [(7, 4), (4, 9), (5, 5), (1, 6)])
-    def test_nonsquare_factors_match_column_backend(self, shape):
+    def test_nonsquare_factors_match_column_program(self, shape):
         rng = np.random.default_rng(sum(shape))
         weight = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        native = svd_decompose(weight, backend="cchain")
-        column = svd_decompose(weight, backend="column")
+        matrix = svd_decompose(weight)
+        for mesh in (matrix.left_mesh, matrix.right_mesh):
+            states = random_states(3, mesh.dimension, seed=2)
+            native = native_walk(mesh, states)
+            assert np.abs(native - column_walk(mesh, states)).max() <= PARITY
+            assert np.abs(native - reference_walk(mesh, states)).max() <= PARITY
+        # and the deployed matrix agrees with the plain matmul it encodes
         states = random_states(3, shape[1], seed=2)
-        assert np.abs(native.apply(states) - column.apply(states)).max() <= PARITY
-        # and both agree with the plain matmul the SVD factors encode
-        assert np.abs(native.apply(states) - states @ weight.T).max() <= 1e-8
+        assert np.abs(matrix.apply(states) - states @ weight.T).max() <= 1e-8
 
-    def test_auto_policy_is_dense_at_any_width_and_column_when_batched(self):
+    def test_policy_is_dense_at_any_width_and_column_when_batched(self):
         # a (96, 97) weight factors into a 96-mode and a 97-mode mesh: both
-        # run dense under auto, whatever their width
+        # run dense, whatever their width
         weights = np.random.default_rng(5).normal(size=(96, 97))
-        matrix = svd_decompose(weights, backend="auto")
+        matrix = svd_decompose(weights)
         assert matrix.left_mesh.dimension == 96
         assert matrix.right_mesh.dimension == 97
-        assert matrix.left_mesh.resolve_backend() == "dense"
-        assert matrix.right_mesh.resolve_backend() == "dense"
+        assert matrix.left_mesh.uses_dense_path()
+        assert matrix.right_mesh.uses_dense_path()
         assert matrix.uses_dense_path()
-        # a trials-batched ensemble of the same mesh stays on the column
+        # a trials-batched ensemble of the same mesh runs the column
         # program, kernel or not
         noisy = PhaseNoiseModel.seeded(0.01).perturb(matrix.right_mesh, trials=2)
-        assert noisy.resolve_backend() == "column"
+        assert not noisy.uses_dense_path()
 
 
 class TestDegradation:
@@ -229,24 +248,17 @@ class TestDegradation:
             assert np.abs(mesh.phis - spec.phis).max() <= PARITY
             assert np.abs(mesh.reconstruct() - unitary).max() <= PARITY
             wide = clements_decompose(random_unitary(97, seed=40))
-            assert wide.resolve_backend() == "dense"     # auto, no warning
+            assert wide.uses_dense_path()
             states = random_states(2, 97, seed=40)
             assert np.abs(wide.apply(states)
                           - states @ wide.reconstruct().T).max() <= PARITY
         assert not caplog.records                        # silent degradation
         assert "missing-cc" in (_native.load_error() or "")
 
-    def test_forced_cchain_without_toolchain_warns_and_falls_back(
-            self, no_native, caplog, monkeypatch):
-        monkeypatch.setattr(mzi_mesh, "_NATIVE_FALLBACK_LOGGED", False)
+    def test_native_walk_declines_without_a_toolchain(self, no_native):
         mesh = clements_decompose(random_unitary(4, seed=41))
-        mesh.backend = "cchain"
-        with caplog.at_level(logging.WARNING, logger="repro.photonics.mzi_mesh"):
-            assert mesh.resolve_backend() == "column"
-            assert mesh.resolve_backend() == "column"
-        fallback_logs = [record for record in caplog.records
-                         if "cchain" in record.getMessage()]
-        assert len(fallback_logs) == 1                   # once per process
+        # callers fall back to the numpy column program on None
+        assert native_walk(mesh, random_states(2, 4)) is None
 
     def test_force_reference_env_gates_the_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
@@ -265,9 +277,8 @@ class TestDegradation:
 
 class TestCompileEndToEnd:
     @requires_kernel
-    def test_cchain_program_matches_column_program(self):
+    def test_kernel_program_matches_forced_reference_program(self, monkeypatch):
         from repro.assignment import get_scheme
-        from repro.core.compile import CompileOptions
         from repro.core.compile import compile as compile_model
         from repro.models import ComplexFCNN
 
@@ -275,19 +286,20 @@ class TestCompileEndToEnd:
                             rng=np.random.default_rng(0))
         images = np.random.default_rng(42).normal(size=(5, 1, 4, 4))
         scheme = get_scheme("SI")
-        native = compile_model(model, options=CompileOptions(backend="cchain"))
-        column = compile_model(model, options=CompileOptions(backend="column"))
-        assert np.abs(native.predict_logits(images, scheme)
-                      - column.predict_logits(images, scheme)).max() <= PARITY
+        native = compile_model(model).predict_logits(images, scheme)
+        monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
+        reference = compile_model(model).predict_logits(images, scheme)
+        assert np.abs(native - reference).max() <= PARITY
 
     @requires_kernel
     def test_trials_batched_meshes_stay_on_numpy(self):
         mesh = clements_decompose(random_unitary(6, seed=50))
         noisy = PhaseNoiseModel.seeded(0.01).perturb(mesh, trials=3)
         assert noisy.is_batched
-        noisy.backend = "cchain"
-        # the ensemble path is vectorized numpy by design; forcing cchain on
-        # a batched mesh quietly resolves to the column program
-        assert noisy.resolve_backend() == "column"
+        # the ensemble path is vectorized numpy by design: the kernel
+        # declines batched phases and apply runs the column program
         states = random_states(2, 6)
-        assert noisy.apply(states).shape == (3, 2, 6)
+        assert native_walk(noisy, states) is None
+        applied = noisy.apply(states)
+        assert applied.shape == (3, 2, 6)
+        assert np.array_equal(applied, column_walk(noisy, states))

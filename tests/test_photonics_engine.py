@@ -475,10 +475,8 @@ class TestNoDenseSizeRule:
                           for word in ("dense_limit", "dense_dimension", "crossover"))]
         assert related == []
 
-    def test_auto_keeps_noise_ensembles_off_the_dense_path(self, rng):
+    def test_noise_ensembles_stay_off_the_dense_path(self, rng):
         mesh = clements_decompose(random_unitary(6, rng))
-        assert mesh.backend == "auto"
         assert mesh.uses_dense_path()
         noisy = PhaseNoiseModel(sigma=0.01, rng=rng).perturb(mesh, trials=3)
         assert noisy.is_batched and not noisy.uses_dense_path()
-        assert noisy.resolve_backend() == "column"

@@ -321,13 +321,23 @@ class TestSvdDecomposeMany:
             assert np.allclose(photonic.apply(vector), reference.apply(vector),
                                atol=1e-10)
 
-    def test_policy_is_stamped_on_meshes(self, rng):
-        from repro.photonics import svd_decompose_many
+    def test_trials_batched_meshes_leave_the_dense_path(self, rng):
+        from repro.photonics import PhotonicMatrix, svd_decompose_many
+        from repro.photonics.noise import PhaseNoiseModel
 
-        weights = [rng.normal(size=(4, 4)) + 0j, rng.normal(size=(4, 4)) + 0j]
-        matrices = svd_decompose_many(weights, backend="column")
-        for photonic in matrices:
-            for mesh in (photonic.left_mesh, photonic.right_mesh):
-                assert mesh.backend == "column"
-        with pytest.raises(ValueError):
-            svd_decompose_many(weights, backend="warp")
+        weights = [rng.normal(size=(4, 4)) + 0j, rng.normal(size=(3, 5)) + 0j]
+        exact = PhaseNoiseModel(sigma=0.0)
+        for photonic in svd_decompose_many(weights):
+            assert photonic.uses_dense_path()
+            # the same phases on a two-trial axis run the column program
+            batched = PhotonicMatrix(
+                rows=photonic.rows, cols=photonic.cols,
+                left_mesh=exact.perturb(photonic.left_mesh, trials=2),
+                right_mesh=exact.perturb(photonic.right_mesh, trials=2),
+                singular_values=photonic.singular_values, scale=photonic.scale)
+            assert not batched.uses_dense_path()
+            vector = rng.normal(size=(3, photonic.cols)) + 0j
+            dense = photonic.apply(vector)
+            assert np.allclose(batched.apply(vector),
+                               np.broadcast_to(dense, (2,) + dense.shape),
+                               atol=1e-10)

@@ -4,9 +4,9 @@
 instruction list: mesh stages fold into effective matmuls, adjacent affines
 compose, and node outputs share reusable buffer slots.  Hypothesis draws
 small DAGs -- fan-out, skip adds, adjacent batch norms, ``FlattenStage``
-chains into the output, linear and conv stages under the ``"auto"``
-(fused) and ``"column"`` (unfused) backends -- and checks three things on
-each:
+chains into the output, linear and conv stages that are unbatched (fused)
+or carry a seeded trials-batched noise ensemble of one or two trials
+(unfused, on the column program) -- and checks three things on each:
 
 * slot reuse never clobbers a live value: after every instruction, every
   value a later instruction still reads sits unchanged in its slot;
@@ -31,10 +31,13 @@ from repro.core.graph_ir import (
 from repro.core.lowering import Conv2dStage, FlattenStage, LinearStage
 from repro.core.runtime import _fuse_affine_nodes, compile_plan
 from repro.photonics.circuit import PhotonicLinearLayer
+from repro.photonics.noise import PhaseNoiseModel
 from repro.photonics.svd_mapping import svd_decompose
 
 PARITY = 1e-12
-BACKENDS = ("auto", "column")
+#: None keeps a stage unbatched (it fuses); 1 or 2 draws a seeded noise
+#: ensemble of that many trials (it stays unfused)
+STAGE_TRIALS = (None, 1, 2)
 
 
 def _complex(rng, shape):
@@ -44,8 +47,13 @@ def _complex(rng, shape):
 def _layer(draw, rng, rows: int, cols: int, name: str) -> PhotonicLinearLayer:
     weight = _complex(rng, (rows, cols)) / np.sqrt(cols)
     bias = _complex(rng, (rows,)) if draw(st.booleans()) else None
-    matrix = svd_decompose(weight, backend=draw(st.sampled_from(BACKENDS)))
-    return PhotonicLinearLayer(photonic_matrix=matrix, bias=bias, name=name)
+    layer = PhotonicLinearLayer(photonic_matrix=svd_decompose(weight),
+                                bias=bias, name=name)
+    trials = draw(st.sampled_from(STAGE_TRIALS))
+    if trials is None:
+        return layer
+    noise = PhaseNoiseModel.seeded(0.01, seed=draw(st.integers(0, 2 ** 16)))
+    return layer.with_noise(noise, trials=trials)
 
 
 def _affine(rng, channels: int, spatial: bool) -> ElectronicBatchNorm:

@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.assignment import get_scheme
-from repro.core.compile import CompileOptions
+from repro.core.compile import HardwareTarget
 from repro.core.graph_ir import (
     INPUT,
     ElectronicActivation,
@@ -24,7 +24,6 @@ from repro.core.graph_ir import (
 from repro.core.runtime import (
     AffineInstruction,
     CallInstruction,
-    ChainInstruction,
     ConvInstruction,
     ExecutionPlan,
     MatmulInstruction,
@@ -36,6 +35,11 @@ from repro.photonics.noise import PhaseNoiseModel
 from tests.test_compile import DECODERS, randomize_batchnorms, tiny_lenet, tiny_resnet
 
 PARITY = 1e-12
+
+
+def noise_lane() -> HardwareTarget:
+    """One seeded noisy chip: its meshes are trials-batched, so no stage fuses."""
+    return HardwareTarget(noise=PhaseNoiseModel.seeded(0.01, seed=3), trials=1)
 
 
 def encoded_light(program, images, scheme):
@@ -138,10 +142,10 @@ class TestPlanParity:
         assert not program.plan().is_stale()
 
     def test_unfused_plan_matches_walk(self, rng):
-        # a forced chain backend keeps every mesh stage out of the matmul
-        # fusion, so this pins the unfused instructions against the walk
+        # a seeded one-trial noise lane keeps every mesh stage out of the
+        # matmul fusion, so this pins the unfused instructions against the walk
         scheme = get_scheme("CL")
-        program = repro.compile(tiny_lenet(rng), options=CompileOptions(backend="column"))
+        program = repro.compile(tiny_lenet(rng), target=noise_lane())
         signal = encoded_light(program, rng.normal(size=(3, 3, 12, 12)), scheme)
         assert program.plan().fused_matmuls == 0
         assert np.abs(program.plan().execute(signal)
@@ -178,19 +182,16 @@ class TestPlanCompilation:
         assert kinds.count(MatmulInstruction) == 3
         assert plan.fused_matmuls == 5
 
-    def test_column_backend_stages_stay_unfused(self, rng):
-        program = repro.compile(tiny_lenet(rng),
-                                options=CompileOptions(backend="column"))
+    def test_trials_batched_stages_stay_unfused(self, rng):
+        program = repro.compile(tiny_lenet(rng), target=noise_lane())
         plan = program.plan()
         assert plan.fused_matmuls == 0
-        # unfused linear mesh stages lower to the explicit chain-path
-        # instruction (native kernel when loaded, column program otherwise);
-        # everything else stays on the generic call
-        assert all(isinstance(instruction, (CallInstruction, ChainInstruction))
+        # unfused mesh stages run their own forward on the column program,
+        # like every other op; chain_stages counts the two convs and three
+        # linears
+        assert all(isinstance(instruction, CallInstruction)
                    for instruction in plan.instructions)
-        assert plan.chain_stages > 0
-        assert any(isinstance(instruction, ChainInstruction)
-                   for instruction in plan.instructions)
+        assert plan.chain_stages == 5
 
     def test_plan_is_cached(self, rng):
         program = repro.compile(tiny_lenet(rng))

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.assignment import get_scheme
-from repro.core.compile import CompileOptions, HardwareTarget
+from repro.core.compile import HardwareTarget
 from repro.experiments.serving import measure_plan_speedup, run_serving_benchmark
 from repro.models import ComplexFCNN
 from repro.photonics.noise import PhaseNoiseModel
@@ -280,12 +280,12 @@ class TestProgramCache:
     def test_distinct_policies_get_distinct_entries(self, rng):
         model = tiny_lenet(rng)
         cache = ProgramCache(capacity=4)
-        auto = cache.get_or_compile("lenet", model)
-        column = cache.get_or_compile("lenet", model,
-                                      options=CompileOptions(backend="column"))
+        clean = cache.get_or_compile("lenet", model)
+        noisy = cache.get_or_compile("lenet", model, target=HardwareTarget(
+            noise=PhaseNoiseModel.seeded(0.01, seed=3), trials=1))
         reck = cache.get_or_compile("lenet", model,
                                     target=HardwareTarget(method="reck"))
-        assert auto is not column and auto is not reck
+        assert clean is not noisy and clean is not reck
         assert len(cache) == 3
 
     def test_lru_eviction(self, rng):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.assignment import get_scheme
-from repro.core.compile import CompileOptions, HardwareTarget
+from repro.core.compile import HardwareTarget
 from repro.core.compile import compile as compile_model
 from repro.models import ComplexFCNN
 from repro.photonics.noise import PhaseNoiseModel
@@ -69,11 +69,20 @@ class TestContentKey:
             store.key_for(perturbed),
             store.key_for(tiny_fcnn(seed=1)),
             store.key_for(tiny_fcnn(), target=HardwareTarget(method="reck")),
-            store.key_for(tiny_fcnn(), options=CompileOptions(backend="column")),
+            store.key_for(tiny_fcnn(), target=HardwareTarget(method="reck",
+                                                             quantization_bits=6)),
             store.key_for(tiny_fcnn(),
                           target=HardwareTarget(quantization_bits=6)),
         }
         assert len(keys) == 6      # every perturbation lands on its own key
+
+    def test_key_document_carries_no_options(self):
+        from repro.store.hashing import KEY_LAYOUT_VERSION, key_document
+
+        document = key_document(tiny_fcnn(), HardwareTarget())
+        assert sorted(document) == ["layout", "target", "weights"]
+        assert "options" not in document
+        assert document["layout"] == KEY_LAYOUT_VERSION == 2
 
     def test_noise_targets_bypass_the_store(self, store):
         noisy = HardwareTarget(noise=PhaseNoiseModel.seeded(0.01), trials=2)
@@ -213,10 +222,10 @@ class TestAtomicPublication:
         # must treat that as the other writer having won
         store = ArtifactStore(tmp_path / "store")
         model = tiny_fcnn()
-        target, options = HardwareTarget(), CompileOptions()
-        key = store.key_for(model, target, options)
-        assert store.save(key, [], model, target, options) is True
-        assert store.save(key, [], model, target, options) is True
+        target = HardwareTarget()
+        key = store.key_for(model, target)
+        assert store.save(key, [], model, target) is True
+        assert store.save(key, [], model, target) is True
         assert store.stats.saves == 2 and store.stats.errors == 0
         assert store.keys() == [key]
         assert not list((tmp_path / "store").rglob("*.tmp"))
