@@ -6,10 +6,12 @@ Two quantities are measured and recorded to ``benchmarks/latest/runtime.json``:
   :class:`~repro.core.runtime.ExecutionPlan` (fused dense stages, slot-reuse
   buffers) against the kept interpreted node-walk
   (:meth:`~repro.core.graph_ir.GraphProgram.forward_reference`), at serving
-  batch sizes 1 / 8 / 64, with parity asserted to 1e-12.  Fully connected
-  programs collapse to one matmul per layer (measured ~2.5-4x); im2col
-  convolution programs are patch-extraction-bound, so their win is smaller
-  and the assertion is a no-regression floor.
+  batch sizes 1 / 4 / 8 / 64 (4 is the open-loop flush size), with parity
+  asserted to 1e-12.  Fully connected programs collapse to one matmul per
+  layer (measured ~2.5-4x).  In convolution programs each conv is one
+  instruction that gathers its patches through plan-owned scratch and
+  absorbs the batch norm and CReLU after it; LeNet-5 (no batch norms) keeps
+  a no-regression floor, ResNet-8 a speedup floor.
 * **Dynamic-batcher throughput** -- synthetic concurrent single-image traffic
   through :class:`~repro.serve.DynamicBatcher` at flush budgets
   {1, 8, 64}, against the same requests issued sequentially.  Batching
@@ -36,6 +38,7 @@ from repro.experiments.serving import measure_plan_speedup, run_serving_benchmar
 
 PARITY = 1e-12
 SERVING_BATCHES = (1, 8, 64)
+PLAN_BATCHES = (1, 4, 8, 64)
 
 
 def bench_preset_name() -> str:
@@ -101,18 +104,21 @@ def test_plan_vs_walk_speedup(model_key, results_dir):
     model, scheme, image_shape = _model_under_test(model_key, smoke, rng)
     program = repro.compile(model)
     program.plan()                                   # pay plan compilation once
-    for batch in (1, 8, 64):
+    for batch in PLAN_BATCHES:
         images = rng.normal(size=(batch,) + image_shape)
         row = measure_plan_speedup(program, images, scheme,
                                    repeats=3 if smoke else 5)
         assert row["max_deviation"] <= PARITY
         _results["plan_vs_walk"].append(PlanBenchRow(model=model_key, **row))
     rows = [row for row in _results["plan_vs_walk"] if row.model == model_key]
-    # fully connected programs fold whole stages into single matmuls; the
-    # conv programs are im2col-bound, so they only get a no-regression floor
-    # (floors sit far below the measured values to ride out CI runner noise)
+    # fully connected programs fold whole stages into single matmuls; each
+    # ResNet-8 conv also absorbs its batch norm and CReLU (best of the batch
+    # rows measured 4.3-6.0x over the walk on a 2-vCPU host, so its floor is
+    # under half of that); LeNet-5 keeps its no-regression floor.  Floors
+    # sit far below the measured values to ride out CI runner noise.
+    floors = {"fcnn": 1.3, "lenet5": 0.75, "resnet": 2.0}
     best = max(row.speedup for row in rows)
-    assert best >= (1.3 if model_key == "fcnn" else 0.75)
+    assert best >= floors[model_key]
     _save(results_dir)
 
 

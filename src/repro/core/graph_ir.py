@@ -23,11 +23,13 @@ their skip connections:
 This module holds the graph *definition*; *execution* lives in
 :mod:`repro.core.runtime`.  :meth:`GraphProgram.plan` compiles the DAG once
 into an :class:`~repro.core.runtime.ExecutionPlan` -- a flat instruction list
-with precomputed buffer lifetimes, eager dense transfer matrices and fused
-electronic affine ops -- and :meth:`GraphProgram.forward` is a thin wrapper
-over executing that (cached) plan.  The original interpreted node-walk is
-kept as :meth:`GraphProgram.forward_reference`, the executable specification
-the test-suite pins every plan against to 1e-12.  Chain-shaped graphs
+over a few reusable, plan-owned buffer slots, in which every unbatched mesh
+stage is one dense matmul that also absorbs the electronic batch norm and
+CReLU after it (a skip add absorbs its CReLU) -- and
+:meth:`GraphProgram.forward` is a thin wrapper over executing that (cached)
+plan.  The original interpreted node-walk is kept as
+:meth:`GraphProgram.forward_reference`, the executable specification the
+test-suite pins every plan against to 1e-12.  Chain-shaped graphs
 (purely sequential models) can be flattened back to a stage list with
 :meth:`GraphProgram.chain_stages` (``CompiledProgram.stages``).
 """
@@ -66,7 +68,9 @@ class ElectronicAdd:
         total = np.asarray(signals[0], dtype=complex)
         for signal in signals[1:]:
             total = total + np.asarray(signal, dtype=complex)
-        return total
+        # a new array even for one input: the plan runtime reuses the storage
+        # of every value no longer read, so a result must not alias an input
+        return total if len(signals) > 1 else total.copy()
 
     def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
                    quantization_bits: Optional[int] = None,

@@ -170,14 +170,8 @@ class Conv2dStage:
     def mzi_count(self) -> int:
         return self.layer.mzi_count
 
-    def extract_patches(self, signal: np.ndarray) -> Tuple[np.ndarray, int, int, int]:
-        """Flatten a batch of feature maps into one im2col mesh batch.
-
-        Returns ``(flat, batch, out_h, out_w)`` with ``flat`` of shape
-        ``(..., batch * out_h * out_w, in_channels * kh * kw)``.  Shared by
-        :meth:`forward` and the plan runtime's fused conv instruction, so
-        both executors use one copy of the geometry.
-        """
+    def forward(self, signal: np.ndarray) -> np.ndarray:
+        """Convolve ``(*trials, batch, channels, height, width)`` amplitudes."""
         signal = np.asarray(signal, dtype=complex)
         if signal.ndim < 4:
             raise ValueError("Conv2dStage expects (..., batch, channels, height, width)")
@@ -189,21 +183,11 @@ class Conv2dStage:
                                                  self.stride, self.padding)
         flat = patches.reshape(patches.shape[:-3] + (batch * out_h * out_w,
                                                      patches.shape[-1]))
-        return flat, batch, out_h, out_w
-
-    def assemble_maps(self, outputs: np.ndarray, batch: int, out_h: int,
-                      out_w: int) -> np.ndarray:
-        """Reshape a ``(..., batch * L, out_channels)`` mesh batch back to maps."""
+        outputs = self.layer(flat)                  # (*trials, batch * L, out_channels)
         outputs = outputs.reshape(outputs.shape[:-2]
                                   + (batch, out_h * out_w, self.out_channels))
         outputs = np.swapaxes(outputs, -1, -2)
-        return outputs.reshape(outputs.shape[:-1] + (out_h, out_w))
-
-    def forward(self, signal: np.ndarray) -> np.ndarray:
-        """Convolve ``(*trials, batch, channels, height, width)`` amplitudes."""
-        flat, batch, out_h, out_w = self.extract_patches(signal)
-        outputs = self.layer(flat)                  # (*trials, batch * L, out_channels)
-        outputs = self.assemble_maps(outputs, batch, out_h, out_w)
+        outputs = outputs.reshape(outputs.shape[:-1] + (out_h, out_w))
         if self.activation_after:
             outputs = split_relu(outputs)
         return outputs

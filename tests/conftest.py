@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.data.dataset import ArrayDataset
 from repro.tensor.random import seed_all
+
+# Hypothesis profiles for tests that leave the example count to the profile:
+# ``default`` keeps tier-1 time fixed, ``HYPOTHESIS_PROFILE=ci`` runs more
+settings.register_profile("default", max_examples=60, deadline=None)
+settings.register_profile("ci", max_examples=300, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture
