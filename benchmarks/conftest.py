@@ -72,3 +72,26 @@ def best_of():
         return min(times)
 
     return _best_of
+
+
+@pytest.fixture
+def interleaved_best_of():
+    """Best-of-N wall-clock timer of two callables run in alternation.
+
+    A slow spell of a shared runner then lands on both sides instead of on
+    whichever one happened to be measured during it, so the ratio of the two
+    minima is what a speedup floor compares.
+    """
+
+    def _interleaved(first, second, repeats: int = 9):
+        import time
+
+        first_times, second_times = [], []
+        for _ in range(repeats):
+            for fn, times in ((first, first_times), (second, second_times)):
+                start = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - start)
+        return min(first_times), min(second_times)
+
+    return _interleaved

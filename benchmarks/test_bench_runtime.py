@@ -132,13 +132,16 @@ def test_dynamic_batcher_throughput(results_dir):
     for max_batch in SERVING_BATCHES:
         row = run_serving_benchmark(program, scheme, image_shape=image_shape,
                                     requests=requests, clients=8,
-                                    max_batch=max_batch, max_latency_s=0.002)
+                                    max_batch=max_batch, max_latency_s=0.002,
+                                    repeats=3)
         rows.append(row)
         _results["serving_throughput"].append(asdict(row))
     _save(results_dir)
     by_budget = {row.max_batch: row for row in rows}
     # a flush budget of 64 coalesces the whole request wave into a couple of
-    # forwards; measured ~10x over sequential on the dev box, floor well below
+    # forwards; measured ~10x over sequential on the dev box, floor well below.
+    # Each side is the best of three waves: a single wave on a shared 2-vCPU
+    # host read anywhere from 0.4x to 10x
     assert by_budget[64].throughput_gain >= 1.5
     # larger budgets must not serve (much) worse than single-sample flushes
     assert (by_budget[64].batched_requests_per_s

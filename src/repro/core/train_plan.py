@@ -14,7 +14,12 @@ lists executed against preallocated buffers:
   against fresh values without being rebuilt.  View nodes (reshape, transpose,
   slicing, the complex pair unpacking) whose data shares memory with their
   parent cost *zero* instructions: the compile-time view stays valid because
-  buffers are never rebound.
+  buffers are never rebound.  The compiler cuts the list after the logits
+  node: :meth:`TrainStepPlan.forward` runs the model part,
+  :meth:`TrainStepPlan.finish` the loss tail, so a caller can read the
+  logits before supplying the *late* inputs only the loss reads (mutual
+  learning's peer distribution, which needs the other network's logits of
+  the same batch).  :meth:`TrainStepPlan.execute` runs both halves.
 * **backward**: the original eager closures are reused in the exact order
   ``Tensor.backward`` would process them (reversed topological order), but the
   per-step topological sort, the ``pending`` dict and every gradient
@@ -1001,14 +1006,16 @@ _BACKWARD_BUILDERS: Dict[str, Callable] = {
 class TrainStepPlan:
     """A lowered training step: refresh inputs, replay, update, in place."""
 
-    def __init__(self, input_buffers, input_meta, param_bindings, unused_params,
-                 forward, backward, optimizer, grad_clip, update_indices,
-                 loss_node, logits_node, stats):
+    def __init__(self, input_buffers, late_buffers, input_meta, param_bindings,
+                 unused_params, forward, loss_tail, backward, optimizer, grad_clip,
+                 update_indices, loss_node, logits_node, stats):
         self._input_buffers = input_buffers
+        self._late_buffers = late_buffers
         self.input_meta = input_meta
         self._param_bindings = param_bindings
         self._unused_params = unused_params
         self._forward = forward
+        self._loss_tail = loss_tail
         self._backward = backward
         self._optimizer = optimizer
         self._grad_clip = grad_clip
@@ -1021,18 +1028,40 @@ class TrainStepPlan:
         """Run one planned step; returns ``(loss, predicted labels)``.
 
         ``input_values`` maps the traced input keys (``input`` or
-        ``input_real``/``input_imag``, plus ``cross_entropy_targets``) to the
-        new batch's arrays.  With ``update=False`` the optimizer tail is
-        skipped and the parameter gradients are left bound on ``p.grad``.
+        ``input_real``/``input_imag``, plus ``cross_entropy_targets`` and any
+        late input) to the new batch's arrays.  With ``update=False`` the
+        optimizer tail is skipped and the parameter gradients are left bound
+        on ``p.grad``.
+        """
+        self.forward(input_values)
+        return self.finish(input_values, update)
+
+    def forward(self, input_values: Dict[str, np.ndarray]) -> np.ndarray:
+        """Refresh the early inputs and replay the forward pass to the logits.
+
+        Returns the logits buffer itself: the next :meth:`forward` overwrites
+        it, :meth:`finish` does not.
         """
         for key, buffer in self._input_buffers:
             np.copyto(buffer, input_values[key])
+        for instruction in self._forward:
+            instruction()
+        return self._logits.data
+
+    def finish(self, late_values: Dict[str, np.ndarray], update: bool = True):
+        """Refresh the late inputs, then run the loss tail, backward and update.
+
+        Completes the step :meth:`forward` began; returns ``(loss, predicted
+        labels)`` like :meth:`execute`.
+        """
+        for key, buffer in self._late_buffers:
+            np.copyto(buffer, late_values[key])
+        for instruction in self._loss_tail:
+            instruction()
         for parameter, buffer in self._param_bindings:
             parameter.grad = buffer
         for parameter in self._unused_params:
             parameter.grad = None
-        for instruction in self._forward:
-            instruction()
         for instruction in self._backward:
             instruction()
         if update:
@@ -1053,8 +1082,9 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
     """Lower one traced training step to a :class:`TrainStepPlan`.
 
     Raises :class:`PlanUnsupported` when the trace cannot be replayed (a
-    volatile op such as dropout, an untagged custom node, or a buffer-aliasing
-    pattern the emitters cannot reproduce).
+    volatile op such as dropout, an untagged custom node, a buffer-aliasing
+    pattern the emitters cannot reproduce, or a late input read before the
+    logits).
     """
     if trace.volatile:
         raise PlanUnsupported("volatile trace: " + "; ".join(sorted(set(trace.volatile))))
@@ -1062,6 +1092,7 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
     entries: Dict[int, TapeEntry] = {id(e.tensor): e for e in trace.entries}
     params_index = {id(p): i for i, p in enumerate(optimizer.parameters)}
     input_ids = {id(tensor): key for key, (tensor, _meta) in trace.inputs.items()}
+    late_ids = {id(tensor) for tensor, meta in trace.inputs.values() if meta.get("late")}
 
     # ------------------------------------------------------------------ #
     # reachability: every traced node whose data feeds the loss
@@ -1270,17 +1301,35 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
         position_of[nid] = len(fused_forward)
         fused_forward.append(instruction)
 
+    # the cut: everything up to the instruction writing the logits buffer is
+    # the model's forward pass, the rest the loss tail; no instruction before
+    # it may read a late input, which arrives only after the forward pass
+    logits_source = view_origin.get(id(logits), id(logits))
+    if logits_source not in position_of:
+        raise PlanUnsupported("no instruction computes the logits")
+    cut = position_of[logits_source] + 1
+    for nid in forward_node_ids:
+        if position_of[nid] >= cut:
+            continue
+        for parent in entries[nid].parents:
+            origin = view_origin.get(id(parent), id(parent))
+            if origin in late_ids:
+                raise PlanUnsupported(f"op {entries[nid].op!r} before the logits "
+                                      f"reads late input {input_ids[origin]!r}")
+
     # ------------------------------------------------------------------ #
     # inputs and the optimizer tail
     # ------------------------------------------------------------------ #
     input_buffers = []
+    late_buffers = []
     input_meta = {}
     for key, (tensor, meta) in trace.inputs.items():
         if id(tensor) in entries:
             raise PlanUnsupported(f"marked input {key!r} is not a leaf")
         if id(tensor) not in seen:
             continue  # traced but unused by this model
-        input_buffers.append((key, tensor.data))
+        (late_buffers if id(tensor) in late_ids else input_buffers).append(
+            (key, tensor.data))
         input_meta[key] = meta
 
     param_bindings = []
@@ -1299,6 +1348,7 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
 
     stats = {
         "forward_instructions": len(fused_forward),
+        "loss_tail_instructions": len(fused_forward) - cut,
         "backward_instructions": len(backward_instructions),
         "fused_activations": fused,
         "specialized_backward": specialized_backward,
@@ -1309,10 +1359,12 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
     }
     return TrainStepPlan(
         input_buffers=tuple(input_buffers),
+        late_buffers=tuple(late_buffers),
         input_meta=input_meta,
         param_bindings=tuple(param_bindings),
         unused_params=tuple(unused_params),
-        forward=tuple(fused_forward),
+        forward=tuple(fused_forward[:cut]),
+        loss_tail=tuple(fused_forward[cut:]),
         backward=tuple(backward_instructions),
         optimizer=optimizer,
         grad_clip=grad_clip,

@@ -13,7 +13,10 @@ steps with the same shapes replay the plan; anything the tracer cannot
 lower (dropout, custom ops) falls back to the eager tape transparently.
 Under ``REPRO_FORCE_REFERENCE=1`` (:func:`repro.reference.enabled`) every
 step runs the eager tape, the plan's reference: the reference kernels it
-then records have no replay emitter.
+then records have no replay emitter.  The plan dict, its size cap, the
+fallback reason and the per-batch plan inputs are shared with
+:class:`~repro.core.distillation.MutualLearningTrainer`, which drives one
+trainer per network through the same machinery.
 """
 
 from __future__ import annotations
@@ -165,27 +168,39 @@ class Trainer:
 
     def train_step(self, images: np.ndarray, labels: np.ndarray):
         """One optimizer update; returns ``(batch loss, predicted labels)``."""
-        if self._plan_enabled and not reference.enabled() and self.model.training:
+        if self._plan_active():
             return self._planned_step(images, labels)
         return self._eager_step(images, labels)
 
+    def _plan_active(self) -> bool:
+        """Whether training steps replay compiled plans right now."""
+        return self._plan_enabled and not reference.enabled() and self.model.training
+
+    def _may_compile(self) -> bool:
+        """Whether an unseen batch shape may still be traced and compiled."""
+        return self._plan_fallback_reason is None and len(self._plans) < self.MAX_PLANS
+
     def _eager_step(self, images: np.ndarray, labels: np.ndarray):
         """The reference step: graph walk, closure backward, optimizer loop."""
-        self.optimizer.zero_grad()
         logits = self.model(prepare_batch(images, self.scheme))
         loss = cross_entropy(logits, labels, label_smoothing=self.config.label_smoothing)
+        self._update(loss)
+        return float(loss.data), logits.data.argmax(axis=1)
+
+    def _update(self, loss: Tensor) -> None:
+        """Backward of ``loss``, the optional clip, the optimizer step, constraints."""
+        self.optimizer.zero_grad()
         loss.backward()
         if self.config.grad_clip:
             self.optimizer.clip_grad_norm(self.config.grad_clip)
         self.optimizer.step()
         apply_parameter_constraints(self.model)
-        return float(loss.data), logits.data.argmax(axis=1)
 
     def _planned_step(self, images: np.ndarray, labels: np.ndarray):
         key = (np.shape(images), np.shape(labels))
         plan = self._plans.get(key)
         if plan is None:
-            if self._plan_fallback_reason is not None or len(self._plans) >= self.MAX_PLANS:
+            if not self._may_compile():
                 return self._eager_step(images, labels)
             return self._trace_step(key, images, labels)
         loss, predictions = plan.execute(self._plan_inputs(images, labels, plan.input_meta))
@@ -194,23 +209,22 @@ class Trainer:
 
     def _trace_step(self, key, images: np.ndarray, labels: np.ndarray):
         """Run one eager step under the tape tracer and lower it to a plan."""
-        self.optimizer.zero_grad()
         with trace_tape() as trace:
             logits = self.model(prepare_batch(images, self.scheme))
             loss = cross_entropy(logits, labels,
                                  label_smoothing=self.config.label_smoothing)
-        loss.backward()
-        if self.config.grad_clip:
-            self.optimizer.clip_grad_norm(self.config.grad_clip)
-        self.optimizer.step()
-        apply_parameter_constraints(self.model)
+        self._update(loss)
+        self._compile(key, trace, loss, logits)
+        return float(loss.data), logits.data.argmax(axis=1)
+
+    def _compile(self, key, trace, loss: Tensor, logits: Tensor) -> None:
+        """Lower a traced (and already applied) step to the plan for ``key``."""
         try:
             self._plans[key] = compile_train_step(trace, loss, logits, self.optimizer,
                                                   grad_clip=self.config.grad_clip)
         except PlanUnsupported as reason:
             # models the tracer cannot replay keep the eager path for good
             self._plan_fallback_reason = str(reason)
-        return float(loss.data), logits.data.argmax(axis=1)
 
     def _plan_inputs(self, images: np.ndarray, labels: np.ndarray,
                      input_meta: dict) -> Dict[str, np.ndarray]:

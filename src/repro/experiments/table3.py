@@ -2,10 +2,12 @@
 
 For each CNN workload the SCVNN student is trained twice with identical
 hyper-parameters: once with plain cross-entropy and once jointly with its CVNN
-teacher (the next larger model of the family: ResNet-56 for the ResNets,
-another LeNet-5 for LeNet-5).  The paper's finding -- mutual learning recovers
-accuracy, with the largest gain on the deepest student -- is what the harness
-reports.
+teacher (the paper pairs ResNet-20/32 with a ResNet-56 and LeNet-5 with
+another LeNet-5).  The paper's finding -- mutual learning recovers accuracy,
+with the largest gain on the deepest student -- is what the harness reports.
+Each row names the student and teacher depths that actually ran, which the
+preset chooses (the ``bench`` preset trains ResNet-8 students with a
+ResNet-14 teacher).
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ from repro.experiments.reporting import format_table, percent
 #: the workloads of the paper's Table III (the FCNN row is not part of it)
 TABLE3_WORKLOAD_KEYS = ("lenet5", "resnet20", "resnet32")
 
-#: teacher names as printed in the paper
-TEACHER_NAMES = {"lenet5": "LeNet-5", "resnet20": "ResNet-56", "resnet32": "ResNet-56"}
+
+def model_label(workload: Workload, depth: Optional[int]) -> str:
+    """The name of the network that ran: ResNets carry their trained depth."""
+    if workload.architecture == "resnet":
+        return f"ResNet-{depth}"
+    return workload.display_name
 
 
 @dataclass
@@ -53,11 +59,11 @@ def run_workload(workload: Workload, preset: Preset, seed: int = 0) -> Table3Row
     accuracy_with = result.student_test_accuracy
 
     return Table3Row(
-        model=workload.display_name,
+        model=model_label(workload, config.depth),
         dataset=workload.dataset.upper(),
         accuracy_without_ml=accuracy_without,
         accuracy_with_ml=accuracy_with,
-        teacher=TEACHER_NAMES[workload.key],
+        teacher=model_label(workload, config.teacher_depth),
     )
 
 

@@ -79,6 +79,21 @@ def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
     return (difference * difference).mean()
 
 
+def peer_distribution(peer_logits: np.ndarray, temperature: float):
+    """Softened peer probabilities and log-probabilities of ``kl_divergence``.
+
+    The same float operations as a shifted softmax and a ``logsumexp``-based
+    log-softmax of ``peer_logits / temperature``.  Shared with the mutual
+    learning trainer, which recomputes the peer distribution for each new
+    batch and copies it into the traced peer leaves.
+    """
+    scaled = np.asarray(peer_logits) / temperature
+    shift = scaled.max(axis=-1, keepdims=True)
+    exps = np.exp(scaled - shift)
+    sum_exps = exps.sum(axis=-1, keepdims=True)
+    return exps / sum_exps, scaled - (np.log(sum_exps) + shift)
+
+
 def kl_divergence(student_logits: Tensor, teacher_logits: Tensor,
                   temperature: float = 1.0) -> Tensor:
     """``KL(teacher || student)`` on temperature-softened distributions.
@@ -87,15 +102,21 @@ def kl_divergence(student_logits: Tensor, teacher_logits: Tensor,
     treated as a constant target (each network in mutual learning computes its
     own loss against the *detached* peer, exactly as in deep mutual learning).
     The classic :math:`T^2` factor keeps gradient magnitudes comparable across
-    temperatures.
+    temperatures.  The peer distribution is computed in numpy
+    (:func:`peer_distribution`) and marked as two *late* trace inputs: a
+    compiled step receives them only after its forward pass, once the peer's
+    logits of the same batch exist.
     """
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     student_logits = ensure_tensor(student_logits)
-    teacher_logits = ensure_tensor(teacher_logits).detach()
+    probs, log_probs = peer_distribution(ensure_tensor(teacher_logits).data, temperature)
+    teacher_probs = Tensor(probs)
+    teacher_log_probs = Tensor(log_probs)
+    meta = {"temperature": float(temperature), "late": True}
+    mark_trace_input(teacher_probs, "kl_peer_probs", meta)
+    mark_trace_input(teacher_log_probs, "kl_peer_log_probs", meta)
     student_log_probs = F.log_softmax(student_logits / temperature, axis=-1)
-    teacher_probs = F.softmax(Tensor(teacher_logits.data / temperature), axis=-1)
-    teacher_log_probs = F.log_softmax(Tensor(teacher_logits.data / temperature), axis=-1)
     divergence = (teacher_probs * (teacher_log_probs - student_log_probs)).sum(axis=-1).mean()
     return divergence * (temperature ** 2)
 

@@ -112,7 +112,12 @@ def trace_tape():
 
 
 def mark_trace_input(tensor: "Tensor", key: str, meta: Optional[dict] = None) -> None:
-    """Register a leaf whose data must be refreshed before each plan replay."""
+    """Register a leaf whose data must be refreshed before each plan replay.
+
+    ``meta["late"]`` marks a leaf that only the loss reads (a peer's
+    distribution in mutual learning): a compiled step takes it after its
+    forward pass (:meth:`repro.core.train_plan.TrainStepPlan.finish`).
+    """
     if _ACTIVE_TRACE is not None:
         _ACTIVE_TRACE.inputs[key] = (tensor, dict(meta or {}))
 

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.distillation import MutualLearningResult
+from repro.core.pipeline import OplixNet
+from repro.core.training import TrainingHistory
 from repro.experiments import PRESETS, get_preset
 from repro.experiments.ablations import (
     run_alpha_sweep,
@@ -23,7 +26,7 @@ from repro.experiments.fig8 import area_reduction_at_paper_scale, format_fig8, r
 from repro.experiments.fig9 import format_fig9, normalized_area_at_paper_scale, run_fig9
 from repro.experiments.reporting import as_dicts, format_table, percent, save_json
 from repro.experiments.table2 import format_table2, paper_area_numbers, run_table2
-from repro.experiments.table3 import format_table3, run_table3
+from repro.experiments.table3 import format_table3, run_table3, run_workload
 
 
 class TestPresetsAndWorkloads:
@@ -108,6 +111,24 @@ class TestTable3:
         assert 0.0 <= rows[0].accuracy_with_ml <= 1.0
         text = format_table3(rows)
         assert "mutual learning" in text.lower() or "ML" in text
+
+    @pytest.mark.parametrize("preset,student,teacher", [
+        ("bench", "ResNet-8", "ResNet-14"),
+        ("paper", "ResNet-20", "ResNet-56"),
+    ])
+    def test_rows_name_the_depths_that_ran(self, monkeypatch, preset, student, teacher):
+        built = []
+
+        def fake_train_student(pipeline, mutual_learning=True, verbose=False):
+            built.append((pipeline.config.depth, pipeline.config.teacher_depth))
+            outcome = MutualLearningResult() if mutual_learning else TrainingHistory()
+            return None, outcome
+
+        monkeypatch.setattr(OplixNet, "train_student", fake_train_student)
+        row = run_workload(get_workload("resnet20"), get_preset(preset))
+        assert (row.model, row.teacher) == (student, teacher)
+        assert {f"ResNet-{depth}" for depth, _ in built} == {student}
+        assert {f"ResNet-{depth}" for _, depth in built} == {teacher}
 
 
 class TestFig7:

@@ -12,8 +12,10 @@ from repro.nn.losses import (
     cross_entropy,
     kl_divergence,
     mse_loss,
+    peer_distribution,
 )
-from repro.tensor import Tensor, gradcheck
+from repro.tensor import Tensor, functional as F, gradcheck
+from repro.tensor.tensor import trace_tape
 
 
 class TestCrossEntropy:
@@ -103,6 +105,35 @@ class TestKLDivergence:
         with pytest.raises(ValueError):
             kl_divergence(Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2))),
                           temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.0, 4.0])
+    def test_matches_the_softmax_formulation(self, rng, temperature):
+        """The numpy peer distribution agrees with the graph-built one."""
+        student = Tensor(rng.normal(size=(8, 10)) * 3.0, requires_grad=True)
+        teacher = rng.normal(size=(8, 10)) * 3.0
+        scaled = Tensor(teacher / temperature)
+        student_log_probs = F.log_softmax(student / temperature, axis=-1)
+        old = ((F.softmax(scaled, axis=-1)
+                * (F.log_softmax(scaled, axis=-1) - student_log_probs))
+               .sum(axis=-1).mean() * temperature ** 2)
+        new = kl_divergence(student, Tensor(teacher), temperature=temperature)
+        assert abs(float(new.data) - float(old.data)) <= 1e-15
+        probs, log_probs = peer_distribution(teacher, temperature)
+        assert np.abs(probs - F.softmax(scaled, axis=-1).data).max() <= 1e-15
+        assert np.abs(log_probs - F.log_softmax(scaled, axis=-1).data).max() <= 1e-15
+
+    def test_traced_distillation_step_is_replayable(self, rng):
+        """No ``volatile`` reason; the peer leaves are late trace inputs."""
+        logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with trace_tape() as trace:
+            loss = DistillationLoss(alpha=1.0, temperature=2.0)(
+                logits, np.array([0, 1, 2, 0]), Tensor(rng.normal(size=(4, 3))))
+        loss.backward()
+        assert trace.volatile == []
+        assert set(trace.inputs) == {"cross_entropy_targets", "kl_peer_probs",
+                                     "kl_peer_log_probs"}
+        for key in ("kl_peer_probs", "kl_peer_log_probs"):
+            assert trace.inputs[key][1] == {"temperature": 2.0, "late": True}
 
     def test_module_wrapper(self, rng):
         loss_fn = KLDivergenceLoss(temperature=2.0)

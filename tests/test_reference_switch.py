@@ -4,8 +4,8 @@
 every switched fast path consults it: under the switch, spies show each
 oracle actually running (seed im2col/col2im, the 4-real-op complex layers,
 the composed batch-norm graph, the numpy mesh paths and the eager training
-tape).  The batch-norm fast path is additionally pinned bit-identical to
-its composed reference.
+tape, for ``Trainer`` and ``MutualLearningTrainer`` alike).  The batch-norm
+fast path is additionally pinned bit-identical to its composed reference.
 """
 
 import io
@@ -18,10 +18,11 @@ import pytest
 from repro import reference
 from repro.assignment import get_scheme
 from repro.core.config import TrainingConfig
+from repro.core.distillation import MutualLearningTrainer
 from repro.core.training import Trainer
 from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
-from repro.models import ComplexResNet
+from repro.models import ComplexFCNN, ComplexResNet
 from repro.nn import BatchNorm1d, BatchNorm2d, normalization
 from repro.nn.complex import ComplexConv2d, ComplexLinear, ComplexTensor, cfunctional
 from repro.photonics import _native
@@ -166,6 +167,28 @@ class TestRoutedOracles:
         assert stats["compiled"] == 0
         assert stats["fallback_reason"] is None
         assert gathers                           # the seed kernels trained it
+        forced.delenv("REPRO_FORCE_REFERENCE")
+        assert trainer.plan_stats["enabled"] is True
+
+    def test_mutual_learning_runs_the_eager_step(self, forced):
+        eager_steps = _spy(forced, MutualLearningTrainer, "_mutual_step")
+        _forbid(forced, MutualLearningTrainer, "_planned_step")
+        _forbid(forced, MutualLearningTrainer, "_trace_step")
+        rng = np.random.default_rng(3)
+        labels = np.arange(16) % 2
+        images = rng.normal(size=(16, 1, 6, 6))
+        student = ComplexFCNN(18, (6,), 2, rng=np.random.default_rng(7))
+        teacher = ComplexFCNN(36, (8,), 2, decoder="photodiode",
+                              rng=np.random.default_rng(8))
+        config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0)
+        trainer = MutualLearningTrainer(student, teacher, config,
+                                        student_scheme=get_scheme("SI"))
+        trainer.fit(DataLoader(ArrayDataset(images, labels, num_classes=2),
+                               batch_size=8, shuffle=False))
+        assert eager_steps == ["_mutual_step"] * 2
+        stats = trainer.plan_stats
+        assert stats["enabled"] is False
+        assert stats["compiled"] == 0
         forced.delenv("REPRO_FORCE_REFERENCE")
         assert trainer.plan_stats["enabled"] is True
 

@@ -385,6 +385,18 @@ class TestServingBenchmarkHarness:
         assert row.sequential_requests_per_s > 0
         assert row.batched_requests_per_s > 0
 
+    def test_repeated_waves_all_reach_the_batcher(self, rng):
+        program = repro.compile(ComplexFCNN(18, (10,), 4, decoder="merge", rng=rng))
+        row = run_serving_benchmark(program, get_scheme("SI"),
+                                    image_shape=(1, 6, 6), requests=12,
+                                    clients=3, max_batch=8, max_latency_s=0.005,
+                                    repeats=3)
+        # the stats cover every wave; the timings are each side's best wave
+        assert row.batcher["requests"] == 36
+        assert row.batcher["samples"] == 36
+        assert row.throughput_gain == pytest.approx(
+            row.sequential_seconds / row.batched_seconds)
+
     def test_plan_speedup_reports_parity_and_plan_shape(self, lenet_program, rng):
         program, scheme = lenet_program
         row = measure_plan_speedup(program, rng.normal(size=(4, 3, 12, 12)),

@@ -12,12 +12,17 @@ import pytest
 
 from repro.assignment import get_scheme
 from repro.core.config import TrainingConfig
-from repro.core.training import Trainer
+from repro.core.train_plan import PlanUnsupported, compile_train_step
+from repro.core.training import Trainer, prepare_batch
 from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.models import ComplexFCNN, ComplexLeNet5, ComplexResNet
 from repro.nn import Dropout, Linear, Module, ReLU, Sequential
+from repro.nn.losses import cross_entropy
+from repro.optim import SGD
+from repro.tensor import Tensor, no_grad
 from repro.tensor.random import seed_all
+from repro.tensor.tensor import mark_trace_input, trace_tape
 
 
 @pytest.fixture(autouse=True)
@@ -182,6 +187,44 @@ class TestPlannedGradients:
                 numeric = (loss_plus - loss_minus) / (2.0 * step)
                 expected = analytic[name].reshape(-1)[index]
                 assert numeric == pytest.approx(expected, rel=1e-4, abs=1e-6), name
+
+
+class TestForwardFinishSplit:
+    """``execute`` is ``forward`` (to the logits) followed by ``finish``."""
+
+    def test_forward_returns_the_logits_and_finish_completes_the_step(self, rng):
+        seed_all(0)
+        model = ComplexFCNN(18, (12,), 2, decoder="merge",
+                            rng=np.random.default_rng(7))
+        config = TrainingConfig(epochs=1, batch_size=8, learning_rate=0.05, seed=0)
+        trainer = Trainer(model, config, scheme=get_scheme("SI"))
+        images = rng.normal(size=(8, 1, 6, 6))
+        labels = rng.integers(0, 2, size=8)
+        trainer.model.train()
+        trainer.train_step(images, labels)               # trace + compile
+        plan = next(iter(trainer._plans.values()))
+        assert plan.stats["loss_tail_instructions"] > 0
+        inputs = trainer._plan_inputs(images, labels, plan.input_meta)
+        with no_grad():
+            expected = model(prepare_batch(images, get_scheme("SI"))).data
+        assert np.array_equal(plan.forward(inputs), expected)
+        split_loss, _ = plan.finish({}, update=False)
+        whole_loss, _ = plan.execute(inputs, update=False)
+        assert split_loss == whole_loss
+
+    def test_late_input_before_the_logits_is_rejected(self, rng):
+        model = Linear(3, 2, rng=np.random.default_rng(7))
+        optimizer = SGD(model.parameters(), lr=0.1)
+        with trace_tape() as trace:
+            inputs = Tensor(rng.normal(size=(4, 3)))
+            mark_trace_input(inputs, "input")
+            peer = Tensor(rng.normal(size=(4, 2)))
+            mark_trace_input(peer, "kl_peer_probs", {"late": True})
+            logits = model(inputs) + peer
+            loss = cross_entropy(logits, np.array([0, 1, 1, 0]))
+        loss.backward()
+        with pytest.raises(PlanUnsupported, match="late input 'kl_peer_probs'"):
+            compile_train_step(trace, loss, logits, optimizer)
 
 
 class TestSchedulerInteraction:
