@@ -117,18 +117,6 @@ class CompiledProgram:
     def mzi_count(self) -> int:
         return self.graph.mzi_count
 
-    @property
-    def stages(self) -> List[Any]:
-        """The stage chain of a purely sequential program.
-
-        Raises ``TypeError`` for graph-shaped programs (skip additions /
-        fan-out), which have no sequential form.
-        """
-        try:
-            return self.graph.chain_stages()
-        except ValueError as error:
-            raise TypeError(str(error)) from error
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -230,9 +218,9 @@ def compile(model, target: Optional[HardwareTarget] = None,
     """Compile a trained complex model onto simulated photonic hardware.
 
     Lowers the model through the ``@register_lowering`` rule registry into a
-    photonic dataflow graph (fully connected and convolutional trunks become
-    stage chains; residual models gain explicit fan-out and electronic
-    skip-add nodes), deploys every weight via SVD with same-size unitaries
+    photonic dataflow graph with one node per op (fully connected and
+    convolutional trunks become straight chains of nodes; residual models
+    gain explicit fan-out and electronic skip-add nodes), deploys every weight via SVD with same-size unitaries
     decomposed as one batched stack, and bakes the target's non-idealities in.
     The model is switched to eval mode.
 

@@ -16,9 +16,9 @@ their skip connections:
   per-channel affine map on the real and imaginary parts independently.
   Split normalisation is widely-linear (not complex-linear), so it cannot be
   absorbed into an MZI mesh; like biases it lives in the electronic domain.
-* :class:`ElectronicActivation` -- a CReLU that could not be folded into a
-  preceding mesh stage (e.g. the activation after a skip addition), applied
-  electro-optically as its own node.
+* :class:`ElectronicActivation` -- an electro-optic CReLU.  Every CReLU is
+  its own node; the plan compiler decides which ones fold into the mesh
+  stage or skip add before them.
 
 This module holds the graph *definition*; *execution* lives in
 :mod:`repro.core.runtime`.  :meth:`GraphProgram.plan` compiles the DAG once
@@ -29,15 +29,13 @@ CReLU after it (a skip add absorbs its CReLU) -- and
 :meth:`GraphProgram.forward` is a thin wrapper over executing that (cached)
 plan.  The original interpreted node-walk is kept as
 :meth:`GraphProgram.forward_reference`, the executable specification the
-test-suite pins every plan against to 1e-12.  Chain-shaped graphs
-(purely sequential models) can be flattened back to a stage list with
-:meth:`GraphProgram.chain_stages` (``CompiledProgram.stages``).
+test-suite pins every plan against to 1e-12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -196,27 +194,6 @@ class GraphProgram:
     def mzi_count(self) -> int:
         return sum(node.op.mzi_count for node in self.nodes)
 
-    @property
-    def is_chain(self) -> bool:
-        """True when the graph is a straight line from input to output."""
-        previous = INPUT
-        for node in self.nodes:
-            if node.inputs != (previous,):
-                return False
-            previous = node.name
-        return bool(self.nodes) and self.output == self.nodes[-1].name
-
-    def chain_stages(self) -> List[Any]:
-        """Flatten a chain-shaped graph back to an ordered stage/op list.
-
-        Raises ``ValueError`` for graphs with fan-out or multi-input nodes
-        (residual programs have no stage-chain form -- execute the graph).
-        """
-        if not self.is_chain:
-            raise ValueError("program is graph-shaped (fan-out / skip-add nodes); "
-                             "it has no sequential stage-chain form")
-        return [node.op for node in self.nodes]
-
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
@@ -282,32 +259,22 @@ class GraphBuilder:
 
     def __init__(self) -> None:
         self._nodes: List[GraphNode] = []
-        self._by_name: Dict[str, GraphNode] = {}
+        self._names: Set[str] = set()
 
     def add(self, name: str, op: Any, inputs: Sequence[str]) -> str:
         """Append a node; a colliding name is uniquified with a numeric suffix."""
         unique = name
         suffix = 1
-        while unique == INPUT or unique in self._by_name:
+        while unique == INPUT or unique in self._names:
             unique = f"{name}#{suffix}"
             suffix += 1
-        node = GraphNode(name=unique, op=op, inputs=tuple(inputs))
-        self._nodes.append(node)
-        self._by_name[unique] = node
+        self._nodes.append(GraphNode(name=unique, op=op, inputs=tuple(inputs)))
+        self._names.add(unique)
         return unique
-
-    def op_of(self, name: str) -> Optional[Any]:
-        """The op of a previously added node (None for :data:`INPUT`)."""
-        node = self._by_name.get(name)
-        return None if node is None else node.op
 
     def ops(self) -> List[Any]:
         """The ops added so far, in emission order."""
         return [node.op for node in self._nodes]
-
-    def nodes(self) -> List[GraphNode]:
-        """A copy of the node list added so far, in emission order."""
-        return list(self._nodes)
 
     @property
     def node_count(self) -> int:

@@ -5,7 +5,7 @@ the "Paras -> phase mapping -> deploy phases" arrow of Fig. 2 generalised
 beyond fully connected trunks:
 
 * :class:`LinearStage` -- a ``ComplexLinear`` weight matrix deployed via SVD
-  onto two MZI meshes (optionally followed by an electro-optic CReLU).
+  onto two MZI meshes.
 * :class:`Conv2dStage` -- a ``ComplexConv2d`` kernel lowered to its im2col
   matrix ``(out_channels, in_channels * kh * kw)`` on meshes; the forward pass
   extracts complex patches and streams them through the mesh engine as one
@@ -18,7 +18,9 @@ beyond fully connected trunks:
   :class:`~repro.core.graph_ir.ElectronicAdd`,
   :class:`~repro.core.graph_ir.ElectronicActivation`) for everything that
   lives in the electrical domain: split batch norms, skip additions and
-  activations that cannot fold into a preceding mesh stage.
+  CReLU activations.  The graph holds one node per op; whether a CReLU or
+  batch norm folds into the stage before it is decided only when the plan
+  is compiled (:func:`repro.core.runtime.compile_plan`).
 
 How a module lowers is decided by an extensible **rule registry**: decorate a
 function with ``@register_lowering(LayerType)`` and any chain or graph walk
@@ -59,7 +61,6 @@ from repro.core.graph_ir import (
     ElectronicActivation,
     ElectronicBatchNorm,
     GraphBuilder,
-    GraphNode,
     GraphProgram,
 )
 from repro.nn.complex import ComplexConv2d, ComplexLinear, CReLU
@@ -70,7 +71,7 @@ from repro.nn.complex.cmodule import (
     ComplexSequential,
 )
 from repro.nn.complex.cnorm import ComplexBatchNorm1d, ComplexBatchNorm2d
-from repro.photonics.circuit import PhotonicLinearLayer, split_relu
+from repro.photonics.circuit import PhotonicLinearLayer
 from repro.photonics.noise import PhaseNoiseModel
 from repro.photonics.svd_mapping import svd_decompose_many
 
@@ -123,10 +124,9 @@ def complex_im2col(signal: np.ndarray, kernel_size: Tuple[int, int],
 # --------------------------------------------------------------------------- #
 @dataclass
 class LinearStage:
-    """One photonic linear layer plus whether an electro-optic CReLU follows it."""
+    """One photonic linear layer."""
 
     layer: PhotonicLinearLayer
-    activation_after: bool = False
 
     @property
     def mzi_count(self) -> int:
@@ -134,17 +134,13 @@ class LinearStage:
 
     def forward(self, signal: np.ndarray) -> np.ndarray:
         """Apply the deployed matrix to ``(*trials, batch, n)`` amplitudes."""
-        signal = self.layer(signal)
-        if self.activation_after:
-            signal = split_relu(signal)
-        return signal
+        return self.layer(signal)
 
     def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
                    quantization_bits: Optional[int] = None,
                    trials: Optional[int] = None) -> "LinearStage":
         return LinearStage(
-            layer=self.layer.with_noise(noise, quantization_bits, trials=trials),
-            activation_after=self.activation_after)
+            layer=self.layer.with_noise(noise, quantization_bits, trials=trials))
 
 
 @dataclass
@@ -164,7 +160,6 @@ class Conv2dStage:
     kernel_size: Tuple[int, int]
     stride: Tuple[int, int]
     padding: Tuple[int, int]
-    activation_after: bool = False
 
     @property
     def mzi_count(self) -> int:
@@ -187,10 +182,7 @@ class Conv2dStage:
         outputs = outputs.reshape(outputs.shape[:-2]
                                   + (batch, out_h * out_w, self.out_channels))
         outputs = np.swapaxes(outputs, -1, -2)
-        outputs = outputs.reshape(outputs.shape[:-1] + (out_h, out_w))
-        if self.activation_after:
-            outputs = split_relu(outputs)
-        return outputs
+        return outputs.reshape(outputs.shape[:-1] + (out_h, out_w))
 
     def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
                    quantization_bits: Optional[int] = None,
@@ -198,8 +190,7 @@ class Conv2dStage:
         return Conv2dStage(
             layer=self.layer.with_noise(noise, quantization_bits, trials=trials),
             in_channels=self.in_channels, out_channels=self.out_channels,
-            kernel_size=self.kernel_size, stride=self.stride, padding=self.padding,
-            activation_after=self.activation_after)
+            kernel_size=self.kernel_size, stride=self.stride, padding=self.padding)
 
 
 @dataclass
@@ -351,10 +342,6 @@ class LoweringContext:
         self.cursor = self.builder.add(name, op, node_inputs)
         return self.cursor
 
-    def cursor_op(self) -> Optional[Any]:
-        """The op the cursor points at (None at the graph input)."""
-        return self.builder.op_of(self.cursor)
-
     # ------------------------------------------------------------------ #
     # registry dispatch
     # ------------------------------------------------------------------ #
@@ -412,50 +399,14 @@ class LoweringContext:
     # results
     # ------------------------------------------------------------------ #
     def program(self) -> GraphProgram:
-        """Deploy pending weights, fold activations and return the graph."""
+        """Deploy pending weights and return the graph."""
         if self.readout is None or self.num_classes is None:
             raise RuntimeError("model rule finished without lowering a decoder "
                                "head (ctx.lower_head was never called)")
         self.finalize()
-        nodes, output = fold_activation_nodes(self.builder.nodes(), self.cursor)
-        return GraphProgram(nodes=nodes, output=output, readout=self.readout,
-                            num_classes=self.num_classes,
-                            input_kind=self.input_kind)
-
-
-def fold_activation_nodes(nodes: List[GraphNode],
-                          output: str) -> Tuple[List[GraphNode], str]:
-    """Peephole pass: fold eligible CReLU nodes into their producer stage.
-
-    An :class:`~repro.core.graph_ir.ElectronicActivation` node folds into the
-    mesh stage feeding it (as the stage's electro-optic ``activation_after``)
-    only when that stage has no *other* consumer -- a producer whose
-    pre-activation output also fans out to a skip branch (or is the program
-    output) must keep the activation as its own node, otherwise the branch
-    would silently receive activated amplitudes.  Runs on the fully built
-    graph, where the complete consumer map is known.
-    """
-    consumers: Dict[str, int] = {}
-    for node in nodes:
-        for name in node.inputs:
-            consumers[name] = consumers.get(name, 0) + 1
-    ops_by_name: Dict[str, Any] = {}
-    renamed: Dict[str, str] = {}
-    kept: List[GraphNode] = []
-    for node in nodes:
-        inputs = tuple(renamed.get(name, name) for name in node.inputs)
-        if isinstance(node.op, ElectronicActivation) and len(node.inputs) == 1:
-            producer = node.inputs[0]
-            producer_op = ops_by_name.get(producer)     # None for INPUT / folded
-            sole_consumer = (consumers.get(producer, 0) == 1 and producer != output)
-            if (sole_consumer and producer_op is not None
-                    and getattr(producer_op, "activation_after", True) is False):
-                producer_op.activation_after = True
-                renamed[node.name] = inputs[0]
-                continue
-        kept.append(GraphNode(name=node.name, op=node.op, inputs=inputs))
-        ops_by_name[node.name] = node.op
-    return kept, renamed.get(output, output)
+        return self.builder.build(self.cursor, readout=self.readout,
+                                  num_classes=self.num_classes,
+                                  input_kind=self.input_kind)
 
 
 # --------------------------------------------------------------------------- #
@@ -497,13 +448,7 @@ def _lower_conv2d_rule(module: ComplexConv2d, name: str, ctx: LoweringContext) -
 
 @register_lowering(CReLU)
 def _lower_crelu_rule(module: CReLU, name: str, ctx: LoweringContext) -> None:
-    """Emit an electro-optic activation node.
-
-    Folding into the preceding mesh stage happens in a separate peephole pass
-    (:func:`fold_activation_nodes`) once the whole graph is built -- mutating
-    the producer here would be unsound when a skip branch also fans out from
-    its pre-activation output.
-    """
+    """Emit an electro-optic activation node."""
     ctx.emit(name, ElectronicActivation())
 
 

@@ -26,13 +26,15 @@ node-walk repeats on every call.  Every plan applies all four:
   meshes on the numpy column program.
 * **Folded electronic epilogues.**  Adjacent batch norms whose intermediate
   value has no other consumer first compose into one affine map.  A fused
-  stage then absorbs the batch norm after it and the CReLU after that, and
-  a two-input skip add absorbs the CReLU after it, each only when it is the
-  sole consumer of a producer that is not the program output.  Bias plus
-  split affine run as one interleaved ``*= scale; += shift`` on the
-  output's float64 view, and CReLU as one ``np.maximum`` on that view.  A
-  ResNet conv, batch norm and CReLU are one instruction.  An affine that is
-  not absorbed runs as a :class:`CallInstruction` of its own ``forward``.
+  stage then absorbs the batch norm after it and the CReLU after that (or
+  a CReLU right after it), and a two-input skip add absorbs the CReLU after
+  it, each only when it is the sole consumer of a producer that is not the
+  program output.  This is the only place CReLU folding happens: the
+  lowered graph keeps every CReLU as its own node.  Bias plus split affine
+  run as one interleaved ``*= scale; += shift`` on the output's float64
+  view, and CReLU as one ``np.maximum`` on that view.  A ResNet conv, batch
+  norm and CReLU are one instruction.  An affine or CReLU that is not
+  absorbed runs as a :class:`CallInstruction` of its own ``forward``.
 * **Channels-last patch gather through hot scratch.**  A fused conv copies
   its input once, channels last, into a plan-owned scratch with a zero
   border.  It then makes one strided copy per kernel row, each a contiguous
@@ -413,7 +415,7 @@ def _fusible(op: Any) -> bool:
 
 def _absorbable(node: GraphNode) -> Tuple[type, ...]:
     """The epilogue node kinds, in order, that ``node``'s instruction absorbs."""
-    if _fusible(node.op) and not node.op.activation_after:
+    if _fusible(node.op):
         return (ElectronicBatchNorm, ElectronicActivation)
     if isinstance(node.op, ElectronicAdd) and len(node.inputs) == 2:
         return (ElectronicActivation,)
@@ -424,11 +426,12 @@ def _fold_epilogues(nodes: List[GraphNode], output: str) -> List[Tuple[GraphNode
     """Group each fused stage or two-input add with the epilogue it absorbs.
 
     A fused stage absorbs the batch norm after it (of its own layout) and
-    then the CReLU after that; a two-input add absorbs the CReLU after it.
-    Like :func:`~repro.core.lowering.fold_activation_nodes`, a node is
-    absorbed only when it is the sole consumer of its producer and that
-    producer is not the program output.  Each group runs as one instruction
-    at its first node's position and writes the value of its last node.
+    then the CReLU after that, or a CReLU directly after it; a two-input add
+    absorbs the CReLU after it.  A node is absorbed only when it is the sole
+    consumer of its producer and that producer is not the program output, so
+    a skip branch that fans out from a pre-activation value still reads it
+    un-activated.  Each group runs as one instruction at its first node's
+    position and writes the value of its last node.
     """
     readers: Dict[str, List[GraphNode]] = {}
     for node in nodes:
@@ -541,8 +544,8 @@ def compile_plan(graph: Any) -> ExecutionPlan:
             if isinstance(op, LinearStage):
                 instructions.append(MatmulInstruction(
                     nodes=labels, weight_t=weight_t, scale=scale, shift=shift,
-                    relu=relu or op.activation_after, in_slot=in_slots[0],
-                    out_slot=out_slot, stored=stored))
+                    relu=relu, in_slot=in_slots[0], out_slot=out_slot,
+                    stored=stored))
             else:
                 kh, kw = op.kernel_size
                 # rows baked in (kh, kw, in_channels) order, the gather's order
@@ -552,8 +555,8 @@ def compile_plan(graph: Any) -> ExecutionPlan:
                 instructions.append(ConvInstruction(
                     nodes=labels, weight_t=weight_t, kernel_size=op.kernel_size,
                     stride=op.stride, padding=op.padding, scale=scale,
-                    shift=shift, relu=relu or op.activation_after,
-                    in_slot=in_slots[0], out_slot=out_slot, stored=stored))
+                    shift=shift, relu=relu, in_slot=in_slots[0],
+                    out_slot=out_slot, stored=stored))
             fused_matmuls += 1
         elif isinstance(op, ElectronicAdd) and len(in_slots) == 2:
             instructions.append(AddInstruction(

@@ -546,7 +546,12 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     buf_real, buf_imag = buf[0], buf[1]
     bias_shape = (1, out_channels, 1, 1)
     out_matrix = np.empty((2 * out_channels, n_cols), dtype)
+    # scatter the (2*OC, out_h*out_w*batch) product into the batch-first
+    # node buffer one (plane, channel) at a time: 2-D transposed copies run
+    # ~1.6x faster than one 5-D copy on the ResNet stage-1 geometry
     out_view = out_matrix.reshape(matrix_shape).transpose(0, 4, 1, 2, 3)
+    plane_pairs = [(out_view[plane, :, channel], buf[plane, :, channel])
+                   for plane in range(2) for channel in range(out_channels)]
 
     def run():
         interior_real[...] = x_real.data.transpose(1, 2, 3, 0)
@@ -563,7 +568,8 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
         w_block[out_channels:, :patch] = wi
         w_block[out_channels:, patch:] = wr
         np.matmul(w_block, columns, out=out_matrix)
-        np.copyto(buf, out_view)
+        for plane_view, plane_buf in plane_pairs:
+            np.copyto(plane_buf, plane_view)
         if has_bias:
             np.add(buf_real, bias_real.data.reshape(bias_shape), out=buf_real)
             np.add(buf_imag, bias_imag.data.reshape(bias_shape), out=buf_imag)
@@ -858,13 +864,17 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
 
     Returns ``run(columns) -> (top_plane, bottom_plane)`` where the planes are
     views of shape ``(batch, split, height, width)`` /
-    ``(batch, channels - split, height, width)``.  Mirrors the strategy
-    selection and the per-element accumulation order of
-    :func:`F._col2im_fast` exactly, so the scattered gradients are
-    bit-identical; the shifted-accumulation strategy additionally stores its
-    accumulator channel-major ``(C, Hp, Wp, batch)``, which makes both sides
-    of every shifted add near-contiguous (measured ~12x faster on the
-    ResNet stage-1 geometry) without touching any element's add order.
+    ``(batch, channels - split, height, width)``.  One strategy for every
+    geometry: a shifted accumulation into a channel-major
+    ``(C, Hp, Wp, batch)`` accumulator, which makes both sides of every
+    shifted add near-contiguous.  Each pixel sums its terms in kernel-offset
+    order, the order every eager col2im strategy uses, so the scattered
+    gradients are bit-identical to the eager tape's.
+
+    The first offset stores ``window + 0.0`` instead of adding into a zeroed
+    accumulator (the same IEEE sum, signed zeros included), so only the
+    pixels it does not cover are zeroed: two thin border slabs at unit
+    stride, the whole accumulator otherwise.
     """
     batch, channels, height, width = input_shape
     kernel_h, kernel_w = kernel_size
@@ -872,50 +882,46 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
     pad_h, pad_w = padding
     out_h, out_w = F._checked_output_size(input_shape, kernel_size, stride, padding)
 
-    if (pad_h == 0 and pad_w == 0 and stride_h == kernel_h and stride_w == kernel_w
-            and out_h * kernel_h == height and out_w * kernel_w == width):
-        # exact tiling: the adjoint is a permutation, not a scatter
-        image = np.empty(input_shape, dtype=dtype)
-        tiles = image.reshape(batch, channels, out_h, kernel_h, out_w, kernel_w)
-        planes = (image[:, :split_channels], image[:, split_channels:])
-
-        def run(columns):
-            windows = columns.reshape(channels, kernel_h, kernel_w,
-                                      out_h, out_w, batch)
-            tiles[...] = windows.transpose(5, 0, 3, 1, 4, 2)
-            return planes
-
-        return run
-
-    block = batch * channels * out_h * out_w
-    if block < F.COL2IM_BINCOUNT_BLOCK_LIMIT:
-        # the bincount scatter allocates its own flat output; reuse as-is
-        def run(columns):
-            image = F._col2im_fast(columns, input_shape, kernel_size,
-                                   stride, padding)
-            return image[:, :split_channels], image[:, split_channels:]
-
-        return run
-
     accumulator = np.empty((channels, height + 2 * pad_h, width + 2 * pad_w,
                             batch), dtype=dtype)
     interior = accumulator[:, pad_h:pad_h + height, pad_w:pad_w + width, :]
     planes = (interior[:split_channels].transpose(3, 0, 1, 2),
               interior[split_channels:].transpose(3, 0, 1, 2))
+    first = accumulator[:, :stride_h * out_h:stride_h, :stride_w * out_w:stride_w, :]
+    if stride_h == stride_w == 1:
+        uncovered = (accumulator[:, out_h:], accumulator[:, :out_h, out_w:])
+    else:
+        uncovered = (accumulator,)
 
     def run(columns):
-        accumulator.fill(0.0)
+        for region in uncovered:
+            region.fill(0.0)
         windows = columns.reshape(channels, kernel_h, kernel_w,
                                   out_h, out_w, batch)
+        np.add(windows[:, 0, 0], 0.0, out=first)
         for offset_h in range(kernel_h):
             stop_h = offset_h + stride_h * out_h
-            for offset_w in range(kernel_w):
+            for offset_w in range(1 if offset_h == 0 else 0, kernel_w):
                 accumulator[:, offset_h:stop_h:stride_h,
                             offset_w:offset_w + stride_w * out_w:stride_w, :] \
                     += windows[:, offset_h, offset_w]
         return planes
 
     return run
+
+
+def _store_by_channel(slot, plane, first):
+    """``slot = plane`` (or ``slot += plane`` when not ``first``), per channel.
+
+    ``plane`` is a batch-last view (the col2im accumulator's layout); one
+    3-D transposed copy per channel runs ~1.7-2x faster than a single 4-D
+    one on the ResNet stage-1 geometry, with the same values.
+    """
+    for channel in range(slot.shape[1]):
+        if first:
+            np.copyto(slot[:, channel], plane[:, channel])
+        else:
+            np.add(slot[:, channel], plane[:, channel], out=slot[:, channel])
 
 
 def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
@@ -976,15 +982,9 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
             np.matmul(cache["w_block"].T, grad_matrix, out=dcols)
             dx_real, dx_imag = col2im_fn(dcols)
             if xr_slot is not None:
-                if xr_first:
-                    np.copyto(xr_slot, dx_real)
-                else:
-                    np.add(xr_slot, dx_real, out=xr_slot)
+                _store_by_channel(xr_slot, dx_real, xr_first)
             if xi_slot is not None:
-                if xi_first:
-                    np.copyto(xi_slot, dx_imag)
-                else:
-                    np.add(xi_slot, dx_imag, out=xi_slot)
+                _store_by_channel(xi_slot, dx_imag, xi_first)
         if br_slot is not None:
             np.sum(grad_r, axis=1, out=br_slot)
         if bi_slot is not None:

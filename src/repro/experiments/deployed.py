@@ -45,10 +45,6 @@ class DeployedModelRow:
     mzi_count: int
 
 
-#: historical name (the harness originally covered only the CNN workload)
-DeployedCnnRow = DeployedModelRow
-
-
 def _deploy_and_sweep(workload_key: str, preset, decoder: str,
                       sigmas: Sequence[float], trials: int, seed: int,
                       eval_samples: int, method: str,

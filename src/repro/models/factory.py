@@ -22,8 +22,8 @@ The factory encodes the paper's sizing rules:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,11 +45,8 @@ def complex_trunk_widths(real_widths: Sequence[int], scale: float) -> Tuple[int,
     """Complex trunk widths given the real widths and the scheme's width scale.
 
     ``scale`` is 1.0 when the assignment gives no reduction, 0.5 for the
-    lossless pairings and 1/3 for the lossy channel remapping.  A boolean is
-    also accepted for backwards compatibility (True means halve).
+    lossless pairings and 1/3 for the lossy channel remapping.
     """
-    if isinstance(scale, bool):
-        scale = 0.5 if scale else 1.0
     if not 0.0 < scale <= 1.0:
         raise ValueError("width scale must be in (0, 1]")
     return tuple(max(1, int(math.ceil(w * scale))) for w in real_widths)
@@ -157,10 +154,6 @@ class ModelSpec:
         if scheme.reduces_channels or scheme.reduces_spatial:
             return scheme.trunk_width_scale
         return 1.0
-
-    def halve_trunk(self) -> bool:
-        """Backwards-compatible boolean view of :meth:`hidden_width_scale`."""
-        return self.hidden_width_scale() < 1.0
 
 
 def build_model(spec: ModelSpec, rng: Optional[np.random.Generator] = None) -> Module:

@@ -152,9 +152,9 @@ from repro.core.lowering import (  # noqa: E402
 @register_lowering(ComplexLinearWithActivation)
 def _lower_linear_with_activation(module: ComplexLinearWithActivation, name: str,
                                   ctx: LoweringContext) -> None:
-    """Lower the wrapped linear layer and fold the CReLU into its stage."""
+    """Lower the wrapped linear layer, then its CReLU as its own node."""
     ctx.lower_module(module.linear, name)
-    ctx.cursor_op().activation_after = True
+    ctx.lower_module(module.activation, f"{name}.activation")
 
 
 @register_model_lowering(ComplexLeNet5)

@@ -20,8 +20,8 @@ This package simulates the optical hardware that OplixNet targets:
   engine: column scheduling of disjoint MZIs, batched transfer-matrix
   evaluation, trials-axis noise ensembles and cached dense transfer matrices.
 * :mod:`~repro.photonics.noise` -- phase noise / quantization models.
-* :mod:`~repro.photonics.circuit` -- photonic layers and whole-network
-  circuits assembled from deployed neural networks.
+* :mod:`~repro.photonics.circuit` -- photonic linear layers deployed from
+  trained weight matrices (whole networks are :func:`repro.compile` graphs).
 """
 
 from repro.photonics.components import (
@@ -74,7 +74,7 @@ from repro.photonics.area import (
     MZI_PS_COUNT,
 )
 from repro.photonics.noise import PhaseNoiseModel, quantize_phases
-from repro.photonics.circuit import PhotonicLinearLayer, PhotonicNetwork
+from repro.photonics.circuit import PhotonicLinearLayer
 
 __all__ = [
     "directional_coupler",
@@ -122,5 +122,4 @@ __all__ = [
     "PhaseNoiseModel",
     "quantize_phases",
     "PhotonicLinearLayer",
-    "PhotonicNetwork",
 ]

@@ -1,16 +1,15 @@
 """Photonic circuit layers assembled from deployed weight matrices.
 
 :class:`PhotonicLinearLayer` wraps one weight matrix deployed via SVD onto two
-MZI meshes; :class:`PhotonicNetwork` chains several layers with (electro-optic)
-nonlinearities in between, which is how a trained SCVNN/CVNN is executed "on
-hardware" in this simulation.  Both support optional phase noise / phase
-quantization injection to study robustness.
+MZI meshes, with optional phase noise / phase quantization injection to study
+robustness.  Whole networks are compiled graphs
+(:func:`repro.compile`), whose CReLU nodes apply :func:`split_relu`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -35,7 +34,7 @@ class PhotonicLinearLayer:
     def from_weight(cls, weight: np.ndarray, bias: Optional[np.ndarray] = None,
                     method: str = "clements",
                     name: str = "layer") -> "PhotonicLinearLayer":
-        """Deploy a (complex or real) weight matrix onto ``"auto"`` MZI meshes."""
+        """Deploy a (complex or real) weight matrix onto two MZI meshes via SVD."""
         matrix = svd_decompose(weight, method=method)
         return cls(photonic_matrix=matrix, bias=bias, name=name)
 
@@ -88,64 +87,6 @@ class PhotonicLinearLayer:
         )
         bias = None if self.bias is None else np.array(self.bias, copy=True)
         return PhotonicLinearLayer(photonic_matrix=degraded_matrix, bias=bias, name=self.name)
-
-
-class PhotonicNetwork:
-    """A chain of photonic linear layers with nonlinearities in between.
-
-    Parameters
-    ----------
-    layers:
-        Deployed linear layers, applied in order.
-    activation:
-        Callable applied to the complex activations between layers (default:
-        CReLU -- ReLU on the real and imaginary parts independently, matching
-        the software SCVNN).
-    """
-
-    def __init__(self, layers: Sequence[PhotonicLinearLayer],
-                 activation: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        self.layers: List[PhotonicLinearLayer] = list(layers)
-        if not self.layers:
-            raise ValueError("PhotonicNetwork needs at least one layer")
-        self.activation = activation if activation is not None else split_relu
-
-    @property
-    def mzi_count(self) -> int:
-        return sum(layer.mzi_count for layer in self.layers)
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Propagate complex input amplitudes through the whole network.
-
-        Batch-first: accepts ``(n,)`` or ``(batch, n)`` amplitudes; with
-        trials-batched layers (see :meth:`with_noise`) the output gains the
-        leading trials axes, realization ``t`` staying consistent across
-        every layer of the chain.
-        """
-        signal = np.asarray(inputs, dtype=complex)
-        for index, layer in enumerate(self.layers):
-            signal = layer(signal)
-            if index < len(self.layers) - 1:
-                signal = self.activation(signal)
-        return signal
-
-    __call__ = forward
-
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "PhotonicNetwork":
-        """Return a copy of the network with degraded meshes.
-
-        With ``trials`` every layer carries the same number of independent
-        noise realizations and the network output gains a leading trials axis
-        (realization ``t`` is consistent across layers).
-        """
-        return PhotonicNetwork(
-            [layer.with_noise(noise=noise, quantization_bits=quantization_bits,
-                              trials=trials)
-             for layer in self.layers],
-            activation=self.activation,
-        )
 
 
 def split_relu(signal: np.ndarray) -> np.ndarray:

@@ -69,11 +69,17 @@ class TestCompileEntryPoint:
         program = repro.compile(tiny_lenet(rng))
         assert isinstance(program, CompiledProgram)
         assert isinstance(program.graph, GraphProgram)
-        assert program.graph.is_chain
         assert program.input_kind == "image"
-        kinds = [type(stage) for stage in program.stages]
+        # a straight line from the input to the output node
+        previous = INPUT
+        for node in program.graph.nodes:
+            assert node.inputs == (previous,)
+            previous = node.name
+        assert program.graph.output == previous
+        kinds = [type(node.op) for node in program.graph.nodes]
         assert kinds.count(Conv2dStage) == 2
         assert kinds.count(LinearStage) == 3
+        assert not hasattr(program, "stages")      # the graph is the one view
 
     def test_compiled_fcnn_matches_software(self, rng):
         scheme = get_scheme("SI")
@@ -118,7 +124,6 @@ class TestResNetGraphCompile:
     def test_graph_has_skip_adds_and_fanout(self, rng):
         program = repro.compile(tiny_resnet(rng))
         graph = program.graph
-        assert not graph.is_chain
         adds = [node for node in graph.nodes if isinstance(node.op, ElectronicAdd)]
         assert len(adds) == 3                      # one skip add per basic block
         assert all(len(node.inputs) == 2 for node in adds)
@@ -130,8 +135,6 @@ class TestResNetGraphCompile:
             for name in node.inputs:
                 consumers[name] = consumers.get(name, 0) + 1
         assert max(consumers.values()) >= 2
-        with pytest.raises(TypeError):
-            program.stages                          # no chain form
 
     def test_mzi_count_matches_area_report(self, rng):
         model = tiny_resnet(rng)
@@ -411,28 +414,55 @@ class TestLoweringRegistry:
 
     def test_activation_folds_only_for_sole_consumers(self, rng):
         from repro.core.graph_ir import ElectronicActivation
-        from repro.core.lowering import LoweringContext, fold_activation_nodes
+        from repro.core.lowering import LoweringContext
+        from repro.core.runtime import (
+            AddInstruction,
+            CallInstruction,
+            MatmulInstruction,
+        )
         from repro.nn.complex import ComplexLinear, CReLU
 
-        # pure chain: the CReLU folds into the linear stage
+        def plan_of(ctx):
+            ctx.finalize()
+            graph = ctx.builder.build(ctx.cursor, readout=lambda signal: signal,
+                                      num_classes=4)
+            return graph, graph.plan()
+
+        signal = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+
+        # pure chain: the lowered graph keeps the CReLU as its own node, and
+        # the plan folds it into the linear stage's matmul
         ctx = LoweringContext()
         ctx.lower_chain([ComplexLinear(4, 4, rng=rng), CReLU()], "chain")
-        nodes, output = fold_activation_nodes(ctx.builder.nodes(), ctx.cursor)
-        assert len(nodes) == 1 and output == nodes[0].name
-        assert nodes[0].op.activation_after is True
+        graph, plan = plan_of(ctx)
+        assert [type(node.op) for node in graph.nodes] == [LinearStage,
+                                                          ElectronicActivation]
+        assert len(plan.instructions) == 1
+        matmul = plan.instructions[0]
+        assert isinstance(matmul, MatmulInstruction) and matmul.relu
+        assert matmul.nodes == ("chain.0", "chain.1")
+        assert np.abs(plan.execute(signal)
+                      - graph.forward_reference(signal)).max() <= 1e-12
 
         # fan-out: a skip branch consumes the pre-activation output, so the
-        # CReLU must stay its own node and the producer must stay unactivated
+        # CReLU stays its own instruction and the add reads the un-activated
+        # linear output
         ctx = LoweringContext()
         ctx.lower_module(ComplexLinear(4, 4, rng=rng), "linear")
         entry = ctx.cursor
         ctx.lower_module(CReLU(), "act")
         main = ctx.cursor
         ctx.emit("add", ElectronicAdd(), inputs=(main, entry))
-        nodes, _output = fold_activation_nodes(ctx.builder.nodes(), ctx.cursor)
-        ops = {node.name: node.op for node in nodes}
-        assert isinstance(ops["act"], ElectronicActivation)
-        assert ops["linear"].activation_after is False
+        graph, plan = plan_of(ctx)
+        matmul, activation, add = plan.instructions
+        assert isinstance(matmul, MatmulInstruction) and not matmul.relu
+        assert isinstance(activation, CallInstruction)
+        assert activation.nodes == ("act",)
+        assert isinstance(add, AddInstruction) and not add.relu
+        assert add.in_slots == (activation.out_slot, matmul.out_slot)
+        linear = graph.node("linear").op.forward(signal)
+        expected = np.maximum(linear.real, 0) + 1j * np.maximum(linear.imag, 0) + linear
+        assert np.abs(plan.execute(signal) - expected).max() <= 1e-12
 
     def test_graph_program_validates_topology(self):
         from repro.core.graph_ir import GraphNode

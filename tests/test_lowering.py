@@ -7,6 +7,7 @@ import repro
 from repro.assignment import get_scheme
 from repro.core.area_analysis import model_area_report
 from repro.core.compile import CompiledProgram, HardwareTarget
+from repro.core.graph_ir import ElectronicActivation
 from repro.core.lowering import (
     AvgPool2dStage,
     Conv2dStage,
@@ -97,23 +98,19 @@ class TestDeployedCNNFidelity:
 
     def test_stage_chain_shape(self, rng):
         program = repro.compile(tiny_lenet(rng))
-        kinds = [type(stage) for stage in program.stages]
-        # conv, pool, conv, pool, flatten, linear, linear, head
-        assert kinds[:5] == [Conv2dStage, AvgPool2dStage, Conv2dStage,
-                             AvgPool2dStage, FlattenStage]
-        assert all(kind is LinearStage for kind in kinds[5:])
+        kinds = [type(node.op) for node in program.graph.nodes]
+        # one node per op: every CReLU stays its own node in the graph (the
+        # plan compiler folds it into the stage before it)
+        assert kinds == [Conv2dStage, ElectronicActivation, AvgPool2dStage,
+                         Conv2dStage, ElectronicActivation, AvgPool2dStage,
+                         FlattenStage, LinearStage, ElectronicActivation,
+                         LinearStage, ElectronicActivation, LinearStage]
         assert program.input_kind == "image"
-        assert program.stages[0].activation_after  # CReLU folded into the conv
 
     def test_unsupported_models_rejected(self, rng):
         with pytest.raises(TypeError):
             repro.compile(RealLeNet5(3, 4, image_size=(12, 12), kernel_size=3,
                                     padding=1, rng=rng))
-        from repro.models.resnet import ComplexResNet
-        # a residual program compiles, but has no sequential stage chain
-        with pytest.raises(TypeError):
-            repro.compile(ComplexResNet(depth=8, in_channels=2, num_classes=4,
-                                        rng=rng)).stages
 
 
 class TestBatchFirstForward:

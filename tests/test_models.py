@@ -120,7 +120,6 @@ class TestFactory:
         assert complex_trunk_widths((100, 50), 0.5) == (50, 25)
         assert complex_trunk_widths((100,), 1.0) == (100,)
         assert complex_trunk_widths((9,), 1 / 3) == (3,)
-        assert complex_trunk_widths((100,), True) == (50,)
         with pytest.raises(ValueError):
             complex_trunk_widths((10,), 0.0)
 

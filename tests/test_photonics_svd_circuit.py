@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.photonics import (
     PhaseNoiseModel,
     PhotonicLinearLayer,
-    PhotonicNetwork,
     mzi_count_matrix,
     quantize_phases,
     random_unitary,
@@ -126,28 +125,13 @@ class TestBatchedSVDs:
             svd_decompose_many([rng.normal(size=(2, 3)), empty])
 
 
-class TestPhotonicLayersAndNetworks:
+class TestPhotonicLayers:
     def test_layer_forward_with_bias(self, rng):
         weight = rng.normal(size=(3, 5))
         bias = rng.normal(size=3) + 1j * rng.normal(size=3)
         layer = PhotonicLinearLayer.from_weight(weight, bias=bias)
         vector = rng.normal(size=5).astype(complex)
         assert np.allclose(layer(vector), weight @ vector + bias, atol=1e-9)
-
-    def test_network_forward_matches_direct_computation(self, rng):
-        w1, w2 = rng.normal(size=(4, 6)), rng.normal(size=(2, 4))
-        network = PhotonicNetwork([
-            PhotonicLinearLayer.from_weight(w1),
-            PhotonicLinearLayer.from_weight(w2),
-        ])
-        vector = rng.normal(size=6) + 1j * rng.normal(size=6)
-        expected = w2 @ split_relu(w1 @ vector)
-        assert np.allclose(network(vector), expected, atol=1e-9)
-        assert network.mzi_count == mzi_count_matrix(4, 6) + mzi_count_matrix(2, 4)
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ValueError):
-            PhotonicNetwork([])
 
     def test_split_relu_and_modulus(self):
         signal = np.array([1 - 2j, -3 + 4j])

@@ -79,8 +79,7 @@ def _conv(draw, rng, name: str, channels: int, out_channels: int,
     return Conv2dStage(
         layer=_layer(draw, rng, out_channels, channels * kernel * kernel, name),
         in_channels=channels, out_channels=out_channels,
-        kernel_size=(kernel, kernel), stride=stride, padding=padding,
-        activation_after=draw(st.booleans()))
+        kernel_size=(kernel, kernel), stride=stride, padding=padding)
 
 
 def _trunk(draw, rng, shape: Tuple[int, ...], image: bool, source: str = INPUT,
@@ -123,8 +122,7 @@ def _trunk(draw, rng, shape: Tuple[int, ...], image: bool, source: str = INPUT,
             continue
         if kind == "resize":
             features = draw(st.integers(2, 5))
-            op = LinearStage(layer=_layer(draw, rng, features, shape[0], name),
-                             activation_after=draw(st.booleans()))
+            op = LinearStage(layer=_layer(draw, rng, features, shape[0], name))
             shape = (features,)
             nodes.append(GraphNode(name, op, (source,)))
             names = [name]
@@ -133,8 +131,7 @@ def _trunk(draw, rng, shape: Tuple[int, ...], image: bool, source: str = INPUT,
             op = _conv(draw, rng, name, shape[0], shape[0],
                        draw(st.sampled_from((1, 3))), (1, 1))
         elif kind == "mesh":
-            op = LinearStage(layer=_layer(draw, rng, shape[0], shape[0], name),
-                             activation_after=draw(st.booleans()))
+            op = LinearStage(layer=_layer(draw, rng, shape[0], shape[0], name))
         elif kind == "affine":
             op = _affine(rng, shape[0], spatial=image)
         elif kind == "activation":

@@ -131,7 +131,7 @@ class TestPlanParity:
         signal = encoded_light(program, rng.normal(size=(3, 1, 6, 6)), scheme)
         before = program.forward_signals(signal)     # caches the plan
         stale_plan = program.plan()
-        mesh = program.stages[0].layer.photonic_matrix.left_mesh
+        mesh = program.graph.nodes[0].op.layer.photonic_matrix.left_mesh
         mesh.update_phases(thetas=mesh.thetas * 0.5)
         assert stale_plan.is_stale()
         after = program.forward_signals(signal)      # rebuilds the plan
@@ -383,7 +383,10 @@ class TestCompilePlanFunction:
     def test_compile_plan_defaults(self, rng):
         program = repro.compile(tiny_lenet(rng))
         plan = compile_plan(program.graph)
-        assert plan.instruction_count == len(program.graph.nodes)
+        # conv+CReLU, pool, conv+CReLU, pool, flatten, two linear+CReLU and
+        # the head: each CReLU node folds into the stage before it
+        assert len(program.graph.nodes) == 12
+        assert plan.instruction_count == 8
 
     def test_plans_take_no_options(self, rng):
         program = repro.compile(tiny_lenet(rng))

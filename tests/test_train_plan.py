@@ -12,7 +12,8 @@ import pytest
 
 from repro.assignment import get_scheme
 from repro.core.config import TrainingConfig
-from repro.core.train_plan import PlanUnsupported, compile_train_step
+from repro.core.train_plan import (PlanUnsupported, _make_col2im_planes,
+                                   compile_train_step)
 from repro.core.training import Trainer, prepare_batch
 from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
@@ -21,6 +22,7 @@ from repro.nn import Dropout, Linear, Module, ReLU, Sequential
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD
 from repro.tensor import Tensor, no_grad
+from repro.tensor import functional as F
 from repro.tensor.random import seed_all
 from repro.tensor.tensor import mark_trace_input, trace_tape
 
@@ -187,6 +189,31 @@ class TestPlannedGradients:
                 numeric = (loss_plus - loss_minus) / (2.0 * step)
                 expected = analytic[name].reshape(-1)[index]
                 assert numeric == pytest.approx(expected, rel=1e-4, abs=1e-6), name
+
+
+class TestPlanCol2im:
+    """The plan's single col2im strategy equals every eager strategy exactly."""
+
+    @pytest.mark.parametrize("shape,kernel,stride,padding", [
+        ((4, 6, 8, 8), (3, 3), (1, 1), (1, 1)),     # eager: bincount scatter
+        ((4, 4, 8, 8), (2, 2), (2, 2), (0, 0)),     # eager: exact-tiling permutation
+        ((3, 4, 7, 9), (3, 2), (2, 1), (1, 0)),     # uneven kernel, stride, padding
+        ((64, 8, 16, 16), (3, 3), (1, 1), (1, 1)),  # eager: shifted adds
+        ((64, 8, 16, 16), (1, 1), (2, 2), (0, 0)),  # strided 1x1 shortcut
+    ], ids=["bincount", "tiling", "uneven", "shifted", "strided-1x1"])
+    def test_planes_match_eager_col2im(self, shape, kernel, stride, padding):
+        split = 2
+        out_h, out_w = F._checked_output_size(shape, kernel, stride, padding)
+        rows = shape[1] * kernel[0] * kernel[1]
+        run = _make_col2im_planes(shape, split, kernel, stride, padding, np.float64)
+        rng = np.random.default_rng(0)
+        # the second call reuses the accumulator: nothing of the first may leak
+        for _ in range(2):
+            columns = rng.normal(size=(rows, out_h * out_w * shape[0]))
+            expected = F._col2im_fast(columns, shape, kernel, stride, padding)
+            top, bottom = run(columns)
+            assert np.array_equal(top, expected[:, :split])
+            assert np.array_equal(bottom, expected[:, split:])
 
 
 class TestForwardFinishSplit:
