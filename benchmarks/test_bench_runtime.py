@@ -56,7 +56,6 @@ class PlanBenchRow:
     instructions: int
     buffer_slots: int
     fused_matmuls: int
-    fused_affine_chains: int
 
 
 _results: dict = {"plan_vs_walk": [], "serving_throughput": []}

@@ -126,11 +126,11 @@ def _run_serve(args: argparse.Namespace) -> None:
     import numpy as np
 
     from repro.core.compile import HardwareTarget
+    from repro.core.compile import compile as compile_model
     from repro.core.pipeline import OplixNet
     from repro.experiments.common import get_workload, workload_config
     from repro.experiments.presets import get_preset
     from repro.experiments.serving import measure_plan_speedup, run_serving_benchmark
-    from repro.serve import ProgramCache
 
     preset = get_preset(args.preset)
     workload = get_workload(args.workload)
@@ -156,12 +156,8 @@ def _run_serve(args: argparse.Namespace) -> None:
         from repro.store import ArtifactStore
 
         store = ArtifactStore(args.store)
-    cache = ProgramCache(capacity=4, store=store)
-    target = HardwareTarget(method=args.method)
-    program = cache.get_or_compile(args.workload, student, target)
-    # a second deploy of the same key must hit the cache
-    if cache.get_or_compile(args.workload, student, target) is not program:
-        raise RuntimeError("program cache failed to serve the repeated deploy")
+    program = compile_model(student, target=HardwareTarget(method=args.method),
+                            store=store)
     if store is not None:
         status = "warm hit" if program.store_hit else "miss (populated)"
         print(f"artifact store {store.root}: {status} "
@@ -194,8 +190,7 @@ def _run_serve(args: argparse.Namespace) -> None:
         ["max batch", "clients", "requests", "seq req/s", "batched req/s",
          "gain", "mean flush size"],
         table, title="Dynamic micro-batching throughput (synthetic traffic)"))
-    _maybe_save({"plan": plan_row, "serving": rows,
-                 "cache": cache.stats.as_dict()}, args.output)
+    _maybe_save({"plan": plan_row, "serving": rows}, args.output)
 
 
 def _run_serve_sharded(args: argparse.Namespace, student, scheme,

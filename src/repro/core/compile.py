@@ -236,9 +236,10 @@ def compile(model, target: Optional[HardwareTarget] = None,
         (noise is injected after the stored clean decomposition anyway, so
         only the clean step is ever persisted).
     store_refresh:
-        Skip the store read and rewrite the entry from a live compile --
-        the redeploy-with-changed-weights escape hatch
-        (:meth:`repro.serve.cache.ProgramCache.invalidate` sets it).
+        Skip the store read and rewrite the entry from a live compile
+        (``repro precompile --refresh`` sets it).  A weight change needs no
+        refresh: it changes the content key, so it can never hit a stale
+        entry.
     """
     target = HardwareTarget() if target is None else target
 

@@ -24,17 +24,16 @@ node-walk repeats on every call.  Every plan applies all four:
   trials-batched noise ensembles stay unfused: they lower to a
   :class:`CallInstruction` of the stage's own ``forward``, which runs both
   meshes on the numpy column program.
-* **Folded electronic epilogues.**  Adjacent batch norms whose intermediate
-  value has no other consumer first compose into one affine map.  A fused
-  stage then absorbs the batch norm after it and the CReLU after that (or
-  a CReLU right after it), and a two-input skip add absorbs the CReLU after
-  it, each only when it is the sole consumer of a producer that is not the
-  program output.  This is the only place CReLU folding happens: the
-  lowered graph keeps every CReLU as its own node.  Bias plus split affine
-  run as one interleaved ``*= scale; += shift`` on the output's float64
-  view, and CReLU as one ``np.maximum`` on that view.  A ResNet conv, batch
-  norm and CReLU are one instruction.  An affine or CReLU that is not
-  absorbed runs as a :class:`CallInstruction` of its own ``forward``.
+* **Folded electronic epilogues.**  A fused stage absorbs the batch norm
+  after it and the CReLU after that (or a CReLU right after it), and a
+  two-input skip add absorbs the CReLU after it, each only when it is the
+  sole consumer of a producer that is not the program output.  This is
+  the only place CReLU folding happens: the lowered graph keeps every CReLU
+  as its own node.  Bias plus split affine run as one interleaved
+  ``*= scale; += shift`` on the output's float64 view, and CReLU as one
+  ``np.maximum`` on that view.  A ResNet conv, batch norm and CReLU are one
+  instruction.  An affine or CReLU that is not absorbed runs as a
+  :class:`CallInstruction` of its own ``forward``.
 * **Channels-last patch gather through hot scratch.**  A fused conv copies
   its input once, channels last, into a plan-owned scratch with a zero
   border.  It then makes one strided copy per kernel row, each a contiguous
@@ -288,7 +287,6 @@ class ExecutionPlan:
     slot_count: int
     output_slot: int
     fused_matmuls: int = 0
-    fused_affine_chains: int = 0
     #: mesh stages left unfused (trials-batched noise ensembles), each a
     #: :class:`CallInstruction` simulating both meshes
     chain_stages: int = 0
@@ -363,49 +361,6 @@ class ExecutionPlan:
 # --------------------------------------------------------------------------- #
 # plan compilation
 # --------------------------------------------------------------------------- #
-def _fuse_affine_nodes(nodes: List[GraphNode],
-                       output: str) -> Tuple[List[GraphNode], str]:
-    """Compose chains of adjacent electronic affine ops into single nodes.
-
-    A folded batch norm feeding *only* another folded batch norm of the same
-    layout composes exactly: ``a2 * (a1 * x + b1) + b2`` is one affine map.
-    Producers that fan out (or are the program output) keep their node.
-    """
-    consumers: Dict[str, int] = {}
-    for node in nodes:
-        for name in node.inputs:
-            consumers[name] = consumers.get(name, 0) + 1
-    fused: List[GraphNode] = []
-    by_name: Dict[str, GraphNode] = {}
-    renamed: Dict[str, str] = {}
-    for node in nodes:
-        inputs = tuple(renamed.get(name, name) for name in node.inputs)
-        if isinstance(node.op, ElectronicBatchNorm) and len(inputs) == 1:
-            producer = by_name.get(inputs[0])
-            if (producer is not None
-                    and isinstance(producer.op, ElectronicBatchNorm)
-                    and producer.op.spatial == node.op.spatial
-                    and consumers.get(node.inputs[0], 0) == 1
-                    and node.inputs[0] != output):
-                first, second = producer.op, node.op
-                composed = ElectronicBatchNorm(
-                    real_scale=second.real_scale * first.real_scale,
-                    real_shift=second.real_scale * first.real_shift + second.real_shift,
-                    imag_scale=second.imag_scale * first.imag_scale,
-                    imag_shift=second.imag_scale * first.imag_shift + second.imag_shift,
-                    spatial=first.spatial)
-                merged = GraphNode(name=producer.name, op=composed,
-                                   inputs=producer.inputs)
-                fused[fused.index(producer)] = merged
-                by_name[producer.name] = merged
-                renamed[node.name] = producer.name
-                continue
-        kept = GraphNode(name=node.name, op=node.op, inputs=inputs)
-        fused.append(kept)
-        by_name[kept.name] = kept
-    return fused, renamed.get(output, output)
-
-
 def _fusible(op: Any) -> bool:
     """A mesh stage whose meshes are unbatched folds into one matmul,
     whatever its width (fusibility is a property of the program)."""
@@ -463,15 +418,14 @@ def _fold_epilogues(nodes: List[GraphNode], output: str) -> List[Tuple[GraphNode
 def compile_plan(graph: Any) -> ExecutionPlan:
     """Lower a :class:`~repro.core.graph_ir.GraphProgram` to an execution plan.
 
-    The graph's nodes are already topologically ordered; this pass runs the
-    affine peephole, folds each electronic epilogue into the fused stage or
-    add before it, picks one instruction per group (fused matmul / fused
-    conv / add / generic call), and maps the group values onto reusable
-    buffer slots from the precomputed last-use table.
+    The graph's nodes are already topologically ordered; this pass folds
+    each electronic epilogue into the fused stage or add before it, picks
+    one instruction per group (fused matmul / fused conv / add / generic
+    call), and maps the group values onto reusable buffer slots from the
+    precomputed last-use table.
     """
-    nodes, output = _fuse_affine_nodes(list(graph.nodes), graph.output)
-    fused_affine = len(graph.nodes) - len(nodes)
-    groups = _fold_epilogues(nodes, output)
+    output = graph.output
+    groups = _fold_epilogues(graph.nodes, output)
 
     last_use: Dict[str, int] = {}
     for index, group in enumerate(groups):
@@ -574,6 +528,5 @@ def compile_plan(graph: Any) -> ExecutionPlan:
     return ExecutionPlan(instructions=instructions, slot_count=slot_count,
                          output_slot=slot_of[output],
                          fused_matmuls=fused_matmuls,
-                         fused_affine_chains=fused_affine,
                          chain_stages=chain_stages,
                          baked_meshes=baked_meshes)

@@ -57,8 +57,7 @@ def measure_plan_speedup(program: CompiledProgram, images: np.ndarray,
             "max_deviation": max_deviation,
             "instructions": plan.instruction_count,
             "buffer_slots": plan.slot_count,
-            "fused_matmuls": plan.fused_matmuls,
-            "fused_affine_chains": plan.fused_affine_chains}
+            "fused_matmuls": plan.fused_matmuls}
 
 
 @dataclass

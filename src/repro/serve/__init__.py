@@ -2,9 +2,6 @@
 
 Bottom up:
 
-* :class:`~repro.serve.cache.ProgramCache` -- LRU cache of compiled programs
-  keyed by ``(model_key, HardwareTarget)``, so repeated
-  deploys never recompile.
 * :class:`~repro.serve.batcher.DynamicBatcher` -- coalesces concurrent
   ``classify`` / ``logits`` requests into one batched forward pass under a
   max-batch / max-latency flush policy.
@@ -18,9 +15,11 @@ Bottom up:
   degradation from logit statistics and heals it through a drain-then-swap
   redeploy with requests flowing throughout.
 
-In-process serving is the first two alone: ``DynamicBatcher(program,
-scheme)`` over a program from ``repro.compile`` or
-``ProgramCache.get_or_compile``.
+In-process serving is the batcher alone: ``DynamicBatcher(program,
+scheme)`` over a program from ``repro.compile``; the program keeps its own
+plan and effective matrices, and ``repro.compile(model,
+store=ArtifactStore(path))`` turns a fresh process's compile into a
+content-addressed disk lookup.
 
 ``python -m repro serve`` runs the serving throughput demos on top of these
 (``--workers`` switches to the sharded service, ``--recalibrate`` the
@@ -29,7 +28,6 @@ drift-and-heal demo); their measurement harnesses live in
 """
 
 from repro.serve.batcher import BatcherStats, DynamicBatcher
-from repro.serve.cache import CacheStats, ProgramCache, cache_key
 from repro.serve.drift import DriftInjector
 from repro.serve.recalibrate import RecalibrationManager
 from repro.serve.shard import (
@@ -43,10 +41,8 @@ from repro.serve.worker import WorkerSpec
 
 __all__ = [
     "BatcherStats",
-    "CacheStats",
     "DriftInjector",
     "DynamicBatcher",
-    "ProgramCache",
     "RecalibrationManager",
     "ServiceOverloadedError",
     "ShardedInferenceService",
@@ -55,6 +51,5 @@ __all__ = [
     "WorkerError",
     "WorkerSpec",
     "WorkerTimeoutError",
-    "cache_key",
     "segment_exists",
 ]

@@ -8,9 +8,9 @@ plan-executor thread per model:
 
 * **Per-model worker pools.**  Each deployed model gets ``replicas``
   spawn-started worker processes (:mod:`repro.serve.worker`); every worker
-  rebuilds the compiled program from a pickled :class:`WorkerSpec` and warms
-  its own :class:`~repro.serve.cache.ProgramCache`, so no live program (or
-  its plan buffers) ever crosses a pickle.
+  compiles its own program from a pickled :class:`WorkerSpec` with
+  ``repro.compile`` (a warm artifact store makes that a disk lookup), so no
+  live program (or its plan buffers) ever crosses a pickle.
 * **Shared-memory batch transport.**  Batches cross via a leased slab from a
   preallocated :class:`~repro.serve.shm.SlabRing` -- zero tensor pickling on
   the hot path; slabs are recycled after each flush and unlinked at
@@ -555,7 +555,7 @@ class ShardedInferenceService:
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
         scheme_name = _scheme_name(scheme)
-        spec = WorkerSpec(model_key=model_key, model=model, scheme=scheme_name,
+        spec = WorkerSpec(model=model, scheme=scheme_name,
                           image_shape=image_shape, target=target,
                           store_path=self.store_path, scenario=scenario)
         pool = [_Replica(f"{model_key}:r{index}", self._context, spec)

@@ -1,11 +1,12 @@
 """Worker process of the sharded inference service.
 
-A worker is one replica of one model: it rebuilds the compiled program from
-a pickled :class:`WorkerSpec` (the model module's architecture + weights --
-never a live :class:`~repro.core.compile.CompiledProgram`, whose plans,
-cached dense matrices and locks do not belong on a pickle), warms its own
-:class:`~repro.serve.cache.ProgramCache`, and then loops over a control
-queue executing shared-memory batches.
+A worker is one replica of one model: it compiles its program once with
+``repro.compile`` from a pickled :class:`WorkerSpec` (the model module's
+architecture + weights -- never a live
+:class:`~repro.core.compile.CompiledProgram`, whose plans, cached dense
+matrices and locks do not belong on a pickle), warms the plan with one probe
+forward, and then loops over a control queue executing shared-memory
+batches.
 
 The control protocol is deliberately tiny (everything bulky crosses via the
 slabs in :mod:`repro.serve.shm`):
@@ -42,6 +43,7 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.compile import HardwareTarget
+from repro.core.compile import compile as compile_program
 from repro.serve.shm import SharedSlab, attach_slab
 
 
@@ -50,10 +52,10 @@ class WorkerSpec:
     """Everything a worker needs to rebuild its program, picklable.
 
     ``model`` is the model :class:`~repro.nn.module.Module` itself (its
-    pickle is the architecture plus parameter arrays) or a zero-arg factory
-    returning one.  The assignment scheme crosses as its registry *name* and
-    is rebuilt worker-side, and the hardware target crosses as the frozen
-    :class:`HardwareTarget` dataclass.
+    pickle is the architecture plus parameter arrays).  The assignment
+    scheme crosses as its registry *name* and is rebuilt worker-side, and
+    the hardware target crosses as the frozen :class:`HardwareTarget`
+    dataclass.
     ``store_path`` (optional) points at an ahead-of-time compilation
     artifact store: a warm entry turns the replica's rebuild into a
     memory-mapped lookup instead of a full re-decomposition, and the mapped
@@ -68,7 +70,6 @@ class WorkerSpec:
     config, so all replicas of a lane degrade identically.
     """
 
-    model_key: str
     model: Any
     scheme: str
     image_shape: Tuple[int, ...]
@@ -83,7 +84,6 @@ def worker_main(spec: WorkerSpec, requests, responses) -> None:
         from repro.assignment import get_scheme
         from repro.photonics.engine import native_kernel
         from repro.photonics.svd_mapping import decompositions_performed
-        from repro.serve.cache import ProgramCache
 
         scheme = get_scheme(spec.scheme)
         store = None
@@ -91,10 +91,7 @@ def worker_main(spec: WorkerSpec, requests, responses) -> None:
             from repro.store import ArtifactStore
 
             store = ArtifactStore(spec.store_path)
-        cache = ProgramCache(capacity=2, store=store)
-        # get_or_compile warms the execution plan, so the first request does
-        # not pay plan compilation
-        program = cache.get_or_compile(spec.model_key, spec.model, spec.target)
+        program = compile_program(spec.model, target=spec.target, store=store)
         scenario = None
         if spec.scenario is not None:
             from repro.scenarios import build_scenario
@@ -103,6 +100,8 @@ def worker_main(spec: WorkerSpec, requests, responses) -> None:
             serving = program.with_scenario(scenario)
         else:
             serving = program
+        # the probe builds the execution plan that is served, so the first
+        # request does not pay plan compilation
         probe = np.zeros((1, *spec.image_shape))
         logits = serving.predict_logits(probe, scheme)
         responses.put(("ready", {
@@ -112,7 +111,6 @@ def worker_main(spec: WorkerSpec, requests, responses) -> None:
             # noise-trials axes; the frontend sizes slab output regions off
             # the maximum across replicas
             "elements_per_sample": int(logits.size),
-            "cache": cache.stats.as_dict(),
             # weight matrices this process decomposed during startup -- zero
             # when a warm artifact store served the whole program
             "decompositions": decompositions_performed(),

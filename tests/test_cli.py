@@ -109,3 +109,19 @@ class TestExecution:
         assert "rewritten" in capsys.readouterr().out
         report = json.loads(output_path.read_text())
         assert report["stats"]["saves"] == 1 and report["stats"]["deletes"] == 1
+
+    def test_serve_populates_then_warm_hits(self, tmp_path, capsys):
+        output_path = tmp_path / "serve.json"
+        argv = ["serve", "--preset", "smoke", "--workload", "fcnn",
+                "--max-batch", "1", "8", "--requests", "16", "--clients", "2",
+                "--store", str(tmp_path / "store"), "--output", str(output_path)]
+        assert main(argv) == 0
+        assert "miss (populated)" in capsys.readouterr().out
+        # a second process-equivalent run compiles straight off the store
+        assert main(argv) == 0
+        assert "warm hit" in capsys.readouterr().out
+        report = json.loads(output_path.read_text())
+        assert sorted(report) == ["plan", "serving"]
+        assert report["plan"]["max_deviation"] <= 1e-12
+        assert [row["max_batch"] for row in report["serving"]] == [1, 8]
+        assert all(row["requests"] == 16 for row in report["serving"])

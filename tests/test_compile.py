@@ -362,14 +362,11 @@ class TestDeletedExecutionKnobs:
         import inspect
 
         from repro.core.pipeline import OplixNet
-        from repro.serve.cache import ProgramCache, cache_key
         from repro.serve.shard import ShardedInferenceService
         from repro.serve.worker import WorkerSpec
         from repro.store import ArtifactStore
 
-        for function in (OplixNet.deploy, ProgramCache.get, ProgramCache.put,
-                         ProgramCache.get_or_compile, ProgramCache.invalidate,
-                         cache_key, ShardedInferenceService.deploy,
+        for function in (OplixNet.deploy, ShardedInferenceService.deploy,
                          WorkerSpec.__init__, ArtifactStore.key_for,
                          ArtifactStore.try_key_for, ArtifactStore.load,
                          ArtifactStore.save):

@@ -1,9 +1,8 @@
 """Property tests of the plan compiler over random small dataflow graphs.
 
 :func:`repro.core.runtime.compile_plan` rewrites a graph into a flat
-instruction list: mesh stages fold into effective matmuls, adjacent affines
-compose, each fused stage or add absorbs the batch norm and CReLU after it,
-and values share buffer slots whose plan-owned storage is reused.
+instruction list: mesh stages fold into effective matmuls, each fused stage
+or add absorbs the batch norm and CReLU after it, and values share buffer slots whose plan-owned storage is reused.
 Hypothesis draws small DAGs -- fan-out, skip adds, adjacent batch norms,
 ``FlattenStage`` chains into the output, linear and conv stages that are
 unbatched (fused) or carry a seeded trials-batched noise ensemble of one or
@@ -37,7 +36,7 @@ from repro.core.graph_ir import (
     GraphProgram,
 )
 from repro.core.lowering import Conv2dStage, FlattenStage, LinearStage
-from repro.core.runtime import _fuse_affine_nodes, compile_plan
+from repro.core.runtime import compile_plan
 from repro.photonics.circuit import PhotonicLinearLayer
 from repro.photonics.noise import PhaseNoiseModel
 from repro.photonics.svd_mapping import svd_decompose
@@ -185,9 +184,9 @@ def image_programs(draw):
 
 def _check_plan(graph: GraphProgram, signal: np.ndarray, rng) -> None:
     plan = compile_plan(graph)
-    # every node of the affine-fused graph is computed by exactly one
-    # instruction, which writes the value of the last node it names
-    nodes, output = _fuse_affine_nodes(list(graph.nodes), graph.output)
+    # every node of the graph is computed by exactly one instruction, which
+    # writes the value of the last node it names
+    nodes, output = graph.nodes, graph.output
     covered = [name for instruction in plan.instructions for name in instruction.nodes]
     assert sorted(covered) == sorted(node.name for node in nodes)
     values = {INPUT: signal}

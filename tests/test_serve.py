@@ -1,9 +1,8 @@
 """Tests of the serving subsystem (:mod:`repro.serve`).
 
 Covers the dynamic micro-batcher (scatter correctness under concurrency,
-flush policy, single-sample convenience, error relay, lifecycle), the LRU
-program cache and the serving measurement harnesses of
-:mod:`repro.experiments.serving`.  In-process serving is a compiled program
+flush policy, single-sample convenience, error relay, lifecycle) and the
+serving measurement harnesses of :mod:`repro.experiments.serving`.  In-process serving is a compiled program
 behind a :class:`DynamicBatcher`; the multi-process frontend is tested in
 ``tests/test_serve_shard.py``.
 """
@@ -15,11 +14,10 @@ import pytest
 
 import repro
 from repro.assignment import get_scheme
-from repro.core.compile import HardwareTarget
 from repro.experiments.serving import measure_plan_speedup, run_serving_benchmark
 from repro.models import ComplexFCNN
 from repro.photonics.noise import PhaseNoiseModel
-from repro.serve import DynamicBatcher, ProgramCache, cache_key
+from repro.serve import DynamicBatcher
 from tests.test_compile import tiny_lenet
 
 
@@ -268,112 +266,6 @@ class TestBatcherEdgeCases:
             assert batcher.stats.as_dict()["samples"] == 2
 
 
-class TestProgramCache:
-    def test_hit_returns_same_program(self, rng):
-        model = tiny_lenet(rng)
-        cache = ProgramCache(capacity=4)
-        first = cache.get_or_compile("lenet", model)
-        second = cache.get_or_compile("lenet", model)
-        assert first is second
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_distinct_policies_get_distinct_entries(self, rng):
-        model = tiny_lenet(rng)
-        cache = ProgramCache(capacity=4)
-        clean = cache.get_or_compile("lenet", model)
-        noisy = cache.get_or_compile("lenet", model, target=HardwareTarget(
-            noise=PhaseNoiseModel.seeded(0.01, seed=3), trials=1))
-        reck = cache.get_or_compile("lenet", model,
-                                    target=HardwareTarget(method="reck"))
-        assert clean is not noisy and clean is not reck
-        assert len(cache) == 3
-
-    def test_lru_eviction(self, rng):
-        cache = ProgramCache(capacity=2)
-        models = {key: ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng)
-                  for key in ("a", "b", "c")}
-        cache.get_or_compile("a", models["a"])
-        cache.get_or_compile("b", models["b"])
-        cache.get_or_compile("a", models["a"])       # refresh "a"
-        cache.get_or_compile("c", models["c"])       # evicts "b"
-        assert cache.stats.evictions == 1
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-
-    def test_factory_only_called_on_miss(self, rng):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng)
-
-        cache = ProgramCache(capacity=2)
-        cache.get_or_compile("fcnn", factory)
-        cache.get_or_compile("fcnn", factory)
-        assert len(calls) == 1
-
-    def test_concurrent_misses_compile_once(self, rng):
-        import time
-
-        calls = []
-
-        def slow_factory():
-            calls.append(1)
-            time.sleep(0.05)
-            return ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng)
-
-        cache = ProgramCache(capacity=2)
-        programs = [None] * 4
-
-        def deploy(worker):
-            programs[worker] = cache.get_or_compile("fcnn", slow_factory)
-
-        threads = [threading.Thread(target=deploy, args=(w,)) for w in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(calls) == 1                      # single-flight compile
-        assert all(program is programs[0] for program in programs)
-
-    def test_failed_compile_releases_the_key(self, rng):
-        cache = ProgramCache(capacity=2)
-
-        def broken_factory():
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError, match="boom"):
-            cache.get_or_compile("fcnn", broken_factory)
-        # the in-flight marker must be gone so a later deploy can succeed
-        program = cache.get_or_compile(
-            "fcnn", ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng))
-        assert program is not None
-
-    def test_miss_without_model_raises(self):
-        with pytest.raises(KeyError):
-            ProgramCache().get_or_compile("ghost")
-
-    def test_noise_targets_key_by_identity(self):
-        noise = PhaseNoiseModel.seeded(0.01, seed=0)
-        with_noise = HardwareTarget(noise=noise, trials=2)
-        assert cache_key("m", with_noise) == cache_key("m", with_noise)
-        other = HardwareTarget(noise=PhaseNoiseModel.seeded(0.01, seed=0), trials=2)
-        assert cache_key("m", with_noise) != cache_key("m", other)
-
-    def test_cached_program_plan_is_warm(self, rng):
-        cache = ProgramCache()
-        program = cache.get_or_compile("lenet", tiny_lenet(rng))
-        assert program.graph._plan is not None
-
-    def test_invalidate_drops_one_entry(self, rng):
-        cache = ProgramCache(capacity=4)
-        stale = cache.get_or_compile("lenet", tiny_lenet(rng))
-        assert cache.invalidate("lenet") is True
-        assert cache.invalidate("lenet") is False      # already gone
-        fresh = cache.get_or_compile("lenet", tiny_lenet(rng))
-        assert fresh is not stale
-
-
 class TestServingBenchmarkHarness:
     def test_benchmark_reports_consistent_counts(self, rng):
         program = repro.compile(ComplexFCNN(18, (10,), 4, decoder="merge", rng=rng))
@@ -415,6 +307,9 @@ class TestOneServingFrontend:
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.serve.service")
+        # compiled programs are cached by the artifact store alone
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.serve.cache")
         frontends = [name for name in serve.__all__ if name.endswith("Service")]
         assert frontends == ["ShardedInferenceService"]
         assert not [name for name in serve.__all__

@@ -3,7 +3,8 @@
 Process spawns are expensive (each worker imports the stack and compiles its
 program), so most tests share one module-scoped two-replica service; the
 lifecycle-sensitive cases (admission control, slab unlinking, drain-then-swap
-redeploys) build their own small services.  Sharded results are parity-pinned
+redeploys) build their own small services, and worker startup is also
+driven in-process over plain queues.  Sharded results are parity-pinned
 to 1e-10 against the program's oracle,
 ``readout(graph.forward_reference(encode_images(...)))``.
 """
@@ -17,6 +18,7 @@ import pytest
 import repro
 from repro.assignment import get_scheme
 from repro.models import ComplexFCNN
+from repro.photonics.svd_mapping import decompositions_performed
 from repro.serve import (
     ServiceOverloadedError,
     ShardedInferenceService,
@@ -51,6 +53,43 @@ def shard_service():
     service.deploy("fcnn", model, "SI", image_shape=IMAGE_SHAPE)
     yield service, model, images, expected
     service.close()
+
+
+class TestWorkerStartup:
+    """``worker_main`` driven in-process over plain queues (no spawn)."""
+
+    @staticmethod
+    def _start_then_stop(spec):
+        import queue
+
+        from repro.serve.worker import worker_main
+
+        requests, responses = queue.Queue(), queue.Queue()
+        requests.put(("stop",))
+        worker_main(spec, requests, responses)
+        return [responses.get_nowait() for _ in range(responses.qsize())]
+
+    def test_compiles_off_the_store_and_reports_ready(self, tmp_path):
+        from repro.serve.worker import WorkerSpec
+        from repro.store import ArtifactStore
+
+        root = tmp_path / "store"
+        repro.compile(tiny_fcnn(), store=ArtifactStore(root))
+        spec = WorkerSpec(model=tiny_fcnn(), scheme="SI",
+                          image_shape=IMAGE_SHAPE, store_path=str(root))
+        (kind, info), stopped = self._start_then_stop(spec)
+        assert kind == "ready" and "cache" not in info
+        assert info["num_classes"] == 3 and info["elements_per_sample"] == 3
+        assert info["store"]["hits"] == 1 and info["store"]["misses"] == 0
+        assert stopped[0] == "stopped" and stopped[2] == 0
+
+    def test_startup_failure_is_reported_not_raised(self):
+        from repro.serve.worker import WorkerSpec
+
+        spec = WorkerSpec(model=tiny_fcnn(), scheme="no-such-scheme",
+                          image_shape=IMAGE_SHAPE)
+        [(kind, text)] = self._start_then_stop(spec)
+        assert kind == "failed" and "no-such-scheme" in text
 
 
 class TestSlabRing:
@@ -119,6 +158,19 @@ class TestShardedService:
         # starve a replica under back-to-back traffic
         assert all(stats["requests"] >= 1 for stats in per_replica.values())
         assert all(stats["outstanding"] == 0 for stats in per_replica.values())
+
+    def test_ready_info_reports_one_cold_compile(self, shard_service):
+        service, model, _images, _expected = shard_service
+        before = decompositions_performed()
+        repro.compile(model)
+        weights = decompositions_performed() - before
+        assert weights == 2                 # the FCNN's two weight matrices
+        replicas = service.lane("fcnn").replicas
+        assert len(replicas) == 2
+        for replica in replicas:
+            # each worker compiled its program exactly once
+            assert "cache" not in replica.ready
+            assert replica.ready["decompositions"] == weights
 
     def test_async_frontend(self, shard_service):
         service, _model, images, expected = shard_service

@@ -3,10 +3,10 @@
 Covers the content-addressed key (stability, weight/policy perturbation,
 noise-target bypass), cold-save/warm-load parity through ``repro.compile``,
 every corruption mode degrading to a quarantined miss + live recompile,
-atomic publication under racing writers (in-process deterministic loser and
-two real processes), read-only degradation, cache/service invalidation
-extending to disk, and the warm spawned worker performing zero
-decompositions.
+atomic publication under racing writers (in-process deterministic loser,
+threads and two real processes), read-only degradation, the store as the
+one program cache (refresh, weight changes, per-target entries, failed
+compiles) and the warm spawned worker performing zero decompositions.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.core.compile import HardwareTarget
 from repro.core.compile import compile as compile_model
 from repro.models import ComplexFCNN
 from repro.photonics.noise import PhaseNoiseModel
-from repro.serve.cache import ProgramCache
+from repro.photonics.svd_mapping import decompositions_performed
 from repro.store import ArtifactMismatchError, ArtifactStore
 from repro.store.manifest import MANIFEST_NAME, PAYLOAD_NAME
 
@@ -302,24 +302,107 @@ class TestReadOnlyDegradation:
             root.chmod(0o755)
 
 
-class TestServingIntegration:
-    def test_cache_invalidate_extends_to_disk(self, tmp_path):
-        root = tmp_path / "store"
-        cache = ProgramCache(capacity=4, store=ArtifactStore(root))
-        program = cache.get_or_compile("fcnn", tiny_fcnn())
-        key = program.store_key
-        assert not program.store_hit and cache.store.has(key)
-        # a second cache over the same root stands in for a fresh process
-        warm_cache = ProgramCache(capacity=4, store=ArtifactStore(root))
-        assert warm_cache.get_or_compile("fcnn", tiny_fcnn()).store_hit
-        # invalidate deletes the disk entry; the next compile of the key
-        # bypasses the store read and rewrites the entry live
-        assert cache.invalidate("fcnn") is True
-        assert not cache.store.has(key) and cache.store.stats.deletes == 1
-        fresh = cache.get_or_compile("fcnn", tiny_fcnn())
-        assert not fresh.store_hit and cache.store.has(key)
-        assert cache.store.stats.saves == 2
+class TestStoreIsTheProgramCache:
+    """What a repeat ``repro.compile`` of one model gets from the store."""
 
+    @staticmethod
+    def _deviation(first, second) -> float:
+        scheme, images = get_scheme("SI"), sample_images()
+        return float(np.abs(first.predict_logits(images, scheme)
+                            - second.predict_logits(images, scheme)).max())
+
+    def test_refresh_rewrites_the_entry_live(self, warm_store):
+        [key] = warm_store.keys()
+        before = decompositions_performed()
+        fresh = compile_model(tiny_fcnn(), store=warm_store, store_refresh=True)
+        # the refresh skipped the read and decomposed both weight matrices
+        assert decompositions_performed() - before == 2
+        assert not fresh.store_hit and fresh.store_key == key
+        assert warm_store.stats.deletes == 1 and warm_store.stats.saves == 2
+        warm = compile_model(tiny_fcnn(), store=warm_store)
+        assert warm.store_hit and warm_store.keys() == [key]
+        assert self._deviation(warm, fresh) <= 1e-12
+
+    def test_refresh_of_a_readonly_store_leaves_the_entry(self, warm_store):
+        [key] = warm_store.keys()
+        readonly = ArtifactStore(warm_store.root, readonly=True)
+        live = compile_model(tiny_fcnn(), store=readonly, store_refresh=True)
+        assert not live.store_hit
+        assert readonly.stats.saves == 0 and readonly.stats.deletes == 0
+        assert readonly.has(key)
+        assert compile_model(tiny_fcnn(), store=readonly).store_hit
+
+    def test_changed_weights_never_serve_the_stale_program(self, warm_store):
+        changed = tiny_fcnn()
+        changed.parameters()[0].data += 0.5
+        program = compile_model(changed, store=warm_store)
+        assert not program.store_hit and len(warm_store.keys()) == 2
+        assert self._deviation(program, compile_model(changed)) <= 1e-12
+        assert self._deviation(program, compile_model(tiny_fcnn())) > 1e-3
+
+    @pytest.mark.parametrize("target", [
+        HardwareTarget(method="reck"),
+        HardwareTarget(quantization_bits=6),
+        HardwareTarget(method="reck", quantization_bits=6),
+    ], ids=["reck", "quantized", "reck-quantized"])
+    def test_each_target_gets_its_own_entry(self, warm_store, target):
+        [default_key] = warm_store.keys()
+        cold = compile_model(tiny_fcnn(), target=target, store=warm_store)
+        assert not cold.store_hit and cold.store_key != default_key
+        warm = compile_model(tiny_fcnn(), target=target, store=warm_store)
+        assert warm.store_hit and warm.store_key == cold.store_key
+        assert warm.target == target
+        assert sorted(warm_store.keys()) == sorted([default_key, cold.store_key])
+        assert self._deviation(warm, cold) <= 1e-12
+
+    def test_failed_compile_publishes_nothing(self, store, monkeypatch):
+        import repro.photonics.svd_mapping as svd_mapping
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(svd_mapping, "svd_decompose_many", broken)
+        with pytest.raises(RuntimeError, match="boom"):
+            compile_model(tiny_fcnn(), store=store)
+        assert store.keys() == [] and store.stats.saves == 0
+        monkeypatch.undo()
+        # nothing of the failed attempt stands in the way of the next compile
+        program = compile_model(tiny_fcnn(), store=store)
+        assert not program.store_hit and store.keys() == [program.store_key]
+
+    def test_threads_compiling_one_model_publish_one_entry(self, store):
+        import threading
+
+        programs = [None] * 4
+
+        def deploy(index):
+            programs[index] = compile_model(tiny_fcnn(), store=store)
+
+        threads = [threading.Thread(target=deploy, args=(index,))
+                   for index in range(len(programs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        keys = {program.store_key for program in programs}
+        assert len(keys) == 1 and store.keys() == sorted(keys)
+        assert not list(store.root.rglob("*.tmp"))
+        assert all(self._deviation(program, programs[0]) <= 1e-12
+                   for program in programs[1:])
+
+    def test_first_prediction_builds_the_served_plan(self, warm_store):
+        program = compile_model(tiny_fcnn(), store=warm_store)
+        assert program.store_hit
+        scheme = get_scheme("SI")
+        # the worker's one-sample probe: it builds the plan later batches run
+        program.predict_logits(sample_images(1), scheme)
+        plan = program.graph._plan
+        assert plan is not None
+        program.predict_logits(sample_images(), scheme)
+        assert program.graph._plan is plan
+
+
+class TestServingIntegration:
     def test_warm_worker_spawns_with_zero_decompositions(self, tmp_path):
         from repro.serve.shard import ShardedInferenceService
 
