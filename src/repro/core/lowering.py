@@ -206,9 +206,20 @@ class AvgPool2dStage:
         signal = np.asarray(signal, dtype=complex)
         kh, kw = self.kernel_size
         sh, sw = self.stride
-        windows = np.lib.stride_tricks.sliding_window_view(signal, (kh, kw),
-                                                           axis=(-2, -1))
-        return windows[..., ::sh, ::sw, :, :].mean(axis=(-2, -1))
+        # sum kh*kw strided slices (one per window offset) and divide once:
+        # several times faster than a mean over a sliding-window view
+        rows = sh * ((signal.shape[-2] - kh) // sh) + 1
+        cols = sw * ((signal.shape[-1] - kw) // sw) + 1
+        if rows < 1 or cols < 1:
+            raise ValueError(f"pooling window {self.kernel_size} exceeds the "
+                             f"{signal.shape[-2:]} input")
+        total = signal[..., 0:rows:sh, 0:cols:sw].copy()
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    total += signal[..., i:i + rows:sh, j:j + cols:sw]
+        total /= kh * kw
+        return total
 
     def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
                    quantization_bits: Optional[int] = None,

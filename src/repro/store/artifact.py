@@ -2,14 +2,19 @@
 
 Decomposition is the expensive pure step of the whole pipeline -- mesh
 phases are a deterministic function of ``(weights, method)`` -- so the
-store persists exactly that step's output: per deployed weight matrix, the
-structure-of-arrays phases of both SVD meshes plus the singular values as
-one NPZ payload, and (for the unbatched meshes the plan runtime fuses) the
-fused effective matrix as a separate raw ``.npy`` file so readers can map it
-with ``np.load(..., mmap_mode="r")`` -- N serving replicas on a host then
-share one physical page-cache copy of every dense matrix instead of N
-private allocations.  (``.npy`` beside the zip rather than inside it:
-memory mapping does not reach through an NPZ container.)
+store persists exactly that step's output.  An entry packs every deployed
+weight matrix into five NPZ members (``modes``, ``thetas``, ``phis``,
+``out`` and ``sv``: each the concatenation over matrices in deployment
+order, left mesh before right), and every fused effective matrix into one
+raw ``.npy`` file (:data:`~repro.store.manifest.DENSE_NAME`).  The reader
+slices the arrays by the manifest's per-mesh ``dimension`` and
+``mzi_count`` and by ``min(rows, cols)``, and maps the dense file once with
+``np.load(..., mmap_mode="r")``, handing each matrix a ``(cols, rows)``
+view -- N serving replicas on a host then share one physical page-cache
+copy of every dense matrix instead of N private allocations.  (``.npy``
+beside the zip rather than inside it: memory mapping does not reach
+through an NPZ container.)  A warm load therefore reads five members and
+maps one file whatever the model's depth.
 
 Entries live at ``root/<key[:2]>/<key>/`` with a validated
 ``manifest.json`` beside the payloads (:mod:`repro.store.manifest`).
@@ -43,8 +48,9 @@ from repro.photonics.svd_mapping import PhotonicMatrix
 from repro.store.errors import ArtifactError, ArtifactMismatchError, StoreKeyError
 from repro.store.hashing import file_sha256, policy_document, store_key
 from repro.store.manifest import (
-    DENSE_DIR,
+    DENSE_NAME,
     MANIFEST_NAME,
+    PAYLOAD_MEMBERS,
     PAYLOAD_NAME,
     build_manifest,
     validate_manifest,
@@ -177,8 +183,9 @@ class ArtifactStore:
 
         Validates the manifest and the size + SHA-256 of every payload file
         before deserializing anything, then rebuilds the
-        :class:`PhotonicMatrix` objects.  Dense transfer matrices are
-        attached via ``np.load(..., mmap_mode="r")``.
+        :class:`PhotonicMatrix` objects from slices of the packed arrays,
+        each of which must be consumed exactly.  Effective matrices are
+        views of the one memory-mapped dense file.
         """
         entry = self.entry_path(key)
         if not (entry / MANIFEST_NAME).is_file():
@@ -196,8 +203,24 @@ class ArtifactStore:
                 if file_sha256(path) != meta["sha256"]:
                     raise ArtifactError(f"{name} fails its SHA-256 digest")
             with np.load(entry / PAYLOAD_NAME, allow_pickle=False) as payload:
-                matrices = [self._build_matrix(entry, payload, index, record)
-                            for index, record in enumerate(manifest["matrices"])]
+                packed = {name: _frozen_loaded(payload[name])
+                          for name in PAYLOAD_MEMBERS}
+            packed["eff"] = (np.load(entry / DENSE_NAME, mmap_mode="r")
+                             if DENSE_NAME in manifest["files"]
+                             else np.empty(0, dtype=complex))
+            cursor = dict.fromkeys(packed, 0)
+
+            def take(name: str, count: int) -> np.ndarray:
+                start = cursor[name]
+                cursor[name] = start + count
+                return packed[name][start:start + count]
+
+            matrices = [self._build_matrix(take, index, record)
+                        for index, record in enumerate(manifest["matrices"])]
+            for name, array in packed.items():
+                if array.shape != (cursor[name],):
+                    raise ArtifactError(f"packed {name!r} has shape {array.shape}"
+                                        f" but the manifest reads {cursor[name]}")
         except Exception as error:  # noqa: BLE001 -- any damage means "miss"
             logger.warning("store entry %s is unusable (%s); quarantining and "
                            "falling back to live compilation", key[:12], error)
@@ -223,24 +246,21 @@ class ArtifactStore:
         except OSError:
             pass
 
-    def _build_matrix(self, entry: Path, payload, index: int,
+    def _build_matrix(self, take: Callable[[str, int], np.ndarray], index: int,
                       record: Dict[str, Any]) -> PhotonicMatrix:
         rows, cols = int(record["rows"]), int(record["cols"])
         meshes = {}
-        for side, tag in (("left", "L"), ("right", "R")):
+        for side in ("left", "right"):
             dimension = int(record[side]["dimension"])
-            mesh = MeshDecomposition(
+            count = int(record[side]["mzi_count"])
+            if count != dimension * (dimension - 1) // 2:
+                raise ArtifactError(f"matrix {index} {side} mesh records {count} "
+                                    f"MZIs for {dimension} modes")
+            meshes[side] = MeshDecomposition(
                 dimension=dimension, method=str(record["method"]),
-                modes=_frozen_loaded(payload[f"w{index}.{tag}.modes"]),
-                thetas=_frozen_loaded(payload[f"w{index}.{tag}.thetas"]),
-                phis=_frozen_loaded(payload[f"w{index}.{tag}.phis"]),
-                output_phases=_frozen_loaded(payload[f"w{index}.{tag}.out"]))
-            if mesh.mzi_count != int(record[side]["mzi_count"]):
-                raise ArtifactError(f"matrix {index} {side} mesh has "
-                                    f"{mesh.mzi_count} MZIs, manifest says "
-                                    f"{record[side]['mzi_count']}")
-            meshes[side] = mesh
-        singular_values = _frozen_loaded(payload[f"w{index}.sv"])
+                modes=take("modes", count), thetas=take("thetas", count),
+                phis=take("phis", count), output_phases=take("out", dimension))
+        singular_values = take("sv", min(rows, cols))
         if singular_values.shape != (min(rows, cols),):
             raise ArtifactError(f"matrix {index} has {singular_values.shape} "
                                 f"singular values for a {rows}x{cols} weight")
@@ -251,24 +271,12 @@ class ArtifactStore:
         if matrix.mzi_count != mzi_count_matrix(rows, cols) - min(rows, cols):
             raise ArtifactError(f"matrix {index} MZI count disagrees with the "
                                 "closed form for its shape")
-        self._attach_dense(entry, matrix, record.get("dense") or {})
+        if record["dense"]:
+            # stored phases are never trials-batched, so the plan runtime
+            # fuses this matrix: serve its effective matrix off the mapping
+            matrix.seed_effective_weight_t(
+                take("eff", cols * rows).reshape(cols, rows))
         return matrix
-
-    def _attach_dense(self, entry: Path, matrix: PhotonicMatrix,
-                      dense: Dict[str, str]) -> None:
-        """Memory-map a stored effective matrix into the cache the runtime reads.
-
-        Stored phases are never trials-batched, so every reloaded matrix is
-        one the plan runtime fuses; an entry without a dense payload just
-        rebuilds the matrix from its phases on first use.
-        """
-        if "eff" in dense:
-            mapped = np.load(entry / dense["eff"], mmap_mode="r")
-            if mapped.shape != (matrix.cols, matrix.rows):
-                raise ArtifactError("effective dense matrix has shape "
-                                    f"{mapped.shape} for a {matrix.rows}x"
-                                    f"{matrix.cols} weight")
-            matrix.seed_effective_weight_t(mapped)
 
     # ------------------------------------------------------------------ #
     # write path
@@ -288,19 +296,22 @@ class ArtifactStore:
         entry = self.entry_path(key)
         tmp = entry.with_name(f"{key}.{os.getpid()}-{next(_TMP_COUNTER)}.tmp")
         try:
-            (tmp / DENSE_DIR).mkdir(parents=True)
-            payload: Dict[str, np.ndarray] = {}
-            records: List[Dict[str, Any]] = []
-            dense_files: List[str] = []
-            for index, matrix in enumerate(matrices):
-                records.append(self._write_matrix(tmp, payload, dense_files,
-                                                  index, matrix))
-            np.savez(tmp / PAYLOAD_NAME, **payload)
-            if not dense_files:
-                (tmp / DENSE_DIR).rmdir()
+            tmp.mkdir(parents=True)
+            packed: Dict[str, List[np.ndarray]] = {
+                name: [np.empty(0, dtype)] for name, dtype in PAYLOAD_MEMBERS.items()}
+            dense: List[np.ndarray] = []
+            records = [self._write_matrix(packed, dense, matrix)
+                       for matrix in matrices]
+            np.savez(tmp / PAYLOAD_NAME, **{name: np.concatenate(parts)
+                                            for name, parts in packed.items()})
+            names = [PAYLOAD_NAME]
+            if dense:
+                (tmp / DENSE_NAME).parent.mkdir()
+                np.save(tmp / DENSE_NAME, np.concatenate(dense))
+                names.append(DENSE_NAME)
             files = {name: {"bytes": (tmp / name).stat().st_size,
                             "sha256": file_sha256(tmp / name)}
-                     for name in [PAYLOAD_NAME, *dense_files]}
+                     for name in names}
             from repro import __version__
             manifest = build_manifest(
                 key=key, repro_version=__version__,
@@ -328,31 +339,28 @@ class ArtifactStore:
             shutil.rmtree(tmp, ignore_errors=True)
             return False
 
-    def _write_matrix(self, tmp: Path, payload: Dict[str, np.ndarray],
-                      dense_files: List[str], index: int,
+    def _write_matrix(self, packed: Dict[str, List[np.ndarray]],
+                      dense: List[np.ndarray],
                       matrix: PhotonicMatrix) -> Dict[str, Any]:
-        """Stage one matrix's arrays into the payload dict + dense files."""
+        """Append one matrix's arrays to the packed lists; return its record."""
         record: Dict[str, Any] = {
             "rows": matrix.rows, "cols": matrix.cols,
             "scale": float(matrix.scale), "method": matrix.left_mesh.method,
-            "dense": {},
+            "dense": matrix.uses_dense_path(),
         }
-        payload[f"w{index}.sv"] = matrix.singular_values
-        for side, tag, mesh in (("left", "L", matrix.left_mesh),
-                                ("right", "R", matrix.right_mesh)):
+        for side, mesh in (("left", matrix.left_mesh),
+                           ("right", matrix.right_mesh)):
             record[side] = {"dimension": mesh.dimension,
                             "mzi_count": mesh.mzi_count}
-            payload[f"w{index}.{tag}.modes"] = mesh.modes
-            payload[f"w{index}.{tag}.thetas"] = mesh.thetas
-            payload[f"w{index}.{tag}.phis"] = mesh.phis
-            payload[f"w{index}.{tag}.out"] = mesh.output_phases
-        if matrix.uses_dense_path():
+            packed["modes"].append(mesh.modes)
+            packed["thetas"].append(mesh.thetas)
+            packed["phis"].append(mesh.phis)
+            packed["out"].append(mesh.output_phases)
+        packed["sv"].append(matrix.singular_values)
+        if record["dense"]:
             # the plan runtime fuses this stage into one effective matmul;
             # store that exact matrix so warm loads skip the reconstruction
-            name = f"{DENSE_DIR}/w{index}.eff.npy"
-            np.save(tmp / name, matrix.effective_weight_t())
-            record["dense"]["eff"] = name
-        dense_files.extend(record["dense"].values())
+            dense.append(matrix.effective_weight_t().ravel())
         return record
 
     # ------------------------------------------------------------------ #

@@ -30,10 +30,11 @@ import numpy as np
 
 from repro.store.errors import StoreKeyError
 
-#: bumped when the hashed document layout changes, so entries written by an
-#: older layout can never collide with (or shadow) newer ones (2: the
-#: compile-options document left the key)
-KEY_LAYOUT_VERSION = 2
+#: bumped when the hashed document layout or the entry layout changes, so
+#: entries written by an older layout can never collide with (or shadow)
+#: newer ones (2: the compile-options document left the key; 3: entries pack
+#: their arrays into five payload members and one dense file)
+KEY_LAYOUT_VERSION = 3
 
 
 def canonical_json(document: Any) -> str:

@@ -4,8 +4,10 @@ Each store entry is a directory holding a ``manifest.json`` beside its array
 payloads.  The manifest is the entry's self-description *and* its integrity
 root: schema version, repo version, the content key the entry was written
 under, creation metadata, the hashed target document, one record
-per deployed matrix (shapes, scale, mesh dimensions, which dense payload
-files exist) and the byte size + SHA-256 of every payload file.  A reader
+per deployed matrix (shapes, scale, per-mesh dimension and MZI count,
+whether its effective matrix is in the dense file) and the byte size +
+SHA-256 of every payload file.  The records are also the index into the
+packed arrays: the reader slices them in record order.  A reader
 validates all of it before touching a single array; any disagreement raises
 :class:`~repro.store.errors.ArtifactError`, which the store surface turns
 into a logged miss plus quarantine -- never a crash.
@@ -17,15 +19,22 @@ import os
 import time
 from typing import Any, Dict, List
 
+import numpy as np
+
 from repro.store.errors import ArtifactError
 
-#: bumped whenever the entry layout (manifest fields, payload key scheme)
+#: bumped whenever the entry layout (manifest fields, payload members)
 #: changes incompatibly; readers treat any other version as corrupt
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.npz"
-DENSE_DIR = "dense"
+DENSE_NAME = "dense/eff.npy"
+
+#: the payload's members and dtypes: each concatenates every matrix's array
+#: in deployment order (left mesh before right for the per-mesh members)
+PAYLOAD_MEMBERS = {"modes": np.intp, "thetas": float, "phis": float,
+                   "out": complex, "sv": float}
 
 
 def build_manifest(key: str, repro_version: str,
@@ -70,7 +79,7 @@ def validate_manifest(document: Any, expected_key: str) -> Dict[str, Any]:
              "manifest carries no matrix records")
     for index, record in enumerate(matrices):
         _require(isinstance(record, dict), f"matrix record {index} is not an object")
-        for field in ("rows", "cols", "scale", "method", "left", "right"):
+        for field in ("rows", "cols", "scale", "method", "dense", "left", "right"):
             _require(field in record, f"matrix record {index} lacks {field!r}")
         for side in ("left", "right"):
             mesh = record[side]

@@ -61,6 +61,30 @@ class TestComplexIm2col:
         assert np.array_equal(patches[1, 2], single)
 
 
+class TestAvgPool2dStage:
+    @pytest.mark.parametrize("shape,kernel,stride", [
+        ((64, 4, 16, 16), (2, 2), (2, 2)),      # the LeNet pool, batch 64
+        ((1, 4, 16, 16), (2, 2), (2, 2)),       # batch 1
+        ((3, 2, 9, 9), (3, 3), (1, 1)),         # overlapping windows
+        ((2, 3, 11, 10), (2, 2), (3, 3)),       # stride wider than the kernel
+        ((2, 3, 9, 11), (3, 2), (2, 3)),        # non-square kernel and stride
+        ((4, 2, 3, 8, 8), (2, 2), (2, 2)),      # leading trials axis
+    ])
+    def test_matches_the_sliding_window_mean(self, shape, kernel, stride, rng):
+        maps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        windows = np.lib.stride_tricks.sliding_window_view(maps, kernel,
+                                                           axis=(-2, -1))
+        expected = windows[..., ::stride[0], ::stride[1], :, :].mean(axis=(-2, -1))
+        pooled = AvgPool2dStage(kernel_size=kernel, stride=stride).forward(maps)
+        assert pooled.shape == expected.shape
+        assert np.abs(pooled - expected).max() <= 1e-15
+
+    def test_a_window_larger_than_the_map_is_rejected(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            AvgPool2dStage(kernel_size=(3, 3), stride=(1, 1)).forward(
+                np.zeros((1, 1, 2, 5), dtype=complex))
+
+
 class TestDeployedCNNFidelity:
     @pytest.mark.parametrize("decoder", DECODERS)
     def test_deployed_cnn_matches_software(self, decoder, rng):

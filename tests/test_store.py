@@ -23,11 +23,12 @@ import pytest
 from repro.assignment import get_scheme
 from repro.core.compile import HardwareTarget
 from repro.core.compile import compile as compile_model
-from repro.models import ComplexFCNN
+from repro.models import ComplexFCNN, ComplexLeNet5, ComplexResNet
 from repro.photonics.noise import PhaseNoiseModel
 from repro.photonics.svd_mapping import decompositions_performed
 from repro.store import ArtifactMismatchError, ArtifactStore
-from repro.store.manifest import MANIFEST_NAME, PAYLOAD_NAME
+from repro.store.manifest import (DENSE_NAME, MANIFEST_NAME, PAYLOAD_MEMBERS,
+                                  PAYLOAD_NAME)
 
 IMAGE_SHAPE = (1, 4, 4)      # SI assignment halves 16 pixels -> 8 complex features
 
@@ -82,7 +83,7 @@ class TestContentKey:
         document = key_document(tiny_fcnn(), HardwareTarget())
         assert sorted(document) == ["layout", "target", "weights"]
         assert "options" not in document
-        assert document["layout"] == KEY_LAYOUT_VERSION == 2
+        assert document["layout"] == KEY_LAYOUT_VERSION == 3
 
     def test_noise_targets_bypass_the_store(self, store):
         noisy = HardwareTarget(noise=PhaseNoiseModel.seeded(0.01), trials=2)
@@ -174,11 +175,33 @@ def _bitflip_payload(entry: Path) -> None:
 
 
 def _bitflip_dense(entry: Path) -> None:
-    dense = sorted((entry / "dense").glob("*.npy"))
-    assert dense, "tiny meshes must publish dense payloads"
-    raw = bytearray(dense[0].read_bytes())
+    dense = entry / DENSE_NAME
+    raw = bytearray(dense.read_bytes())
     raw[-1] ^= 0xFF
-    dense[0].write_bytes(bytes(raw))
+    dense.write_bytes(bytes(raw))
+
+
+def _truncate_dense(entry: Path) -> None:
+    dense = entry / DENSE_NAME
+    dense.write_bytes(dense.read_bytes()[:dense.stat().st_size - 16])
+
+
+def _skew_mzi_counts(entry: Path) -> None:
+    # shift one MZI from the left mesh to the right: the matrix total and
+    # every packed array's length still agree with the manifest, so only
+    # the per-side closed form (n(n-1)/2 MZIs for n modes) catches it
+    manifest = json.loads((entry / MANIFEST_NAME).read_text())
+    record = manifest["matrices"][0]
+    record["left"]["mzi_count"] -= 1
+    record["right"]["mzi_count"] += 1
+    (entry / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+
+def _drop_last_record(entry: Path) -> None:
+    # the packed arrays then hold one matrix more than the records read
+    manifest = json.loads((entry / MANIFEST_NAME).read_text())
+    manifest["matrices"].pop()
+    (entry / MANIFEST_NAME).write_text(json.dumps(manifest))
 
 
 def _wrong_schema(entry: Path) -> None:
@@ -193,9 +216,10 @@ def _garble_manifest(entry: Path) -> None:
 
 class TestCorruption:
     @pytest.mark.parametrize("damage", [
-        _truncate_payload, _bitflip_payload, _bitflip_dense,
-        _wrong_schema, _garble_manifest,
+        _truncate_payload, _bitflip_payload, _bitflip_dense, _truncate_dense,
+        _skew_mzi_counts, _drop_last_record, _wrong_schema, _garble_manifest,
     ], ids=["truncated-payload", "bitflipped-payload", "bitflipped-dense",
+            "truncated-dense", "skewed-mzi-counts", "dropped-record",
             "wrong-schema", "garbled-manifest"])
     def test_damage_degrades_to_live_compile(self, warm_store, damage):
         scheme, images = get_scheme("SI"), sample_images()
@@ -213,6 +237,45 @@ class TestCorruption:
         assert deviation <= 1e-12
         # ... and the repopulated entry is warm again
         assert compile_model(tiny_fcnn(), store=warm_store).store_hit
+
+
+def _family(name: str):
+    """A small deployable model of one family."""
+    rng = np.random.default_rng(0)
+    if name == "fcnn":
+        return ComplexFCNN(8, (6, 5), 3, decoder="merge", rng=rng)
+    if name == "lenet5":
+        return ComplexLeNet5(in_channels=2, num_classes=4, image_size=(16, 16),
+                             channels=(2, 3), hidden_sizes=(6, 5),
+                             decoder="merge", rng=rng)
+    return ComplexResNet(depth=8, in_channels=2, num_classes=4,
+                         base_widths=(2, 3, 4), decoder="merge", rng=rng)
+
+
+class TestPackedLayout:
+    """One entry is five packed payload members plus one dense file."""
+
+    @pytest.mark.parametrize("family", ["fcnn", "lenet5", "resnet"])
+    def test_entry_packs_every_matrix_into_two_files(self, store, family):
+        key = compile_model(_family(family), store=store).store_key
+        entry = store.entry_path(key)
+        assert sorted(str(path.relative_to(entry)) for path in entry.rglob("*")
+                      if path.is_file()) == sorted([MANIFEST_NAME, PAYLOAD_NAME,
+                                                   DENSE_NAME])
+        with np.load(entry / PAYLOAD_NAME) as payload:
+            assert sorted(payload.files) == sorted(PAYLOAD_MEMBERS)
+        artifact = store.load(key)
+        assert artifact is not None and len(artifact.matrices) > 2
+        dense = np.load(entry / DENSE_NAME, mmap_mode="r")
+        views = [matrix.effective_weight_t() for matrix in artifact.matrices]
+        # every fused matrix is a (cols, rows) view of the one mapped file,
+        # and together the views cover it exactly
+        assert all(isinstance(view, np.memmap)
+                   and Path(view.filename) == (entry / DENSE_NAME).resolve()
+                   and view.shape == (matrix.cols, matrix.rows)
+                   for view, matrix in zip(views, artifact.matrices))
+        assert sum(view.size for view in views) == dense.size
+        assert compile_model(_family(family), store=store).store_hit
 
 
 class TestAtomicPublication:
