@@ -32,19 +32,25 @@ model (these resolve lazily so ``import repro`` stays cheap).
 __version__ = "1.2.0"
 
 _COMPILER_EXPORTS = ("compile", "CompiledProgram", "HardwareTarget")
-_STORE_EXPORTS = ("ArtifactStore",)
 
-__all__ = ["__version__", *_COMPILER_EXPORTS, *_STORE_EXPORTS]
+__all__ = ["__version__", *_COMPILER_EXPORTS, "ArtifactStore"]
 
 
-def __getattr__(name):
-    """Lazily resolve the compiler API (PEP 562) to keep ``import repro`` light."""
+def lazy_exports(package: str, exports: dict):
+    """A PEP 562 module ``__getattr__`` for ``package``: each name of
+    ``exports`` (name -> submodule) is imported on first access."""
     # import_module (not attribute access): repro.core re-exports the
     # compile *function* under the same name as the submodule
     from importlib import import_module
 
-    if name in _COMPILER_EXPORTS:
-        return getattr(import_module("repro.core.compile"), name)
-    if name in _STORE_EXPORTS:
-        return getattr(import_module("repro.store"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    def __getattr__(name):
+        if name in exports:
+            return getattr(import_module(f"{package}.{exports[name]}"), name)
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    return __getattr__
+
+
+# the compiler API resolves lazily, to keep ``import repro`` light
+__getattr__ = lazy_exports(__name__, {
+    **dict.fromkeys(_COMPILER_EXPORTS, "core.compile"), "ArtifactStore": "store"})

@@ -12,8 +12,11 @@ The workflow (Fig. 2 of the paper) is::
 This package contains the learnable decoder heads, the trainer, the mutual
 learning (knowledge distillation) loop, the experiment configuration objects,
 the model-level area analysis and the photonic deployment path.
+The training stack resolves lazily: compiling and serving a program loads
+neither it nor the data stack and scipy behind it.
 """
 
+from repro import lazy_exports
 from repro.core.decoders import (
     DecoderHead,
     MergeDecoderHead,
@@ -26,10 +29,6 @@ from repro.core.decoders import (
     DECODER_CHOICES,
 )
 from repro.core.config import ExperimentConfig, TrainingConfig
-from repro.core.training import Trainer, TrainingHistory, evaluate_accuracy
-from repro.core.distillation import MutualLearningTrainer, MutualLearningResult
-from repro.core.area_analysis import model_area_report, compare_area
-from repro.core.pipeline import OplixNet
 from repro.core.graph_ir import GraphNode, GraphProgram
 from repro.core.lowering import (
     LoweringContext,
@@ -75,3 +74,11 @@ __all__ = [
     "HardwareTarget",
     "compile",
 ]
+
+_LAZY_EXPORTS = {  # name -> submodule of repro.core
+    **dict.fromkeys(("Trainer", "TrainingHistory", "evaluate_accuracy"), "training"),
+    **dict.fromkeys(("MutualLearningTrainer", "MutualLearningResult"), "distillation"),
+    **dict.fromkeys(("model_area_report", "compare_area"), "area_analysis"),
+    "OplixNet": "pipeline",
+}
+__getattr__ = lazy_exports(__name__, _LAZY_EXPORTS)

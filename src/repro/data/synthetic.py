@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.data.dataset import ArrayDataset
 
@@ -98,6 +97,8 @@ class SyntheticImageDataset:
     # generation
     # ------------------------------------------------------------------ #
     def _smooth_field(self, rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
+        from scipy import ndimage     # only data generation needs scipy
+
         field_values = rng.normal(size=shape)
         smoothed = ndimage.gaussian_filter(field_values, sigma=self.config.smoothness, mode="wrap")
         std = smoothed.std()

@@ -27,29 +27,16 @@ drift-and-heal demo); their measurement harnesses live in
 :mod:`repro.experiments.serving`.
 """
 
-from repro.serve.batcher import BatcherStats, DynamicBatcher
-from repro.serve.drift import DriftInjector
-from repro.serve.recalibrate import RecalibrationManager
-from repro.serve.shard import (
-    ServiceOverloadedError,
-    ShardedInferenceService,
-    WorkerError,
-    WorkerTimeoutError,
-)
-from repro.serve.shm import SharedSlab, SlabRing, segment_exists
-from repro.serve.worker import WorkerSpec
+from repro import lazy_exports
 
-__all__ = [
-    "BatcherStats",
-    "DriftInjector",
-    "DynamicBatcher",
-    "RecalibrationManager",
-    "ServiceOverloadedError",
-    "ShardedInferenceService",
-    "SharedSlab",
-    "SlabRing",
-    "WorkerError",
-    "WorkerSpec",
-    "WorkerTimeoutError",
-    "segment_exists",
-]
+# name -> submodule; lazy, so a spawned worker imports its module before numpy
+_EXPORTS = {
+    **dict.fromkeys(("BatcherStats", "DynamicBatcher"), "batcher"),
+    "DriftInjector": "drift", "RecalibrationManager": "recalibrate",
+    **dict.fromkeys(("ServiceOverloadedError", "ShardedInferenceService",
+                     "WorkerError", "WorkerTimeoutError"), "shard"),
+    **dict.fromkeys(("SharedSlab", "SlabRing", "segment_exists"), "shm"),
+    "WorkerSpec": "worker",
+}
+__all__ = sorted(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

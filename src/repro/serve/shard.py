@@ -41,9 +41,9 @@ The test-suite pins sharded logits to 1e-10 against the program's
 
 from __future__ import annotations
 
-import asyncio
 import logging
 import multiprocessing
+import pickle
 import queue as queue_module
 import threading
 import time
@@ -55,7 +55,7 @@ import numpy as np
 from repro.core.compile import HardwareTarget
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.shm import SlabRing
-from repro.serve.worker import WorkerSpec, worker_main
+from repro.serve.worker import WorkerSpec, blas_threads, worker_main
 
 
 logger = logging.getLogger("repro.serve.shard")
@@ -92,6 +92,11 @@ def _scheme_name(scheme: Any) -> str:
                     f"with a .name, got {scheme!r}")
 
 
+# ready-info fields each replica reports in stats()
+_READY_STATS = ("pid", "decompositions", "store", "native_backend",
+                "blas_threads", "scenario", "scenario_time")
+
+
 class _LaneRetired(Exception):
     """The lane started closing (a redeploy swapped it out, or the service
     closed) before this request was enqueued; nothing was admitted."""
@@ -100,11 +105,13 @@ class _LaneRetired(Exception):
 class _Replica:
     """One worker process plus its control queues and routing counter."""
 
-    def __init__(self, name: str, context, spec: WorkerSpec):
+    def __init__(self, name: str, context, spec: bytes, threads: int):
         self.name = name
         self._context = context
-        self._spec = spec
+        self._spec = spec               # the lane's pickled WorkerSpec
+        self._threads = threads
         self.ready: dict = {}
+        self.startup_s: Optional[float] = None  # start() to ready, frontend clock
         self.outstanding = 0            # samples routed here, not yet resolved
         self.batcher: Optional[DynamicBatcher] = None
         self.restarts = 0               # times this slot respawned its process
@@ -117,8 +124,14 @@ class _Replica:
         self.responses = self._context.Queue()
         self.process = self._context.Process(
             target=worker_main,
-            args=(self._spec, self.requests, self.responses),
+            args=(self._threads, self.requests, self.responses),
             name=f"repro-{self.name}", daemon=True)
+
+    def start(self) -> None:
+        """Start the process; the spec is its first message (see worker)."""
+        self._started = time.monotonic()
+        self.process.start()
+        self.requests.put(self._spec)
 
     def respawn(self, timeout: float) -> dict:
         """Replace a dead worker with a freshly spawned, ready process.
@@ -128,10 +141,10 @@ class _Replica:
         this slot talks to a clean replica.  Raises :class:`WorkerError`
         when the replacement fails to become ready.
         """
-        self.process.join(timeout=0.1)      # reap the corpse, never blocks long
+        self.stop(timeout=0.1)      # reap the corpse, never blocks long
         self.restarts += 1
         self._spawn()
-        self.process.start()
+        self.start()
         return self.wait_ready(timeout)
 
     def wait_ready(self, timeout: float) -> dict:
@@ -141,6 +154,7 @@ class _Replica:
                 message = self.responses.get(timeout=min(1.0, timeout))
             except queue_module.Empty:
                 if not self.process.is_alive():
+                    self.requests.cancel_join_thread()      # see stop()
                     raise WorkerError(f"worker {self.name} died during startup "
                                       f"(exit code {self.process.exitcode})") from None
                 if time.monotonic() > deadline:
@@ -149,6 +163,7 @@ class _Replica:
                 continue
             if message[0] == "ready":
                 self.ready = message[1]
+                self.startup_s = time.monotonic() - self._started
                 return self.ready
             if message[0] == "failed":
                 raise WorkerError(f"worker {self.name} failed to start:\n{message[1]}")
@@ -193,17 +208,21 @@ class _Replica:
 
     def stop(self, timeout: float) -> bool:
         """Ask the worker to exit; returns whether it actually stopped."""
-        if not self.process.is_alive():
-            return True
-        try:
-            self.requests.put(("stop",))
-        except (OSError, ValueError):  # pragma: no cover -- queue already torn down
-            pass
-        self.process.join(timeout)
+        if self.process.is_alive():
+            try:
+                self.requests.put(("stop",))
+            except (OSError, ValueError):  # pragma: no cover -- queue torn down
+                pass
+            self.process.join(timeout)
         if self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout)
-        return not self.process.is_alive()
+        if self.process.is_alive():
+            return False
+        # a child that died before draining its spec leaves the queue's
+        # feeder thread blocked on a full pipe: exit must not join it
+        self.requests.cancel_join_thread()
+        return True
 
 
 class _WorkerProxy:
@@ -374,21 +393,14 @@ class _ModelLane:
     def stats(self) -> dict:
         with self._lock:
             pending, rejected = self.pending_samples, self.rejected
-            per_replica = {replica.name: {"outstanding": replica.outstanding,
-                                          "pid": replica.ready.get("pid"),
-                                          "alive": replica.process.is_alive(),
-                                          "restarts": replica.restarts,
-                                          "decompositions":
-                                              replica.ready.get("decompositions"),
-                                          "store": replica.ready.get("store"),
-                                          "native_backend":
-                                              replica.ready.get("native_backend"),
-                                          "scenario": replica.ready.get("scenario"),
-                                          "scenario_time": replica.scenario_time
-                                              if replica.scenario_time is not None
-                                              else replica.ready.get("scenario_time"),
-                                          **replica.batcher.stats.as_dict()}
-                           for replica in self.replicas}
+            per_replica = {replica.name: {
+                **{name: replica.ready.get(name) for name in _READY_STATS},
+                "outstanding": replica.outstanding,
+                "alive": replica.process.is_alive(),
+                "restarts": replica.restarts, "startup_s": replica.startup_s,
+                **({} if replica.scenario_time is None
+                   else {"scenario_time": replica.scenario_time}),
+                **replica.batcher.stats.as_dict()} for replica in self.replicas}
             restarts_used = self.restarts_used
             drift = self.drift_status
         return {"replicas": per_replica, "pending_samples": pending,
@@ -554,15 +566,17 @@ class ShardedInferenceService:
                     scenario: Optional[Any] = None) -> _ModelLane:
         if replicas < 1:
             raise ValueError("replicas must be at least 1")
-        scheme_name = _scheme_name(scheme)
-        spec = WorkerSpec(model=model, scheme=scheme_name,
-                          image_shape=image_shape, target=target,
-                          store_path=self.store_path, scenario=scenario)
-        pool = [_Replica(f"{model_key}:r{index}", self._context, spec)
+        # pickled once, here: an unpicklable model fails this deploy, and
+        # respawns reuse the bytes, so every replica serves deploy-time weights
+        spec = pickle.dumps(WorkerSpec(
+            model=model, scheme=_scheme_name(scheme), image_shape=image_shape,
+            target=target, store_path=self.store_path, scenario=scenario))
+        threads = blas_threads(replicas)
+        pool = [_Replica(f"{model_key}:r{index}", self._context, spec, threads)
                 for index in range(replicas)]
         try:
-            for replica in pool:            # start all first: parallel warm-up
-                replica.process.start()
+            for replica in pool:    # start() returns at once: parallel warm-up
+                replica.start()
             for replica in pool:
                 replica.wait_ready(self.start_timeout_s)
             elements_per_sample = max(replica.ready["elements_per_sample"]
@@ -662,10 +676,14 @@ class ShardedInferenceService:
     # asyncio-facing variants: the concurrent future resolves on a batcher
     # thread and wakes the caller's event loop without blocking it
     async def logits_async(self, model_key: str, images: np.ndarray) -> np.ndarray:
+        import asyncio
+
         return await asyncio.wrap_future(self.submit(model_key, images,
                                                      kind="logits"))
 
     async def classify_async(self, model_key: str, images: np.ndarray) -> np.ndarray:
+        import asyncio
+
         return await asyncio.wrap_future(self.submit(model_key, images,
                                                      kind="classify"))
 

@@ -12,10 +12,11 @@ The control protocol is deliberately tiny (everything bulky crosses via the
 slabs in :mod:`repro.serve.shm`):
 
 ========================  =====================================================
-frontend -> worker        ``("run", request_id, slab_name, in_cap, out_cap,
-                          shape)``, ``("advance", dt_seconds)`` (chaos mode:
-                          move the hardware-scenario clock forward) and
-                          ``("stop",)``
+frontend -> worker        the pickled :class:`WorkerSpec` as ``bytes`` (first
+                          message, exactly once), then ``("run", request_id,
+                          slab_name, in_cap, out_cap, shape)``, ``("advance",
+                          dt_seconds)`` (chaos mode: move the
+                          hardware-scenario clock forward) and ``("stop",)``
 worker  -> frontend       ``("ready", info)`` once after compilation,
                           ``("ok", request_id, logits_shape, scenario_clock)``
                           / ``("err", request_id, traceback)`` per request,
@@ -27,6 +28,12 @@ worker  -> frontend       ``("ready", info)`` once after compilation,
 advanced (further degraded) program -- that ordering is what makes drift
 injection deterministic enough to test against.
 
+Thread rule (:func:`blas_threads`): the frontend's CPU affinity split across
+the lane's replicas, capped by a lower ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` of the frontend.  :func:`worker_main` sets it before
+numpy loads (this module imports none) and reports it as ``blas_threads``:
+``None`` if numpy came first, e.g. from a spawn re-import of ``__main__``.
+
 Workers are spawn-safe: :func:`worker_main` imports everything it needs and
 touches no inherited globals, so it behaves identically under the ``spawn``
 start method the service uses (fork would duplicate the frontend's batcher
@@ -35,16 +42,31 @@ threads and BLAS state).
 
 from __future__ import annotations
 
+import logging
 import os
+import pickle
+import sys
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    from repro.core.compile import HardwareTarget
+    from repro.serve.shm import SharedSlab
 
-from repro.core.compile import HardwareTarget
-from repro.core.compile import compile as compile_program
-from repro.serve.shm import SharedSlab, attach_slab
+logger = logging.getLogger("repro.serve.worker")
+
+# read once by the BLAS/OpenMP runtimes, when numpy loads
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def blas_threads(replicas: int) -> int:
+    """BLAS threads per worker of a ``replicas``-wide lane (the thread rule)."""
+    inherited = (os.environ.get(name, "")
+                 for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return min([max(1, len(os.sched_getaffinity(0)) // replicas),
+                *(int(value) for value in inherited if value.isdigit() and int(value))])
 
 
 @dataclass
@@ -78,12 +100,24 @@ class WorkerSpec:
     scenario: Optional[Any] = None
 
 
-def worker_main(spec: WorkerSpec, requests, responses) -> None:
+def worker_main(threads: int, requests, responses) -> None:
     """Entry point of one replica process (see the module protocol table)."""
+    applied: Optional[int] = None
+    if "numpy" in sys.modules:
+        logger.warning("numpy loaded before worker start-up; the worker keeps "
+                       "the inherited BLAS thread count instead of %d", threads)
+    else:
+        os.environ.update(dict.fromkeys(THREAD_VARIABLES, str(threads)))
+        applied = threads
     try:
+        spec = pickle.loads(requests.get())     # the model's arrays load numpy
+        import numpy as np
+
         from repro.assignment import get_scheme
+        from repro.core.compile import compile as compile_program
         from repro.photonics.engine import native_kernel
         from repro.photonics.svd_mapping import decompositions_performed
+        from repro.serve.shm import attach_slab
 
         scheme = get_scheme(spec.scheme)
         store = None
@@ -119,6 +153,7 @@ def worker_main(spec: WorkerSpec, requests, responses) -> None:
             # spawn-started process compiles/loads independently, so the
             # frontend can surface replicas that silently fell back to numpy
             "native_backend": native_kernel() is not None,
+            "blas_threads": applied,
             # hardware-degradation chaos mode: which scenario (if any) this
             # replica serves through, and its current clock in seconds
             "scenario": None if scenario is None else scenario.name,

@@ -30,6 +30,8 @@ quarantining fails) and the caller falls through to live compilation.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
 import logging
@@ -194,15 +196,19 @@ class ArtifactStore:
         try:
             with open(entry / MANIFEST_NAME, "r", encoding="utf-8") as handle:
                 manifest = validate_manifest(json.load(handle), expected_key=key)
+            # the payload is read once: the bytes verified are the bytes parsed
+            payload_bytes = (entry / PAYLOAD_NAME).read_bytes()
             for name, meta in manifest["files"].items():
-                path = entry / name
-                size = path.stat().st_size
+                path, is_payload = entry / name, name == PAYLOAD_NAME
+                size = len(payload_bytes) if is_payload else path.stat().st_size
                 if size != int(meta["bytes"]):
                     raise ArtifactError(f"{name} is {size} bytes, "
                                         f"manifest says {meta['bytes']}")
-                if file_sha256(path) != meta["sha256"]:
+                digest = (hashlib.sha256(payload_bytes).hexdigest() if is_payload
+                          else file_sha256(path))
+                if digest != meta["sha256"]:
                     raise ArtifactError(f"{name} fails its SHA-256 digest")
-            with np.load(entry / PAYLOAD_NAME, allow_pickle=False) as payload:
+            with np.load(io.BytesIO(payload_bytes), allow_pickle=False) as payload:
                 packed = {name: _frozen_loaded(payload[name])
                           for name in PAYLOAD_MEMBERS}
             packed["eff"] = (np.load(entry / DENSE_NAME, mmap_mode="r")

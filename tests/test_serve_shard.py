@@ -10,7 +10,12 @@ to 1e-10 against the program's oracle,
 """
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,17 +61,20 @@ def shard_service():
 
 
 class TestWorkerStartup:
-    """``worker_main`` driven in-process over plain queues (no spawn)."""
+    """``worker_main`` driven in-process over plain queues (no spawn); the
+    pickled spec is the first message on the requests queue."""
 
     @staticmethod
     def _start_then_stop(spec):
+        import pickle
         import queue
 
         from repro.serve.worker import worker_main
 
         requests, responses = queue.Queue(), queue.Queue()
+        requests.put(pickle.dumps(spec))
         requests.put(("stop",))
-        worker_main(spec, requests, responses)
+        worker_main(1, requests, responses)
         return [responses.get_nowait() for _ in range(responses.qsize())]
 
     def test_compiles_off_the_store_and_reports_ready(self, tmp_path):
@@ -82,6 +90,21 @@ class TestWorkerStartup:
         assert info["num_classes"] == 3 and info["elements_per_sample"] == 3
         assert info["store"]["hits"] == 1 and info["store"]["misses"] == 0
         assert stopped[0] == "stopped" and stopped[2] == 0
+
+    def test_numpy_loaded_first_reports_no_thread_count(self, caplog):
+        """In-process, numpy is already loaded: the worker cannot pin BLAS
+        threads, says so, and leaves the environment alone."""
+        import os
+
+        from repro.serve.worker import THREAD_VARIABLES, WorkerSpec
+
+        before = {name: os.environ.get(name) for name in THREAD_VARIABLES}
+        spec = WorkerSpec(model=tiny_fcnn(), scheme="SI", image_shape=IMAGE_SHAPE)
+        with caplog.at_level("WARNING", logger="repro.serve.worker"):
+            (kind, info), _ = self._start_then_stop(spec)
+        assert kind == "ready" and info["blas_threads"] is None
+        assert "numpy loaded before worker start-up" in caplog.text
+        assert {name: os.environ.get(name) for name in THREAD_VARIABLES} == before
 
     def test_startup_failure_is_reported_not_raised(self):
         from repro.serve.worker import WorkerSpec
@@ -424,3 +447,111 @@ class TestWorkerAutoRestart:
             assert replica_stats["alive"] and replica_stats["pid"] == pid
             expected = repro.compile(model).predict_logits(images, get_scheme("SI"))
             assert np.abs(service.logits("fcnn", images) - expected).max() <= 1e-10
+
+    def test_respawn_serves_deploy_time_weights(self):
+        """A respawned replica rebuilds from the spec pickled at deploy, not
+        from the live model, so it serves the same weights as its siblings."""
+        model = tiny_fcnn()
+        images = np.random.default_rng(29).normal(size=(2, *IMAGE_SHAPE))
+        expected = oracle_logits(model, images)
+        with ShardedInferenceService(workers=1, max_batch=8,
+                                     max_latency_s=0.001,
+                                     max_worker_restarts=1) as service:
+            service.deploy("fcnn", model, "SI", image_shape=IMAGE_SHAPE)
+            for parameter in model.parameters():
+                parameter.data += 0.5
+            assert np.abs(oracle_logits(model, images) - expected).max() > 1e-3
+            self._kill_replica(service)
+            with pytest.raises(WorkerError, match="died mid-request"):
+                service.logits("fcnn", images)
+            assert service.stats()["fcnn"]["restarts_used"] == 1
+            assert np.abs(service.logits("fcnn", images) - expected).max() <= 1e-12
+
+
+def _rule_threads(replicas: int) -> int:
+    """The thread rule, restated: the CPU affinity split across the lane's
+    replicas, capped by a lower inherited OPENBLAS/OMP thread count."""
+    count = max(1, len(os.sched_getaffinity(0)) // replicas)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) >= 1:
+            count = min(count, int(value))
+    return count
+
+
+# A replica SIGKILLed right after start(), before it has read its spec: the
+# spec (a 128x128 complex layer, several pipe buffers) leaves the requests
+# queue's feeder thread blocked in a pipe write that no one will ever drain.
+KILLED_BEFORE_SPEC = """
+import os, signal
+import numpy as np
+from repro.models import ComplexFCNN
+from repro.serve import ShardedInferenceService, WorkerError, shard
+
+start = shard._Replica.start
+
+def start_then_kill(replica):
+    start(replica)
+    os.kill(replica.process.pid, signal.SIGKILL)
+
+shard._Replica.start = start_then_kill
+model = ComplexFCNN(128, (128,), 10, rng=np.random.default_rng(0))
+service = ShardedInferenceService(workers=1, max_worker_restarts=0)
+try:
+    service.deploy("fcnn", model, "SI", image_shape=(1, 16, 16))
+except WorkerError as error:
+    print("WorkerError:", error)
+service.close()
+"""
+
+
+class TestStartup:
+    def test_replicas_report_thread_rule_and_startup_time(self, shard_service):
+        service = shard_service[0]
+        replicas = service.stats()["fcnn"]["replicas"]
+        assert len(replicas) == 2
+        for stats in replicas.values():
+            assert stats["blas_threads"] == _rule_threads(2)
+            assert stats["startup_s"] > 0
+
+    def test_thread_rule_only_lowers_to_an_inherited_count(self, monkeypatch):
+        from repro.serve.worker import blas_threads
+
+        cores = len(os.sched_getaffinity(0))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        assert blas_threads(1) == cores
+        assert blas_threads(cores + 1) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cores + 4))   # higher: ignored
+        monkeypatch.setenv("OMP_NUM_THREADS", "0")                   # invalid: ignored
+        assert blas_threads(1) == cores
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert blas_threads(1) == 1
+
+    def test_replica_killed_before_reading_its_spec_exits_cleanly(self):
+        """deploy() raises a typed error and the interpreter then exits:
+        the failure mode is a hang at exit, so it runs in a subprocess."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        started = time.monotonic()
+        result = subprocess.run([sys.executable, "-c", KILLED_BEFORE_SPEC],
+                                env=env, capture_output=True, text=True,
+                                timeout=30)
+        elapsed = time.monotonic() - started
+        assert result.returncode == 0, result.stderr
+        assert "WorkerError: worker fcnn:r0 died during startup" in result.stdout
+        assert elapsed < 10.0
+
+    def test_unpicklable_model_fails_deploy_without_a_child(self):
+        import multiprocessing
+
+        model = tiny_fcnn()
+        model.lock = threading.Lock()           # has no pickle form
+        before = set(multiprocessing.active_children())
+        with ShardedInferenceService(workers=2, start_timeout_s=30.0) as service:
+            started = time.monotonic()
+            with pytest.raises(TypeError, match="pickle"):
+                service.deploy("fcnn", model, "SI", image_shape=IMAGE_SHAPE)
+            assert time.monotonic() - started < 5.0
+            assert set(multiprocessing.active_children()) == before
