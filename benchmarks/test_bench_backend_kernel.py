@@ -14,6 +14,13 @@ Records to ``benchmarks/latest/backend_kernel.json``:
   column program and, when loaded, the native kernel, at the widths the
   plan now fuses (16, 96, 144, 160): every unbatched mesh runs the dense
   path, so it must win at each of them.
+* **Push phase** -- the numpy Clements push phase (commuting the left ops
+  through the output phase screen, ``mzi_mesh._clements_finalize``), timed
+  from the numpy chain's own output, against the whole native decomposition
+  (chain and push in one C call) at 16, 96 and 160 modes; the two
+  decompositions are parity-pinned as in the tests.  Recorded with no
+  floor: the numpy push is what a host without a C toolchain runs, so its
+  cost stays visible.
 * **Dense build** -- the native identity build
   (:meth:`~repro.photonics.mzi_mesh.MeshDecomposition.reconstruct` on the
   kernel) against the column-program oracle :func:`engine.dense_transfer`,
@@ -39,7 +46,14 @@ import pytest
 from repro import reference
 from repro.experiments.reporting import save_json
 from repro.photonics import _native, engine
-from repro.photonics.mzi_mesh import clements_decompose, clements_decompose_stack
+from repro.photonics.mzi_mesh import (
+    NULL_TOLERANCE,
+    _clements_chain_scalar,
+    _clements_finalize,
+    _clements_oplist,
+    clements_decompose,
+    clements_decompose_stack,
+)
 
 logger = logging.getLogger("repro.benchmarks.backend_kernel")
 
@@ -52,6 +66,7 @@ _results: dict = {
     "clements_chain": [],
     "dense_apply": [],
     "dense_build": [],
+    "push_phase": [],
 }
 
 
@@ -168,6 +183,46 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
         # floor leaves room for shared-runner noise)
         assert speedup >= 1.5, (
             f"two-matrix Clements stack only {speedup:.2f}x over numpy")
+
+
+@pytest.mark.parametrize("dimension", [16, 96, 160])
+def test_push_phase_native_vs_numpy(best_of, results_dir, dimension):
+    """Numpy push phase vs the whole native decomposition: no floor."""
+    _require_kernel(results_dir)
+    kernel = _native.kernel()
+    ops = _clements_oplist(dimension)
+    stack = _random_unitary(dimension, np.random.default_rng(dimension))[None]
+
+    def native():
+        return kernel.clements_chain_stack(
+            stack.copy(), ops.is_left.view(np.uint8), ops.op_modes,
+            ops.op_pivots, ops.modes, NULL_TOLERANCE)
+
+    # the numpy push runs on the numpy chain's output (nulling-op order)
+    nulled = stack.copy()
+    chain_thetas = np.empty((1, ops.op_modes.size))
+    chain_phis = np.empty_like(chain_thetas)
+    _clements_chain_scalar(nulled[0], ops.is_left, ops.op_modes, ops.op_pivots,
+                           chain_thetas[0], chain_phis[0])
+
+    def numpy_push():
+        return _clements_finalize(nulled, ops, chain_thetas, chain_phis)
+
+    thetas, phis, output_phases = (np.abs(got - expected) for got, expected
+                                   in zip(native(), numpy_push()))
+    phis = np.minimum(phis, np.abs(phis - 2 * np.pi))      # +-pi branch cut
+    parity = {"thetas": float(thetas.max()), "phis": float(phis.max()),
+              "output_phases": float(output_phases.max())}
+    # the tests' bounds: the chains' rounding reaches phi at ~2e-12
+    assert parity["thetas"] <= 1e-12 and parity["output_phases"] <= 1e-12
+    assert parity["phis"] <= 5e-12
+    _results["push_phase"].append({
+        "dimension": dimension,
+        "native_decomposition_seconds": best_of(native, repeats=5),
+        "numpy_push_seconds": best_of(numpy_push, repeats=5),
+        "parity": parity,
+    })
+    _save(results_dir)
 
 
 @pytest.mark.parametrize("dimension", [16, 96, 144, 160])

@@ -220,6 +220,10 @@ def _run_serve_sharded(args: argparse.Namespace, student, scheme,
         restarts = sum(replica.get("restarts", 0)
                        for replica in row.replicas.values())
         drift = row.lane.get("drift") if row.lane else None
+        threads = sorted({replica.get("blas_threads")
+                          for replica in row.replicas.values()}, key=str)
+        startups = [replica["startup_s"] for replica in row.replicas.values()
+                    if replica.get("startup_s") is not None]
         table.append([row.workers, row.clients, row.requests,
                       f"{row.requests_per_s:.0f}", f"{row.gain_vs_single:.2f}x",
                       f"{row.max_parity:.1e}", row.overload_retries,
@@ -229,11 +233,14 @@ def _run_serve_sharded(args: argparse.Namespace, student, scheme,
                       if row.lane else str(restarts),
                       "-" if drift is None else
                       f"score {drift.get('score')} "
-                      f"({drift.get('recalibrations', 0)} recals)"])
+                      f"({drift.get('recalibrations', 0)} recals)",
+                      "/".join("?" if count is None else str(count)
+                               for count in threads) or "-",
+                      f"{max(startups):.2f} s" if startups else "-"])
     print(format_table(
         ["workers", "clients", "requests", "req/s", "gain vs 1 worker",
          "parity vs oracle", "overload retries", "alive", "restarts",
-         "drift"],
+         "drift", "BLAS threads", "start-up"],
         table, title="Sharded serving throughput (shared-memory worker pools)"))
     _maybe_save({"cpus": cpus,
                  "rows": [dataclasses.asdict(row) for row in rows]}, args.output)

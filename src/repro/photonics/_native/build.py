@@ -135,40 +135,69 @@ class ChainKernel:
             raise ValueError(f"{name} must be C-contiguous {dtype}")
         return array
 
+    def _check_indices(self, array: np.ndarray, size: int, upper: int,
+                       name: str) -> None:
+        """``array`` holds ``size`` indices, each in ``[0, upper)``."""
+        self._check(array, np.intp, name)
+        if array.size != size or (size and not 0 <= array.min() <= array.max() < upper):
+            raise ValueError(f"{name} must hold {size} indices in [0, {upper})")
+
     def propagate(self, work: np.ndarray, modes: np.ndarray,
                   thetas: np.ndarray, phis: np.ndarray,
-                  output_phases: np.ndarray, transmission: float) -> None:
-        """Run the MZI chain + output phases in place on ``(batch, dim)`` work."""
+                  output_phases: np.ndarray, transmission: float,
+                  transpose: bool = False) -> None:
+        """Run the MZI chain + output phases in place on ``(batch, dim)`` work.
+
+        With ``transpose`` the rows walk the transposed mesh instead (phase
+        screen first, MZIs in reverse with ``t01``/``t10`` swapped), so basis
+        vector ``e_i`` comes out as row ``i`` of the unitary.
+        """
         self._check(work, np.complex128, "work")
-        self._check(modes, np.intp, "modes")
         self._check(thetas, np.float64, "thetas")
         self._check(phis, np.float64, "phis")
         self._check(output_phases, np.complex128, "output_phases")
         batch, dim = work.shape
+        self._check_indices(modes, thetas.size, dim - 1, "modes")
+        if phis.size != thetas.size or output_phases.size != dim:
+            raise ValueError("phis must hold one entry per MZI and "
+                             "output_phases one per mode")
         rc = self._lib.cchain_propagate(
             work.ctypes.data, batch, dim, modes.ctypes.data, modes.size,
             thetas.ctypes.data, phis.ctypes.data,
-            output_phases.ctypes.data, float(transmission))
+            output_phases.ctypes.data, float(transmission), int(transpose))
         if rc != 0:
             raise MemoryError("cchain_propagate scratch allocation failed")
 
     def clements_chain_stack(self, work: np.ndarray, is_left: np.ndarray,
                              op_modes: np.ndarray, op_pivots: np.ndarray,
-                             tol: float):
-        """Clements nulling chains on a ``(count, n, n)`` stack, in place."""
+                             modes: np.ndarray, tol: float):
+        """Clements decompositions of a ``(count, n, n)`` stack, ``work`` nulled in place.
+
+        One call runs every matrix's nulling chain and then its push phase.
+        ``modes`` is the upper mode of every mesh MZI in application order.
+        Returns ``(thetas, phis, output_phases)`` with a leading ``count``
+        axis, the phases in application order.
+        """
         self._check(work, np.complex128, "work")
         self._check(is_left, np.uint8, "is_left")
-        self._check(op_modes, np.intp, "op_modes")
-        self._check(op_pivots, np.intp, "op_pivots")
-        count, n = work.shape[0], work.shape[-1]
-        n_ops = op_modes.size
+        count, n, width = work.shape
+        n_ops = is_left.size
+        if width != n:
+            raise ValueError("work must be a (count, n, n) stack")
+        self._check_indices(op_modes, n_ops, n - 1, "op_modes")
+        self._check_indices(op_pivots, n_ops, n, "op_pivots")
+        self._check_indices(modes, n_ops, n - 1, "modes")
         thetas = np.empty((count, n_ops), dtype=float)
         phis = np.empty((count, n_ops), dtype=float)
-        self._lib.cchain_clements_chain_stack(
+        output_phases = np.empty((count, n), dtype=complex)
+        rc = self._lib.cchain_clements_chain_stack(
             work.ctypes.data, count, n, is_left.ctypes.data,
             op_modes.ctypes.data, op_pivots.ctypes.data, n_ops,
-            thetas.ctypes.data, phis.ctypes.data, float(tol))
-        return thetas, phis
+            modes.ctypes.data, thetas.ctypes.data, phis.ctypes.data,
+            output_phases.ctypes.data, float(tol))
+        if rc != 0:
+            raise MemoryError("cchain_clements_chain_stack scratch allocation failed")
+        return thetas, phis, output_phases
 
 
 def _load_library(library_path: Path, compiler: str, key: str) -> ChainKernel:
@@ -178,10 +207,11 @@ def _load_library(library_path: Path, compiler: str, key: str) -> ChainKernel:
     ptr, long = ctypes.c_void_p, ctypes.c_long
     lib.cchain_propagate.restype = ctypes.c_int
     lib.cchain_propagate.argtypes = [ptr, long, long, ptr, long, ptr, ptr, ptr,
-                                     ctypes.c_double]
+                                     ctypes.c_double, ctypes.c_int]
     lib.cchain_clements_chain_stack.restype = ctypes.c_int
     lib.cchain_clements_chain_stack.argtypes = [ptr, long, long, ptr, ptr, ptr,
-                                                long, ptr, ptr, ctypes.c_double]
+                                                long, ptr, ptr, ptr, ptr,
+                                                ctypes.c_double]
     return ChainKernel(lib, library_path, compiler, key)
 
 

@@ -35,9 +35,12 @@ it from shipped C source on first use), :func:`native_propagate` executes the
 whole rotation chain plus the output phase screen in one C call per batch, in
 place on the caller's complex buffer.  Its one production use is building
 dense matrices: :meth:`MeshDecomposition.reconstruct` pushes the identity
-through it.  Sequential flat-order application is exactly the column
-program's semantics -- the greedy column schedule only vectorizes the walk --
-so the kernel needs no column bookkeeping and is parity-pinned against
+through it, and :meth:`MeshDecomposition.leading_columns` /
+:meth:`~MeshDecomposition.leading_rows` push only the first ``k`` basis
+vectors (the rows through the transposed walk).  Sequential flat-order
+application is exactly the column program's semantics -- the greedy column
+schedule only vectorizes the walk -- so the kernel needs no column
+bookkeeping and is parity-pinned against
 :func:`propagate` and :func:`reference_apply` like every other fast path.
 Mesh execution itself never picks a kernel: an unbatched mesh applies its
 cached dense matrix (:func:`apply_dense`), a trials-batched one runs
@@ -329,13 +332,16 @@ def native_propagate(modes: np.ndarray, states: np.ndarray,
                      thetas: np.ndarray, phis: np.ndarray,
                      output_phases: np.ndarray,
                      insertion_loss_db: float = 0.0,
-                     out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+                     out: Optional[np.ndarray] = None,
+                     transpose: bool = False) -> Optional[np.ndarray]:
     """Propagate batched states through the native chain kernel.
 
     One C call applies every MZI in flat application order and the output
     phase screen, in place on a ``(batch, dim)`` complex work buffer --
     semantically identical to :func:`propagate` of the column schedule (the
     schedule preserves per-mode order, so columns only vectorize the walk).
+    With ``transpose`` the states walk the transposed mesh ``U^T`` instead,
+    so basis vector ``e_i`` comes out as row ``i`` of ``U``.
 
     Returns the propagated array, or None when the call is ineligible: no
     kernel loaded (or ``REPRO_FORCE_REFERENCE`` set) or trials-batched phase
@@ -367,7 +373,7 @@ def native_propagate(modes: np.ndarray, states: np.ndarray,
                      np.ascontiguousarray(thetas),
                      np.ascontiguousarray(phis),
                      np.ascontiguousarray(output_phases, dtype=np.complex128),
-                     transmission)
+                     transmission, transpose=transpose)
     return work
 
 

@@ -30,10 +30,11 @@ pass.  :func:`reck_decompose`, :func:`clements_decompose` and
 its nulling operations into wavefronts of disjoint mode pairs (the greedy
 schedule the engine uses for propagation).  The Clements nulling chain is
 sequential per matrix: it runs in the native kernel of
-:mod:`repro.photonics._native` when one is loaded, otherwise in numpy, per
-matrix below :data:`BATCHED_CHAIN_MIN_STACK` matrices and batched over the
-stack from there up.  The original scalar nulling loops are kept as
-``reck_decompose_reference`` / ``clements_decompose_reference`` --
+:mod:`repro.photonics._native` when one is loaded, together with the push
+phase that commutes the left ops through the output phase screen, otherwise
+in numpy, per matrix below :data:`BATCHED_CHAIN_MIN_STACK` matrices and
+batched over the stack from there up.  The original scalar nulling loops
+are kept as ``reck_decompose_reference`` / ``clements_decompose_reference`` --
 executable specifications the test-suite pins the stack paths against to
 1e-10.
 
@@ -42,7 +43,10 @@ applies its cached dense matrix, and a trials-batched mesh (a noise
 ensemble) runs the numpy column program of :mod:`repro.photonics.engine`.
 Dense matrices are built by propagating the identity through the native
 kernel of :mod:`repro.photonics._native` when it is loaded, and through
-:func:`engine.dense_transfer` otherwise.
+:func:`engine.dense_transfer` otherwise;
+:meth:`MeshDecomposition.leading_columns` and
+:meth:`~MeshDecomposition.leading_rows` propagate only the basis vectors an
+SVD factor's singular values keep.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -320,6 +324,19 @@ class MeshDecomposition:
         full[m:m + 2, m:m + 2] = block
         return full
 
+    def _native_basis_walk(self, k: int, insertion_loss_db: float = 0.0,
+                           transpose: bool = False) -> Optional[np.ndarray]:
+        """Basis vectors ``e_0 .. e_{k-1}`` walked through the native kernel.
+
+        Row ``i`` of the ``(k, dimension)`` result is ``U @ e_i`` (column
+        ``i`` of ``U``), or row ``i`` of ``U`` with ``transpose``.  None when
+        the kernel is not loaded or the phases are trials-batched.
+        """
+        basis = np.eye(k, self.dimension, dtype=complex)
+        return engine.native_propagate(
+            self._modes, basis, self._thetas, self._phis, self._output_phases,
+            insertion_loss_db=insertion_loss_db, out=basis, transpose=transpose)
+
     def reconstruct(self, insertion_loss_db: float = 0.0) -> np.ndarray:
         """Multiply out the mesh into a dense unitary matrix.
 
@@ -330,16 +347,32 @@ class MeshDecomposition:
         ``(dimension, dimension)``, or ``(*trials, dimension, dimension)``
         for a trials-batched mesh.
         """
-        identity = np.eye(self.dimension, dtype=complex)
-        columns = engine.native_propagate(
-            self._modes, identity, self._thetas, self._phis,
-            self._output_phases, insertion_loss_db=insertion_loss_db,
-            out=identity)
+        columns = self._native_basis_walk(self.dimension, insertion_loss_db)
         if columns is None:
             return engine.dense_transfer(self.compiled(), self._thetas, self._phis,
                                          self._output_phases,
                                          insertion_loss_db=insertion_loss_db)
         return columns.T
+
+    def leading_columns(self, k: int) -> np.ndarray:
+        """The first ``k`` columns of the unitary, ``reconstruct()[..., :, :k]``.
+
+        On the native kernel only ``k`` basis vectors are propagated; without
+        it, or for a trials-batched mesh, the full :meth:`reconstruct` is
+        sliced.
+        """
+        columns = self._native_basis_walk(k)
+        return self.reconstruct()[..., :, :k] if columns is None else columns.T
+
+    def leading_rows(self, k: int) -> np.ndarray:
+        """The first ``k`` rows of the unitary, ``reconstruct()[..., :k, :]``.
+
+        On the native kernel ``k`` basis vectors walk the transposed mesh;
+        without it, or for a trials-batched mesh, the full :meth:`reconstruct`
+        is sliced.
+        """
+        rows = self._native_basis_walk(k, transpose=True)
+        return self.reconstruct()[..., :k, :] if rows is None else rows
 
     def uses_dense_path(self) -> bool:
         """Whether :meth:`apply` executes through the cached dense matrix.
@@ -635,8 +668,20 @@ def _reck_nulling(work: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
     return op_cols, thetas, phis, output_phases
 
 
+class _ClementsOps(NamedTuple):
+    """Topology of the Clements scheme at one dimension (see :func:`_clements_oplist`)."""
+
+    is_left: np.ndarray       # per nulling op: row (left) or column (right) pair
+    op_modes: np.ndarray      # per nulling op: upper mode of the pair
+    op_pivots: np.ndarray     # per nulling op: pivot row (right) / column (left)
+    right_ops: np.ndarray     # nulling-op indices of the right ops, recording order
+    push_ops: np.ndarray      # nulling-op indices of the left ops, reversed
+    modes: np.ndarray         # upper mode of every mesh MZI, application order
+    push_schedule: engine.MeshProgram   # push-phase wavefronts over push_ops
+
+
 @lru_cache(maxsize=128)
-def _clements_oplist(n: int):
+def _clements_oplist(n: int) -> _ClementsOps:
     """Nulling op list of the Clements scheme plus the push-phase schedule.
 
     Unlike Reck, the anti-diagonal nulling ops form one sequential dependency
@@ -645,7 +690,8 @@ def _clements_oplist(n: int):
     from), so there is no intra-matrix wavefront parallelism to exploit.  The
     final commutation of the left ops through the output phase screen only
     touches diagonal pairs, so *that* phase wavefront-vectorizes over disjoint
-    modes.  Cached per dimension.
+    modes.  The mesh applies the right ops in recording order, then the
+    pushed left ops in reversed recording order.  Cached per dimension.
     """
     is_left: List[bool] = []
     op_modes: List[int] = []
@@ -664,66 +710,78 @@ def _clements_oplist(n: int):
     is_left_arr = np.array(is_left, dtype=bool)
     modes_arr = np.array(op_modes, dtype=np.intp)
     pivots_arr = np.array(op_pivots, dtype=np.intp)
+    right_ops = np.flatnonzero(~is_left_arr)
     # push phase: reversed left ops, conflicting only on diagonal-pair overlap
-    left_reversed = np.flatnonzero(is_left_arr)[::-1]
-    push_modes = modes_arr[left_reversed]
-    for array in (is_left_arr, modes_arr, pivots_arr, left_reversed, push_modes):
+    push_ops = np.flatnonzero(is_left_arr)[::-1].copy()
+    push_modes = modes_arr[push_ops]
+    modes = np.concatenate([modes_arr[right_ops], push_modes])
+    for array in (is_left_arr, modes_arr, pivots_arr, right_ops, push_ops, modes):
         array.flags.writeable = False
-    return (is_left_arr, modes_arr, pivots_arr, left_reversed, push_modes,
-            engine.column_schedule(push_modes, n))
+    return _ClementsOps(is_left_arr, modes_arr, pivots_arr, right_ops, push_ops,
+                        modes, engine.column_schedule(push_modes, n))
 
 
 def _refactor_phase_mzi_vec(left_thetas: np.ndarray, left_phis: np.ndarray,
                             d0: np.ndarray, d1: np.ndarray):
-    """Vectorized :func:`_refactor_phase_mzi` of ``L-dagger @ diag(d0, d1)``."""
+    """Vectorized :func:`_refactor_phase_mzi` of ``A = L-dagger @ diag(d0, d1)``.
+
+    With ``x = |a00|``, ``y = |a01|`` and ``r = hypot(x, y)`` the factor
+    ``M(theta, phi)`` has ``theta = 2 atan2(x, y)``, so
+    ``sin(theta / 2) = x / r``, ``cos(theta / 2) = y / r`` and
+    ``e^{i phi} = (a00 / x) conj(a01 / y)``: its entries follow without
+    further trig.  The native push phase evaluates the same closed forms.
+    """
     l00, l01, l10, l11 = engine.mzi_block_coefficients(left_thetas, left_phis)
     a00, a01 = np.conj(l00) * d0, np.conj(l10) * d1
     a10, a11 = np.conj(l01) * d0, np.conj(l11) * d1
-    theta = 2.0 * np.arctan2(np.abs(a00), np.abs(a01))
-    sin_half, cos_half = np.sin(theta / 2.0), np.cos(theta / 2.0)
-    phi = np.where((sin_half > 1e-12) & (cos_half > 1e-12),
-                   np.angle(a00) - np.angle(a01), 0.0)
-    m00, m01, m10, m11 = engine.mzi_block_coefficients(theta, phi)
-    # a 2x2 unitary row never has both entries tiny, so the selected
+    x, y = np.abs(a00), np.abs(a01)
+    r = np.hypot(x, y)
+    theta = 2.0 * np.arctan2(x, y)
+    sin_half, cos_half = x / r, y / r
+    mixed = (sin_half > 1e-12) & (cos_half > 1e-12)
+    phi = np.where(mixed, np.angle(a00) - np.angle(a01), 0.0)
+    e_phi = np.where(mixed, np.conj(a01 / np.where(mixed, y, 1.0))
+                     * (a00 / np.where(mixed, x, 1.0)), 1.0)
+    # with h = e^{i theta/2}: m01 = i cos h, m10 = m01 e^{i phi},
+    # m00 = i sin h e^{i phi}, m11 = -i sin h.  |m01| = |m10| = cos(theta/2),
+    # and a 2x2 unitary row never has both entries tiny, so the selected
     # denominator is always well conditioned
-    use_01 = np.abs(m01) > 1e-12
-    use_10 = np.abs(m10) > 1e-12
+    m01 = (-cos_half * sin_half) + 1j * (cos_half * cos_half)
+    m00 = ((-sin_half * sin_half) + 1j * (sin_half * cos_half)) * e_phi
+    m11 = (sin_half * sin_half) + 1j * (-sin_half * cos_half)
+    use_01 = cos_half > 1e-12
     new_d0 = np.where(use_01, a01, a00) / np.where(use_01, m01, m00)
-    new_d1 = np.where(use_10, a10, a11) / np.where(use_10, m10, m11)
+    new_d1 = np.where(use_01, a10, a11) / np.where(use_01, m01 * e_phi, m11)
     return new_d0, new_d1, theta, phi
 
 
-def _clements_finalize(work: np.ndarray, is_left: np.ndarray,
-                       op_modes: np.ndarray, thetas: np.ndarray,
-                       phis: np.ndarray, left_reversed: np.ndarray,
-                       push_modes: np.ndarray, push_schedule):
-    """Push-phase commutation + application-order assembly on a stack.
+def _clements_finalize(work: np.ndarray, ops: _ClementsOps, thetas: np.ndarray,
+                       phis: np.ndarray):
+    """Push phase + application-order assembly of the numpy Clements chains.
 
-    Shared tail of the Clements chains (native, scalar or batched): commute
-    every left op through the output phase screen in wavefronts of disjoint
-    diagonal pairs, then assemble the physical-MZI arrays in application
-    order.  ``thetas``/``phis`` carry the leading stack axis of ``work``; the
-    returned arrays carry it too.
+    The no-kernel tail of :func:`clements_decompose_stack` (the native
+    kernel runs the same push in C, in the call that runs the chain):
+    commute every left op through the output phase screen in wavefronts of
+    disjoint diagonal pairs, then assemble the physical-MZI phases in
+    application order (``ops.modes``).  ``thetas``/``phis`` are in nulling-op
+    order and carry the leading stack axis of ``work``; the returned
+    ``(thetas, phis, output_phases)`` carry it too.
     """
     diagonal = np.diagonal(work, axis1=-2, axis2=-1).copy()
-    pushed_thetas = np.empty(thetas.shape[:-1] + (left_reversed.size,), dtype=float)
+    pushed_thetas = np.empty(thetas.shape[:-1] + (ops.push_ops.size,), dtype=float)
     pushed_phis = np.empty_like(pushed_thetas)
-    for indices, tops, _bottoms in push_schedule.columns:
-        ops = left_reversed[indices]
+    for indices, tops, _bottoms in ops.push_schedule.columns:
+        push = ops.push_ops[indices]
         new_d0, new_d1, theta, phi = _refactor_phase_mzi_vec(
-            thetas[..., ops], phis[..., ops],
+            thetas[..., push], phis[..., push],
             diagonal[..., tops], diagonal[..., tops + 1])
         diagonal[..., tops] = new_d0
         diagonal[..., tops + 1] = new_d1
         pushed_thetas[..., indices] = theta
         pushed_phis[..., indices] = phi
-    # application order: right-op MZIs first (in recording order), then the
-    # pushed left-op MZIs in reversed recording order
-    right_indices = np.flatnonzero(~is_left)
-    modes = np.concatenate([op_modes[right_indices], push_modes])
-    all_thetas = np.concatenate([thetas[..., right_indices], pushed_thetas], axis=-1)
-    all_phis = np.concatenate([phis[..., right_indices], pushed_phis], axis=-1)
-    return modes, all_thetas, all_phis, diagonal
+    all_thetas = np.concatenate([thetas[..., ops.right_ops], pushed_thetas], axis=-1)
+    all_phis = np.concatenate([phis[..., ops.right_ops], pushed_phis], axis=-1)
+    return all_thetas, all_phis, diagonal
 
 
 # --------------------------------------------------------------------------- #
@@ -812,16 +870,35 @@ def _clements_chain_batched(work: np.ndarray, is_left: np.ndarray,
 # --------------------------------------------------------------------------- #
 # stack decompositions: the one implementation of both schemes
 # --------------------------------------------------------------------------- #
-def _check_unitary_stack(unitaries: np.ndarray) -> np.ndarray:
+def _check_square_stack(unitaries: np.ndarray) -> np.ndarray:
     stack = np.asarray(unitaries, dtype=complex)
     if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
         raise ValueError("stack decomposition requires a (stack, n, n) array")
-    identity = np.eye(stack.shape[-1])
-    grams = np.swapaxes(stack.conj(), -1, -2) @ stack
-    if not np.allclose(grams, identity, atol=1e-6):
+    return stack
+
+
+def _check_nulled_unitary(nulled: np.ndarray) -> None:
+    """Raise unless every matrix of a nulled stack came from a unitary.
+
+    Nulling applies unitary rotations only and leaves every matrix ``W``
+    upper triangular, ``R = L W M``, whatever its input, and ``R^H R`` is
+    unitarily similar to ``W^H W``.  An upper-triangular matrix is unitary
+    exactly when it is diagonal with unit-modulus entries.  So this
+    ``O(n^2)`` look at the nulled stack applies the bounds of the
+    ``allclose(W^H W, I, atol=1e-6)`` it replaces (and of
+    :func:`_check_unitary_input`) to first order, without the ``O(n^3)``
+    Gram product: ``|R_ii|^2`` within ``1e-6 + 1e-5`` of 1, every other
+    entry within ``1e-6`` of 0.
+    """
+    magnitude = np.abs(nulled)
+    index = np.arange(nulled.shape[-1])
+    diagonal = magnitude[..., index, index]
+    magnitude[..., index, index] = 0.0
+    unitary = (np.abs(diagonal ** 2 - 1.0).max(initial=0.0) <= 1e-6 + 1e-5
+               and magnitude.max(initial=0.0) <= 1e-6)      # NaN fails both
+    if not unitary:
         raise ValueError("stack contains a non-unitary matrix; map general "
                          "matrices via svd_decompose_many()")
-    return stack
 
 
 def reck_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
@@ -834,9 +911,10 @@ def reck_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
     ``2 n - 3`` regardless of the stack size.  Each returned mesh agrees with
     :func:`reck_decompose_reference` of its slice to 1e-10.
     """
-    stack = _check_unitary_stack(unitaries)
+    stack = _check_square_stack(unitaries)
     work = stack.copy()
     modes, thetas, phis, output_phases = _reck_nulling(work)
+    _check_nulled_unitary(work)
     dimension = stack.shape[-1]
     return [MeshDecomposition(dimension=dimension, modes=modes, thetas=thetas[index],
                               phis=phis[index], output_phases=output_phases[index],
@@ -849,41 +927,46 @@ def clements_decompose_stack(unitaries: np.ndarray) -> List[MeshDecomposition]:
 
     The anti-diagonal nulling operations form one sequential dependency chain
     per matrix (see :func:`_clements_oplist`); across a stack the chains are
-    independent.  The native kernel, when loaded, runs every chain in one C
-    call.  Otherwise numpy runs the scalar chain once per matrix below
+    independent.  The chain leaves ``U = L_1^-1 ... L_q^-1 D M_p ... M_1``,
+    and the push phase commutes each ``L_k^-1`` through the diagonal so the
+    final expression is ``D' * (physical MZI chain)``.  The native kernel,
+    when loaded, runs every matrix's chain and push phase in one C call,
+    nulling up to four matrices at once in vector lanes.  Otherwise numpy
+    runs the scalar chain once per matrix below
     :data:`BATCHED_CHAIN_MIN_STACK` matrices and the batched chain (every
-    step for the whole stack at once) from there up; both give the same
-    phases.  The commutation of the left ops through the output phase screen
-    is wavefront-vectorized over disjoint diagonal pairs.  Each returned mesh
-    agrees with :func:`clements_decompose_reference` of its slice to 1e-10.
+    step for the whole stack at once) from there up, both giving the same
+    phases, and then the push phase of :func:`_clements_finalize`,
+    wavefront-vectorized over disjoint diagonal pairs.  Non-unitary input is
+    rejected from the nulled stack (:func:`_check_nulled_unitary`).  Each
+    returned mesh agrees with :func:`clements_decompose_reference` of its
+    slice to 1e-10.
     """
-    stack = _check_unitary_stack(unitaries)
+    stack = _check_square_stack(unitaries)
     count, n = stack.shape[0], stack.shape[-1]
     work = stack.copy()
-    is_left, op_modes, op_pivots, left_reversed, push_modes, push_schedule = \
-        _clements_oplist(n)
+    ops = _clements_oplist(n)
     kernel = engine.native_kernel()
     if kernel is not None:
-        # one C call runs every matrix's sequential chain in place on `work`
-        thetas, phis = kernel.clements_chain_stack(
-            work, is_left.view(np.uint8), op_modes, op_pivots, NULL_TOLERANCE)
+        thetas, phis, diagonal = kernel.clements_chain_stack(
+            work, ops.is_left.view(np.uint8), ops.op_modes, ops.op_pivots,
+            ops.modes, NULL_TOLERANCE)
+        _check_nulled_unitary(work)
     else:
-        thetas = np.empty((count, op_modes.size), dtype=float)
-        phis = np.empty_like(thetas)
+        chain_thetas = np.empty((count, ops.op_modes.size), dtype=float)
+        chain_phis = np.empty_like(chain_thetas)
         if count >= BATCHED_CHAIN_MIN_STACK:
-            _clements_chain_batched(work, is_left, op_modes, op_pivots, thetas, phis)
+            _clements_chain_batched(work, ops.is_left, ops.op_modes, ops.op_pivots,
+                                    chain_thetas, chain_phis)
         else:
-            for matrix, matrix_thetas, matrix_phis in zip(work, thetas, phis):
-                _clements_chain_scalar(matrix, is_left, op_modes, op_pivots,
-                                       matrix_thetas, matrix_phis)
-    # U = L_1^{-1} ... L_q^{-1} D M_p ... M_1; commute each L_k^{-1} through
-    # the diagonal (in reversed recording order) so the final expression is
-    # D' * (physical MZI chain)
-    modes, all_thetas, all_phis, diagonal = _clements_finalize(
-        work, is_left, op_modes, thetas, phis, left_reversed,
-        push_modes, push_schedule)
-    return [MeshDecomposition(dimension=n, modes=modes, thetas=all_thetas[index],
-                              phis=all_phis[index], output_phases=diagonal[index],
+            for matrix, matrix_thetas, matrix_phis in zip(work, chain_thetas,
+                                                          chain_phis):
+                _clements_chain_scalar(matrix, ops.is_left, ops.op_modes,
+                                       ops.op_pivots, matrix_thetas, matrix_phis)
+        _check_nulled_unitary(work)
+        thetas, phis, diagonal = _clements_finalize(work, ops, chain_thetas,
+                                                    chain_phis)
+    return [MeshDecomposition(dimension=n, modes=ops.modes, thetas=thetas[index],
+                              phis=phis[index], output_phases=diagonal[index],
                               method="clements")
             for index in range(count)]
 

@@ -87,14 +87,18 @@ class PhotonicMatrix:
     def matrix(self) -> np.ndarray:
         """Reconstruct the dense matrix implemented by the photonic circuit.
 
+        ``diag(S)`` keeps only ``k = min(rows, cols)`` columns of ``U`` and
+        rows of ``V*``, so this is the rank-``k`` product
+        ``scale * (U[:, :k] * S) @ V*[:k, :]``: on the native kernel each
+        mesh propagates just ``k`` basis vectors
+        (:meth:`~repro.photonics.mzi_mesh.MeshDecomposition.leading_columns`,
+        :meth:`~repro.photonics.mzi_mesh.MeshDecomposition.leading_rows`).
         For trials-batched meshes the result gains the leading trials axes.
         """
-        left = self.left_mesh.reconstruct()
-        right = self.right_mesh.reconstruct()
-        diag = np.zeros((self.rows, self.cols), dtype=complex)
         k = min(self.rows, self.cols)
-        diag[np.arange(k), np.arange(k)] = self.singular_values
-        return self.scale * (left @ diag @ right)
+        columns = self.left_mesh.leading_columns(k)
+        rows = self.right_mesh.leading_rows(k)
+        return self.scale * ((columns * self.singular_values) @ rows)
 
     def effective_weight_t(self) -> np.ndarray:
         """The pre-transposed effective matrix ``matrix().T``, cached.

@@ -110,6 +110,37 @@ class TestExecution:
         report = json.loads(output_path.read_text())
         assert report["stats"]["saves"] == 1 and report["stats"]["deletes"] == 1
 
+    def test_serve_workers_table_reports_threads_and_startup(self, monkeypatch,
+                                                             capsys):
+        from repro.experiments import serving
+
+        def replica(threads, startup_s):
+            return {"alive": True, "restarts": 0, "blas_threads": threads,
+                    "startup_s": startup_s}
+
+        def fake_rows(*_args, worker_counts, **_kwargs):
+            assert worker_counts == [1, 2]
+            return [serving.ShardRow(
+                workers=workers, requests=8, clients=2, images_per_request=1,
+                seconds=0.1, requests_per_s=80.0, samples_per_s=80.0,
+                max_parity=0.0, overload_retries=0, replicas=replicas)
+                for workers, replicas in [
+                    (1, {"r0": replica(2, 0.25)}),
+                    (2, {"r0": replica(1, 0.5), "r1": replica(None, 0.75)})]]
+
+        monkeypatch.setattr(serving, "run_shard_benchmark", fake_rows)
+        assert main(["serve", "--preset", "smoke", "--workload", "fcnn",
+                     "--workers", "1", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("workers"))
+        assert header.rstrip().endswith("BLAS threads  start-up")
+        rows = {line.split()[0]: line.split() for line in lines
+                if line[:1].isdigit()}
+        # distinct blas_threads over the row's replicas ("?" = not pinned),
+        # then the slowest replica's start-up
+        assert rows["1"][-3:] == ["2", "0.25", "s"]
+        assert rows["2"][-3:] == ["1/?", "0.75", "s"]
+
     def test_serve_populates_then_warm_hits(self, tmp_path, capsys):
         output_path = tmp_path / "serve.json"
         argv = ["serve", "--preset", "smoke", "--workload", "fcnn",

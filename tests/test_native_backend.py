@@ -1,12 +1,14 @@
 """Tests of the native ``cchain`` kernel (:mod:`repro.photonics._native`).
 
 The compiled rotation-chain kernel is an optional accelerator of two
-things: the dense-matrix build (:meth:`MeshDecomposition.reconstruct`) and
-the Clements nulling chains.  Every test here either pins its output
-against the pure-numpy reference paths (``propagate``, ``reference_apply``,
-forced-reference decomposition) to 1e-10, or verifies the degradation
-contract -- no C toolchain, or ``REPRO_FORCE_REFERENCE=1``, must silently
-select the numpy paths with identical results.
+things: the dense-matrix build (:meth:`MeshDecomposition.reconstruct` and
+the rank-``k`` :meth:`PhotonicMatrix.matrix`) and the Clements
+decompositions (nulling chain plus push phase).  Every test here either
+pins its output against the pure-numpy reference paths (``propagate``,
+``reference_apply``, ``_clements_finalize``, forced-reference
+decomposition), or verifies the degradation contract -- no C toolchain, or
+``REPRO_FORCE_REFERENCE=1``, must silently select the numpy paths with
+identical results.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.photonics import _native, engine
 from repro.photonics.mzi_mesh import (
+    _clements_oplist,
     clements_decompose,
     clements_decompose_reference,
     clements_decompose_stack,
@@ -140,6 +143,83 @@ class TestTiledPropagateAndDenseBuild:
         assert np.abs(mesh._dense_matrix(loss_db) - oracle).max() <= 1e-12
 
 
+class TestRankKMatrix:
+    """``PhotonicMatrix.matrix`` builds only the ``k = min(rows, cols)``
+    columns of ``U`` and rows of ``V*`` that ``diag(S)`` keeps."""
+
+    SHAPES = [(7, 3), (3, 9), (5, 5), (1, 6), (6, 1), (20, 97)]
+
+    @staticmethod
+    def full_product(photonic) -> np.ndarray:
+        left = photonic.left_mesh.reconstruct()
+        right = photonic.right_mesh.reconstruct()
+        diag = np.zeros((photonic.rows, photonic.cols))
+        k = min(photonic.rows, photonic.cols)
+        diag[np.arange(k), np.arange(k)] = photonic.singular_values
+        return photonic.scale * (left @ diag @ right)
+
+    @staticmethod
+    def assert_close(got: np.ndarray, expected: np.ndarray) -> None:
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("reference_paths", [False, True],
+                             ids=["kernel", "forced_reference"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_the_full_product(self, shape, reference_paths, monkeypatch):
+        if reference_paths:
+            monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
+        elif _native.kernel() is None:
+            pytest.skip(f"native kernel unavailable: {_native.load_error()}")
+        rng = np.random.default_rng(sum(shape))
+        weight = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        photonic = svd_decompose(weight)
+        self.assert_close(photonic.matrix(), self.full_product(photonic))
+        assert np.abs(photonic.matrix() - weight).max() <= 1e-10
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_trials_batched_meshes_keep_their_trials_axes(self, shape):
+        import dataclasses
+
+        rng = np.random.default_rng(len(shape) + shape[0])
+        photonic = svd_decompose(rng.normal(size=shape))
+        noise = PhaseNoiseModel.seeded(0.02, seed=7)
+        noisy = dataclasses.replace(
+            photonic,
+            left_mesh=noise.perturb(photonic.left_mesh, trials=2),
+            right_mesh=noise.perturb(photonic.right_mesh, trials=2))
+        matrix = noisy.matrix()
+        assert matrix.shape == (2,) + shape
+        self.assert_close(matrix, self.full_product(noisy))
+
+    @requires_kernel
+    @pytest.mark.parametrize("dim", [1, 2, 7, 97])
+    def test_leading_blocks_slice_the_unitary(self, dim):
+        mesh = clements_decompose(random_unitary(dim, seed=dim))
+        full = engine.dense_transfer(mesh.compiled(), mesh.thetas, mesh.phis,
+                                     mesh.output_phases)
+        for k in sorted({1, (dim + 1) // 2, dim}):
+            assert np.abs(mesh.leading_columns(k) - full[:, :k]).max() <= 1e-12
+            assert np.abs(mesh.leading_rows(k) - full[:k, :]).max() <= 1e-12
+
+    @requires_kernel
+    @pytest.mark.parametrize("batch", [1, 8, 9, 19])
+    def test_transposed_walk_is_the_transposed_mesh(self, batch):
+        mesh = clements_decompose(random_unitary(12, seed=batch))
+        states = random_states(batch, 12, seed=batch + 1)
+        args = (mesh.thetas, mesh.phis, mesh.output_phases)
+        walked = engine.native_propagate(mesh.modes, states, *args,
+                                         insertion_loss_db=0.3, transpose=True)
+        dense = engine.dense_transfer(mesh.compiled(), *args, insertion_loss_db=0.3)
+        assert np.abs(walked - states @ dense).max() <= 1e-12
+        # tiles of 8 rows: every row sees the arithmetic of a one-row call
+        rows = np.concatenate([
+            engine.native_propagate(mesh.modes, row[None, :], *args,
+                                    insertion_loss_db=0.3, transpose=True)
+            for row in states])
+        assert np.array_equal(walked, rows)
+
+
 class TestDecompositionChainParity:
     @requires_kernel
     @pytest.mark.parametrize("dim", [3, 4, 7, 10])
@@ -168,19 +248,113 @@ class TestDecompositionChainParity:
             assert np.abs(mesh_native.reconstruct() - unitary).max() <= PARITY
 
 
+def degenerate_unitary(kind: str, dim: int) -> np.ndarray:
+    """Unitaries whose nulling hits exact zeros and real pivots."""
+    rng = np.random.default_rng(dim)
+    if kind == "identity":
+        return np.eye(dim, dtype=complex)
+    if kind == "permutation":
+        return np.eye(dim, dtype=complex)[rng.permutation(dim)]
+    if kind == "phase_screen":
+        return np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, dim)))
+    half = dim // 2                                         # block_diagonal
+    block = np.zeros((dim, dim), dtype=complex)
+    block[:half, :half] = random_unitary(half, seed=dim)
+    block[half:, half:] = random_unitary(dim - half, seed=dim + 1)
+    return block
+
+
+def decompositions(stack: np.ndarray, monkeypatch, push: str):
+    """``(thetas, phis, output_phases)`` of a stack, application order.
+
+    ``push="native"`` runs the kernel (chain and push in C), ``"numpy"`` the
+    forced-reference path (numpy chain, then ``_clements_finalize``).
+    """
+    with monkeypatch.context() as patch:
+        if push == "numpy":
+            patch.setenv("REPRO_FORCE_REFERENCE", "1")
+        meshes = clements_decompose_stack(stack)
+    return tuple(np.stack([getattr(mesh, name) for mesh in meshes])
+                 for name in ("thetas", "phis", "output_phases"))
+
+
+def assert_push_parity(stack: np.ndarray, monkeypatch) -> None:
+    native = decompositions(stack, monkeypatch, "native")
+    numpy_push = decompositions(stack, monkeypatch, "numpy")
+    thetas, phis, output_phases = (np.abs(got - expected)
+                                   for got, expected in zip(native, numpy_push))
+    # the two chains round differently, and the phi of a nearly dark pivot
+    # magnifies that (measured <= 2.3e-12 at n = 97 and 160); a phi on the
+    # +-pi branch cut may come out 2 pi apart, which is the same MZI
+    phis = np.minimum(phis, np.abs(phis - 2 * np.pi))
+    assert thetas.max(initial=0.0) <= 1e-12
+    assert phis.max(initial=0.0) <= 5e-12
+    assert output_phases.max() <= 1e-12
+    for mesh, unitary in zip(clements_decompose_stack(stack), stack):
+        assert np.abs(mesh.reconstruct() - unitary).max() <= PARITY
+
+
+class TestPushPhaseParity:
+    """Native decompositions (chain and push in C) against the numpy ones
+    (numpy chain, then the ``_clements_finalize`` push)."""
+
+    @requires_kernel
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7, 16, 97, 160])
+    def test_random_unitary_stacks(self, dim, count, monkeypatch):
+        stack = np.stack([random_unitary(dim, seed=100 * dim + index)
+                          for index in range(count)])
+        assert_push_parity(stack, monkeypatch)
+
+    @requires_kernel
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16, 97])
+    @pytest.mark.parametrize("kind", ["identity", "permutation", "phase_screen",
+                                      "block_diagonal"])
+    def test_degenerate_unitaries(self, kind, dim, monkeypatch):
+        assert_push_parity(degenerate_unitary(kind, dim)[None], monkeypatch)
+
+    @requires_kernel
+    @pytest.mark.parametrize("count", [2, 3, 4, 5, 9])
+    def test_lane_groups_match_single_decompositions(self, count):
+        # the kernel nulls up to four matrices at once in vector lanes: a
+        # matrix's lane and its lane mates must not change a bit
+        stack = np.stack([random_unitary(11, seed=s) for s in range(count)])
+        for mesh, unitary in zip(clements_decompose_stack(stack), stack):
+            single = clements_decompose(unitary)
+            np.testing.assert_array_equal(mesh.thetas, single.thetas)
+            np.testing.assert_array_equal(mesh.phis, single.phis)
+            np.testing.assert_array_equal(mesh.output_phases, single.output_phases)
+            np.testing.assert_array_equal(mesh.modes, _clements_oplist(11).modes)
+
+
 def _guard_call(method: str, fault: str):
-    """A kernel call whose ``fault`` argument is the only bad buffer."""
-    is_left = np.zeros(3, dtype=np.uint8)
-    index = np.zeros(3, dtype=np.int32 if fault == "int32_index" else np.intp)
-    if method == "propagate":
-        work = np.zeros((4, 2), dtype=complex)
-        work = work if fault == "int32_index" else work.T    # (2, 4) view
+    """A kernel call whose ``fault`` argument is the only bad kind of buffer.
+
+    ``int32_index`` makes every index array int32; ``int32_modes``,
+    ``short_modes`` and ``mode_out_of_range`` spoil only the
+    application-order ``modes`` array.
+    """
+    def index(name: str) -> np.ndarray:
+        if name != "modes" and fault != "int32_index":
+            return np.zeros(3, dtype=np.intp)
+        if fault == "short_modes":
+            return np.zeros(2, dtype=np.intp)
+        if fault == "mode_out_of_range":
+            return np.array([0, 0, 3], dtype=np.intp)      # width 4: top mode 2
+        return np.zeros(3, dtype=np.int32 if fault.startswith("int32") else np.intp)
+
+    if method.startswith("propagate"):
+        work = np.zeros((2, 4), dtype=complex)
+        work = work if fault != "transposed_work" else np.zeros((4, 2), complex).T
         return lambda kernel: kernel.propagate(
-            work, index, np.zeros(3), np.zeros(3), np.ones(4, dtype=complex), 1.0)
+            work, index("modes"), np.zeros(3), np.zeros(3),
+            np.ones(4, dtype=complex), 1.0,
+            transpose=method == "propagate_transposed")
     work = np.zeros((2, 4, 4), dtype=complex)
-    work = work if fault == "int32_index" else work.transpose(0, 2, 1)
-    return lambda kernel: kernel.clements_chain_stack(work, is_left, index, index,
-                                                      1e-12)
+    work = work if fault != "transposed_work" else work.transpose(0, 2, 1)
+    return lambda kernel: kernel.clements_chain_stack(
+        work, np.zeros(3, dtype=np.uint8), index("op_modes"), index("op_pivots"),
+        index("modes"), 1e-12)
 
 
 class TestKernelBufferGuards:
@@ -188,11 +362,22 @@ class TestKernelBufferGuards:
     is all that stands between a bad buffer and memory corruption."""
 
     @requires_kernel
-    @pytest.mark.parametrize("fault", ["transposed_work", "int32_index"])
-    @pytest.mark.parametrize("method", ["propagate", "clements_chain_stack"])
+    @pytest.mark.parametrize("fault", ["transposed_work", "int32_index",
+                                       "int32_modes"])
+    @pytest.mark.parametrize("method", ["propagate", "propagate_transposed",
+                                        "clements_chain_stack"])
     def test_bad_buffers_raise_before_reaching_c(self, method, fault):
         call = _guard_call(method, fault)
         with pytest.raises(ValueError, match="C-contiguous"):
+            call(_native.kernel())
+
+    @requires_kernel
+    @pytest.mark.parametrize("fault", ["short_modes", "mode_out_of_range"])
+    @pytest.mark.parametrize("method", ["propagate", "propagate_transposed",
+                                        "clements_chain_stack"])
+    def test_index_sizes_and_bounds_are_checked_before_c(self, method, fault):
+        call = _guard_call(method, fault)
+        with pytest.raises(ValueError, match="indices in"):
             call(_native.kernel())
 
     def test_one_ctypes_binding(self):

@@ -14,6 +14,10 @@ from repro.photonics import (
     random_unitary,
     reck_decompose,
 )
+from repro.photonics.mzi_mesh import (
+    clements_decompose_reference,
+    reck_decompose_reference,
+)
 
 
 class TestRandomUnitary:
@@ -303,6 +307,33 @@ class TestBatchedStackDecomposition:
             decompose_unitary_stack(rng.normal(size=(3, 5, 5)) * 2.0)
         with pytest.raises(ValueError):
             decompose_unitary_stack(random_unitary(4, rng))  # missing stack axis
+
+    @pytest.mark.parametrize("method", ["clements", "reck"])
+    def test_unitarity_is_checked_at_the_tolerance(self, method, rng):
+        # the check reads the nulled stack (upper triangular, so unitary iff
+        # diagonal with unit-modulus entries) instead of forming W^H W
+        from repro.photonics import decompose_unitary_stack
+
+        stack = np.stack([random_unitary(6, rng) for _ in range(3)])
+        noise = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+        decompose_unitary_stack(stack + 1e-9 * noise, method=method)
+        # the bounds are allclose(W^H W, I, atol=1e-6)'s, as in the scalar
+        # reference: a norm drift of 3e-6 passes both, 1e-5 fails both
+        reference = {"clements": clements_decompose_reference,
+                     "reck": reck_decompose_reference}[method]
+        decompose_unitary_stack(stack * (1 + 3e-6), method=method)
+        reference(stack[0] * (1 + 3e-6))
+        with pytest.raises(ValueError, match="non-unitary"):
+            decompose_unitary_stack(stack * (1 + 1e-5), method=method)
+        with pytest.raises(ValueError, match="not unitary"):
+            reference(stack[0] * (1 + 1e-5))
+        bad = stack.copy()
+        bad[1] += 1e-4 * noise[1]
+        with pytest.raises(ValueError, match="non-unitary"):
+            decompose_unitary_stack(bad, method=method)
+        bad[1] = np.nan
+        with pytest.raises(ValueError, match="non-unitary"):
+            decompose_unitary_stack(bad, method=method)
 
 
 class TestSvdDecomposeMany:

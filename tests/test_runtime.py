@@ -29,7 +29,7 @@ from repro.core.runtime import (
     MatmulInstruction,
     compile_plan,
 )
-from repro.models import ComplexFCNN
+from repro.models import ComplexFCNN, ComplexLeNet5
 from repro.models.resnet import ComplexResNet
 from repro.photonics.noise import PhaseNoiseModel
 from tests.test_compile import DECODERS, randomize_batchnorms, tiny_lenet, tiny_resnet
@@ -44,6 +44,19 @@ def noise_lane() -> HardwareTarget:
 
 def encoded_light(program, images, scheme):
     return program.encode_images(images, scheme)
+
+
+def compile_benchmark_families(rng):
+    """The three families the cold/warm compile benchmark builds."""
+    yield "fcnn", ComplexFCNN(128, (160, 160), 10, decoder="merge", rng=rng), \
+        "SI", (3, 1, 16, 16)
+    yield "lenet5", ComplexLeNet5(in_channels=2, num_classes=10, image_size=(24, 24),
+                                  channels=(3, 8), hidden_sizes=(60, 42),
+                                  decoder="merge", rng=rng), "CL", (3, 3, 24, 24)
+    resnet = ComplexResNet(depth=14, in_channels=2, num_classes=10,
+                           base_widths=(4, 8, 16), decoder="merge", rng=rng)
+    randomize_batchnorms(resnet, rng)
+    yield "resnet14", resnet, "CL", (3, 3, 12, 12)
 
 
 def models_under_test(rng, decoder):
@@ -62,6 +75,17 @@ class TestPlanParity:
             walk = program.graph.forward_reference(signal)
             planned = program.plan().execute(signal)
             assert np.abs(walk - planned).max() <= PARITY, (name, decoder)
+
+    def test_compile_benchmark_families_match_node_walk(self, rng):
+        # every fused stage bakes the rank-k SVD product; the walk applies
+        # both full meshes
+        for name, model, scheme_key, shape in compile_benchmark_families(rng):
+            program = repro.compile(model)
+            signal = encoded_light(program, rng.normal(size=shape),
+                                   get_scheme(scheme_key))
+            walk = program.graph.forward_reference(signal)
+            planned = program.plan().execute(signal)
+            assert np.abs(walk - planned).max() <= PARITY, name
 
     def test_repeated_execution_is_stable(self, rng):
         # pooled interior buffers must not leak state between calls
