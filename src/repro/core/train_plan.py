@@ -20,6 +20,11 @@ lists executed against preallocated buffers:
   logits before supplying the *late* inputs only the loss reads (mutual
   learning's peer distribution, which needs the other network's logits of
   the same batch).  :meth:`TrainStepPlan.execute` runs both halves.
+  Convolution, max/average pooling, batch norm and complex linear record
+  their forward kernel on the tape (``params["forward"]``); the plan calls
+  that very kernel with ``out=`` the node's buffer, so the tape and the plan
+  run one implementation of each.  Of the heavy ops, only complex
+  convolution keeps a plan-specific emitter (see the backward bullet).
 * **backward**: the original eager closures are reused in the exact order
   ``Tensor.backward`` would process them (reversed topological order), but the
   per-step topological sort, the ``pending`` dict and every gradient
@@ -28,7 +33,13 @@ lists executed against preallocated buffers:
   buffer pool.  ReLU backward is fused with its forward emitter (the
   activation mask is computed once per step and shared), and the complex
   pair-unpacking / slicing adjoints turn into direct slot writes instead of
-  zeros-plus-scatter.
+  zeros-plus-scatter.  Complex linear's backward kernel, shared with the
+  tape, writes into the slots itself.  Batch-norm backward and complex
+  convolution keep plan-specific builders: the first folds four full-size
+  passes into per-channel ones, the second runs a channel-major im2col
+  workspace and col2im.  Both are bit-identical to the tape but arranged
+  differently, and giving the tape those layouts would speed up the eager
+  baseline that the planned-step speedup floor is measured against.
 * **update**: the optimizer tail (optional global-norm clip, then
   ``begin_step`` + one ``step_parameter`` per contributing parameter) runs the
   very same in-place kernels as ``Optimizer.step``, reading ``optimizer.lr``
@@ -42,6 +53,7 @@ producing ``+0.0``); the parity tests therefore pin trajectories with
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -107,10 +119,12 @@ class _FusedForward:
 # forward emitters
 #
 # Every emitter recomputes the traced node's data IN PLACE into the array the
-# trace produced, replicating the eager op's float operations exactly (same
-# ufuncs, same order) so replay is bit-identical.  Emitters read parent data
-# through the parent Tensor at call time and refresh the op's cache dict /
-# captured intermediate arrays in place, keeping the reused backward closures
+# trace produced.  The heavy ops replay their own recorded forward kernel
+# (``_f_replay``); the remaining emitters are one or two ufunc calls that
+# repeat the eager op's float operations exactly (same ufuncs, same order),
+# so replay is bit-identical.  Emitters read parent data through the parent
+# Tensor at call time and refresh the op's cache dict / captured
+# intermediate arrays in place, keeping the reused backward closures
 # coherent.
 # --------------------------------------------------------------------------- #
 def _ufunc_binary(ufunc):
@@ -359,154 +373,9 @@ def _f_pad(entry: TapeEntry, ctx) -> Callable[[], None]:
     return run
 
 
-def _f_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
-    node = entry.tensor
-    has_bias = entry.params["has_bias"]
-    inputs, weight = entry.parents[0], entry.parents[1]
-    bias = entry.parents[2] if has_bias else None
-    kernel = entry.params["kernel"]
-    stride, padding = entry.params["stride"], entry.params["padding"]
-    cache = entry.params["cache"]
-    buf = node.data
-    batch, out_channels, out_h, out_w = node.shape
-
-    def run():
-        columns, _ = F.im2col(inputs.data, kernel, stride, padding)
-        cache["columns"] = columns
-        weight_matrix = weight.data.reshape(out_channels, -1)
-        out_matrix = weight_matrix @ columns
-        shaped = out_matrix.reshape(out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
-        if has_bias:
-            np.add(shaped, bias.data.reshape(1, out_channels, 1, 1), out=buf)
-        else:
-            np.copyto(buf, shaped)
-
-    return run
-
-
-def _f_max_pool2d(entry: TapeEntry, ctx) -> Callable[[], None]:
-    node = entry.tensor
-    (inputs,) = entry.parents
-    kernel, stride = entry.params["kernel"], entry.params["stride"]
-    cache = entry.params["cache"]
-    buf = node.data
-    batch, channels, height, width = inputs.shape
-    out_h, out_w = node.shape[2], node.shape[3]
-    pool_shape = (batch * channels, 1, height, width)
-
-    def run():
-        reshaped = inputs.data.reshape(pool_shape)
-        columns, _ = F.im2col(reshaped, kernel, stride, (0, 0))
-        max_idx = columns.argmax(axis=0)
-        cache["columns"] = columns
-        cache["max_idx"] = max_idx
-        out_cols = columns[max_idx, np.arange(columns.shape[1])]
-        buf[...] = (out_cols.reshape(out_h, out_w, batch * channels)
-                    .transpose(2, 0, 1).reshape(batch, channels, out_h, out_w))
-
-    return run
-
-
-def _f_avg_pool2d(entry: TapeEntry, ctx) -> Callable[[], None]:
-    node = entry.tensor
-    (inputs,) = entry.parents
-    kernel, stride = entry.params["kernel"], entry.params["stride"]
-    buf = node.data
-    batch, channels, height, width = inputs.shape
-    out_h, out_w = node.shape[2], node.shape[3]
-    pool_shape = (batch * channels, 1, height, width)
-
-    def run():
-        reshaped = inputs.data.reshape(pool_shape)
-        columns, _ = F.im2col(reshaped, kernel, stride, (0, 0))
-        out_cols = columns.mean(axis=0)
-        buf[...] = (out_cols.reshape(out_h, out_w, batch * channels)
-                    .transpose(2, 0, 1).reshape(batch, channels, out_h, out_w))
-
-    return run
-
-
-def _f_batch_norm(entry: TapeEntry, ctx) -> Callable[[], None]:
-    node = entry.tensor
-    affine = entry.params["affine"]
-    inputs = entry.parents[0]
-    weight = entry.parents[1] if affine else None
-    bias = entry.parents[2] if affine else None
-    axes, shape = entry.params["axes"], entry.params["shape"]
-    eps, cache = entry.params["eps"], entry.params["cache"]
-    num_features = entry.params["num_features"]
-    stats_hook = entry.params["stats_hook"]
-    buf = node.data
-    x_shape = inputs.data.shape
-    dtype = buf.dtype
-    # persistent intermediates published into the closure's cache once: the
-    # eager helper reallocates all five per call, the plan reuses them.  For
-    # the non-affine form the node's own buffer IS the normalised output,
-    # exactly as in the eager helper.
-    mean = np.empty_like(cache["mean"])
-    var = np.empty_like(cache["var"])
-    sq = np.empty_like(cache["sq"])
-    sub = np.empty(x_shape, dtype)
-    norm = np.empty(x_shape, dtype) if affine else buf
-    scratch = np.empty(x_shape, dtype)
-    cache.update(mean=mean, sub=sub, var=var, sq=sq, norm=norm)
-
-    def run():
-        x = inputs.data
-        np.mean(x, axis=axes, keepdims=True, out=mean)
-        np.subtract(x, mean, out=sub)
-        np.power(sub, 2, out=scratch)
-        np.mean(scratch, axis=axes, keepdims=True, out=var)
-        np.add(var, eps, out=sq)
-        np.sqrt(sq, out=sq)
-        np.divide(sub, sq, out=norm)
-        if affine:
-            np.multiply(norm, weight.data.reshape(shape), out=buf)
-            np.add(buf, bias.data.reshape(shape), out=buf)
-        if stats_hook is not None:
-            stats_hook(mean.reshape(num_features), var.reshape(num_features))
-
-    return run
-
-
-def _f_complex_linear(entry: TapeEntry, ctx) -> Callable[[], None]:
-    node = entry.tensor
-    has_bias = entry.params["has_bias"]
-    x_real, x_imag, weight_real, weight_imag = entry.parents[:4]
-    bias_real = entry.parents[4] if has_bias else None
-    bias_imag = entry.parents[5] if has_bias else None
-    in_features = entry.params["in_features"]
-    out_features = entry.params["out_features"]
-    buf = node.data
-    dtype = buf.dtype
-    rows = x_real.data.size // in_features
-    # persistent scratch for the three Karatsuba products: the eager op
-    # allocates a/b/c (plus the two operand sums) on every call
-    a = np.empty((rows, out_features), dtype)
-    b = np.empty((rows, out_features), dtype)
-    c = np.empty((rows, out_features), dtype)
-    x_sum = np.empty((rows, in_features), dtype)
-    w_sum = np.empty((out_features, in_features), dtype)
-    out_real = buf[0].reshape(rows, out_features)
-    out_imag = buf[1].reshape(rows, out_features)
-
-    def run():
-        xr = x_real.data.reshape(-1, in_features)
-        xi = x_imag.data.reshape(-1, in_features)
-        wr, wi = weight_real.data, weight_imag.data
-        np.matmul(xr, wr.T, out=a)
-        np.matmul(xi, wi.T, out=b)
-        np.add(xr, xi, out=x_sum)
-        np.add(wr, wi, out=w_sum)
-        np.matmul(x_sum, w_sum.T, out=c)
-        np.subtract(a, b, out=out_real)
-        np.subtract(c, a, out=out_imag)
-        np.subtract(out_imag, b, out=out_imag)
-        if has_bias:
-            np.add(out_real, bias_real.data, out=out_real)
-            np.add(out_imag, bias_imag.data, out=out_imag)
-
-    return run
+def _f_replay(entry: TapeEntry, ctx) -> Callable[[], None]:
+    """Ops that record their forward kernel: rerun it into the node's buffer."""
+    return partial(entry.params["forward"], out=entry.tensor.data)
 
 
 def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
@@ -610,11 +479,11 @@ _FORWARD_EMITTERS: Dict[str, Callable] = {
     "concatenate": _f_concatenate,
     "stack": _f_stack,
     "pad": _f_pad,
-    "conv2d": _f_conv2d,
-    "max_pool2d": _f_max_pool2d,
-    "avg_pool2d": _f_avg_pool2d,
-    "batch_norm": _f_batch_norm,
-    "complex_linear": _f_complex_linear,
+    "conv2d": _f_replay,
+    "max_pool2d": _f_replay,
+    "avg_pool2d": _f_replay,
+    "batch_norm": _f_replay,
+    "complex_linear": _f_replay,
     "complex_conv2d": _f_complex_conv2d,
 }
 
@@ -681,12 +550,16 @@ def _b_getitem(grad_in: np.ndarray, slot: np.ndarray, index,
 # specialized backward builders
 #
 # The generic instruction calls the eager closure (which allocates its result
-# arrays) and then copies into the persistent slots.  For the three dominant
-# ops the builders below replay the closure's float operations ufunc-by-ufunc
-# -- same operations, same order, so bit-identical -- against compile-time
-# scratch, writing gradients directly into the slots.  Each builder may return
-# ``None`` (an accumulation pattern it does not cover), in which case the
-# caller falls back to the generic closure instruction.
+# arrays) and then copies into the persistent slots.  The builders below
+# write gradients directly into the slots instead.  Complex linear's closure
+# is itself the kernel: ``_b_into_slots`` passes it the slots (``out=``) and
+# persistent scratch.  Batch norm and complex convolution keep plan-side
+# copies that replay the closure's float operations ufunc-by-ufunc -- same
+# operations, same order, so bit-identical -- in a layout of their own
+# (per-channel folds, a channel-major col2im); see the module docstring for
+# why the tape does not share it.  A builder may return ``None`` (a pattern
+# it does not cover), in which case the caller falls back to the generic
+# closure instruction.
 # --------------------------------------------------------------------------- #
 def _slots_by_position(targets):
     """Map parent position -> (slot, first); None when any target broadcasts."""
@@ -771,89 +644,30 @@ def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray,
     return run
 
 
-def _b_complex_linear_build(entry: TapeEntry, grad_in: np.ndarray,
-                            targets) -> Optional[Callable[[], None]]:
+def _b_into_slots(entry: TapeEntry, grad_in: np.ndarray,
+                  targets) -> Optional[Callable[[], None]]:
+    """Replay a backward kernel that writes into given arrays (``out=``).
+
+    A first write goes straight into the gradient slot; an accumulated one
+    goes into a persistent array that is then added into the slot, the sum
+    the eager engine forms.
+    """
     by_pos = _slots_by_position(targets)
     if by_pos is None:
         return None
-    if any(position in by_pos and not by_pos[position][1]
-           for position in (2, 3, 4, 5)):
-        return None  # accumulated weight/bias gradients: keep the closure
-    x_real, x_imag, weight_real, weight_imag = entry.parents[:4]
-    in_features = entry.params["in_features"]
-    out_features = entry.params["out_features"]
-    dtype = grad_in.dtype
-    rows = grad_in[0].size // out_features
-    grad_r = grad_in[0].reshape(rows, out_features)
-    grad_i = grad_in[1].reshape(rows, out_features)
-    needs_input = 0 in by_pos or 1 in by_pos
-    needs_weight = 2 in by_pos or 3 in by_pos
-    grad_sum = np.empty((rows, out_features), dtype) if (needs_input or needs_weight) else None
-    if needs_input:
-        p1 = np.empty((rows, in_features), dtype)
-        p2 = np.empty((rows, in_features), dtype)
-        w_diff = np.empty((out_features, in_features), dtype)
-        t_in = np.empty((rows, in_features), dtype)
-    if needs_weight:
-        q1 = np.empty((out_features, in_features), dtype)
-        q2 = np.empty((out_features, in_features), dtype)
-        x_diff = np.empty((rows, in_features), dtype)
-        t_w = np.empty((out_features, in_features), dtype)
-
-    def slot_view(position):
-        if position not in by_pos:
-            return None, True
-        slot, first = by_pos[position]
-        return slot.reshape(-1, slot.shape[-1]) if slot.ndim != 2 else slot, first
-
-    xr_slot, xr_first = slot_view(0)
-    xi_slot, xi_first = slot_view(1)
-    wr_slot = by_pos[2][0] if 2 in by_pos else None
-    wi_slot = by_pos[3][0] if 3 in by_pos else None
-    br_slot = by_pos[4][0] if 4 in by_pos else None
-    bi_slot = by_pos[5][0] if 5 in by_pos else None
-
-    def write(slot, first, ufunc, left, right, scratch):
-        if first:
-            ufunc(left, right, out=slot)
-        else:
-            ufunc(left, right, out=scratch)
-            np.add(slot, scratch, out=slot)
+    closure = entry.backward
+    out = [None] * len(entry.parents)
+    accumulated = []
+    for position, (slot, first) in by_pos.items():
+        out[position] = slot if first else np.empty_like(slot)
+        if not first:
+            accumulated.append((slot, out[position]))
+    work: dict = {}
 
     def run():
-        if grad_sum is not None:
-            np.add(grad_r, grad_i, out=grad_sum)
-        if needs_input:
-            bwr, bwi = weight_real.data, weight_imag.data
-            np.matmul(grad_r, bwr, out=p1)
-            np.matmul(grad_i, bwi, out=p2)
-            if xr_slot is not None:
-                write(xr_slot, xr_first, np.add, p1, p2, t_in)
-            if xi_slot is not None:
-                np.subtract(bwr, bwi, out=w_diff)
-                np.matmul(grad_sum, w_diff, out=t_in)
-                np.subtract(t_in, p1, out=t_in)
-                if xi_first:
-                    np.add(t_in, p2, out=xi_slot)
-                else:
-                    np.add(t_in, p2, out=t_in)
-                    np.add(xi_slot, t_in, out=xi_slot)
-        if needs_weight:
-            bxr = x_real.data.reshape(-1, in_features)
-            bxi = x_imag.data.reshape(-1, in_features)
-            np.matmul(grad_r.T, bxr, out=q1)
-            np.matmul(grad_i.T, bxi, out=q2)
-            if wr_slot is not None:
-                np.add(q1, q2, out=wr_slot)
-            if wi_slot is not None:
-                np.subtract(bxr, bxi, out=x_diff)
-                np.matmul(grad_sum.T, x_diff, out=t_w)
-                np.subtract(t_w, q1, out=t_w)
-                np.add(t_w, q2, out=wi_slot)
-        if br_slot is not None:
-            np.sum(grad_r, axis=0, out=br_slot)
-        if bi_slot is not None:
-            np.sum(grad_i, axis=0, out=bi_slot)
+        closure(grad_in, out, work)
+        for slot, contribution in accumulated:
+            np.add(slot, contribution, out=slot)
 
     return run
 
@@ -995,7 +809,7 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
 
 _BACKWARD_BUILDERS: Dict[str, Callable] = {
     "batch_norm": _b_batch_norm_build,
-    "complex_linear": _b_complex_linear_build,
+    "complex_linear": _b_into_slots,
     "complex_conv2d": _b_complex_conv2d_build,
 }
 

@@ -33,6 +33,7 @@ fused gradients against it to 1e-8 across stride/padding/bias combinations.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Tuple
 
 import numpy as np
@@ -69,6 +70,98 @@ def _unpack_pair(packed: Tensor) -> ComplexTensor:
     return ComplexTensor(part(0), part(1))
 
 
+def _complex_linear_forward(parents, work: dict,
+                            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Karatsuba forward of :func:`complex_linear` into a packed ``(2, ...)`` array.
+
+    ``parents`` is the node's ``(x_real, x_imag, weight_real, weight_imag)``
+    plus the two biases when present; their data is read at call time.  The
+    three products and two operand sums are computed into the arrays ``work``
+    holds under their names, or into fresh ones it then keeps.  The eager op
+    binds an empty ``work``; a compiled train step replays the traced node's
+    kernel with ``out`` set to the node's buffer, reusing the traced arrays.
+    """
+    x_real, x_imag, weight_real, weight_imag, *bias = parents
+    in_features = x_real.shape[-1]
+    xr = x_real.data.reshape(-1, in_features)
+    xi = x_imag.data.reshape(-1, in_features)
+    wr, wi = weight_real.data, weight_imag.data
+    a = work["a"] = np.matmul(xr, wr.T, out=work.get("a"))
+    b = work["b"] = np.matmul(xi, wi.T, out=work.get("b"))
+    x_sum = work["x_sum"] = np.add(xr, xi, out=work.get("x_sum"))
+    w_sum = work["w_sum"] = np.add(wr, wi, out=work.get("w_sum"))
+    c = work["c"] = np.matmul(x_sum, w_sum.T, out=work.get("c"))
+    if out is None:
+        out = np.empty((2,) + x_real.shape[:-1] + (wr.shape[0],), dtype=a.dtype)
+    out_real = out[0].reshape(a.shape)
+    out_imag = out[1].reshape(a.shape)
+    np.subtract(a, b, out=out_real)
+    np.subtract(c, a, out=out_imag)
+    np.subtract(out_imag, b, out=out_imag)
+    if bias:
+        np.add(out_real, bias[0].data, out=out_real)
+        np.add(out_imag, bias[1].data, out=out_imag)
+    return out
+
+
+def _complex_linear_backward(parents, wanted, grad: np.ndarray, out=None,
+                             work: Optional[dict] = None):
+    """Gradients of :func:`complex_linear`, one per parent (``None`` if skipped).
+
+    On the tape (no ``out``) the parents flagged in ``wanted`` get a fresh
+    gradient.  A compiled train step passes ``out`` instead, one array or
+    ``None`` per parent: exactly the parents holding an array are computed,
+    straight into it, and ``work`` keeps the scratch products across steps
+    (see :func:`_complex_linear_forward`).
+    """
+    x_real, x_imag, weight_real, weight_imag = parents[:4]
+    if out is None:
+        out = (None,) * len(parents)
+    else:
+        wanted = [array is not None for array in out]
+    work = {} if work is None else work
+    in_features = x_real.shape[-1]
+    out_features = weight_real.shape[0]
+    grad_r = grad[0].reshape(-1, out_features)
+    grad_i = grad[1].reshape(-1, out_features)
+    grads = [None] * len(parents)
+
+    def rows(array):  # an input gradient as (rows, in_features)
+        return None if array is None else array.reshape(-1, in_features)
+
+    if wanted[1] or wanted[3]:
+        grad_sum = work["grad_sum"] = np.add(grad_r, grad_i, out=work.get("grad_sum"))
+    if wanted[0] or wanted[1]:
+        # dx = g conj(W): Re = gr Wr + gi Wi, Im = (gr + gi)(Wr - Wi) - gr Wr + gi Wi
+        wr, wi = weight_real.data, weight_imag.data
+        p1 = work["p1"] = np.matmul(grad_r, wr, out=work.get("p1"))
+        p2 = work["p2"] = np.matmul(grad_i, wi, out=work.get("p2"))
+        if wanted[0]:
+            grads[0] = np.add(p1, p2, out=rows(out[0])).reshape(x_real.shape)
+        if wanted[1]:
+            w_diff = work["w_diff"] = np.subtract(wr, wi, out=work.get("w_diff"))
+            t = work["t_x"] = np.matmul(grad_sum, w_diff, out=work.get("t_x"))
+            np.subtract(t, p1, out=t)
+            grads[1] = np.add(t, p2, out=rows(out[1])).reshape(x_real.shape)
+    if wanted[2] or wanted[3]:
+        # dW = g^T conj(x): Re = gr^T xr + gi^T xi, Im = (gr + gi)^T (xr - xi) - gr^T xr + gi^T xi
+        xr = x_real.data.reshape(-1, in_features)
+        xi = x_imag.data.reshape(-1, in_features)
+        q1 = work["q1"] = np.matmul(grad_r.T, xr, out=work.get("q1"))
+        q2 = work["q2"] = np.matmul(grad_i.T, xi, out=work.get("q2"))
+        if wanted[2]:
+            grads[2] = np.add(q1, q2, out=out[2])
+        if wanted[3]:
+            x_diff = work["x_diff"] = np.subtract(xr, xi, out=work.get("x_diff"))
+            t = work["t_w"] = np.matmul(grad_sum.T, x_diff, out=work.get("t_w"))
+            np.subtract(t, q1, out=t)
+            grads[3] = np.add(t, q2, out=out[3])
+    for position, part in ((4, grad_r), (5, grad_i)):
+        if position < len(parents) and wanted[position]:
+            grads[position] = np.sum(part, axis=0, out=out[position])
+    return tuple(grads)
+
+
 def complex_linear(inputs: ComplexTensor,
                    weight_real: Tensor, weight_imag: Tensor,
                    bias_real: Optional[Tensor] = None,
@@ -76,74 +169,28 @@ def complex_linear(inputs: ComplexTensor,
     """Fused complex affine map ``y = x W^T + b`` on split tensors.
 
     Three matmuls forward (Karatsuba), six backward; matches
-    :func:`complex_linear_reference` to machine precision.
+    :func:`complex_linear_reference` to machine precision.  The forward and
+    backward kernels are shared with the compiled train step, which replays
+    them into its persistent buffers.
     """
     if not isinstance(inputs, ComplexTensor):
         inputs = ComplexTensor(inputs)
     x_real, x_imag = inputs.real, inputs.imag
     weight_real = ensure_tensor(weight_real)
     weight_imag = ensure_tensor(weight_imag)
-    lead_shape = x_real.shape[:-1]
-    in_features = x_real.shape[-1]
-    out_features = weight_real.shape[0]
-
-    xr = x_real.data.reshape(-1, in_features)
-    xi = x_imag.data.reshape(-1, in_features)
-    wr, wi = weight_real.data, weight_imag.data
-    w_sum_t = (wr + wi).T
-
-    a = xr @ wr.T
-    b = xi @ wi.T
-    c = (xr + xi) @ w_sum_t
-    out = np.empty((2,) + lead_shape + (out_features,), dtype=a.dtype)
-    np.subtract(a, b, out=out[0].reshape(a.shape))
-    out_imag = out[1].reshape(a.shape)
-    np.subtract(c, a, out=out_imag)
-    out_imag -= b
-    has_bias = bias_real is not None
-    if has_bias:
-        out[0] += bias_real.data
-        out[1] += bias_imag.data
-
+    parents = (x_real, x_imag, weight_real, weight_imag)
+    if bias_real is not None:
+        parents = parents + (bias_real, bias_imag)
+    forward = partial(_complex_linear_forward, parents, {})
+    # captured at forward time: gradients no parent needs are never computed
     needs_input_grad = x_real.requires_grad or x_imag.requires_grad
     needs_weight_grad = weight_real.requires_grad or weight_imag.requires_grad
-    input_shape = x_real.shape
-
-    def backward(grad):
-        # data reads happen at call time so a replayed plan (which refreshes
-        # the parents' buffers in place) reuses this closure unchanged
-        bxr = x_real.data.reshape(-1, in_features)
-        bxi = x_imag.data.reshape(-1, in_features)
-        bwr, bwi = weight_real.data, weight_imag.data
-        grad_r = grad[0].reshape(-1, out_features)
-        grad_i = grad[1].reshape(-1, out_features)
-        grad_sum = grad_r + grad_i
-        dx_real = dx_imag = dw_real = dw_imag = None
-        if needs_input_grad:
-            # dx = g conj(W): Re = gr Wr + gi Wi, Im = (gr + gi)(Wr - Wi) - gr Wr + gi Wi
-            p1 = grad_r @ bwr
-            p2 = grad_i @ bwi
-            dx_real = (p1 + p2).reshape(input_shape)
-            dx_imag = (grad_sum @ (bwr - bwi) - p1 + p2).reshape(input_shape)
-        if needs_weight_grad:
-            # dW = g^T conj(x): Re = gr^T xr + gi^T xi, Im = (gr + gi)^T (xr - xi) - gr^T xr + gi^T xi
-            q1 = grad_r.T @ bxr
-            q2 = grad_i.T @ bxi
-            dw_real = q1 + q2
-            dw_imag = grad_sum.T @ (bxr - bxi) - q1 + q2
-        if has_bias:
-            return (dx_real, dx_imag, dw_real, dw_imag,
-                    grad_r.sum(axis=0), grad_i.sum(axis=0))
-        return dx_real, dx_imag, dw_real, dw_imag
-
-    parents = (x_real, x_imag, weight_real, weight_imag)
-    if has_bias:
-        parents = parents + (bias_real, bias_imag)
-    packed = Tensor._make(out, parents, backward, "complex_linear",
-                          {"lead_shape": lead_shape,
-                           "in_features": in_features,
-                           "out_features": out_features,
-                           "has_bias": has_bias})
+    wanted = (needs_input_grad,) * 2 + (needs_weight_grad,) * 2 + (True,) * (len(parents) - 4)
+    # data reads happen at call time, so a replayed plan (which refreshes the
+    # parents' buffers in place) reuses both kernels unchanged
+    backward = partial(_complex_linear_backward, parents, wanted)
+    packed = Tensor._make(forward(), parents, backward, "complex_linear",
+                          {"forward": forward})
     return _unpack_pair(packed)
 
 

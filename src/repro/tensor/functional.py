@@ -26,11 +26,21 @@ specifications pinned by the parity tests and used as the baseline of
 ``benchmarks/test_bench_train.py``.  ``REPRO_FORCE_REFERENCE=1``
 (:mod:`repro.reference`) routes :func:`im2col`, :func:`col2im` and every
 backward adjoint (:func:`col2im_kernel`) through them.
+
+One forward kernel per op
+-------------------------
+:func:`conv2d`, :func:`max_pool2d`, :func:`avg_pool2d` and
+:func:`batch_norm` each run their forward math in one module-level kernel
+(``_conv2d_forward`` and so on) that reads the parents' data at call time and
+takes an optional ``out`` buffer.  The op binds the kernel to its parents
+and records it as the ``forward`` tape parameter; the compiled train step
+(:mod:`repro.core.train_plan`) replays that very callable into the node's
+persistent buffer, so the tape and the plan run one implementation.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -357,6 +367,30 @@ def _conv2d_checked(inputs: Tensor, weight: Tensor,
     return inputs, weight, stride, padding
 
 
+def _into(out: Optional[np.ndarray], value: np.ndarray) -> np.ndarray:
+    """``value`` itself, or copied into ``out`` when a buffer is given."""
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
+
+
+def _conv2d_forward(inputs: Tensor, weight: Tensor, bias: Optional[Tensor],
+                    kernel: Tuple[int, int], stride: Tuple[int, int],
+                    padding: Tuple[int, int], cache: dict,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of :func:`conv2d`; publishes the im2col columns to ``cache``."""
+    x, w = inputs.data, weight.data
+    out_channels = w.shape[0]
+    columns, (out_h, out_w) = im2col(x, kernel, stride, padding)
+    cache["columns"] = columns
+    out_matrix = w.reshape(out_channels, -1) @ columns       # (out_channels, out_h*out_w*batch)
+    shaped = out_matrix.reshape(out_channels, out_h, out_w, x.shape[0]).transpose(3, 0, 1, 2)
+    if bias is not None:
+        return np.add(shaped, bias.data.reshape(1, out_channels, 1, 1), out=out)
+    return _into(out, shaped)
+
+
 def conv2d(inputs: Tensor,
            weight: Tensor,
            bias: Optional[Tensor] = None,
@@ -374,25 +408,21 @@ def conv2d(inputs: Tensor,
         Optional tensor of shape ``(out_channels,)``.
     """
     inputs, weight, stride, padding = _conv2d_checked(inputs, weight, stride, padding)
-    batch = inputs.shape[0]
     out_channels, _in_channels, kernel_h, kernel_w = weight.shape
     col2im_fn = col2im_kernel()
 
-    columns, (out_h, out_w) = im2col(inputs.data, (kernel_h, kernel_w), stride, padding)
-    weight_matrix = weight.data.reshape(out_channels, -1)
-    out_matrix = weight_matrix @ columns                       # (out_channels, batch*out_h*out_w)
-    out_data = out_matrix.reshape(out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, out_channels, 1, 1)
+    # forward intermediates live in a cache dict (refreshed by every replay
+    # of the forward kernel) and the weight matrix is re-derived from the
+    # parameter at call time, so the closure never sees stale arrays
+    cache: dict = {}
+    forward = partial(_conv2d_forward, inputs, weight, bias, (kernel_h, kernel_w),
+                      stride, padding, cache)
+    out_data = forward()
 
     # captured at forward time: skip the input-gradient matmul + scatter when
     # the input is e.g. the data batch of the first layer
     needs_input_grad = inputs.requires_grad
     needs_weight_grad = weight.requires_grad
-    # forward intermediates live in a cache dict (refreshed in place by the
-    # train-plan replay emitter) and the weight matrix is re-derived from the
-    # parameter at call time, so the closure never sees stale arrays
-    cache = {"columns": columns}
 
     def backward(grad):
         cols = cache["columns"]
@@ -411,11 +441,7 @@ def conv2d(inputs: Tensor,
         return grad_input, grad_weight
 
     parents = (inputs, weight) if bias is None else (inputs, weight, bias)
-    output = Tensor._make(out_data, parents, backward, "conv2d",
-                          {"kernel": (kernel_h, kernel_w), "stride": stride,
-                           "padding": padding, "cache": cache,
-                           "has_bias": bias is not None})
-    return output
+    return Tensor._make(out_data, parents, backward, "conv2d", {"forward": forward})
 
 
 def conv2d_reference(inputs: Tensor,
@@ -454,6 +480,40 @@ def conv2d_reference(inputs: Tensor,
     return Tensor._make(out_data, parents, backward)
 
 
+def _pool_columns(inputs: Tensor, kernel: Tuple[int, int], stride: Tuple[int, int]):
+    """im2col of every channel as its own image: ``(kh*kw, out_h*out_w*N)``."""
+    batch, channels, height, width = inputs.shape
+    return im2col(inputs.data.reshape(batch * channels, 1, height, width),
+                  kernel, stride, (0, 0))
+
+
+def _pooled(inputs: Tensor, window_values: np.ndarray, out_size: Tuple[int, int],
+            out: Optional[np.ndarray]) -> np.ndarray:
+    """One value per window, back in ``(batch, channels, out_h, out_w)`` layout."""
+    batch, channels = inputs.shape[:2]
+    out_h, out_w = out_size
+    pooled = (window_values.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)
+              .reshape(batch, channels, out_h, out_w))
+    return _into(out, pooled)
+
+
+def _max_pool2d_forward(inputs: Tensor, kernel: Tuple[int, int], stride: Tuple[int, int],
+                        cache: dict, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of :func:`max_pool2d`; publishes columns and argmax to ``cache``."""
+    columns, out_size = _pool_columns(inputs, kernel, stride)
+    max_idx = columns.argmax(axis=0)
+    positions = np.arange(columns.shape[1])
+    cache.update(columns=columns, max_idx=max_idx, positions=positions)
+    return _pooled(inputs, columns[max_idx, positions], out_size, out)
+
+
+def _avg_pool2d_forward(inputs: Tensor, kernel: Tuple[int, int], stride: Tuple[int, int],
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of :func:`avg_pool2d`."""
+    columns, out_size = _pool_columns(inputs, kernel, stride)
+    return _pooled(inputs, columns.mean(axis=0), out_size, out)
+
+
 def max_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None) -> Tensor:
     """Max pooling over non-overlapping or strided windows."""
     inputs = ensure_tensor(inputs)
@@ -466,28 +526,21 @@ def max_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] =
     col2im_fn = col2im_kernel()
 
     # Treat each channel independently by folding channels into the batch axis.
-    reshaped = inputs.data.reshape(pool_shape)
-    columns, _ = im2col(reshaped, kernel, stride, (0, 0))      # (kh*kw, N*out_h*out_w)
-    max_idx = columns.argmax(axis=0)
-    flat_positions = np.arange(columns.shape[1])
-    out_cols = columns[max_idx, flat_positions]
-    out_data = out_cols.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)
-    out_data = out_data.reshape(batch, channels, out_h, out_w)
-
-    cache = {"columns": columns, "max_idx": max_idx}
+    cache: dict = {}
+    forward = partial(_max_pool2d_forward, inputs, kernel, stride, cache)
+    out_data = forward()
 
     def backward(grad):
         # the closure reuses the forward pass's columns, argmax and cached
         # im2col geometry (pool_shape/kernel/stride key the memoized tables);
-        # both live in `cache` so a train-plan replay can refresh them
+        # all live in `cache`, which every forward replay refreshes
         grad_cols = np.zeros_like(cache["columns"])
         grad_flat = grad.reshape(batch * channels, out_h, out_w).transpose(1, 2, 0).reshape(-1)
-        grad_cols[cache["max_idx"], flat_positions] = grad_flat
+        grad_cols[cache["max_idx"], cache["positions"]] = grad_flat
         grad_input = col2im_fn(grad_cols, pool_shape, kernel, stride, (0, 0))
         return (grad_input.reshape(batch, channels, height, width),)
 
-    return Tensor._make(out_data, (inputs,), backward, "max_pool2d",
-                        {"kernel": kernel, "stride": stride, "cache": cache})
+    return Tensor._make(out_data, (inputs,), backward, "max_pool2d", {"forward": forward})
 
 
 def avg_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None) -> Tensor:
@@ -502,11 +555,8 @@ def avg_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] =
     pool_shape = (batch * channels, 1, height, width)
     col2im_fn = col2im_kernel()
 
-    reshaped = inputs.data.reshape(pool_shape)
-    columns, _ = im2col(reshaped, kernel, stride, (0, 0))
-    out_cols = columns.mean(axis=0)
-    out_data = out_cols.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)
-    out_data = out_data.reshape(batch, channels, out_h, out_w)
+    forward = partial(_avg_pool2d_forward, inputs, kernel, stride)
+    out_data = forward()
 
     def backward(grad):
         # reuses the forward pass's cached im2col geometry via pool_shape
@@ -515,8 +565,7 @@ def avg_pool2d(inputs: Tensor, kernel_size: IntPair, stride: Optional[IntPair] =
         grad_input = col2im_fn(grad_cols, pool_shape, kernel, stride, (0, 0))
         return (grad_input.reshape(batch, channels, height, width),)
 
-    return Tensor._make(out_data, (inputs,), backward, "avg_pool2d",
-                        {"kernel": kernel, "stride": stride})
+    return Tensor._make(out_data, (inputs,), backward, "avg_pool2d", {"forward": forward})
 
 
 def global_avg_pool2d(inputs: Tensor) -> Tensor:
@@ -542,38 +591,40 @@ def dropout(inputs: Tensor, rate: float, training: bool, rng: Optional[np.random
 # --------------------------------------------------------------------------- #
 # fused batch normalisation
 # --------------------------------------------------------------------------- #
-def _batch_norm_forward_math(x: np.ndarray, weight, bias, axes, shape, eps: float,
-                             cache: dict, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Training-mode batch-norm forward, shared by eager and plan replay.
+def _batch_norm_forward_math(inputs: Tensor, weight: Optional[Tensor],
+                             bias: Optional[Tensor], axes, shape, eps: float,
+                             stats_hook, cache: dict,
+                             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Training-mode batch-norm forward: the one kernel of the tape and the plan.
 
     Performs exactly the float operations the composed op-by-op formulation in
     :meth:`repro.nn.normalization._BatchNorm.forward` performs (mean, biased
     variance with its own mean, ``/ sqrt(var + eps)`` as a true division, then
     the affine map), so the fused node is bit-identical to the composed graph.
-    Intermediates needed by the backward closure are published into ``cache``.
-    With ``out`` the result is written into the given buffer (the plan replay
-    emitter); the elementwise float operations are the same either way.
+
+    The intermediates the backward closure reads (``mean``, ``sub``, ``var``,
+    ``sq``, ``norm``) live in ``cache``: each is computed into the array
+    already stored there, or into a fresh one that is stored.  The eager op
+    starts from an empty cache; a compiled train step replays this kernel on
+    the traced node's cache with ``out`` set to the node's buffer, so every
+    replay reuses the traced arrays.  ``stats_hook`` receives the flat batch
+    mean and variance on every call.
     """
-    mean = x.mean(axis=axes, keepdims=True)
-    sub = x - mean
-    var = (sub ** 2).mean(axis=axes, keepdims=True)
-    sq = np.sqrt(var + eps)
-    norm = sub / sq
-    cache["mean"] = mean
-    cache["sub"] = sub
-    cache["var"] = var
-    cache["sq"] = sq
-    cache["norm"] = norm
+    x = inputs.data
+    mean = cache["mean"] = np.mean(x, axis=axes, keepdims=True, out=cache.get("mean"))
+    sub = cache["sub"] = np.subtract(x, mean, out=cache.get("sub"))
+    # the square goes into the buffer the normalised values overwrite next
+    square = np.square(sub, out=cache.get("norm") if weight is not None else out)
+    var = cache["var"] = np.mean(square, axis=axes, keepdims=True, out=cache.get("var"))
+    sq = cache["sq"] = np.add(var, eps, out=cache.get("sq"))
+    np.sqrt(sq, out=sq)
+    norm = cache["norm"] = np.divide(sub, sq, out=square)
+    if stats_hook is not None:
+        stats_hook(mean.reshape(-1), var.reshape(-1))
     if weight is None:
-        if out is None:
-            return norm
-        np.copyto(out, norm)
-        return out
-    if out is None:
-        return norm * weight.data.reshape(shape) + bias.data.reshape(shape)
-    np.multiply(norm, weight.data.reshape(shape), out=out)
-    out += bias.data.reshape(shape)
-    return out
+        return norm
+    result = np.multiply(norm, weight.data.reshape(shape), out=out)
+    return np.add(result, bias.data.reshape(shape), out=result)
 
 
 def batch_norm(inputs: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
@@ -600,15 +651,11 @@ def batch_norm(inputs: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
     affine = weight is not None
     axes_tuple = axes if isinstance(axes, tuple) else (axes,)
     count = int(np.prod([inputs.shape[ax] for ax in axes_tuple]))
-    num_features = int(np.prod(param_shape))
     x_shape = inputs.shape
     cache: dict = {}
-
-    out_data = _batch_norm_forward_math(inputs.data, weight, bias, axes,
-                                        param_shape, eps, cache)
-    if stats_hook is not None:
-        stats_hook(cache["mean"].reshape(num_features),
-                   cache["var"].reshape(num_features))
+    forward = partial(_batch_norm_forward_math, inputs, weight, bias, axes,
+                      param_shape, eps, stats_hook, cache)
+    out_data = forward()
 
     def backward(grad):
         sub = cache["sub"]
@@ -635,7 +682,6 @@ def batch_norm(inputs: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
 
     parents = (inputs, weight, bias) if affine else (inputs,)
     return Tensor._make(out_data, parents, backward, "batch_norm",
-                        {"axes": axes, "axes_tuple": axes_tuple,
-                         "shape": param_shape, "eps": eps, "count": count,
-                         "num_features": num_features, "cache": cache,
-                         "affine": affine, "stats_hook": stats_hook})
+                        {"forward": forward, "axes_tuple": axes_tuple,
+                         "shape": param_shape, "count": count, "cache": cache,
+                         "affine": affine})

@@ -12,6 +12,7 @@ import pytest
 
 from repro.assignment import get_scheme
 from repro.core.config import TrainingConfig
+from repro.core.decoders import build_decoder_head
 from repro.core.train_plan import (PlanUnsupported, _make_col2im_planes,
                                    compile_train_step)
 from repro.core.training import Trainer, prepare_batch
@@ -19,6 +20,7 @@ from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.models import ComplexFCNN, ComplexLeNet5, ComplexResNet
 from repro.nn import Dropout, Linear, Module, ReLU, Sequential
+from repro.nn.complex import ComplexLinear, CReLU
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD
 from repro.tensor import Tensor, no_grad
@@ -54,10 +56,48 @@ def image_dataset(rng):
     return ArrayDataset(images, labels, num_classes=2)
 
 
+class _SharedComplexLinear(Module):
+    """One ComplexLinear applied twice: its weight and bias gradients accumulate."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.shared = ComplexLinear(18, 18, rng=rng)
+        self.activation = CReLU()
+        self.head = build_decoder_head("merge", 18, 2, rng=rng)
+
+    def forward(self, inputs):
+        hidden = self.activation(self.shared(inputs.flatten(start_dim=1)))
+        return self.head(self.shared(hidden))
+
+
+class _FanOutComplexLinear(Module):
+    """One activation feeds two ComplexLinears: its input gradient accumulates."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.encoder = ComplexLinear(18, 12, rng=rng)
+        self.activation = CReLU()
+        self.left = ComplexLinear(12, 8, rng=rng)
+        self.right = ComplexLinear(12, 8, bias=False, rng=rng)
+        self.head = build_decoder_head("merge", 8, 2, rng=rng)
+
+    def forward(self, inputs):
+        hidden = self.activation(self.encoder(inputs.flatten(start_dim=1)))
+        return self.head(self.left(hidden) + self.right(hidden))
+
+
+#: models trained on the flat 6x6 dataset (18 complex features under SI)
+FLAT_MODELS = ("fcnn", "shared_linear", "fanout_linear")
+
+
 def build_model(name):
     rng = np.random.default_rng(7)
     if name == "fcnn":
         return ComplexFCNN(18, (12,), 2, decoder="merge", rng=rng)
+    if name == "shared_linear":
+        return _SharedComplexLinear(rng)
+    if name == "fanout_linear":
+        return _FanOutComplexLinear(rng)
     if name == "lenet":
         return ComplexLeNet5(in_channels=2, num_classes=2, image_size=(16, 16),
                              channels=(3, 8), hidden_sizes=(30, 21),
@@ -70,7 +110,7 @@ def fit_once(name, compiled, optimizer="sgd", scheduler="none", epochs=2):
     """One full training run from a fixed seed; returns (model, trainer, history)."""
     seed_all(0)
     rng = np.random.default_rng(1234)
-    dataset = flat_dataset(rng) if name == "fcnn" else image_dataset(rng)
+    dataset = flat_dataset(rng) if name in FLAT_MODELS else image_dataset(rng)
     model = build_model(name)
     config = TrainingConfig(epochs=epochs, batch_size=16, learning_rate=0.05,
                             optimizer=optimizer, scheduler=scheduler, seed=0)
@@ -113,6 +153,42 @@ class TestTrajectoryParity:
         assert planned_history.train_accuracy == eager_history.train_accuracy
         # state_dict covers parameters AND batch-norm running buffers
         assert_state_dicts_equal(eager_model, planned_model)
+
+    @pytest.mark.parametrize("name,specialized", [
+        ("shared_linear", 3),  # both uses of the layer and the merge head
+        ("fanout_linear", 4),  # encoder, both branches and the merge head
+    ])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_accumulated_complex_linear_gradients_are_bit_identical(
+            self, name, specialized, optimizer):
+        eager_model, _, eager_history = fit_once(name, False, optimizer)
+        planned_model, planned_trainer, planned_history = fit_once(name, True, optimizer)
+        stats = planned_trainer.plan_stats
+        assert stats["fallback_reason"] is None
+        assert stats["compiled"] >= 1
+        # every complex-linear backward, accumulating ones included, writes
+        # into its gradient slots instead of copying the closure's results
+        for plan_stats in stats["plans"].values():
+            assert plan_stats["specialized_backward"] == specialized
+        assert planned_history.train_loss == eager_history.train_loss
+        assert planned_history.train_accuracy == eager_history.train_accuracy
+        assert_state_dicts_equal(eager_model, planned_model)
+
+    @pytest.mark.parametrize("name,shape", [
+        # forward, backward, fused activations, specialized backward
+        ("fcnn", (18, 24, 2, 2)),
+        ("lenet", (25, 45, 8, 5)),
+        ("resnet", (50, 86, 14, 28)),
+    ])
+    def test_plan_shape_is_pinned(self, name, shape):
+        _, trainer, _ = fit_once(name, True, epochs=1)
+        plans = trainer.plan_stats["plans"]
+        assert len(plans) == 2  # the full and the tail batch
+        for plan_stats in plans.values():
+            assert (plan_stats["forward_instructions"],
+                    plan_stats["backward_instructions"],
+                    plan_stats["fused_activations"],
+                    plan_stats["specialized_backward"]) == shape
 
     def test_tail_batch_gets_its_own_plan(self):
         # 40 samples at batch 16 -> shapes (16, ...) and (8, ...): two plans
