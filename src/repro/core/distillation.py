@@ -106,6 +106,8 @@ class MutualLearningTrainer:
             "enabled": all(trainer.plan_stats["enabled"] for trainer in trainers.values()),
             "compiled": len(keys),
             "fallback_reason": "; ".join(reasons) or None,
+            "scratch_bytes": sum(trainer._plans[key].stats["scratch_bytes"]
+                                 for key in keys for trainer in trainers.values()),
             "plans": {str(key): {role: trainer._plans[key].stats
                                  for role, trainer in trainers.items()}
                       for key in keys},

@@ -36,10 +36,20 @@ lists executed against preallocated buffers:
   zeros-plus-scatter.  Complex linear's backward kernel, shared with the
   tape, writes into the slots itself.  Batch-norm backward and complex
   convolution keep plan-specific builders: the first folds four full-size
-  passes into per-channel ones, the second runs a channel-major im2col
-  workspace and col2im.  Both are bit-identical to the tape but arranged
-  differently, and giving the tape those layouts would speed up the eager
-  baseline that the planned-step speedup floor is measured against.
+  passes into per-channel ones, the second forms the input gradient one
+  stacked input channel at a time (product, then col2im), so the full
+  ``W.T @ G`` column matrix never exists.  Both are bit-identical to the
+  tape but arranged differently, and giving the tape those layouts would
+  speed up the eager baseline that the planned-step speedup floor is
+  measured against.
+* **scratch**: arrays that live inside one instruction only (a conv's
+  zero-bordered input and product matrix, its input-gradient tile and col2im
+  accumulator, batch-norm backward's temporaries) come from the plan's one
+  :class:`_Scratch` arena, one array per role sized to the largest request,
+  so they cost the largest layer's worth of memory instead of every layer's.
+  Arrays that live from the forward pass to the backward pass (the im2col
+  columns, the weight block, batch-norm's centred and normalised inputs,
+  relu masks, gradient slots) stay per node.
 * **update**: the optimizer tail (optional global-norm clip, then
   ``begin_step`` + one ``step_parameter`` per contributing parameter) runs the
   very same in-place kernels as ``Optimizer.step``, reading ``optimizer.lr``
@@ -53,11 +63,13 @@ producing ``+0.0``); the parity tests therefore pin trajectories with
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import reference
 from repro.tensor import functional as F
 from repro.tensor.tensor import TapeEntry, TapeTrace, Tensor, _unbroadcast
 
@@ -99,6 +111,39 @@ class _BufferPool:
 
     def release(self, array: np.ndarray) -> None:
         self._free.setdefault((array.shape, array.dtype.str), []).append(array)
+
+
+class _Scratch:
+    """A plan's step-local scratch arena: one array per role.
+
+    An array that lives inside one instruction never outlives it, and the
+    instructions run one at a time, so every instruction asking for a role
+    shares one array, sized to the largest request -- the way
+    ``ExecutionPlan.buffer`` serves the inference convs.  Roles used by the
+    same instruction are distinct, so they never alias.
+    ``compile_train_step`` reserves every request before any emitter takes
+    its view.
+    """
+
+    def __init__(self):
+        self._reserved: Dict[str, int] = {}
+        self._storage: Dict[str, np.ndarray] = {}
+
+    def reserve(self, role: str, shape: Tuple[int, ...], dtype) -> None:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        self._reserved[role] = max(self._reserved.get(role, 0), size)
+
+    def view(self, role: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """A ``shape`` view of the role's array; the contents are undefined."""
+        storage = self._storage.get(role)
+        if storage is None:
+            storage = self._storage[role] = np.empty(self._reserved[role], np.uint8)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        return storage[:size].view(dtype).reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(storage.nbytes for storage in self._storage.values())
 
 
 class _FusedForward:
@@ -378,6 +423,40 @@ def _f_replay(entry: TapeEntry, ctx) -> Callable[[], None]:
     return partial(entry.params["forward"], out=entry.tensor.data)
 
 
+def _conv_scratch(params) -> Dict[str, Tuple[int, ...]]:
+    """Arena requests (role -> shape) of one complex conv's instructions."""
+    batch, stacked, height, width = params["stacked_shape"]
+    kernel_h, kernel_w = params["kernel"]
+    pad_h, pad_w = params["padding"]
+    out_h, out_w = params["out_hw"]
+    n_cols = out_h * out_w * batch
+    # the input gradient is formed one stacked input channel at a time,
+    # except for 1x1 kernels: numpy hands a one-row product to gemv, whose
+    # sums round differently from the rows of the eager gemm, so those take
+    # the channels in pairs (the stacked count 2 * in_channels is even)
+    group = 1 if kernel_h * kernel_w > 1 else 2
+    plane = (height + 2 * pad_h, width + 2 * pad_w, batch)
+    return {
+        "image": (stacked,) + plane,                # forward: zero-bordered input
+        "matrix": (2 * params["out_channels"], n_cols),  # product / incoming grad
+        "weight_grad": (2 * params["out_channels"], 2 * params["patch"]),
+        "tile": (group * kernel_h * kernel_w, n_cols),
+        "accumulator": (group,) + plane,
+    }
+
+
+def _border_slabs(padded: np.ndarray, pad_h: int, pad_w: int) -> List[np.ndarray]:
+    """The zero border of a channel-major ``(C, Hp, Wp, batch)`` padded image."""
+    rows, cols = padded.shape[1], padded.shape[2]
+    slabs = []
+    if pad_h:
+        slabs += [padded[:, :pad_h], padded[:, rows - pad_h:]]
+    if pad_w:
+        slabs += [padded[:, pad_h:rows - pad_h, :pad_w],
+                  padded[:, pad_h:rows - pad_h, cols - pad_w:]]
+    return slabs
+
+
 def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     node = entry.tensor
     has_bias = entry.params["has_bias"]
@@ -396,15 +475,17 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     cache = entry.params["cache"]
     buf = node.data
     dtype = buf.dtype
+    shapes = _conv_scratch(entry.params)
 
-    # persistent im2col workspace: the input planes land directly in the
-    # interior of a zero-bordered padded buffer (replacing the per-step
-    # concatenate + np.pad of the eager op) and the patch gather copies into
-    # a reused column matrix, extracting exactly the elements `im2col` reads.
-    # The padded buffer is stored channel-major (C, Hp, Wp, batch) so the
-    # window gather's innermost axis is contiguous on both sides.
-    padded = np.zeros((2 * in_channels, height + 2 * pad_h,
-                       width + 2 * pad_w, batch), dtype)
+    # the input planes land directly in the interior of the arena's padded
+    # image (replacing the per-step concatenate + np.pad of the eager op) and
+    # the patch gather copies into the node's column matrix, extracting
+    # exactly the elements `im2col` reads.  The image is channel-major
+    # (C, Hp, Wp, batch) so the window gather's innermost axis is contiguous
+    # on both sides; other instructions share its memory, so the border is
+    # zeroed on every run.
+    padded = ctx.scratch.view("image", shapes["image"], dtype)
+    borders = _border_slabs(padded, pad_h, pad_w)
     interior_real = padded[:in_channels, pad_h:pad_h + height, pad_w:pad_w + width, :]
     interior_imag = padded[in_channels:, pad_h:pad_h + height, pad_w:pad_w + width, :]
     n_cols = out_h * out_w * batch
@@ -414,7 +495,7 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     cache["columns"] = columns
     buf_real, buf_imag = buf[0], buf[1]
     bias_shape = (1, out_channels, 1, 1)
-    out_matrix = np.empty((2 * out_channels, n_cols), dtype)
+    out_matrix = ctx.scratch.view("matrix", shapes["matrix"], dtype)
     # scatter the (2*OC, out_h*out_w*batch) product into the batch-first
     # node buffer one (plane, channel) at a time: 2-D transposed copies run
     # ~1.6x faster than one 5-D copy on the ResNet stage-1 geometry
@@ -423,6 +504,8 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
                    for plane in range(2) for channel in range(out_channels)]
 
     def run():
+        for border in borders:
+            border.fill(0.0)
         interior_real[...] = x_real.data.transpose(1, 2, 3, 0)
         interior_imag[...] = x_imag.data.transpose(1, 2, 3, 0)
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -491,6 +574,7 @@ _FORWARD_EMITTERS: Dict[str, Callable] = {
 class _CompileContext:
     def __init__(self):
         self.relu_masks: Dict[int, np.ndarray] = {}
+        self.scratch = _Scratch()
 
 
 # --------------------------------------------------------------------------- #
@@ -556,10 +640,11 @@ def _b_getitem(grad_in: np.ndarray, slot: np.ndarray, index,
 # persistent scratch.  Batch norm and complex convolution keep plan-side
 # copies that replay the closure's float operations ufunc-by-ufunc -- same
 # operations, same order, so bit-identical -- in a layout of their own
-# (per-channel folds, a channel-major col2im); see the module docstring for
-# why the tape does not share it.  A builder may return ``None`` (a pattern
-# it does not cover), in which case the caller falls back to the generic
-# closure instruction.
+# (per-channel folds; a per-input-channel product and col2im); see the module
+# docstring for why the tape does not share it.  Their temporaries come from
+# the plan's scratch arena.  A builder may return ``None`` (a pattern it does
+# not cover), in which case the caller falls back to the generic closure
+# instruction.
 # --------------------------------------------------------------------------- #
 def _slots_by_position(targets):
     """Map parent position -> (slot, first); None when any target broadcasts."""
@@ -571,8 +656,14 @@ def _slots_by_position(targets):
     return by_pos
 
 
+def _batch_norm_scratch(entry: TapeEntry) -> Dict[str, Tuple[int, ...]]:
+    """Arena requests (role -> shape) of one batch-norm backward."""
+    full, reduced = entry.parents[0].data.shape, entry.params["cache"]["mean"].shape
+    return {"bn_s1": full, "bn_s2": full, "bn_m1": reduced, "bn_m_sq": reduced}
+
+
 def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray,
-                        targets) -> Optional[Callable[[], None]]:
+                        targets, ctx) -> Optional[Callable[[], None]]:
     by_pos = _slots_by_position(targets)
     if by_pos is None or 0 not in by_pos:
         return None
@@ -590,11 +681,8 @@ def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray,
     w_slot = by_pos[1][0] if 1 in by_pos else None
     b_slot = by_pos[2][0] if 2 in by_pos else None
     dtype = grad_in.dtype
-    s1 = np.empty(x_shape, dtype)
-    s2 = np.empty(x_shape, dtype)
-    reduced_shape = cache["mean"].shape
-    m1 = np.empty(reduced_shape, dtype)
-    m_sq = np.empty(reduced_shape, dtype)
+    s1, s2, m1, m_sq = (ctx.scratch.view(role, shape, dtype)
+                        for role, shape in _batch_norm_scratch(entry).items())
 
     def run():
         sub, sq = cache["sub"], cache["sq"]
@@ -645,7 +733,7 @@ def _b_batch_norm_build(entry: TapeEntry, grad_in: np.ndarray,
 
 
 def _b_into_slots(entry: TapeEntry, grad_in: np.ndarray,
-                  targets) -> Optional[Callable[[], None]]:
+                  targets, ctx) -> Optional[Callable[[], None]]:
     """Replay a backward kernel that writes into given arrays (``out=``).
 
     A first write goes straight into the gradient slot; an accumulated one
@@ -672,20 +760,28 @@ def _b_into_slots(entry: TapeEntry, grad_in: np.ndarray,
     return run
 
 
-def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
-                        padding, dtype):
-    """Persistent-buffer col2im for plan replay, split at ``split_channels``.
+def _conv_input_gradient(w_block: np.ndarray, grad_matrix: np.ndarray,
+                         tile: np.ndarray, accumulator: np.ndarray,
+                         input_shape, kernel_size, stride, padding,
+                         destinations) -> Callable[[], None]:
+    """``col2im(w_block.T @ grad_matrix)`` one stacked input channel at a time.
 
-    Returns ``run(columns) -> (top_plane, bottom_plane)`` where the planes are
-    views of shape ``(batch, split, height, width)`` /
-    ``(batch, channels - split, height, width)``.  One strategy for every
-    geometry: a shifted accumulation into a channel-major
-    ``(C, Hp, Wp, batch)`` accumulator, which makes both sides of every
-    shifted add near-contiguous.  Each pixel sums its terms in kernel-offset
-    order, the order every eager col2im strategy uses, so the scattered
-    gradients are bit-identical to the eager tape's.
+    ``destinations[c]`` is ``(plane, first)`` for stacked input channel ``c``:
+    a ``(batch, height, width)`` view that receives (``first``) or
+    accumulates the channel's gradient, or ``None`` when no parent needs it.
+    Per group of ``accumulator.shape[0]`` channels (one, or a pair for 1x1
+    kernels, see :func:`_conv_scratch`), its ``kh * kw`` rows per channel of
+    ``w_block.T`` times the incoming gradient land in ``tile``, and the
+    offset-ordered col2im scatters them into the channel-major
+    ``(group, Hp, Wp, batch)`` ``accumulator`` while the tile is still in
+    cache; the full ``(channels * kh * kw, columns)`` product is never
+    formed.  ``tile`` and ``accumulator`` are scratch: their contents on
+    entry do not matter.
 
-    The first offset stores ``window + 0.0`` instead of adding into a zeroed
+    Bit-identical to the eager adjoint: a row block of a gemm product equals
+    those rows of the whole product, and each pixel sums its terms in
+    kernel-offset order, the order every eager col2im strategy uses.  The
+    first offset stores ``window + 0.0`` instead of adding into a zeroed
     accumulator (the same IEEE sum, signed zeros included), so only the
     pixels it does not cover are zeroed: two thin border slabs at unit
     stride, the whole accumulator otherwise.
@@ -695,51 +791,50 @@ def _make_col2im_planes(input_shape, split_channels, kernel_size, stride,
     stride_h, stride_w = stride
     pad_h, pad_w = padding
     out_h, out_w = F._checked_output_size(input_shape, kernel_size, stride, padding)
-
-    accumulator = np.empty((channels, height + 2 * pad_h, width + 2 * pad_w,
-                            batch), dtype=dtype)
-    interior = accumulator[:, pad_h:pad_h + height, pad_w:pad_w + width, :]
-    planes = (interior[:split_channels].transpose(3, 0, 1, 2),
-              interior[split_channels:].transpose(3, 0, 1, 2))
-    first = accumulator[:, :stride_h * out_h:stride_h, :stride_w * out_w:stride_w, :]
+    taps = kernel_h * kernel_w
+    group = accumulator.shape[0]
+    windows = tile.reshape(group, kernel_h, kernel_w, out_h, out_w, batch)
+    first_target = accumulator[:, :stride_h * out_h:stride_h,
+                               :stride_w * out_w:stride_w]
+    first_window = windows[:, 0, 0]
     if stride_h == stride_w == 1:
         uncovered = (accumulator[:, out_h:], accumulator[:, :out_h, out_w:])
     else:
         uncovered = (accumulator,)
+    shifted = [(accumulator[:, offset_h:offset_h + stride_h * out_h:stride_h,
+                            offset_w:offset_w + stride_w * out_w:stride_w],
+                windows[:, offset_h, offset_w])
+               for offset_h in range(kernel_h) for offset_w in range(kernel_w)
+               if offset_h or offset_w]
+    interior = accumulator[:, pad_h:pad_h + height,
+                           pad_w:pad_w + width].transpose(0, 3, 1, 2)
+    groups = []
+    for start in range(0, channels, group):
+        stores = [(interior[k],) + destinations[start + k] for k in range(group)
+                  if destinations[start + k] is not None]
+        if stores:
+            groups.append((w_block[:, start * taps:(start + group) * taps].T, stores))
 
-    def run(columns):
-        for region in uncovered:
-            region.fill(0.0)
-        windows = columns.reshape(channels, kernel_h, kernel_w,
-                                  out_h, out_w, batch)
-        np.add(windows[:, 0, 0], 0.0, out=first)
-        for offset_h in range(kernel_h):
-            stop_h = offset_h + stride_h * out_h
-            for offset_w in range(1 if offset_h == 0 else 0, kernel_w):
-                accumulator[:, offset_h:stop_h:stride_h,
-                            offset_w:offset_w + stride_w * out_w:stride_w, :] \
-                    += windows[:, offset_h, offset_w]
-        return planes
+    def run():
+        for weights, stores in groups:
+            np.matmul(weights, grad_matrix, out=tile)
+            for region in uncovered:
+                region.fill(0.0)
+            np.add(first_window, 0.0, out=first_target)
+            for target, window in shifted:
+                target += window
+            # one 3-D transposed copy per channel into the batch-first slot
+            for plane, slot, first_write in stores:
+                if first_write:
+                    np.copyto(slot, plane)
+                else:
+                    np.add(slot, plane, out=slot)
 
     return run
 
 
-def _store_by_channel(slot, plane, first):
-    """``slot = plane`` (or ``slot += plane`` when not ``first``), per channel.
-
-    ``plane`` is a batch-last view (the col2im accumulator's layout); one
-    3-D transposed copy per channel runs ~1.7-2x faster than a single 4-D
-    one on the ResNet stage-1 geometry, with the same values.
-    """
-    for channel in range(slot.shape[1]):
-        if first:
-            np.copyto(slot[:, channel], plane[:, channel])
-        else:
-            np.add(slot[:, channel], plane[:, channel], out=slot[:, channel])
-
-
 def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
-                            targets) -> Optional[Callable[[], None]]:
+                            targets, ctx) -> Optional[Callable[[], None]]:
     by_pos = _slots_by_position(targets)
     if by_pos is None:
         return None
@@ -751,32 +846,30 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
     patch = params["patch"]
     in_channels = params["in_channels"]
     out_channels = params["out_channels"]
-    kernel, stride, padding = params["kernel"], params["stride"], params["padding"]
-    stacked_shape = params["stacked_shape"]
     dtype = grad_in.dtype
-    n_cols = grad_in[0].size // out_channels
+    shapes = _conv_scratch(params)
     grad_source = grad_in.transpose(0, 2, 3, 4, 1)
-    grad_matrix = np.empty((2 * out_channels, n_cols), dtype)
+    grad_matrix = ctx.scratch.view("matrix", shapes["matrix"], dtype)
     grad_view = grad_matrix.reshape(grad_source.shape)
     grad_r = grad_matrix[:out_channels]
     grad_i = grad_matrix[out_channels:]
     needs_input = 0 in by_pos or 1 in by_pos
     needs_weight = 2 in by_pos or 3 in by_pos
     if needs_input:
-        dcols = np.empty((2 * patch, n_cols), dtype)
-        adjoint = F.col2im_kernel()
-        if adjoint is F.col2im_reference:
-            def col2im_fn(columns):
-                image = adjoint(columns, stacked_shape, kernel, stride, padding)
-                return image[:, :in_channels], image[:, in_channels:]
-        else:
-            col2im_fn = _make_col2im_planes(stacked_shape, in_channels,
-                                            kernel, stride, padding, dtype)
+        destinations = []
+        for position in (0, 1):
+            slot, first = by_pos.get(position, (None, True))
+            destinations += [None if slot is None else (slot[:, channel], first)
+                             for channel in range(in_channels)]
+        input_gradient = _conv_input_gradient(
+            cache["w_block"], grad_matrix,
+            ctx.scratch.view("tile", shapes["tile"], dtype),
+            ctx.scratch.view("accumulator", shapes["accumulator"], dtype),
+            params["stacked_shape"], params["kernel"], params["stride"],
+            params["padding"], destinations)
     if needs_weight:
-        dw_block = np.empty((2 * out_channels, 2 * patch), dtype)
+        dw_block = ctx.scratch.view("weight_grad", shapes["weight_grad"], dtype)
 
-    xr_slot, xr_first = by_pos.get(0, (None, True))
-    xi_slot, xi_first = by_pos.get(1, (None, True))
     wr_slot = by_pos[2][0].reshape(out_channels, patch) if 2 in by_pos else None
     wi_slot = by_pos[3][0].reshape(out_channels, patch) if 3 in by_pos else None
     br_slot = by_pos[4][0] if 4 in by_pos else None
@@ -793,12 +886,7 @@ def _b_complex_conv2d_build(entry: TapeEntry, grad_in: np.ndarray,
                 np.subtract(dw_block[out_channels:, :patch],
                             dw_block[:out_channels, patch:], out=wi_slot)
         if needs_input:
-            np.matmul(cache["w_block"].T, grad_matrix, out=dcols)
-            dx_real, dx_imag = col2im_fn(dcols)
-            if xr_slot is not None:
-                _store_by_channel(xr_slot, dx_real, xr_first)
-            if xi_slot is not None:
-                _store_by_channel(xi_slot, dx_imag, xi_first)
+            input_gradient()
         if br_slot is not None:
             np.sum(grad_r, axis=1, out=br_slot)
         if bi_slot is not None:
@@ -811,6 +899,20 @@ _BACKWARD_BUILDERS: Dict[str, Callable] = {
     "batch_norm": _b_batch_norm_build,
     "complex_linear": _b_into_slots,
     "complex_conv2d": _b_complex_conv2d_build,
+}
+
+
+def _conv_requests(entry: TapeEntry) -> Dict[str, Tuple[int, ...]]:
+    shapes = _conv_scratch(entry.params)
+    if not any(parent.requires_grad for parent in entry.parents[:2]):
+        del shapes["tile"], shapes["accumulator"]  # no input gradient to form
+    return shapes
+
+
+#: ops whose instructions take scratch arrays: op -> (entry -> role -> shape)
+_SCRATCH_REQUESTS: Dict[str, Callable] = {
+    "batch_norm": _batch_norm_scratch,
+    "complex_conv2d": _conv_requests,
 }
 
 
@@ -898,8 +1000,11 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
     Raises :class:`PlanUnsupported` when the trace cannot be replayed (a
     volatile op such as dropout, an untagged custom node, a buffer-aliasing
     pattern the emitters cannot reproduce, or a late input read before the
-    logits).
+    logits), and under ``REPRO_FORCE_REFERENCE``: the plan has no reference
+    kernels, and the eager tape is its oracle.
     """
+    if reference.enabled():
+        raise PlanUnsupported("REPRO_FORCE_REFERENCE runs every step on the eager tape")
     if trace.volatile:
         raise PlanUnsupported("volatile trace: " + "; ".join(sorted(set(trace.volatile))))
 
@@ -953,6 +1058,11 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
             raise PlanUnsupported(f"no replay emitter for op {entry.op!r}")
 
     ctx = _CompileContext()
+    for entry in needed.values():
+        requests = _SCRATCH_REQUESTS.get(entry.op)
+        if requests is not None:
+            for role, shape in requests(entry).items():
+                ctx.scratch.reserve(role, shape, entry.tensor.data.dtype)
     pool = _BufferPool()
     grad_slot: Dict[int, np.ndarray] = {}
     contributed = {id(loss)}
@@ -1051,7 +1161,7 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
                 targets.append((position, grad_slot[pid], first, needs_reduce,
                                 parent.data.shape))
             builder = _BACKWARD_BUILDERS.get(entry.op)
-            instruction = builder(entry, grad_in, targets) if builder else None
+            instruction = builder(entry, grad_in, targets, ctx) if builder else None
             if instruction is None:
                 instruction = _b_generic(closure, grad_in, tuple(targets))
             else:
@@ -1168,6 +1278,7 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
         "specialized_backward": specialized_backward,
         "static_views": static_views,
         "pooled_grad_buffers": pool.allocated,
+        "scratch_bytes": ctx.scratch.nbytes,
         "parameter_gradients": len(param_bindings),
         "traced_nodes": len(trace.entries),
     }

@@ -158,11 +158,17 @@ class Trainer:
     # ------------------------------------------------------------------ #
     @property
     def plan_stats(self) -> dict:
-        """Diagnostics of the plan compiler: per-shape stats and fallbacks."""
+        """Diagnostics of the plan compiler: per-shape stats and fallbacks.
+
+        ``scratch_bytes`` totals the plans' scratch arenas (each plan's is
+        its largest layer's worth of per-instruction temporaries).
+        """
         return {
             "enabled": self._plan_enabled and not reference.enabled(),
             "compiled": len(self._plans),
             "fallback_reason": self._plan_fallback_reason,
+            "scratch_bytes": sum(plan.stats["scratch_bytes"]
+                                 for plan in self._plans.values()),
             "plans": {str(key): plan.stats for key, plan in self._plans.items()},
         }
 

@@ -316,14 +316,18 @@ static int clements_chain_lanes(double *const *work, long used, long n,
             for (k = 0; k < 8; ++k)
                 c[k][lane] = block[k];
         }
+        /* the pair's entries left of the pivot column (left op) or below
+         * the pivot row (right op) were nulled in both rows or columns by
+         * earlier ops, so the rotation skips them; the numpy chains rotate
+         * the full pair and stay the oracle */
         if (is_left[i]) {
             lanes_t *ru = w + 2 * mode * n, *rl = ru + 2 * n;
-            for (j = 0; j < n; ++j)
+            for (j = pivot; j < n; ++j)
                 ROTATE(lanes_t, ru + 2 * j, rl + 2 * j,
                        c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]);
         } else {
             lanes_t *cu = w + 2 * mode;
-            for (j = 0; j < n; ++j)
+            for (j = 0; j <= pivot; ++j)
                 ROTATE(lanes_t, cu + 2 * j * n, cu + 2 * j * n + 2,
                        c[0], c[1], c[4], c[5], c[2], c[3], c[6], c[7]);
         }

@@ -20,6 +20,7 @@ import pytest
 
 from repro.photonics import _native, engine
 from repro.photonics.mzi_mesh import (
+    NULL_TOLERANCE,
     _clements_oplist,
     clements_decompose,
     clements_decompose_reference,
@@ -246,6 +247,25 @@ class TestDecompositionChainParity:
             assert np.abs(mesh_native.phis
                           - mesh_reference.phis).max() <= PARITY
             assert np.abs(mesh_native.reconstruct() - unitary).max() <= PARITY
+
+    @requires_kernel
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 7, 97, 144, 160])
+    def test_nulled_stack_is_diagonal(self, dim, count):
+        # the native chain skips the pair entries that earlier ops already
+        # nulled; every matrix must still end diagonal with unit-modulus
+        # entries, far inside the 1e-6 of the decomposition's own check
+        stack = np.stack([random_unitary(dim, seed=100 * dim + s)
+                          for s in range(count)])
+        ops = _clements_oplist(dim)
+        _native.kernel().clements_chain_stack(
+            stack, ops.is_left.view(np.uint8), ops.op_modes, ops.op_pivots,
+            ops.modes, NULL_TOLERANCE)
+        index = np.arange(dim)
+        magnitude = np.abs(stack)
+        assert np.abs(magnitude[:, index, index] - 1.0).max() <= 1e-12
+        magnitude[:, index, index] = 0.0
+        assert magnitude.max() <= 1e-12
 
 
 def degenerate_unitary(kind: str, dim: int) -> np.ndarray:

@@ -13,14 +13,14 @@ import pytest
 from repro.assignment import get_scheme
 from repro.core.config import TrainingConfig
 from repro.core.decoders import build_decoder_head
-from repro.core.train_plan import (PlanUnsupported, _make_col2im_planes,
-                                   compile_train_step)
+from repro.core.train_plan import (PlanUnsupported, _conv_input_gradient,
+                                   _conv_scratch, compile_train_step)
 from repro.core.training import Trainer, prepare_batch
 from repro.data import DataLoader
 from repro.data.dataset import ArrayDataset
 from repro.models import ComplexFCNN, ComplexLeNet5, ComplexResNet
 from repro.nn import Dropout, Linear, Module, ReLU, Sequential
-from repro.nn.complex import ComplexLinear, CReLU
+from repro.nn.complex import ComplexConv2d, ComplexLinear, CReLU
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD
 from repro.tensor import Tensor, no_grad
@@ -139,6 +139,8 @@ class TestTrajectoryParity:
         ("fcnn", "sgd"),
         ("lenet", "sgd"),
         ("lenet", "adam"),
+        # padded 3x3 and unpadded 1x1 convs share the arena's padded image:
+        # a border left stale by another conv would break these two
         ("resnet", "sgd"),
         ("resnet", "adam"),
     ])
@@ -210,6 +212,37 @@ class TestTrajectoryParity:
             assert plan_stats["parameter_gradients"] > 0
 
 
+class TestScratchArena:
+    """Per-instruction temporaries live in one arena per plan."""
+
+    def test_resnet_mixes_padded_and_unpadded_convs(self):
+        geometries = {(module.kernel_size, module.padding)
+                      for _name, module in build_model("resnet").named_modules()
+                      if isinstance(module, ComplexConv2d)}
+        assert {((3, 3), (1, 1)), ((1, 1), (0, 0))} <= geometries
+
+    def test_scratch_does_not_grow_with_depth(self):
+        rng = np.random.default_rng(1234)
+        loader = DataLoader(image_dataset(rng), batch_size=16, shuffle=False)
+        config = TrainingConfig(epochs=1, batch_size=16, learning_rate=0.05, seed=0)
+        scratch = {}
+        for depth in (8, 14):
+            model = ComplexResNet(depth=depth, in_channels=2, num_classes=2,
+                                  base_widths=(2, 4, 8), decoder="merge",
+                                  rng=np.random.default_rng(7))
+            trainer = Trainer(model, config, scheme=get_scheme("SI"))
+            trainer.fit(loader)
+            stats = trainer.plan_stats
+            assert stats["compiled"] == 2
+            assert stats["scratch_bytes"] == sum(
+                plan["scratch_bytes"] for plan in stats["plans"].values())
+            scratch[depth] = stats["scratch_bytes"]
+        # deeper stages repeat the same geometries: the arena stays the size
+        # of the largest layer's temporaries
+        assert scratch[8] > 0
+        assert scratch[14] == scratch[8]
+
+
 class TestPlannedGradients:
     """The plan's backward pass must agree with finite differences."""
 
@@ -268,28 +301,59 @@ class TestPlannedGradients:
 
 
 class TestPlanCol2im:
-    """The plan's single col2im strategy equals every eager strategy exactly."""
+    """The per-channel conv input gradient equals eager ``col2im(W.T @ G)`` exactly."""
 
-    @pytest.mark.parametrize("shape,kernel,stride,padding", [
-        ((4, 6, 8, 8), (3, 3), (1, 1), (1, 1)),     # eager: bincount scatter
-        ((4, 4, 8, 8), (2, 2), (2, 2), (0, 0)),     # eager: exact-tiling permutation
-        ((3, 4, 7, 9), (3, 2), (2, 1), (1, 0)),     # uneven kernel, stride, padding
-        ((64, 8, 16, 16), (3, 3), (1, 1), (1, 1)),  # eager: shifted adds
-        ((64, 8, 16, 16), (1, 1), (2, 2), (0, 0)),  # strided 1x1 shortcut
-    ], ids=["bincount", "tiling", "uneven", "shifted", "strided-1x1"])
-    def test_planes_match_eager_col2im(self, shape, kernel, stride, padding):
-        split = 2
-        out_h, out_w = F._checked_output_size(shape, kernel, stride, padding)
-        rows = shape[1] * kernel[0] * kernel[1]
-        run = _make_col2im_planes(shape, split, kernel, stride, padding, np.float64)
+    @pytest.mark.parametrize("limit", [0, np.inf], ids=["shifted", "bincount"])
+    @pytest.mark.parametrize("in_channels,out_channels,size,kernel,stride,padding", [
+        (4, 4, (16, 32), (3, 3), (1, 1), (1, 1)),   # ResNet-8 stage 0
+        (4, 8, (16, 32), (3, 3), (2, 2), (1, 1)),   # ResNet-8 strided stage entry
+        (4, 8, (16, 32), (1, 1), (2, 2), (0, 0)),   # ResNet-8 strided 1x1 shortcut
+        (3, 3, (16, 32), (5, 5), (1, 1), (0, 0)),   # LeNet-5 student conv1
+        (3, 8, (6, 14), (5, 5), (1, 1), (0, 0)),    # LeNet-5 student conv2
+        (6, 16, (14, 14), (5, 5), (1, 1), (0, 0)),  # LeNet-5 teacher conv2
+        (5, 3, (7, 9), (3, 2), (2, 1), (1, 0)),     # odd channels, uneven geometry
+        (3, 2, (8, 8), (1, 1), (1, 1), (0, 0)),     # odd channels, 1x1 pairs span planes
+        (2, 4, (8, 8), (2, 2), (2, 2), (0, 0)),     # eager: exact-tiling permutation
+    ], ids=["resnet-3x3", "resnet-3x3-s2", "resnet-1x1-s2", "lenet-conv1",
+            "lenet-conv2", "lenet-teacher", "odd-uneven", "odd-1x1", "tiling"])
+    def test_matches_eager_col2im(self, monkeypatch, limit, in_channels, out_channels,
+                                  size, kernel, stride, padding):
+        # the eager adjoint scatters through bincount below the block limit
+        # and by shifted accumulation above it: pin each strategy in turn
+        monkeypatch.setattr(F, "COL2IM_BINCOUNT_BLOCK_LIMIT", limit)
+        batch, stacked = 64, 2 * in_channels
+        stacked_shape = (batch, stacked) + size
+        out_h, out_w = F._checked_output_size(stacked_shape, kernel, stride, padding)
+        patch = in_channels * kernel[0] * kernel[1]
+        params = {"stacked_shape": stacked_shape, "kernel": kernel,
+                  "padding": padding, "out_hw": (out_h, out_w),
+                  "out_channels": out_channels, "patch": patch}
+        shapes = _conv_scratch(params)
+        tile, accumulator = np.empty(shapes["tile"]), np.empty(shapes["accumulator"])
         rng = np.random.default_rng(0)
-        # the second call reuses the accumulator: nothing of the first may leak
+        w_block = np.empty((2 * out_channels, 2 * patch))
+        grad_matrix = np.empty((2 * out_channels, out_h * out_w * batch))
+        gradient = np.empty(stacked_shape)
+        # the real plane is a first write, the imaginary plane accumulates
+        destinations = [(gradient[:, channel], channel < in_channels)
+                        for channel in range(stacked)]
+        run = _conv_input_gradient(w_block, grad_matrix, tile, accumulator,
+                                   stacked_shape, kernel, stride, padding,
+                                   destinations)
         for _ in range(2):
-            columns = rng.normal(size=(rows, out_h * out_w * shape[0]))
-            expected = F._col2im_fast(columns, shape, kernel, stride, padding)
-            top, bottom = run(columns)
-            assert np.array_equal(top, expected[:, :split])
-            assert np.array_equal(bottom, expected[:, split:])
+            w_block[...] = rng.normal(size=w_block.shape)
+            grad_matrix[...] = rng.normal(size=grad_matrix.shape)
+            base = rng.normal(size=(batch, in_channels) + size)
+            gradient[:, in_channels:] = base
+            # stale scratch contents must never reach the result
+            tile.fill(np.nan)
+            accumulator.fill(np.nan)
+            run()
+            expected = F.col2im(w_block.T @ grad_matrix, stacked_shape, kernel,
+                                stride, padding)
+            assert np.array_equal(gradient[:, :in_channels], expected[:, :in_channels])
+            assert np.array_equal(gradient[:, in_channels:],
+                                  base + expected[:, in_channels:])
 
 
 class TestForwardFinishSplit:
@@ -327,6 +391,21 @@ class TestForwardFinishSplit:
             loss = cross_entropy(logits, np.array([0, 1, 1, 0]))
         loss.backward()
         with pytest.raises(PlanUnsupported, match="late input 'kl_peer_probs'"):
+            compile_train_step(trace, loss, logits, optimizer)
+
+    def test_reference_switch_refuses_to_compile(self, monkeypatch, rng):
+        # under the reference switch every step runs on the eager tape, so
+        # a plan would never run: the compiler refuses instead of lowering
+        model = Linear(3, 2, rng=np.random.default_rng(7))
+        optimizer = SGD(model.parameters(), lr=0.1)
+        with trace_tape() as trace:
+            inputs = Tensor(rng.normal(size=(4, 3)))
+            mark_trace_input(inputs, "input")
+            logits = model(inputs)
+            loss = cross_entropy(logits, np.array([0, 1, 1, 0]))
+        loss.backward()
+        monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
+        with pytest.raises(PlanUnsupported, match="REPRO_FORCE_REFERENCE"):
             compile_train_step(trace, loss, logits, optimizer)
 
 
