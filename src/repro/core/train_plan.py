@@ -7,24 +7,27 @@ extends the idea to the full training step.  The autograd tape of one eager
 :func:`repro.tensor.tensor.trace_tape`, then lowered to three flat instruction
 lists executed against preallocated buffers:
 
-* **forward**: one emitter per traced node recomputes ``node.data`` *in place*
-  into the very array the trace produced -- the traced tensors' own arrays are
-  the activation buffers, so every backward closure (which reads
+* **forward**: one instruction per traced node recomputes ``node.data`` *in
+  place* into the very array the trace produced -- the traced tensors' own
+  arrays are the activation buffers, so every backward closure (which reads
   ``parent.data``/``weight.data`` and the op's cache dict at call time) replays
-  against fresh values without being rebuilt.  View nodes (reshape, transpose,
-  slicing, the complex pair unpacking) whose data shares memory with their
-  parent cost *zero* instructions: the compile-time view stays valid because
-  buffers are never rebound.  The compiler cuts the list after the logits
-  node: :meth:`TrainStepPlan.forward` runs the model part,
+  against fresh values without being rebuilt.  Every op records the forward
+  kernel it ran on the tape (``params["forward"]``, see
+  :mod:`repro.tensor.ops`); the instruction calls that very kernel with
+  ``out=`` the node's buffer, so the tape and the plan run one
+  implementation of each op, and an op that records none cannot be
+  compiled.  View nodes (reshape, transpose, slicing, the complex pair
+  unpacking) whose data shares memory with their parent cost *zero*
+  instructions: the compile-time view stays valid because buffers are never
+  rebound.  A relu also refreshes the activation mask its backward
+  instruction shares, and fuses into the instruction producing its input.
+  Only complex convolution keeps a plan-specific emitter (see the backward
+  bullet).  The compiler cuts the list after the logits node:
+  :meth:`TrainStepPlan.forward` runs the model part,
   :meth:`TrainStepPlan.finish` the loss tail, so a caller can read the
   logits before supplying the *late* inputs only the loss reads (mutual
   learning's peer distribution, which needs the other network's logits of
   the same batch).  :meth:`TrainStepPlan.execute` runs both halves.
-  Convolution, max/average pooling, batch norm and complex linear record
-  their forward kernel on the tape (``params["forward"]``); the plan calls
-  that very kernel with ``out=`` the node's buffer, so the tape and the plan
-  run one implementation of each.  Of the heavy ops, only complex
-  convolution keeps a plan-specific emitter (see the backward bullet).
 * **backward**: the original eager closures are reused in the exact order
   ``Tensor.backward`` would process them (reversed topological order), but the
   per-step topological sort, the ``pending`` dict and every gradient
@@ -81,6 +84,8 @@ class PlanUnsupported(RuntimeError):
 # --------------------------------------------------------------------------- #
 # small helpers
 # --------------------------------------------------------------------------- #
+#: ops whose output may share memory with their parent (a static view);
+#: transpose and pick always do, so they record no forward kernel
 _VIEW_OPS = ("reshape", "transpose", "getitem", "pick")
 
 
@@ -164,263 +169,33 @@ class _FusedForward:
 # forward emitters
 #
 # Every emitter recomputes the traced node's data IN PLACE into the array the
-# trace produced.  The heavy ops replay their own recorded forward kernel
-# (``_f_replay``); the remaining emitters are one or two ufunc calls that
-# repeat the eager op's float operations exactly (same ufuncs, same order),
-# so replay is bit-identical.  Emitters read parent data through the parent
-# Tensor at call time and refresh the op's cache dict / captured
-# intermediate arrays in place, keeping the reused backward closures
-# coherent.
+# trace produced.  Each op records the forward kernel it ran
+# (``params["forward"]``, see :mod:`repro.tensor.ops`), and ``_f_replay``
+# reruns that very kernel with ``out=`` the node's buffer: the plan performs
+# the eager op's float operations because it calls the same code.  Kernels
+# read parent data through the parent Tensor at call time and refresh the
+# arrays their backward closure shares, keeping the reused closures coherent.
+# Only two ops add plan-side work: relu also refreshes the activation mask
+# its backward instruction shares, and complex convolution keeps an emitter
+# of its own (see the module docstring).
 # --------------------------------------------------------------------------- #
-def _ufunc_binary(ufunc):
-    def factory(entry: TapeEntry, ctx) -> Callable[[], None]:
-        a, b = entry.parents
-        buf = entry.tensor.data
-
-        def run():
-            ufunc(a.data, b.data, out=buf)
-
-        return run
-
-    return factory
+def _f_replay(entry: TapeEntry, ctx) -> Callable[[], None]:
+    """Rerun the op's recorded forward kernel into the node's buffer."""
+    return partial(entry.params["forward"], out=entry.tensor.data)
 
 
-def _ufunc_unary(ufunc):
-    def factory(entry: TapeEntry, ctx) -> Callable[[], None]:
-        (a,) = entry.parents
-        buf = entry.tensor.data
-
-        def run():
-            ufunc(a.data, out=buf)
-
-        return run
-
-    return factory
+def _relu_mask(inputs: Tensor, mask: np.ndarray) -> None:
+    np.greater(inputs.data, 0, out=mask)
 
 
 def _f_relu(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
+    replay = _f_replay(entry, ctx)
     mask = ctx.relu_masks.get(id(entry.tensor))
     if mask is None:
-        def run():
-            np.maximum(a.data, 0.0, out=buf)
-    else:
-        # the backward instruction reuses this mask: one forward/backward
-        # instruction pair sharing the activation test
-        def run():
-            np.maximum(a.data, 0.0, out=buf)
-            np.greater(a.data, 0, out=mask)
-
-    return run
-
-
-def _f_sigmoid(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-
-    def run():
-        np.negative(a.data, out=buf)
-        np.exp(buf, out=buf)
-        np.add(buf, 1.0, out=buf)
-        np.divide(1.0, buf, out=buf)
-
-    return run
-
-
-def _f_power(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    exponent = entry.params["exponent"]
-
-    def run():
-        buf[...] = a.data ** exponent
-
-    return run
-
-
-def _f_leaky_relu(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    slope = entry.params["negative_slope"]
-
-    def run():
-        buf[...] = np.where(a.data > 0, a.data, slope * a.data)
-
-    return run
-
-
-def _f_clip(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    low, high = entry.params["low"], entry.params["high"]
-
-    def run():
-        np.clip(a.data, low, high, out=buf)
-
-    return run
-
-
-def _f_matmul(entry: TapeEntry, ctx) -> Callable[[], None]:
-    a, b = entry.parents
-    buf = entry.tensor.data
-
-    def run():
-        np.matmul(a.data, b.data, out=buf)
-
-    return run
-
-
-def _f_sum(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    axis, keepdims = entry.params["axis"], entry.params["keepdims"]
-
-    def run():
-        np.sum(a.data, axis=axis, keepdims=keepdims, out=buf)
-
-    return run
-
-
-def _f_mean(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    axis, keepdims = entry.params["axis"], entry.params["keepdims"]
-
-    def run():
-        np.mean(a.data, axis=axis, keepdims=keepdims, out=buf)
-
-    return run
-
-
-def _f_var(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    axis, keepdims = entry.params["axis"], entry.params["keepdims"]
-    mean_buf = entry.params["mean"]  # shared with the backward closure
-
-    def run():
-        np.mean(a.data, axis=axis, keepdims=True, out=mean_buf)
-        np.mean((a.data - mean_buf) ** 2, axis=axis, keepdims=keepdims, out=buf)
-
-    return run
-
-
-def _f_minmax(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    axis, keepdims = entry.params["axis"], entry.params["keepdims"]
-    fn = entry.params["fn"]
-
-    def run():
-        fn(a.data, axis=axis, keepdims=keepdims, out=buf)
-
-    return run
-
-
-def _f_logsumexp(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    axis, keepdims = entry.params["axis"], entry.params["keepdims"]
-    exps, sum_exps = entry.params["exps"], entry.params["sum_exps"]
-
-    if keepdims:
-        def run():
-            shifted_max = a.data.max(axis=axis, keepdims=True)
-            np.subtract(a.data, shifted_max, out=exps)
-            np.exp(exps, out=exps)
-            np.sum(exps, axis=axis, keepdims=True, out=sum_exps)
-            np.log(sum_exps, out=buf)
-            np.add(buf, shifted_max, out=buf)
-    else:
-        squeeze_axis = axis if axis is not None else tuple(range(a.data.ndim))
-
-        def run():
-            shifted_max = a.data.max(axis=axis, keepdims=True)
-            np.subtract(a.data, shifted_max, out=exps)
-            np.exp(exps, out=exps)
-            np.sum(exps, axis=axis, keepdims=True, out=sum_exps)
-            buf[...] = np.squeeze(np.log(sum_exps) + shifted_max, axis=squeeze_axis)
-
-    return run
-
-
-def _f_reshape(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    shape = entry.params["shape"]
-
-    def run():
-        buf[...] = a.data.reshape(shape)
-
-    return run
-
-
-def _f_getitem(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    index = entry.params["index"]
-
-    def run():
-        buf[...] = a.data[index]
-
-    return run
-
-
-def _f_concatenate(entry: TapeEntry, ctx) -> Callable[[], None]:
-    buf = entry.tensor.data
-    axis = entry.params["axis"]
-    offsets = entry.params["offsets"]
-    slots = []
-    for parent, start, stop in zip(entry.parents, offsets[:-1], offsets[1:]):
-        index = [slice(None)] * buf.ndim
-        index[axis] = slice(int(start), int(stop))
-        slots.append((buf[tuple(index)], parent))
-
-    def run():
-        for slot, parent in slots:
-            slot[...] = parent.data
-
-    return run
-
-
-def _f_stack(entry: TapeEntry, ctx) -> Callable[[], None]:
-    buf = entry.tensor.data
-    axis = entry.params["axis"]
-    slots = []
-    for position, parent in enumerate(entry.parents):
-        index = [slice(None)] * buf.ndim
-        index[axis] = position
-        slots.append((buf[tuple(index)], parent))
-
-    def run():
-        for slot, parent in slots:
-            slot[...] = parent.data
-
-    return run
-
-
-def _f_pad(entry: TapeEntry, ctx) -> Callable[[], None]:
-    (a,) = entry.parents
-    buf = entry.tensor.data
-    width = entry.params["width"]
-    interior = tuple(
-        slice(int(before), int(before) + dim)
-        for (before, _after), dim in zip(width, a.data.shape)
-    )
-    # the border stays whatever np.pad wrote at trace time (the constant);
-    # only the interior changes per step
-    slot = buf[interior]
-
-    def run():
-        slot[...] = a.data
-
-    return run
-
-
-def _f_replay(entry: TapeEntry, ctx) -> Callable[[], None]:
-    """Ops that record their forward kernel: rerun it into the node's buffer."""
-    return partial(entry.params["forward"], out=entry.tensor.data)
+        return replay
+    # the backward instruction reuses this mask: one forward/backward
+    # instruction pair sharing the activation test
+    return _FusedForward(replay, partial(_relu_mask, entry.parents[0], mask))
 
 
 def _conv_scratch(params) -> Dict[str, Tuple[int, ...]]:
@@ -529,46 +304,20 @@ def _f_complex_conv2d(entry: TapeEntry, ctx) -> Callable[[], None]:
     return run
 
 
-_FORWARD_EMITTERS: Dict[str, Callable] = {
-    "add": _ufunc_binary(np.add),
-    "sub": _ufunc_binary(np.subtract),
-    "mul": _ufunc_binary(np.multiply),
-    "div": _ufunc_binary(np.divide),
-    "maximum": _ufunc_binary(np.maximum),
-    "neg": _ufunc_unary(np.negative),
-    "exp": _ufunc_unary(np.exp),
-    "log": _ufunc_unary(np.log),
-    "sqrt": _ufunc_unary(np.sqrt),
-    "abs": _ufunc_unary(np.abs),
-    "tanh": _ufunc_unary(np.tanh),
-    "sin": _ufunc_unary(np.sin),
-    "cos": _ufunc_unary(np.cos),
-    "sigmoid": _f_sigmoid,
+#: ops whose instruction is built plan-side; every other op replays its kernel
+_PLAN_EMITTERS: Dict[str, Callable] = {
     "relu": _f_relu,
-    "leaky_relu": _f_leaky_relu,
-    "power": _f_power,
-    "clip": _f_clip,
-    "matmul": _f_matmul,
-    "sum": _f_sum,
-    "mean": _f_mean,
-    "var": _f_var,
-    "max": _f_minmax,
-    "min": _f_minmax,
-    "logsumexp": _f_logsumexp,
-    "reshape": _f_reshape,
-    "transpose": None,            # always a view; handled statically
-    "getitem": _f_getitem,
-    "pick": None,                 # always a view of the packed buffer
-    "concatenate": _f_concatenate,
-    "stack": _f_stack,
-    "pad": _f_pad,
-    "conv2d": _f_replay,
-    "max_pool2d": _f_replay,
-    "avg_pool2d": _f_replay,
-    "batch_norm": _f_replay,
-    "complex_linear": _f_replay,
     "complex_conv2d": _f_complex_conv2d,
 }
+
+
+def _forward_emitter(entry: TapeEntry) -> Optional[Callable]:
+    """The factory of the node's forward instruction; None if it has none."""
+    if entry.op in _PLAN_EMITTERS:
+        return _PLAN_EMITTERS[entry.op]
+    if "forward" in (entry.params or {}):
+        return _f_replay
+    return None
 
 
 class _CompileContext:
@@ -998,10 +747,10 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
     """Lower one traced training step to a :class:`TrainStepPlan`.
 
     Raises :class:`PlanUnsupported` when the trace cannot be replayed (a
-    volatile op such as dropout, an untagged custom node, a buffer-aliasing
-    pattern the emitters cannot reproduce, or a late input read before the
-    logits), and under ``REPRO_FORCE_REFERENCE``: the plan has no reference
-    kernels, and the eager tape is its oracle.
+    volatile op such as dropout, a node that records no forward kernel, a
+    buffer-aliasing pattern the emitters cannot reproduce, or a late input
+    read before the logits), and under ``REPRO_FORCE_REFERENCE``: the plan
+    has no reference kernels, and the eager tape is its oracle.
     """
     if reference.enabled():
         raise PlanUnsupported("REPRO_FORCE_REFERENCE runs every step on the eager tape")
@@ -1052,10 +801,8 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
         entry = entries.get(id(node))
         if entry is None:
             raise PlanUnsupported("graph node created outside the traced step")
-        if entry.op is None:
-            raise PlanUnsupported("graph contains an op without a replay emitter")
-        if entry.op not in _FORWARD_EMITTERS:
-            raise PlanUnsupported(f"no replay emitter for op {entry.op!r}")
+        if entry.op not in _VIEW_OPS and _forward_emitter(entry) is None:
+            raise PlanUnsupported(f"op {entry.op!r} records no forward kernel")
 
     ctx = _CompileContext()
     for entry in needed.values():
@@ -1183,8 +930,6 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
         if nid not in needed or nid not in dynamic_ids:
             continue
         op = entry.op
-        if op is None or op not in _FORWARD_EMITTERS:
-            raise PlanUnsupported(f"no replay emitter for op {op!r}")
         if op in _VIEW_OPS and np.may_share_memory(entry.tensor.data,
                                                    entry.parents[0].data):
             # compile-time view of a stable buffer: zero per-step cost
@@ -1192,9 +937,9 @@ def compile_train_step(trace: TapeTrace, loss: Tensor, logits: Tensor,
             parent_id = id(entry.parents[0])
             view_origin[nid] = view_origin.get(parent_id, parent_id)
             continue
-        factory = _FORWARD_EMITTERS[op]
+        factory = _forward_emitter(entry)
         if factory is None:
-            raise PlanUnsupported(f"op {op!r} produced a non-view output")
+            raise PlanUnsupported(f"op {op!r} records no forward kernel")
         if op not in _VIEW_OPS:
             for parent in entry.parents:
                 if np.may_share_memory(entry.tensor.data, parent.data):

@@ -13,7 +13,7 @@ steps with the same shapes replay the plan; anything the tracer cannot
 lower (dropout, custom ops) falls back to the eager tape transparently.
 Under ``REPRO_FORCE_REFERENCE=1`` (:func:`repro.reference.enabled`) every
 step runs the eager tape, the plan's reference: the reference kernels it
-then records have no replay emitter.  The plan dict, its size cap, the
+then runs record no forward kernel to replay.  The plan dict, its size cap, the
 fallback reason and the per-batch plan inputs are shared with
 :class:`~repro.core.distillation.MutualLearningTrainer`, which drives one
 trainer per network through the same machinery.

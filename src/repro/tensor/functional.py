@@ -29,13 +29,14 @@ backward adjoint (:func:`col2im_kernel`) through them.
 
 One forward kernel per op
 -------------------------
-:func:`conv2d`, :func:`max_pool2d`, :func:`avg_pool2d` and
-:func:`batch_norm` each run their forward math in one module-level kernel
-(``_conv2d_forward`` and so on) that reads the parents' data at call time and
-takes an optional ``out`` buffer.  The op binds the kernel to its parents
-and records it as the ``forward`` tape parameter; the compiled train step
-(:mod:`repro.core.train_plan`) replays that very callable into the node's
-persistent buffer, so the tape and the plan run one implementation.
+Like every primitive in :mod:`repro.tensor.ops`, :func:`conv2d`,
+:func:`max_pool2d`, :func:`avg_pool2d` and :func:`batch_norm` each run their
+forward math in one module-level kernel (``_conv2d_forward`` and so on) that
+reads the parents' data at call time and takes an optional ``out`` buffer.
+The op binds the kernel to its parents and records it as the ``forward``
+tape parameter; the compiled train step (:mod:`repro.core.train_plan`)
+replays that very callable into the node's persistent buffer, so the tape
+and the plan run one implementation.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import reference
 from repro.tensor import ops
+from repro.tensor.ops import _into
 from repro.tensor.tensor import Tensor, ensure_tensor, mark_trace_volatile
 
 IntPair = Union[int, Tuple[int, int]]
@@ -365,14 +367,6 @@ def _conv2d_checked(inputs: Tensor, weight: Tensor,
             f"conv2d channel mismatch: input has {in_channels}, weight expects {weight_in_channels}"
         )
     return inputs, weight, stride, padding
-
-
-def _into(out: Optional[np.ndarray], value: np.ndarray) -> np.ndarray:
-    """``value`` itself, or copied into ``out`` when a buffer is given."""
-    if out is None:
-        return value
-    np.copyto(out, value)
-    return out
 
 
 def _conv2d_forward(inputs: Tensor, weight: Tensor, bias: Optional[Tensor],

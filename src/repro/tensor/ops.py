@@ -4,10 +4,21 @@ Every function here builds a result tensor via ``Tensor._make`` and supplies a
 backward closure returning one gradient per parent.  Broadcasting reduction is
 handled centrally by the autograd engine, so closures may return gradients in
 the broadcast shape.
+
+Each op computes its result with one forward kernel and records that kernel
+on the tape as ``params["forward"]``: a :func:`functools.partial` bound to the
+op's parent tensors (and to whatever arrays its backward closure reads) that
+reads their data at call time and writes into ``out=`` when given (a fresh
+array otherwise).  The eager op calls it once; the compiled train step
+(:mod:`repro.core.train_plan`) calls the same kernel with ``out=`` the node's
+buffer on every replay, so the two run the same float operations.  The pure
+views ``transpose`` and the complex pair's ``pick`` record none: the plan never
+recomputes a view.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -17,49 +28,63 @@ from repro.tensor.tensor import Tensor, ensure_tensor
 Axis = Union[None, int, Tuple[int, ...]]
 
 
+def _into(out: Optional[np.ndarray], value: np.ndarray) -> np.ndarray:
+    """``value`` itself, or copied into ``out`` when a buffer is given."""
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
+
+
+def _ufunc(ufunc, *parents: Tensor, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of an elementwise op: ``ufunc`` over the parents' data."""
+    return ufunc(*(parent.data for parent in parents), out=out)
+
+
+def _record(op: str, forward, parents: Tuple[Tensor, ...], backward, **params) -> Tensor:
+    """Record a node whose eager result is one call of its forward kernel."""
+    return Tensor._make(forward(), parents, backward, op, {"forward": forward, **params})
+
+
 # --------------------------------------------------------------------------- #
 # binary arithmetic
 # --------------------------------------------------------------------------- #
 def add(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = a.data + b.data
 
     def backward(grad):
         return grad, grad
 
-    return Tensor._make(out_data, (a, b), backward, "add")
+    return _record("add", partial(_ufunc, np.add, a, b), (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = a.data - b.data
 
     def backward(grad):
         return grad, -grad
 
-    return Tensor._make(out_data, (a, b), backward, "sub")
+    return _record("sub", partial(_ufunc, np.subtract, a, b), (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = a.data * b.data
 
     def backward(grad):
         return grad * b.data, grad * a.data
 
-    return Tensor._make(out_data, (a, b), backward, "mul")
+    return _record("mul", partial(_ufunc, np.multiply, a, b), (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = a.data / b.data
 
     def backward(grad):
         grad_a = grad / b.data
         grad_b = -grad * a.data / (b.data ** 2)
         return grad_a, grad_b
 
-    return Tensor._make(out_data, (a, b), backward, "div")
+    return _record("div", partial(_ufunc, np.divide, a, b), (a, b), backward)
 
 
 def neg(a) -> Tensor:
@@ -68,24 +93,28 @@ def neg(a) -> Tensor:
     def backward(grad):
         return (-grad,)
 
-    return Tensor._make(-a.data, (a,), backward, "neg")
+    return _record("neg", partial(_ufunc, np.negative, a), (a,), backward)
+
+
+def _power_forward(a: Tensor, exponent: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    # ``**``, not np.power: ndarray.__pow__ takes fast paths (square, sqrt,
+    # reciprocal) for some exponents
+    return _into(out, a.data ** exponent)
 
 
 def power(a, exponent: float) -> Tensor:
     """Elementwise power with a constant (non-differentiated) exponent."""
     a = ensure_tensor(a)
-    out_data = a.data ** exponent
 
     def backward(grad):
         return (grad * exponent * a.data ** (exponent - 1),)
 
-    return Tensor._make(out_data, (a,), backward, "power", {"exponent": exponent})
+    return _record("power", partial(_power_forward, a, exponent), (a,), backward)
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise maximum; gradient is routed to the larger operand (ties split evenly)."""
     a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = np.maximum(a.data, b.data)
 
     def backward(grad):
         a_larger = a.data > b.data
@@ -95,13 +124,12 @@ def maximum(a, b) -> Tensor:
         grad_b = grad * (b_larger + 0.5 * ties)
         return grad_a, grad_b
 
-    return Tensor._make(out_data, (a, b), backward, "maximum")
+    return _record("maximum", partial(_ufunc, np.maximum, a, b), (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product following numpy ``@`` semantics (supports batched operands)."""
     a, b = ensure_tensor(a), ensure_tensor(b)
-    out_data = a.data @ b.data
 
     def backward(grad):
         a_data, b_data = a.data, b.data
@@ -124,7 +152,7 @@ def matmul(a, b) -> Tensor:
             grad_b = np.swapaxes(a_data, -1, -2) @ grad
         return grad_a, grad_b
 
-    return Tensor._make(out_data, (a, b), backward, "matmul")
+    return _record("matmul", partial(_ufunc, np.matmul, a, b), (a, b), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -132,88 +160,112 @@ def matmul(a, b) -> Tensor:
 # --------------------------------------------------------------------------- #
 def exp(a) -> Tensor:
     a = ensure_tensor(a)
-    out_data = np.exp(a.data)
+    forward = partial(_ufunc, np.exp, a)
+    # the closure reads the node's buffer, which a replay refreshes; a ufunc
+    # returns a 0-d result as a scalar, so keep it as the array the node wraps
+    out_data = np.asarray(forward())
 
     def backward(grad):
         return (grad * out_data,)
 
-    return Tensor._make(out_data, (a,), backward, "exp")
+    return Tensor._make(out_data, (a,), backward, "exp", {"forward": forward})
 
 
 def log(a) -> Tensor:
     a = ensure_tensor(a)
-    out_data = np.log(a.data)
 
     def backward(grad):
         return (grad / a.data,)
 
-    return Tensor._make(out_data, (a,), backward, "log")
+    return _record("log", partial(_ufunc, np.log, a), (a,), backward)
 
 
 def sqrt(a) -> Tensor:
     a = ensure_tensor(a)
-    out_data = np.sqrt(a.data)
+    forward = partial(_ufunc, np.sqrt, a)
+    out_data = np.asarray(forward())  # the node's buffer, as in exp
 
     def backward(grad):
         return (grad * 0.5 / out_data,)
 
-    return Tensor._make(out_data, (a,), backward, "sqrt")
+    return Tensor._make(out_data, (a,), backward, "sqrt", {"forward": forward})
 
 
 def abs(a) -> Tensor:  # noqa: A001 - mirrors numpy naming
     a = ensure_tensor(a)
-    out_data = np.abs(a.data)
 
     def backward(grad):
         return (grad * np.sign(a.data),)
 
-    return Tensor._make(out_data, (a,), backward, "abs")
+    return _record("abs", partial(_ufunc, np.abs, a), (a,), backward)
 
 
 def tanh(a) -> Tensor:
     a = ensure_tensor(a)
-    out_data = np.tanh(a.data)
+    forward = partial(_ufunc, np.tanh, a)
+    out_data = np.asarray(forward())  # the node's buffer, as in exp
 
     def backward(grad):
         return (grad * (1.0 - out_data ** 2),)
 
-    return Tensor._make(out_data, (a,), backward, "tanh")
+    return Tensor._make(out_data, (a,), backward, "tanh", {"forward": forward})
+
+
+def _sigmoid_forward(a: Tensor, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``1 / (1 + exp(-a))``: negative, exp, add, divide (all in ``out`` when given)."""
+    value = np.negative(a.data, out=out)
+    value = np.exp(value, out=out)
+    value = np.add(value, 1.0, out=out)
+    return np.divide(1.0, value, out=out)
 
 
 def sigmoid(a) -> Tensor:
     a = ensure_tensor(a)
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
+    forward = partial(_sigmoid_forward, a)
+    out_data = np.asarray(forward())  # the node's buffer, as in exp
 
     def backward(grad):
         return (grad * out_data * (1.0 - out_data),)
 
-    return Tensor._make(out_data, (a,), backward, "sigmoid")
+    return Tensor._make(out_data, (a,), backward, "sigmoid", {"forward": forward})
+
+
+def _relu_forward(a: Tensor, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(a.data, 0.0, out=out)
 
 
 def relu(a) -> Tensor:
     a = ensure_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
 
     def backward(grad):
         return (grad * (a.data > 0),)
 
-    return Tensor._make(out_data, (a,), backward, "relu")
+    return _record("relu", partial(_relu_forward, a), (a,), backward)
+
+
+def _leaky_relu_forward(a: Tensor, negative_slope: float,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
+    return _into(out, np.where(a.data > 0, a.data, negative_slope * a.data))
 
 
 def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
     a = ensure_tensor(a)
-    out_data = np.where(a.data > 0, a.data, negative_slope * a.data)
 
     def backward(grad):
         return (grad * np.where(a.data > 0, 1.0, negative_slope),)
 
-    return Tensor._make(out_data, (a,), backward, "leaky_relu", {"negative_slope": negative_slope})
+    return _record("leaky_relu", partial(_leaky_relu_forward, a, negative_slope), (a,),
+                   backward)
+
+
+def _clip_forward(a: Tensor, low: Optional[float], high: Optional[float],
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.clip(a.data, low, high, out=out)
 
 
 def clip(a, low: Optional[float], high: Optional[float]) -> Tensor:
     """Clamp values to ``[low, high]``; gradient is zero outside the interval."""
     a = ensure_tensor(a)
-    out_data = np.clip(a.data, low, high)
 
     def backward(grad):
         mask = np.ones_like(a.data)
@@ -223,7 +275,7 @@ def clip(a, low: Optional[float], high: Optional[float]) -> Tensor:
             mask = mask * (a.data <= high)
         return (grad * mask,)
 
-    return Tensor._make(out_data, (a,), backward, "clip", {"low": low, "high": high})
+    return _record("clip", partial(_clip_forward, a, low, high), (a,), backward)
 
 
 def sin(a) -> Tensor:
@@ -232,7 +284,7 @@ def sin(a) -> Tensor:
     def backward(grad):
         return (grad * np.cos(a.data),)
 
-    return Tensor._make(np.sin(a.data), (a,), backward, "sin")
+    return _record("sin", partial(_ufunc, np.sin, a), (a,), backward)
 
 
 def cos(a) -> Tensor:
@@ -241,7 +293,7 @@ def cos(a) -> Tensor:
     def backward(grad):
         return (-grad * np.sin(a.data),)
 
-    return Tensor._make(np.cos(a.data), (a,), backward, "cos")
+    return _record("cos", partial(_ufunc, np.cos, a), (a,), backward)
 
 
 # --------------------------------------------------------------------------- #
@@ -260,48 +312,61 @@ def _expand_reduced(grad: np.ndarray, original_shape: Tuple[int, ...], axis: Axi
     return np.broadcast_to(grad, original_shape)
 
 
+def _reduction(fn, a: Tensor, axis: Axis, keepdims: bool,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of a reduction: ``fn`` (``np.sum``, ``np.max``, ...) over ``a``."""
+    return fn(a.data, axis=axis, keepdims=keepdims, out=out)
+
+
+def _reduced_count(a: Tensor, axis: Axis):
+    """How many elements of ``a`` each output element of a reduction averages."""
+    if axis is None:
+        return a.data.size
+    return np.prod([a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+
+
 def sum(a, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     a = ensure_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(grad):
         return (_expand_reduced(grad, a.data.shape, axis, keepdims),)
 
-    return Tensor._make(out_data, (a,), backward, "sum", {"axis": axis, "keepdims": keepdims})
+    return _record("sum", partial(_reduction, np.sum, a, axis, keepdims), (a,), backward)
 
 
 def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
     a = ensure_tensor(a)
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
+    count = _reduced_count(a, axis)
 
     def backward(grad):
         return (_expand_reduced(grad, a.data.shape, axis, keepdims) / count,)
 
-    return Tensor._make(out_data, (a,), backward, "mean", {"axis": axis, "keepdims": keepdims})
+    return _record("mean", partial(_reduction, np.mean, a, axis, keepdims), (a,), backward)
+
+
+def _var_forward(a: Tensor, axis: Axis, keepdims: bool, cache: dict,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of :func:`var`; refreshes the kept-dims mean in ``cache``."""
+    mean_data = cache["mean"] = np.mean(a.data, axis=axis, keepdims=True,
+                                        out=cache.get("mean"))
+    return np.mean((a.data - mean_data) ** 2, axis=axis, keepdims=keepdims, out=out)
 
 
 def var(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
     """Biased (population) variance, matching ``numpy.var`` defaults."""
     a = ensure_tensor(a)
-    mean_data = a.data.mean(axis=axis, keepdims=True)
-    out_data = ((a.data - mean_data) ** 2).mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
+    count = _reduced_count(a, axis)
+    cache: dict = {}
 
     def backward(grad):
         grad_full = _expand_reduced(grad, a.data.shape, axis, keepdims)
-        return (grad_full * 2.0 * (a.data - mean_data) / count,)
+        return (grad_full * 2.0 * (a.data - cache["mean"]) / count,)
 
-    return Tensor._make(out_data, (a,), backward, "var", {"axis": axis, "keepdims": keepdims, "mean": mean_data})
+    return _record("var", partial(_var_forward, a, axis, keepdims, cache), (a,), backward)
 
 
 def _minmax(a, axis: Axis, keepdims: bool, fn, kind: str) -> Tensor:
     a = ensure_tensor(a)
-    out_data = fn(a.data, axis=axis, keepdims=keepdims)
 
     def backward(grad):
         out_keep = fn(a.data, axis=axis, keepdims=True)
@@ -311,7 +376,7 @@ def _minmax(a, axis: Axis, keepdims: bool, fn, kind: str) -> Tensor:
         grad_full = _expand_reduced(grad, a.data.shape, axis, keepdims)
         return (grad_full * mask,)
 
-    return Tensor._make(out_data, (a,), backward, kind, {"axis": axis, "keepdims": keepdims, "fn": fn})
+    return _record(kind, partial(_reduction, fn, a, axis, keepdims), (a,), backward)
 
 
 def max(a, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
@@ -322,36 +387,50 @@ def min(a, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     return _minmax(a, axis, keepdims, np.min, "min")
 
 
+def _logsumexp_forward(a: Tensor, axis: Axis, keepdims: bool, cache: dict,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of :func:`logsumexp`; refreshes ``exps``/``sum_exps`` in ``cache``."""
+    shifted_max = a.data.max(axis=axis, keepdims=True)
+    exps = cache.get("exps")
+    exps = cache["exps"] = np.exp(np.subtract(a.data, shifted_max, out=exps), out=exps)
+    sum_exps = cache["sum_exps"] = np.sum(exps, axis=axis, keepdims=True,
+                                          out=cache.get("sum_exps"))
+    out_keep = np.log(sum_exps) + shifted_max
+    if not keepdims:
+        out_keep = np.squeeze(out_keep,
+                              axis=axis if axis is not None else tuple(range(a.data.ndim)))
+    return _into(out, out_keep)
+
+
 def logsumexp(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
     """Numerically stable ``log(sum(exp(a)))`` with exact softmax gradient."""
     a = ensure_tensor(a)
-    shifted_max = a.data.max(axis=axis, keepdims=True)
-    exps = np.exp(a.data - shifted_max)
-    sum_exps = exps.sum(axis=axis, keepdims=True)
-    out_keep = np.log(sum_exps) + shifted_max
-    out_data = out_keep if keepdims else np.squeeze(
-        out_keep, axis=axis if axis is not None else tuple(range(a.data.ndim))
-    )
+    cache: dict = {}
 
     def backward(grad):
-        softmax = exps / sum_exps
+        softmax = cache["exps"] / cache["sum_exps"]
         grad_full = _expand_reduced(grad, a.data.shape, axis, keepdims)
         return (grad_full * softmax,)
 
-    return Tensor._make(out_data, (a,), backward, "logsumexp", {"axis": axis, "keepdims": keepdims, "exps": exps, "sum_exps": sum_exps})
+    return _record("logsumexp", partial(_logsumexp_forward, a, axis, keepdims, cache), (a,),
+                   backward)
 
 
 # --------------------------------------------------------------------------- #
 # shape manipulation
 # --------------------------------------------------------------------------- #
+def _reshape_forward(a: Tensor, shape: Sequence[int],
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    return _into(out, a.data.reshape(shape))
+
+
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = ensure_tensor(a)
-    out_data = a.data.reshape(shape)
 
     def backward(grad):
         return (grad.reshape(a.data.shape),)
 
-    return Tensor._make(out_data, (a,), backward, "reshape", {"shape": shape})
+    return _record("reshape", partial(_reshape_forward, a, shape), (a,), backward)
 
 
 def transpose(a, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
@@ -364,24 +443,33 @@ def transpose(a, axes: Optional[Tuple[int, ...]] = None) -> Tensor:
         inverse = np.argsort(axes)
         return (grad.transpose(inverse),)
 
-    return Tensor._make(out_data, (a,), backward, "transpose", {"axes": axes})
+    # always a view: the plan never recomputes it, so no forward kernel
+    return Tensor._make(out_data, (a,), backward, "transpose")
+
+
+def _getitem_forward(a: Tensor, index, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return _into(out, a.data[index])
 
 
 def getitem(a, index) -> Tensor:
     a = ensure_tensor(a)
-    out_data = a.data[index]
 
     def backward(grad):
         full = np.zeros_like(a.data)
         np.add.at(full, index, grad)
         return (full,)
 
-    return Tensor._make(out_data, (a,), backward, "getitem", {"index": index})
+    return _record("getitem", partial(_getitem_forward, a, index), (a,), backward,
+                   index=index)
+
+
+def _concatenate_forward(tensors: Sequence[Tensor], axis: int,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.concatenate([t.data for t in tensors], axis=axis, out=out)
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [ensure_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -393,18 +481,23 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slices.append(grad[tuple(index)])
         return tuple(slices)
 
-    return Tensor._make(out_data, tuple(tensors), backward, "concatenate", {"axis": axis, "offsets": offsets})
+    return _record("concatenate", partial(_concatenate_forward, tensors, axis),
+                   tuple(tensors), backward)
+
+
+def _stack_forward(tensors: Sequence[Tensor], axis: int,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.stack([t.data for t in tensors], axis=axis, out=out)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [ensure_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(grad):
         parts = np.split(grad, len(tensors), axis=axis)
         return tuple(np.squeeze(p, axis=axis) for p in parts)
 
-    return Tensor._make(out_data, tuple(tensors), backward, "stack", {"axis": axis})
+    return _record("stack", partial(_stack_forward, tensors, axis), tuple(tensors), backward)
 
 
 def _normalize_pad_width(pad_width, ndim: int) -> np.ndarray:
@@ -419,20 +512,33 @@ def _normalize_pad_width(pad_width, ndim: int) -> np.ndarray:
     return width
 
 
+def _pad_forward(a: Tensor, padded_shape: Tuple[int, ...], interior: Tuple[slice, ...],
+                 constant_value: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward kernel of :func:`pad`.
+
+    A fresh output is filled with the constant first; a given ``out`` keeps
+    the border it already holds, so only the interior is written.
+    """
+    if out is None:
+        out = np.full(padded_shape, constant_value, dtype=a.data.dtype)
+    out[interior] = a.data
+    return out
+
+
 def pad(a, pad_width, constant_value: float = 0.0) -> Tensor:
     """Constant padding following ``numpy.pad`` ``pad_width`` conventions."""
     a = ensure_tensor(a)
     width = _normalize_pad_width(pad_width, a.data.ndim)
-    out_data = np.pad(a.data, width, mode="constant", constant_values=constant_value)
+    padded_shape = tuple(int(before) + dim + int(after)
+                         for (before, after), dim in zip(width, a.data.shape))
+    interior = tuple(slice(int(before), int(before) + dim)
+                     for (before, _after), dim in zip(width, a.data.shape))
 
     def backward(grad):
-        slices = tuple(
-            slice(int(before), int(before) + dim)
-            for (before, _after), dim in zip(width, a.data.shape)
-        )
-        return (grad[slices],)
+        return (grad[interior],)
 
-    return Tensor._make(out_data, (a,), backward, "pad", {"width": width})
+    return _record("pad", partial(_pad_forward, a, padded_shape, interior, constant_value),
+                   (a,), backward)
 
 
 def where(condition: np.ndarray, a, b) -> Tensor:

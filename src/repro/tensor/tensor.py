@@ -62,11 +62,13 @@ def no_grad():
 class TapeEntry:
     """One node recorded while a :func:`trace_tape` context is active.
 
-    ``op`` names the primitive that created the node and ``params`` carries
-    whatever the op's replay emitter needs to recompute ``tensor.data`` in
-    place (static attributes plus mutable cache dicts shared with the backward
-    closure).  ``parents``/``backward`` are stored here explicitly because
-    nodes with ``requires_grad=False`` do not keep them on the tensor.
+    ``op`` names the primitive that created the node.  ``params["forward"]``
+    is the kernel the op ran to compute ``tensor.data``; a replay calls it
+    again with ``out=tensor.data`` to recompute the node in place.  Any other
+    params are what a plan-side builder reads (an index, layer geometry,
+    cache dicts shared with the backward closure).  ``parents``/``backward``
+    are stored here explicitly because nodes with ``requires_grad=False`` do
+    not keep them on the tensor.
     """
 
     __slots__ = ("tensor", "op", "params", "parents", "backward")
@@ -253,9 +255,11 @@ class Tensor:
         """Create a result tensor and register its backward closure.
 
         ``backward`` receives the upstream gradient and must return one
-        gradient (or ``None``) per entry of ``parents``.  ``op``/``params``
-        are replay metadata recorded when a :func:`trace_tape` context is
-        active; they have no effect on eager execution.
+        gradient (or ``None``) per entry of ``parents``.  ``op`` names the
+        primitive and ``params`` holds its replay metadata, above all
+        ``params["forward"]``: the kernel that computed ``data``, which the
+        compiled train step reruns into the node's buffer.  Both are recorded
+        only while a :func:`trace_tape` context is active.
         """
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)

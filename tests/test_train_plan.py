@@ -21,9 +21,10 @@ from repro.data.dataset import ArrayDataset
 from repro.models import ComplexFCNN, ComplexLeNet5, ComplexResNet
 from repro.nn import Dropout, Linear, Module, ReLU, Sequential
 from repro.nn.complex import ComplexConv2d, ComplexLinear, CReLU
+from repro.nn.complex.cfunctional import _unpack_pair
 from repro.nn.losses import cross_entropy
 from repro.optim import SGD
-from repro.tensor import Tensor, no_grad
+from repro.tensor import Tensor, no_grad, ops
 from repro.tensor import functional as F
 from repro.tensor.random import seed_all
 from repro.tensor.tensor import mark_trace_input, trace_tape
@@ -207,7 +208,7 @@ class TestTrajectoryParity:
         for plan_stats in plans.values():
             # conv / linear / batch-norm backwards lower to dedicated builders
             assert plan_stats["specialized_backward"] > 0
-            # relu / sigmoid chains collapse into fused instructions
+            # each relu fuses into the instruction producing its input
             assert plan_stats["fused_activations"] > 0
             assert plan_stats["parameter_gradients"] > 0
 
@@ -407,6 +408,116 @@ class TestForwardFinishSplit:
         monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
         with pytest.raises(PlanUnsupported, match="REPRO_FORCE_REFERENCE"):
             compile_train_step(trace, loss, logits, optimizer)
+
+
+_MATRIX = np.random.default_rng(5).normal(size=(3, 5))
+_KERNEL = np.random.default_rng(6).normal(size=(3, 2, 3, 3))
+
+#: one minimal step per op the plan replays: ``(id, input shape, positive
+#: inputs, op)``, where ``op(h, x)`` builds the op's node from the
+#: parameter-scaled input ``h = w * x`` and the marked input ``x``
+REPLAYED_OPS = [
+    ("add", (4, 3), False, lambda h, x: h + x),
+    ("sub", (4, 3), False, lambda h, x: h - x),
+    ("mul", (4, 3), False, lambda h, x: h * x),
+    ("div", (4, 3), True, lambda h, x: h / x),
+    ("maximum", (4, 3), False, lambda h, x: ops.maximum(h, x)),
+    ("neg", (4, 3), False, lambda h, x: -h),
+    ("exp", (4, 3), False, lambda h, x: ops.exp(h)),
+    ("log", (4, 3), True, lambda h, x: ops.log(h)),
+    ("sqrt", (4, 3), True, lambda h, x: ops.sqrt(h)),
+    ("abs", (4, 3), False, lambda h, x: ops.abs(h)),
+    ("tanh", (4, 3), False, lambda h, x: ops.tanh(h)),
+    ("sin", (4, 3), False, lambda h, x: ops.sin(h)),
+    ("cos", (4, 3), False, lambda h, x: ops.cos(h)),
+    ("sigmoid", (4, 3), False, lambda h, x: ops.sigmoid(h)),
+    ("relu", (4, 3), False, lambda h, x: ops.relu(h)),
+    ("leaky_relu", (4, 3), False, lambda h, x: ops.leaky_relu(h, 0.1)),
+    ("power", (4, 3), True, lambda h, x: h ** 1.5),
+    ("clip", (4, 3), False, lambda h, x: ops.clip(h, -0.3, 0.4)),
+    ("matmul", (4, 3), False, lambda h, x: h @ Tensor(_MATRIX)),
+    ("sum", (4, 3), False, lambda h, x: ops.sum(h, axis=1)),
+    ("mean", (4, 3), False, lambda h, x: ops.mean(h, axis=0, keepdims=True)),
+    ("var", (4, 3), False, lambda h, x: ops.var(h, axis=1)),
+    ("max", (4, 3), False, lambda h, x: ops.max(h, axis=1)),
+    ("min", (4, 3), False, lambda h, x: ops.min(h, axis=0, keepdims=True)),
+    ("logsumexp", (4, 3), False, lambda h, x: ops.logsumexp(h, axis=1)),
+    ("logsumexp-keepdims", (4, 3), False,
+     lambda h, x: ops.logsumexp(h, axis=-1, keepdims=True)),
+    ("reshape", (4, 3), False, lambda h, x: h.reshape(12)),
+    ("reshape-copy", (4, 3), False, lambda h, x: h.T.reshape(12)),
+    ("transpose", (4, 3), False, lambda h, x: h.transpose(1, 0)),
+    ("getitem", (4, 3), False, lambda h, x: h[1:3, ::2]),
+    ("getitem-advanced", (4, 3), False, lambda h, x: h[np.array([2, 0, 2])]),
+    ("pick", (2, 4, 3), False, lambda h, x: _unpack_pair(h).imag),
+    ("concatenate", (4, 3), False, lambda h, x: ops.concatenate([h, x], axis=1)),
+    ("stack", (4, 3), False, lambda h, x: ops.stack([x, h], axis=1)),
+    ("pad", (4, 3), False, lambda h, x: ops.pad(h, ((1, 0), (0, 2)), 0.5)),
+    ("conv2d", (2, 2, 5, 5), False,
+     lambda h, x: F.conv2d(h, Tensor(_KERNEL), padding=1)),
+    ("max_pool2d", (2, 3, 4, 4), False, lambda h, x: F.max_pool2d(h, 2)),
+]
+
+
+def assert_planned_op_equals_eager(rng, shape, positive, op):
+    """Compile ``w * x -> op -> sum``, replay it on a fresh batch, compare to eager."""
+    def draw():
+        return rng.uniform(0.5, 1.5, size=shape) if positive else rng.normal(size=shape)
+
+    weight = Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=True)
+    optimizer = SGD([weight], lr=0.1)
+    with trace_tape() as trace:
+        inputs = Tensor(draw())
+        mark_trace_input(inputs, "input")
+        logits = weight * inputs
+        node = op(logits, inputs)
+        loss = ops.sum(node)
+    loss.backward()
+    plan = compile_train_step(trace, loss, logits, optimizer)
+    traced_node = node.data.copy()
+
+    fresh = draw()
+    planned_loss, _ = plan.execute({"input": fresh}, update=False)
+    planned_node = node.data.copy()
+    planned_grad = weight.grad.copy()
+
+    weight.grad = None
+    fresh_inputs = Tensor(fresh)
+    eager_node = op(weight * fresh_inputs, fresh_inputs)
+    eager_loss = ops.sum(eager_node)
+    eager_loss.backward()
+    # the plan recomputed the node from the fresh batch
+    assert not np.array_equal(planned_node, traced_node)
+    np.testing.assert_allclose(planned_node, eager_node.data, rtol=0, atol=0)
+    assert planned_loss == float(eager_loss.data)
+    np.testing.assert_allclose(planned_grad, weight.grad, rtol=0, atol=0)
+
+
+class TestEveryReplayedOp:
+    """Each op the plan replays matches the eager tape bit for bit on its own."""
+
+    @pytest.mark.parametrize("shape,positive,op", [case[1:] for case in REPLAYED_OPS],
+                             ids=[case[0] for case in REPLAYED_OPS])
+    def test_planned_op_equals_eager(self, rng, shape, positive, op):
+        assert_planned_op_equals_eager(rng, shape, positive, op)
+
+    @pytest.mark.parametrize("op", [ops.exp, ops.sqrt, ops.tanh, ops.sigmoid],
+                             ids=["exp", "sqrt", "tanh", "sigmoid"])
+    def test_zero_d_output_read_by_backward_is_replayed(self, rng, op):
+        # these closures read the op's output: for a 0-d node it must be the
+        # node's buffer, not a scalar copy frozen at trace time
+        assert_planned_op_equals_eager(rng, (4, 3), True, lambda h, x: op(ops.mean(h)))
+
+    def test_op_without_forward_kernel_is_refused(self, rng):
+        weight = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        with trace_tape() as trace:
+            inputs = Tensor(rng.normal(size=(4, 3)))
+            mark_trace_input(inputs, "input")
+            logits = weight * inputs
+            loss = ops.sum(ops.where(inputs.data > 0, logits, inputs))
+        loss.backward()
+        with pytest.raises(PlanUnsupported, match="records no forward kernel"):
+            compile_train_step(trace, loss, logits, SGD([weight], lr=0.1))
 
 
 class TestSchedulerInteraction:
