@@ -182,13 +182,17 @@ class CompiledProgram:
         whole Monte-Carlo robustness sweep runs in one batched forward pass.
         A noise model with an *array* ``sigma`` additionally prepends a sigma
         axis, folding a whole sigma sweep into the same pass.
+
+        The degradation composes with any the program already carries, and
+        :attr:`target` keeps every field this call leaves unset.
         """
-        target = replace(self.target, noise=noise,
-                         quantization_bits=quantization_bits, trials=trials)
-        return CompiledProgram(
-            graph=self.graph.with_noise(noise, quantization_bits, trials=trials),
-            target=target, encoder=self.encoder,
-            store_key=self.store_key, store_hit=self.store_hit)
+        graph = self.graph.with_noise(noise, quantization_bits, trials=trials)
+        given = {"noise": noise, "quantization_bits": quantization_bits,
+                 "trials": trials}
+        target = replace(self.target, **{name: value for name, value in given.items()
+                                         if value is not None})
+        return CompiledProgram(graph=graph, target=target, encoder=self.encoder,
+                               store_key=self.store_key, store_hit=self.store_hit)
 
     def with_scenario(self, scenario: Any, times: Optional[Any] = None,
                       trials: Optional[int] = None,

@@ -3,8 +3,14 @@
 A compiled model is a directed acyclic graph of named :class:`GraphNode`\\ s.
 Each node wraps an *op* -- either a photonic stage from
 :mod:`repro.core.lowering` (mesh-deployed linear / convolution layers,
-structural pooling and flatten stages) or one of the electronic ops defined
-here -- and names the nodes whose outputs it consumes.  Edges are explicit:
+structural pooling and flatten stages), one of the electronic ops defined
+here, or any op a registered lowering rule emits -- and names the nodes whose
+outputs it consumes.  An op needs only a batch-first ``forward``.  A *mesh
+stage* also carries its deployed ``matrix``
+(a :class:`~repro.photonics.svd_mapping.PhotonicMatrix`, see
+:func:`mesh_matrix`): :attr:`GraphProgram.mzi_count` sums those matrices'
+devices, and :meth:`GraphProgram.with_noise`, the one degrade seam, swaps in
+degraded copies of them and shares every other op.  Edges are explicit:
 a node referenced by several consumers fans its signal out (an optical
 splitter / electronic broadcast), which is how residual architectures express
 their skip connections:
@@ -34,13 +40,14 @@ test-suite pins every plan against to 1e-12.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.photonics.circuit import split_relu
 from repro.photonics.noise import PhaseNoiseModel
+from repro.photonics.svd_mapping import PhotonicMatrix
 
 #: name of the implicit source node every graph reads its input signal from
 INPUT = "input"
@@ -58,8 +65,6 @@ class ElectronicAdd:
     branch exactly like numpy broadcasting.
     """
 
-    mzi_count: int = 0
-
     def forward(self, *signals: np.ndarray) -> np.ndarray:
         if not signals:
             raise ValueError("ElectronicAdd needs at least one input signal")
@@ -70,25 +75,19 @@ class ElectronicAdd:
         # of every value no longer read, so a result must not alias an input
         return total if len(signals) > 1 else total.copy()
 
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "ElectronicAdd":
-        return self
+
+def split_relu(signal: np.ndarray) -> np.ndarray:
+    """CReLU on complex amplitudes: clamp real and imaginary parts at zero."""
+    signal = np.asarray(signal, dtype=complex)
+    return np.maximum(signal.real, 0.0) + 1j * np.maximum(signal.imag, 0.0)
 
 
 @dataclass
 class ElectronicActivation:
     """Electro-optic CReLU applied as its own graph node."""
 
-    mzi_count: int = 0
-
     def forward(self, signal: np.ndarray) -> np.ndarray:
         return split_relu(signal)
-
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "ElectronicActivation":
-        return self
 
 
 @dataclass
@@ -108,8 +107,6 @@ class ElectronicBatchNorm:
     imag_shift: np.ndarray
     spatial: bool = True
 
-    mzi_count: int = 0
-
     def __post_init__(self) -> None:
         self.real_scale = np.asarray(self.real_scale, dtype=float)
         self.real_shift = np.asarray(self.real_shift, dtype=float)
@@ -125,11 +122,6 @@ class ElectronicBatchNorm:
         imag = signal.imag * self._shaped(self.imag_scale) + self._shaped(self.imag_shift)
         return real + 1j * imag
 
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "ElectronicBatchNorm":
-        return self
-
 
 # --------------------------------------------------------------------------- #
 # graph structure
@@ -141,6 +133,12 @@ class GraphNode:
     name: str
     op: Any
     inputs: Tuple[str, ...]
+
+
+def mesh_matrix(node: GraphNode) -> Optional[PhotonicMatrix]:
+    """The deployed matrix of a mesh-stage node, None for every other op."""
+    matrix = getattr(node.op, "matrix", None)
+    return matrix if isinstance(matrix, PhotonicMatrix) else None
 
 
 @dataclass
@@ -192,7 +190,9 @@ class GraphProgram:
 
     @property
     def mzi_count(self) -> int:
-        return sum(node.op.mzi_count for node in self.nodes)
+        """Devices (MZIs plus attenuators) of every mesh stage's matrix."""
+        return sum(matrix.device_count for matrix in map(mesh_matrix, self.nodes)
+                   if matrix is not None)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -245,11 +245,20 @@ class GraphProgram:
     def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
                    quantization_bits: Optional[int] = None,
                    trials: Optional[int] = None) -> "GraphProgram":
-        """A copy of the graph whose mesh nodes carry noise / quantization."""
-        nodes = [GraphNode(name=node.name,
-                           op=node.op.with_noise(noise, quantization_bits, trials=trials),
-                           inputs=node.inputs)
-                 for node in self.nodes]
+        """A copy of the graph whose mesh stages carry noise / quantization.
+
+        This is the one degrade seam: each mesh stage's copy gets
+        :meth:`~repro.photonics.svd_mapping.PhotonicMatrix.degraded` as its
+        ``matrix``, stage by stage in graph order; every other op is shared.
+        """
+        nodes = []
+        for node in self.nodes:
+            matrix = mesh_matrix(node)
+            if matrix is not None:
+                op = copy.copy(node.op)
+                op.matrix = matrix.degraded(noise, quantization_bits, trials=trials)
+                node = GraphNode(name=node.name, op=op, inputs=node.inputs)
+            nodes.append(node)
         return GraphProgram(nodes=nodes, output=self.output, readout=self.readout,
                             num_classes=self.num_classes, input_kind=self.input_kind)
 

@@ -5,11 +5,14 @@ the "Paras -> phase mapping -> deploy phases" arrow of Fig. 2 generalised
 beyond fully connected trunks:
 
 * :class:`LinearStage` -- a ``ComplexLinear`` weight matrix deployed via SVD
-  onto two MZI meshes.
+  onto two MZI meshes: the stage holds that
+  :class:`~repro.photonics.svd_mapping.PhotonicMatrix` as ``matrix`` and its
+  electronic ``bias``.
 * :class:`Conv2dStage` -- a ``ComplexConv2d`` kernel lowered to its im2col
-  matrix ``(out_channels, in_channels * kh * kw)`` on meshes; the forward pass
-  extracts complex patches and streams them through the mesh engine as one
-  batch (``batch * out_h * out_w`` patch vectors per image batch).
+  matrix ``(out_channels, in_channels * kh * kw)`` on meshes (again
+  ``matrix`` and ``bias``); the forward pass extracts complex patches and
+  streams them through the mesh engine as one batch (``batch * out_h *
+  out_w`` patch vectors per image batch).
 * :class:`AvgPool2dStage` / :class:`GlobalAvgPool2dStage` /
   :class:`FlattenStage` -- linear structural ops (average pooling is
   realisable with fixed couplers; in this simulation all run array-level on
@@ -24,16 +27,21 @@ beyond fully connected trunks:
 
 How a module lowers is decided by an extensible **rule registry**: decorate a
 function with ``@register_lowering(LayerType)`` and any chain or graph walk
-will dispatch to it (nearest match in the module's MRO wins).  Models
-register whole-model rules with ``@register_model_lowering`` (the built-in
+will dispatch to it (nearest match in the module's MRO wins).  The op a rule
+emits needs only a batch-first ``forward``; a *mesh stage* also carries its
+deployed ``matrix`` (a ``PhotonicMatrix``), which is all the program reads to
+count devices (:attr:`~repro.core.graph_ir.GraphProgram.mzi_count`) and to
+degrade the hardware (:meth:`~repro.core.graph_ir.GraphProgram.with_noise`).
+Models register whole-model rules with ``@register_model_lowering`` (the built-in
 families register theirs in :mod:`repro.models`) and decoder heads with
 ``@register_head_lowering``.  Rules receive a :class:`LoweringContext`, which
 carries the mesh method, the :class:`~repro.core.graph_ir.GraphBuilder`
-being filled, and the deferred weight-deployment queue: weights requested via
-:meth:`LoweringContext.deploy_weight` are SVD-factored together at the end of
-the walk so that all same-size unitaries of the model decompose as one
-batched Reck/Clements stack
-(:func:`repro.photonics.svd_mapping.svd_decompose_many`).
+being filled, and the deferred weight-deployment queue: a stage's weight
+queued via :meth:`LoweringContext.deploy_weight` is SVD-factored together
+with every other at the end of the walk, so that all same-size unitaries of
+the model decompose as one batched Reck/Clements stack
+(:func:`repro.photonics.svd_mapping.svd_decompose_many`), and
+:meth:`LoweringContext.finalize` sets the stage's ``matrix``.
 
 Every stage is *batch-first*: ``forward`` takes ``(batch, n)`` feature
 batches (or ``(batch, channels, height, width)`` image batches) and composes
@@ -71,9 +79,7 @@ from repro.nn.complex.cmodule import (
     ComplexSequential,
 )
 from repro.nn.complex.cnorm import ComplexBatchNorm1d, ComplexBatchNorm2d
-from repro.photonics.circuit import PhotonicLinearLayer
-from repro.photonics.noise import PhaseNoiseModel
-from repro.photonics.svd_mapping import svd_decompose_many
+from repro.photonics.svd_mapping import PhotonicMatrix, svd_decompose_many
 
 IntPair = Union[int, Tuple[int, int]]
 
@@ -122,25 +128,31 @@ def complex_im2col(signal: np.ndarray, kernel_size: Tuple[int, int],
 # --------------------------------------------------------------------------- #
 # photonic stages
 # --------------------------------------------------------------------------- #
+def _deployed(matrix: PhotonicMatrix, bias: Optional[np.ndarray],
+              signal: np.ndarray) -> np.ndarray:
+    """``signal`` through the meshes, plus the bias added after detection."""
+    outputs = matrix.apply(signal)
+    if bias is not None:
+        outputs = outputs + bias
+    return outputs
+
+
 @dataclass
 class LinearStage:
-    """One photonic linear layer."""
+    """One weight matrix deployed via SVD on two MZI meshes.
 
-    layer: PhotonicLinearLayer
+    The optional complex ``bias`` is added electronically after detection
+    (photonic MVM engines add biases in the electrical domain).  ``matrix``
+    is None only while a lowering walk waits for
+    :meth:`LoweringContext.finalize`.
+    """
 
-    @property
-    def mzi_count(self) -> int:
-        return self.layer.mzi_count
+    matrix: Optional[PhotonicMatrix]
+    bias: Optional[np.ndarray] = None
 
     def forward(self, signal: np.ndarray) -> np.ndarray:
         """Apply the deployed matrix to ``(*trials, batch, n)`` amplitudes."""
-        return self.layer(signal)
-
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "LinearStage":
-        return LinearStage(
-            layer=self.layer.with_noise(noise, quantization_bits, trials=trials))
+        return _deployed(self.matrix, self.bias, signal)
 
 
 @dataclass
@@ -151,19 +163,16 @@ class Conv2dStage:
     streams them through the deployed kernel matrix as one
     ``(batch * out_h * out_w, in_channels * kh * kw)`` mesh batch -- the
     "weight-sharing" of the convolution becomes mesh reuse.  The complex bias
-    (one per output channel) is applied electronically by the wrapped layer.
+    (one per output channel) is added electronically.
     """
 
-    layer: PhotonicLinearLayer
+    matrix: Optional[PhotonicMatrix]
     in_channels: int
     out_channels: int
     kernel_size: Tuple[int, int]
     stride: Tuple[int, int]
     padding: Tuple[int, int]
-
-    @property
-    def mzi_count(self) -> int:
-        return self.layer.mzi_count
+    bias: Optional[np.ndarray] = None
 
     def forward(self, signal: np.ndarray) -> np.ndarray:
         """Convolve ``(*trials, batch, channels, height, width)`` amplitudes."""
@@ -171,26 +180,19 @@ class Conv2dStage:
         if signal.ndim < 4:
             raise ValueError("Conv2dStage expects (..., batch, channels, height, width)")
         if signal.shape[-3] != self.in_channels:
-            raise ValueError(f"stage {self.layer.name!r} expects {self.in_channels} "
-                             f"input channels, got {signal.shape[-3]}")
+            raise ValueError(f"Conv2dStage expects {self.in_channels} input "
+                             f"channels, got {signal.shape[-3]}")
         batch = signal.shape[-4]
         patches, (out_h, out_w) = complex_im2col(signal, self.kernel_size,
                                                  self.stride, self.padding)
         flat = patches.reshape(patches.shape[:-3] + (batch * out_h * out_w,
                                                      patches.shape[-1]))
-        outputs = self.layer(flat)                  # (*trials, batch * L, out_channels)
+        # (*trials, batch * L, out_channels)
+        outputs = _deployed(self.matrix, self.bias, flat)
         outputs = outputs.reshape(outputs.shape[:-2]
                                   + (batch, out_h * out_w, self.out_channels))
         outputs = np.swapaxes(outputs, -1, -2)
         return outputs.reshape(outputs.shape[:-1] + (out_h, out_w))
-
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "Conv2dStage":
-        return Conv2dStage(
-            layer=self.layer.with_noise(noise, quantization_bits, trials=trials),
-            in_channels=self.in_channels, out_channels=self.out_channels,
-            kernel_size=self.kernel_size, stride=self.stride, padding=self.padding)
 
 
 @dataclass
@@ -199,8 +201,6 @@ class AvgPool2dStage:
 
     kernel_size: Tuple[int, int]
     stride: Tuple[int, int]
-
-    mzi_count: int = 0
 
     def forward(self, signal: np.ndarray) -> np.ndarray:
         signal = np.asarray(signal, dtype=complex)
@@ -221,17 +221,10 @@ class AvgPool2dStage:
         total /= kh * kw
         return total
 
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "AvgPool2dStage":
-        return self
-
 
 @dataclass
 class GlobalAvgPool2dStage:
     """Global average pooling of ``(..., channels, height, width)`` maps."""
-
-    mzi_count: int = 0
 
     def forward(self, signal: np.ndarray) -> np.ndarray:
         signal = np.asarray(signal, dtype=complex)
@@ -240,28 +233,16 @@ class GlobalAvgPool2dStage:
                              "(..., batch, channels, height, width)")
         return signal.mean(axis=(-2, -1))
 
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "GlobalAvgPool2dStage":
-        return self
-
 
 @dataclass
 class FlattenStage:
     """Flatten ``(..., channels, height, width)`` maps into feature vectors."""
-
-    mzi_count: int = 0
 
     def forward(self, signal: np.ndarray) -> np.ndarray:
         signal = np.asarray(signal, dtype=complex)
         if signal.ndim < 4:
             raise ValueError("FlattenStage expects (..., batch, channels, height, width)")
         return signal.reshape(signal.shape[:-3] + (-1,))
-
-    def with_noise(self, noise: Optional[PhaseNoiseModel] = None,
-                   quantization_bits: Optional[int] = None,
-                   trials: Optional[int] = None) -> "FlattenStage":
-        return self
 
 
 # --------------------------------------------------------------------------- #
@@ -321,9 +302,10 @@ class LoweringContext:
 
     ``cursor`` names the node whose output the next emitted chain node will
     consume; graph rules (e.g. residual blocks) may reposition it to branch
-    and join.  Weight matrices requested through :meth:`deploy_weight` are
-    deployed together in :meth:`finalize` so that all same-size SVD factors
-    of the walk decompose as one batched Reck/Clements stack.
+    and join.  Weight matrices queued through :meth:`deploy_weight` are
+    deployed together in :meth:`finalize`, which sets each stage's
+    ``matrix``, so that all same-size SVD factors of the walk decompose as
+    one batched Reck/Clements stack.
 
     ``method`` is the one compile choice: the Reck/Clements scheme every
     deployed unitary decomposes by.  How a mesh executes is not chosen here;
@@ -342,7 +324,7 @@ class LoweringContext:
         self.input_kind: str = "flat"
         self.readout: Optional[Callable[[np.ndarray], np.ndarray]] = None
         self.num_classes: Optional[int] = None
-        self._pending: List[Tuple[np.ndarray, PhotonicLinearLayer]] = []
+        self._pending: List[Tuple[np.ndarray, Any]] = []
 
     # ------------------------------------------------------------------ #
     # graph emission
@@ -372,17 +354,14 @@ class LoweringContext:
     # ------------------------------------------------------------------ #
     # deferred (batched) weight deployment
     # ------------------------------------------------------------------ #
-    def deploy_weight(self, weight: np.ndarray, bias: Optional[np.ndarray] = None,
-                      name: str = "layer") -> PhotonicLinearLayer:
-        """Queue a weight matrix for batched SVD deployment onto meshes.
+    def deploy_weight(self, weight: np.ndarray, stage: Any) -> Any:
+        """Queue a weight matrix for batched SVD deployment into ``stage.matrix``.
 
-        Returns the (not yet populated) photonic layer; its meshes are filled
-        in by :meth:`finalize`, grouped with every other queued unitary of
-        the same dimension.
+        Returns ``stage``, whose ``matrix`` :meth:`finalize` sets, grouped
+        with every other queued unitary of the same dimension.
         """
-        layer = PhotonicLinearLayer(photonic_matrix=None, bias=bias, name=name)
-        self._pending.append((np.asarray(weight, dtype=complex), layer))
-        return layer
+        self._pending.append((np.asarray(weight, dtype=complex), stage))
+        return stage
 
     def finalize(self) -> None:
         """Deploy every queued weight; same-size unitaries share one stack pass.
@@ -394,7 +373,7 @@ class LoweringContext:
         """
         if not self._pending:
             return
-        weights = [weight for weight, _layer in self._pending]
+        weights = [weight for weight, _stage in self._pending]
         if self.deploy_fn is not None:
             matrices = list(self.deploy_fn(weights))
             if len(matrices) != len(weights):
@@ -402,8 +381,8 @@ class LoweringContext:
                                  f"for {len(weights)} weights")
         else:
             matrices = svd_decompose_many(weights, method=self.method)
-        for (_weight, layer), matrix in zip(self._pending, matrices):
-            layer.photonic_matrix = matrix
+        for (_weight, stage), matrix in zip(self._pending, matrices):
+            stage.matrix = matrix
         self._pending.clear()
 
     # ------------------------------------------------------------------ #
@@ -440,21 +419,22 @@ def _batchnorm_affine(bn) -> Tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
+def _emit_linear(ctx: LoweringContext, name: str, module: ComplexLinear) -> None:
+    ctx.emit(name, ctx.deploy_weight(module.complex_weight(), LinearStage(
+        matrix=None, bias=_complex_bias(module))))
+
+
 @register_lowering(ComplexLinear)
 def _lower_linear_rule(module: ComplexLinear, name: str, ctx: LoweringContext) -> None:
-    layer = ctx.deploy_weight(module.complex_weight(), bias=_complex_bias(module),
-                              name=name)
-    ctx.emit(name, LinearStage(layer=layer))
+    _emit_linear(ctx, name, module)
 
 
 @register_lowering(ComplexConv2d)
 def _lower_conv2d_rule(module: ComplexConv2d, name: str, ctx: LoweringContext) -> None:
-    layer = ctx.deploy_weight(module.weight_matrix(), bias=_complex_bias(module),
-                              name=name)
-    ctx.emit(name, Conv2dStage(
-        layer=layer, in_channels=module.in_channels, out_channels=module.out_channels,
+    ctx.emit(name, ctx.deploy_weight(module.weight_matrix(), Conv2dStage(
+        matrix=None, in_channels=module.in_channels, out_channels=module.out_channels,
         kernel_size=_as_pair(module.kernel_size), stride=_as_pair(module.stride),
-        padding=_as_pair(module.padding)))
+        padding=_as_pair(module.padding), bias=_complex_bias(module))))
 
 
 @register_lowering(CReLU)
@@ -498,21 +478,6 @@ def _lower_batchnorm_rule(module, name: str, ctx: LoweringContext) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# eager single-layer helper (direct use and tests)
-# --------------------------------------------------------------------------- #
-def lower_complex_conv2d(layer: ComplexConv2d, name: str,
-                         method: str = "clements") -> Conv2dStage:
-    """Lower one ``ComplexConv2d`` to its im2col matrix on MZI meshes."""
-    photonic = PhotonicLinearLayer.from_weight(layer.weight_matrix(),
-                                               bias=_complex_bias(layer),
-                                               method=method, name=name)
-    return Conv2dStage(layer=photonic,
-                       in_channels=layer.in_channels, out_channels=layer.out_channels,
-                       kernel_size=_as_pair(layer.kernel_size),
-                       stride=_as_pair(layer.stride), padding=_as_pair(layer.padding))
-
-
-# --------------------------------------------------------------------------- #
 # decoder-head rules
 # --------------------------------------------------------------------------- #
 def _calibrated(head: DecoderHead) -> Callable[[np.ndarray], np.ndarray]:
@@ -538,40 +503,30 @@ def _paired_power_readout(head: DecoderHead) -> Callable[[np.ndarray], np.ndarra
 
 @register_head_lowering(MergeDecoderHead)
 def _lower_merge_head(head: MergeDecoderHead, ctx: LoweringContext):
-    layer = ctx.deploy_weight(head.merged_layer.complex_weight(),
-                              bias=_complex_bias(head.merged_layer), name="head.merged")
-    ctx.emit("head.merged", LinearStage(layer=layer))
+    _emit_linear(ctx, "head.merged", head.merged_layer)
     return _paired_power_readout(head)
 
 
 @register_head_lowering(LinearDecoderHead)
 def _lower_linear_head(head: LinearDecoderHead, ctx: LoweringContext):
-    for attr, name in (("last_layer", "head.last"), ("decoder_layer", "head.decoder")):
-        module = getattr(head, attr)
-        layer = ctx.deploy_weight(module.complex_weight(),
-                                  bias=_complex_bias(module), name=name)
-        ctx.emit(name, LinearStage(layer=layer))
+    _emit_linear(ctx, "head.last", head.last_layer)
+    _emit_linear(ctx, "head.decoder", head.decoder_layer)
     return _paired_power_readout(head)
 
 
 @register_head_lowering(UnitaryDecoderHead)
 def _lower_unitary_head(head: UnitaryDecoderHead, ctx: LoweringContext):
-    last = ctx.deploy_weight(head.last_layer.complex_weight(),
-                             bias=_complex_bias(head.last_layer), name="head.last")
-    ctx.emit("head.last", LinearStage(layer=last))
+    _emit_linear(ctx, "head.last", head.last_layer)
     # the zero-padded modes carry no light, so deploying the first C columns
     # of the unitary as a 2C x C matrix is exactly equivalent
-    unitary_weight = head.unitary.complex_weight()[:, :head.num_classes]
-    unitary = ctx.deploy_weight(unitary_weight, name="head.unitary")
-    ctx.emit("head.unitary", LinearStage(layer=unitary))
+    weight = head.unitary.complex_weight()[:, :head.num_classes]
+    ctx.emit("head.unitary", ctx.deploy_weight(weight, LinearStage(matrix=None)))
     return _paired_power_readout(head)
 
 
 @register_head_lowering(CoherentDecoderHead)
 def _lower_coherent_head(head: CoherentDecoderHead, ctx: LoweringContext):
-    layer = ctx.deploy_weight(head.last_layer.complex_weight(),
-                              bias=_complex_bias(head.last_layer), name="head.last")
-    ctx.emit("head.last", LinearStage(layer=layer))
+    _emit_linear(ctx, "head.last", head.last_layer)
     calibrated = _calibrated(head)
 
     def coherent_readout(signal: np.ndarray) -> np.ndarray:
@@ -584,9 +539,7 @@ def _lower_coherent_head(head: CoherentDecoderHead, ctx: LoweringContext):
 
 @register_head_lowering(PhotodiodeHead)
 def _lower_photodiode_head(head: PhotodiodeHead, ctx: LoweringContext):
-    layer = ctx.deploy_weight(head.last_layer.complex_weight(),
-                              bias=_complex_bias(head.last_layer), name="head.last")
-    ctx.emit("head.last", LinearStage(layer=layer))
+    _emit_linear(ctx, "head.last", head.last_layer)
     calibrated = _calibrated(head)
 
     def power_readout(signal: np.ndarray) -> np.ndarray:

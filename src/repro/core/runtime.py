@@ -17,13 +17,17 @@ node-walk repeats on every call.  Every plan applies all four:
   while the view is alive.  The program output, and any value that reaches
   it through such views, never lives in plan storage: the returned array
   is always safe to keep, and the caller's input is only ever read.
-* **Eager effective matrices.**  Every unbatched mesh stage, whatever its
-  width, is folded into a *single* effective complex matrix
-  ``scale * U @ diag(S) @ V`` at plan time, so the stage becomes one matmul
-  instead of two mesh simulations with an intermediate.  Only
-  trials-batched noise ensembles stay unfused: they lower to a
-  :class:`CallInstruction` of the stage's own ``forward``, which runs both
-  meshes on the numpy column program.
+* **Eager effective matrices.**  Every unbatched mesh stage
+  (:class:`~repro.core.lowering.LinearStage` or
+  :class:`~repro.core.lowering.Conv2dStage`), whatever its width, is folded
+  into a *single* effective complex matrix ``scale * U @ diag(S) @ V`` at
+  plan time, read from the stage's ``matrix`` (its ``bias`` joins the
+  epilogue), so the stage becomes one matmul instead of two mesh
+  simulations with an intermediate.  Only trials-batched noise ensembles
+  stay unfused: they lower to a :class:`CallInstruction` of the stage's own
+  ``forward``, which runs both meshes on the numpy column program.  So does
+  every op the plan does not know, such as one a registered lowering rule
+  emits: ``forward`` is all the plan needs of it.
 * **Folded electronic epilogues.**  A fused stage absorbs the batch norm
   after it and the CReLU after that (or a CReLU right after it), and a
   two-input skip add absorbs the CReLU after it, each only when it is the
@@ -365,7 +369,7 @@ def _fusible(op: Any) -> bool:
     """A mesh stage whose meshes are unbatched folds into one matmul,
     whatever its width (fusibility is a property of the program)."""
     return (isinstance(op, (LinearStage, Conv2dStage))
-            and op.layer.photonic_matrix.uses_dense_path())
+            and op.matrix.uses_dense_path())
 
 
 def _absorbable(node: GraphNode) -> Tuple[type, ...]:
@@ -462,7 +466,7 @@ def compile_plan(graph: Any) -> ExecutionPlan:
     def bake(stage: Any) -> np.ndarray:
         # the PhotonicMatrix caches (scale * U @ diag(S) @ V).T, which the
         # artifact store may have seeded with a memory-mapped copy
-        matrix = stage.layer.photonic_matrix
+        matrix = stage.matrix
         for mesh in (matrix.left_mesh, matrix.right_mesh):
             baked_meshes.append((mesh, mesh.phase_version))
         return matrix.effective_weight_t()
@@ -494,7 +498,7 @@ def compile_plan(graph: Any) -> ExecutionPlan:
         if _fusible(op):
             weight_t = bake(op)
             channels = weight_t.shape[1]
-            scale, shift = _fold_epilogue(op.layer.bias, affine, channels)
+            scale, shift = _fold_epilogue(op.bias, affine, channels)
             if isinstance(op, LinearStage):
                 instructions.append(MatmulInstruction(
                     nodes=labels, weight_t=weight_t, scale=scale, shift=shift,

@@ -10,7 +10,12 @@ This package simulates the optical hardware that OplixNet targets:
   (rectangular) decompositions of arbitrary unitaries into MZI meshes and
   their reconstruction.
 * :mod:`~repro.photonics.svd_mapping` -- SVD-based mapping of arbitrary weight
-  matrices onto two meshes plus a diagonal attenuator column.
+  matrices onto two meshes plus a diagonal attenuator column: the
+  :class:`PhotonicMatrix` every compiled mesh stage carries as its
+  ``matrix`` (the stages and the other graph ops, which need only a
+  ``forward``, live in :mod:`repro.core.lowering` and
+  :mod:`repro.core.graph_ir`), with ``degraded`` copies for phase
+  quantization and noise.
 * :mod:`~repro.photonics.encoders` -- the proposed DC-based complex encoder,
   the PS-based encoder of [16] and the conventional amplitude encoder.
 * :mod:`~repro.photonics.detectors` -- photodiode and coherent detection.
@@ -20,8 +25,6 @@ This package simulates the optical hardware that OplixNet targets:
   engine: column scheduling of disjoint MZIs, batched transfer-matrix
   evaluation, trials-axis noise ensembles and cached dense transfer matrices.
 * :mod:`~repro.photonics.noise` -- phase noise / quantization models.
-* :mod:`~repro.photonics.circuit` -- photonic linear layers deployed from
-  trained weight matrices (whole networks are :func:`repro.compile` graphs).
 """
 
 from repro.photonics.components import (
@@ -74,7 +77,6 @@ from repro.photonics.area import (
     MZI_PS_COUNT,
 )
 from repro.photonics.noise import PhaseNoiseModel, quantize_phases
-from repro.photonics.circuit import PhotonicLinearLayer
 
 __all__ = [
     "directional_coupler",
@@ -121,5 +123,4 @@ __all__ = [
     "MZI_PS_COUNT",
     "PhaseNoiseModel",
     "quantize_phases",
-    "PhotonicLinearLayer",
 ]

@@ -25,12 +25,13 @@ compiler amortizes deploying models with many same-size kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.photonics.area import mzi_count_matrix
 from repro.photonics.mzi_mesh import MeshDecomposition, decompose_unitary_stack
+from repro.photonics.noise import quantize_phases
 
 
 @dataclass
@@ -132,6 +133,35 @@ class PhotonicMatrix:
         self._weight_t_cache = weight_t
         self._weight_t_versions = (self.left_mesh.phase_version,
                                    self.right_mesh.phase_version)
+
+    def degraded(self, noise: Optional[Any] = None,
+                 quantization_bits: Optional[int] = None,
+                 trials: Optional[int] = None) -> "PhotonicMatrix":
+        """A copy whose meshes carry phase quantization and/or phase noise.
+
+        Each mesh is quantized to ``quantization_bits`` first and then
+        perturbed by ``noise`` (a
+        :class:`~repro.photonics.noise.PhaseNoiseModel` or a hardware
+        scenario: anything with ``perturb(mesh, trials=...)``), the left mesh
+        before the right, so a seeded model draws in a fixed order.
+        ``trials`` draws that many independent realizations at once: the
+        copy's meshes are trials-batched and its outputs gain a leading
+        trials axis.
+        """
+        if trials is not None and noise is None:
+            raise ValueError("trials requires a PhaseNoiseModel")
+
+        def degrade(mesh: MeshDecomposition) -> MeshDecomposition:
+            if quantization_bits is not None:
+                mesh = quantize_phases(mesh, quantization_bits)
+            if noise is not None:
+                mesh = noise.perturb(mesh, trials=trials)
+            return mesh
+
+        return PhotonicMatrix(
+            rows=self.rows, cols=self.cols,
+            left_mesh=degrade(self.left_mesh), right_mesh=degrade(self.right_mesh),
+            singular_values=self.singular_values.copy(), scale=self.scale)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Propagate complex amplitudes through ``V*``, the attenuators and ``U``.

@@ -167,8 +167,7 @@ class TestResNetGraphCompile:
 def mesh_stage_meshes(program):
     return [mesh for node in program.graph.nodes
             if isinstance(node.op, (LinearStage, Conv2dStage))
-            for mesh in (node.op.layer.photonic_matrix.left_mesh,
-                         node.op.layer.photonic_matrix.right_mesh)]
+            for mesh in (node.op.matrix.left_mesh, node.op.matrix.right_mesh)]
 
 
 def zero_noise_lane(program, trials=2):
@@ -219,6 +218,23 @@ class TestExecutionPolicy:
         clean = repro.compile(model).predict_logits(images, scheme)
         coarse = repro.compile(model, target=HardwareTarget(quantization_bits=6))
         assert not np.allclose(coarse.predict_logits(images, scheme), clean)
+
+    def test_with_noise_keeps_the_target_fields_it_does_not_set(self, rng):
+        # the meshes compose the degradations, so the target must still
+        # report the compile-time noise and its trials
+        noise = PhaseNoiseModel.seeded(0.05, seed=1)
+        program = repro.compile(ComplexFCNN(8, (6,), 3, decoder="merge", rng=rng),
+                                target=HardwareTarget(noise=noise, trials=2))
+        quantized = program.with_noise(quantization_bits=6)
+        assert quantized.target == HardwareTarget(noise=noise, quantization_bits=6,
+                                                  trials=2)
+        signal = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        assert quantized.readout(quantized.forward(signal)).shape == (2, 4, 3)
+        # a field the call sets is replaced
+        drift = PhaseNoiseModel.seeded(0.01, seed=2)
+        assert quantized.with_noise(noise=drift).target == HardwareTarget(
+            noise=drift, quantization_bits=6, trials=2)
+        assert program.target == HardwareTarget(noise=noise, trials=2)
 
 
 class TestQuantizationEndToEnd:
@@ -292,14 +308,18 @@ class TestOneCompilePath:
     def test_no_execution_knob_reaches_the_meshes(self):
         import inspect
 
-        from repro.core.lowering import lower_to_graph
-        from repro.photonics.circuit import PhotonicLinearLayer
+        from repro.core.lowering import LoweringContext, lower_to_graph
         from repro.photonics.mzi_mesh import MeshDecomposition
-        from repro.photonics.svd_mapping import svd_decompose, svd_decompose_many
+        from repro.photonics.svd_mapping import (
+            PhotonicMatrix,
+            svd_decompose,
+            svd_decompose_many,
+        )
 
         for function in (lower_to_graph, svd_decompose, svd_decompose_many,
-                         PhotonicLinearLayer.from_weight, MeshDecomposition.__init__,
-                         MeshDecomposition.with_phases):
+                         LoweringContext.deploy_weight, LinearStage.__init__,
+                         Conv2dStage.__init__, PhotonicMatrix.degraded,
+                         MeshDecomposition.__init__, MeshDecomposition.with_phases):
             parameters = inspect.signature(function).parameters
             assert not [name for name in parameters
                         if "dense" in name or "backend" in name], function
@@ -460,6 +480,72 @@ class TestLoweringRegistry:
         linear = graph.node("linear").op.forward(signal)
         expected = np.maximum(linear.real, 0) + 1j * np.maximum(linear.imag, 0) + linear
         assert np.abs(plan.execute(signal) - expected).max() <= 1e-12
+
+    def test_op_with_only_forward_compiles_counts_and_degrades(self, rng):
+        from repro.core.graph_ir import ElectronicActivation
+        from repro.core.lowering import _LAYER_RULES, register_lowering
+        from repro.nn import Module
+
+        class Negate(Module):
+            """A toy module that flips the sign of its input."""
+
+            def forward(self, inputs):
+                return -inputs
+
+        class NegationOp:
+            """A graph op with nothing but ``forward``."""
+
+            def forward(self, signal):
+                return -np.asarray(signal, dtype=complex)
+
+        @register_lowering(Negate)
+        def _lower_negate(module, name, ctx):
+            ctx.emit(name, NegationOp())
+
+        try:
+            plain = repro.compile(ComplexFCNN(8, (6,), 3, decoder="merge",
+                                              rng=np.random.default_rng(0)))
+            model = ComplexFCNN(8, (6,), 3, decoder="merge",
+                                rng=np.random.default_rng(0))
+            model.trunk.append(Negate())
+            negated = repro.compile(model)
+        finally:
+            del _LAYER_RULES[Negate]
+        assert [type(node.op) for node in negated.graph.nodes] == [
+            LinearStage, ElectronicActivation, NegationOp, LinearStage]
+        assert negated.mzi_count == plain.mzi_count > 0
+        signal = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+        assert np.abs(negated.forward(signal)
+                      - negated.graph.forward_reference(signal)).max() <= 1e-12
+
+        noisy = negated.with_noise(PhaseNoiseModel.seeded(0.01, seed=0), trials=2)
+        assert noisy.mzi_count == plain.mzi_count
+        assert noisy.graph.node("trunk.2").op is negated.graph.node("trunk.2").op
+        outputs = noisy.forward(signal)
+        assert outputs.shape == (2, 4, 6)
+        assert not np.allclose(outputs[0], outputs[1])
+        assert np.abs(outputs - noisy.graph.forward_reference(signal)).max() <= 1e-12
+
+    def test_no_op_carries_a_noise_protocol_or_a_device_count(self):
+        import dataclasses
+        import importlib
+
+        import repro.photonics
+        from repro.core import graph_ir, lowering
+
+        for op in (graph_ir.ElectronicAdd, graph_ir.ElectronicActivation,
+                   graph_ir.ElectronicBatchNorm, lowering.LinearStage,
+                   lowering.Conv2dStage, lowering.AvgPool2dStage,
+                   lowering.GlobalAvgPool2dStage, lowering.FlattenStage):
+            assert not hasattr(op, "with_noise"), op
+            assert not hasattr(op, "mzi_count"), op
+            fields = {field.name for field in dataclasses.fields(op)}
+            assert ("matrix" in fields) == (op in (lowering.LinearStage,
+                                                   lowering.Conv2dStage)), op
+        assert not hasattr(lowering, "lower_complex_conv2d")
+        assert not hasattr(repro.photonics, "PhotonicLinearLayer")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.photonics.circuit")
 
     def test_graph_program_validates_topology(self):
         from repro.core.graph_ir import GraphNode

@@ -13,8 +13,8 @@ from repro.core.lowering import (
     Conv2dStage,
     FlattenStage,
     LinearStage,
+    LoweringContext,
     complex_im2col,
-    lower_complex_conv2d,
 )
 from repro.core.training import prepare_batch
 from repro.models import ComplexFCNN
@@ -203,13 +203,21 @@ class TestDeployedCNNUnderNoise:
         assert isinstance(noisy, CompiledProgram)
 
 
+def conv_stage(module: ComplexConv2d) -> Conv2dStage:
+    """One conv lowered through its registered rule."""
+    ctx = LoweringContext()
+    ctx.lower_module(module, "conv")
+    ctx.finalize()
+    return ctx.builder.ops()[0]
+
+
 class TestConvStageValidation:
     def test_channel_mismatch_raises(self, rng):
-        stage = lower_complex_conv2d(ComplexConv2d(2, 3, 3, rng=rng), "conv")
+        stage = conv_stage(ComplexConv2d(2, 3, 3, rng=rng))
         with pytest.raises(ValueError):
             stage.forward(np.ones((1, 4, 8, 8), dtype=complex))
 
     def test_missing_spatial_axes_raise(self, rng):
-        stage = lower_complex_conv2d(ComplexConv2d(2, 3, 3, rng=rng), "conv")
+        stage = conv_stage(ComplexConv2d(2, 3, 3, rng=rng))
         with pytest.raises(ValueError):
             stage.forward(np.ones((4, 8), dtype=complex))

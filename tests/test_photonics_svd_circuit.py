@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.graph_ir import split_relu
+from repro.core.lowering import LinearStage
 from repro.photonics import (
     PhaseNoiseModel,
-    PhotonicLinearLayer,
     mzi_count_matrix,
     quantize_phases,
     random_unitary,
     reck_decompose,
     svd_decompose,
 )
-from repro.photonics.circuit import modulus_squared, split_relu
 
 
 class TestSVDMapping:
@@ -129,14 +129,13 @@ class TestPhotonicLayers:
     def test_layer_forward_with_bias(self, rng):
         weight = rng.normal(size=(3, 5))
         bias = rng.normal(size=3) + 1j * rng.normal(size=3)
-        layer = PhotonicLinearLayer.from_weight(weight, bias=bias)
+        stage = LinearStage(matrix=svd_decompose(weight), bias=bias)
         vector = rng.normal(size=5).astype(complex)
-        assert np.allclose(layer(vector), weight @ vector + bias, atol=1e-9)
+        assert np.allclose(stage.forward(vector), weight @ vector + bias, atol=1e-9)
 
-    def test_split_relu_and_modulus(self):
+    def test_split_relu(self):
         signal = np.array([1 - 2j, -3 + 4j])
         assert np.allclose(split_relu(signal), [1 + 0j, 4j])
-        assert np.allclose(modulus_squared(signal), [5.0, 25.0])
 
 
 class TestNoiseModels:
@@ -180,16 +179,38 @@ class TestNoiseModels:
         with pytest.raises(ValueError):
             quantize_phases(mesh, 0)
 
-    def test_layer_with_noise_changes_output(self, rng):
+    def test_matrix_with_noise_changes_output(self, rng):
         weight = rng.normal(size=(4, 4))
-        layer = PhotonicLinearLayer.from_weight(weight)
-        noisy = layer.with_noise(noise=PhaseNoiseModel(sigma=0.1, rng=rng))
+        matrix = svd_decompose(weight)
+        noisy = matrix.degraded(noise=PhaseNoiseModel(sigma=0.1, rng=rng))
         vector = rng.normal(size=4).astype(complex)
-        assert not np.allclose(layer(vector), noisy(vector))
+        assert not np.allclose(matrix.apply(vector), noisy.apply(vector))
 
-    def test_layer_with_quantization_only(self, rng):
+    def test_matrix_with_quantization_only(self, rng):
         weight = rng.normal(size=(3, 3))
-        layer = PhotonicLinearLayer.from_weight(weight)
-        quantized = layer.with_noise(quantization_bits=12)
+        matrix = svd_decompose(weight)
+        quantized = matrix.degraded(quantization_bits=12)
         vector = rng.normal(size=3).astype(complex)
-        assert np.allclose(layer(vector), quantized(vector), atol=1e-2)
+        assert np.allclose(matrix.apply(vector), quantized.apply(vector), atol=1e-2)
+
+    def test_degraded_quantizes_then_perturbs_left_mesh_first(self, rng):
+        matrix = svd_decompose(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+        degraded = matrix.degraded(noise=PhaseNoiseModel.seeded(0.05, seed=4),
+                                   quantization_bits=6, trials=2)
+        noise = PhaseNoiseModel.seeded(0.05, seed=4)
+        for mesh, original in ((degraded.left_mesh, matrix.left_mesh),
+                               (degraded.right_mesh, matrix.right_mesh)):
+            expected = noise.perturb(quantize_phases(original, 6), trials=2)
+            assert np.array_equal(mesh.thetas, expected.thetas)
+            assert np.array_equal(mesh.phis, expected.phis)
+            assert np.array_equal(mesh.output_phases, expected.output_phases)
+        assert degraded.apply(rng.normal(size=(5, 3)) + 0j).shape == (2, 5, 4)
+        # the copy shares no phases or attenuators with the original
+        assert not matrix.left_mesh.is_batched
+        assert degraded.singular_values is not matrix.singular_values
+        assert (degraded.rows, degraded.cols, degraded.scale) == (4, 3, matrix.scale)
+
+    def test_degraded_trials_need_a_noise_model(self, rng):
+        with pytest.raises(ValueError, match="trials requires"):
+            svd_decompose(rng.normal(size=(3, 3))).degraded(quantization_bits=8,
+                                                            trials=2)

@@ -21,7 +21,7 @@ Explicit cases pin which epilogues fold: only a sole consumer of a
 producer that is not the program output.
 """
 
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -37,7 +37,6 @@ from repro.core.graph_ir import (
 )
 from repro.core.lowering import Conv2dStage, FlattenStage, LinearStage
 from repro.core.runtime import compile_plan
-from repro.photonics.circuit import PhotonicLinearLayer
 from repro.photonics.noise import PhaseNoiseModel
 from repro.photonics.svd_mapping import svd_decompose
 
@@ -51,16 +50,16 @@ def _complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _layer(draw, rng, rows: int, cols: int, name: str) -> PhotonicLinearLayer:
+def _mesh(draw, rng, rows: int, cols: int) -> Dict[str, Any]:
+    """The ``matrix`` and ``bias`` fields of a random mesh stage."""
     weight = _complex(rng, (rows, cols)) / np.sqrt(cols)
     bias = _complex(rng, (rows,)) if draw(st.booleans()) else None
-    layer = PhotonicLinearLayer(photonic_matrix=svd_decompose(weight),
-                                bias=bias, name=name)
+    matrix = svd_decompose(weight)
     trials = draw(st.sampled_from(STAGE_TRIALS))
-    if trials is None:
-        return layer
-    noise = PhaseNoiseModel.seeded(0.01, seed=draw(st.integers(0, 2 ** 16)))
-    return layer.with_noise(noise, trials=trials)
+    if trials is not None:
+        noise = PhaseNoiseModel.seeded(0.01, seed=draw(st.integers(0, 2 ** 16)))
+        matrix = matrix.degraded(noise, trials=trials)
+    return {"matrix": matrix, "bias": bias}
 
 
 def _affine(rng, channels: int, spatial: bool) -> ElectronicBatchNorm:
@@ -71,12 +70,12 @@ def _affine(rng, channels: int, spatial: bool) -> ElectronicBatchNorm:
         imag_shift=rng.normal(size=channels), spatial=spatial)
 
 
-def _conv(draw, rng, name: str, channels: int, out_channels: int,
+def _conv(draw, rng, channels: int, out_channels: int,
           kernel: int, stride: Tuple[int, int]) -> Conv2dStage:
     """A 3x3 conv padded by one, or a 1x1 conv without padding."""
     padding = (kernel // 2, kernel // 2)
     return Conv2dStage(
-        layer=_layer(draw, rng, out_channels, channels * kernel * kernel, name),
+        **_mesh(draw, rng, out_channels, channels * kernel * kernel),
         in_channels=channels, out_channels=out_channels,
         kernel_size=(kernel, kernel), stride=stride, padding=padding)
 
@@ -108,12 +107,12 @@ def _trunk(draw, rng, shape: Tuple[int, ...], image: bool, source: str = INPUT,
             shape = (out_channels, (height - 1) // stride[0] + 1,
                      (width - 1) // stride[1] + 1)
             nodes.append(GraphNode(name, _conv(
-                draw, rng, name, channels, out_channels,
+                draw, rng, channels, out_channels,
                 draw(st.sampled_from((1, 3))), stride), (source,)))
             names = [name]
             if draw(st.booleans()):
                 nodes.append(GraphNode(f"{name}s", _conv(
-                    draw, rng, f"{name}s", channels, out_channels, 1, stride),
+                    draw, rng, channels, out_channels, 1, stride),
                     (source,)))
                 nodes.append(GraphNode(f"{name}a", ElectronicAdd(),
                                        (name, f"{name}s")))
@@ -121,16 +120,16 @@ def _trunk(draw, rng, shape: Tuple[int, ...], image: bool, source: str = INPUT,
             continue
         if kind == "resize":
             features = draw(st.integers(2, 5))
-            op = LinearStage(layer=_layer(draw, rng, features, shape[0], name))
+            op = LinearStage(**_mesh(draw, rng, features, shape[0]))
             shape = (features,)
             nodes.append(GraphNode(name, op, (source,)))
             names = [name]
             continue
         if kind == "mesh" and image:
-            op = _conv(draw, rng, name, shape[0], shape[0],
+            op = _conv(draw, rng, shape[0], shape[0],
                        draw(st.sampled_from((1, 3))), (1, 1))
         elif kind == "mesh":
-            op = LinearStage(layer=_layer(draw, rng, shape[0], shape[0], name))
+            op = LinearStage(**_mesh(draw, rng, shape[0], shape[0]))
         elif kind == "affine":
             op = _affine(rng, shape[0], spatial=image)
         elif kind == "activation":
@@ -171,7 +170,7 @@ def image_programs(draw):
         nodes.append(GraphNode("flat", FlattenStage(), (nodes[-1].name,)))
     if tail == "flatten+linear":
         nodes.append(GraphNode("head", LinearStage(
-            layer=_layer(draw, rng, 3, int(np.prod(final)), "head")), ("flat",)))
+            **_mesh(draw, rng, 3, int(np.prod(final)))), ("flat",)))
     if tail == "flatten+trunk":
         # a flat trunk that may read the flattened view long after the
         # storage it views was last read under its own name
@@ -249,42 +248,41 @@ def _fold_case(case: str, rng):
     groups (the node names each instruction computes, in order)."""
     channels = 2
 
-    def conv(name):
-        return Conv2dStage(layer=PhotonicLinearLayer(
-            photonic_matrix=svd_decompose(
-                _complex(rng, (channels, channels * 9)) / 4.0),
-            bias=_complex(rng, (channels,)), name=name),
+    def conv():
+        return Conv2dStage(
+            matrix=svd_decompose(_complex(rng, (channels, channels * 9)) / 4.0),
+            bias=_complex(rng, (channels,)),
             in_channels=channels, out_channels=channels, kernel_size=(3, 3),
             stride=(1, 1), padding=(1, 1))
 
     bn, act = _affine(rng, channels, spatial=True), ElectronicActivation()
     if case == "conv-bn-crelu":
-        nodes = [GraphNode("conv", conv("conv"), (INPUT,)),
+        nodes = [GraphNode("conv", conv(), (INPUT,)),
                  GraphNode("bn", bn, ("conv",)),
                  GraphNode("act", act, ("bn",))]
         return nodes, "act", [("conv", "bn", "act")]
     if case == "add-crelu":
-        nodes = [GraphNode("conv", conv("conv"), (INPUT,)),
+        nodes = [GraphNode("conv", conv(), (INPUT,)),
                  GraphNode("add", ElectronicAdd(), ("conv", INPUT)),
                  GraphNode("act", act, ("add",))]
         return nodes, "act", [("conv",), ("add", "act")]
     if case == "bn-of-fanned-out-conv":
-        nodes = [GraphNode("conv", conv("conv"), (INPUT,)),
+        nodes = [GraphNode("conv", conv(), (INPUT,)),
                  GraphNode("bn", bn, ("conv",)),
                  GraphNode("add", ElectronicAdd(), ("bn", "conv"))]
         return nodes, "add", [("conv",), ("bn",), ("add",)]
     if case == "bn-of-output-conv":
-        nodes = [GraphNode("conv", conv("conv"), (INPUT,)),
+        nodes = [GraphNode("conv", conv(), (INPUT,)),
                  GraphNode("bn", bn, ("conv",))]
         return nodes, "conv", [("conv",), ("bn",)]
     if case == "crelu-of-fanned-out-bn":
-        nodes = [GraphNode("conv", conv("conv"), (INPUT,)),
+        nodes = [GraphNode("conv", conv(), (INPUT,)),
                  GraphNode("bn", bn, ("conv",)),
                  GraphNode("act", act, ("bn",)),
                  GraphNode("add", ElectronicAdd(), ("act", "bn"))]
         return nodes, "add", [("conv", "bn"), ("act",), ("add",)]
     if case == "crelu-of-output-add":
-        nodes = [GraphNode("conv", conv("conv"), (INPUT,)),
+        nodes = [GraphNode("conv", conv(), (INPUT,)),
                  GraphNode("add", ElectronicAdd(), ("conv", "conv")),
                  GraphNode("act", act, ("add",))]
         return nodes, "add", [("conv",), ("add",), ("act",)]
@@ -309,12 +307,10 @@ def test_flatten_view_keeps_its_source_storage_reserved():
     # linear stage after it must not take that slot while the skip add
     # still reads the view
     rng = np.random.default_rng(11)
-    conv = Conv2dStage(layer=PhotonicLinearLayer(
-        photonic_matrix=svd_decompose(_complex(rng, (2, 18)) / 4.0), name="conv"),
-        in_channels=2, out_channels=2, kernel_size=(3, 3), stride=(1, 1),
-        padding=(1, 1))
-    linear = LinearStage(layer=PhotonicLinearLayer(
-        photonic_matrix=svd_decompose(_complex(rng, (2, 2))), name="linear"))
+    conv = Conv2dStage(matrix=svd_decompose(_complex(rng, (2, 18)) / 4.0),
+                       in_channels=2, out_channels=2, kernel_size=(3, 3),
+                       stride=(1, 1), padding=(1, 1))
+    linear = LinearStage(matrix=svd_decompose(_complex(rng, (2, 2))))
     graph = GraphProgram(
         nodes=[GraphNode("conv", conv, (INPUT,)),
                GraphNode("flat", FlattenStage(), ("conv",)),

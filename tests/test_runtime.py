@@ -33,6 +33,7 @@ from repro.models import ComplexFCNN, ComplexLeNet5
 from repro.models.resnet import ComplexResNet
 from repro.photonics.noise import PhaseNoiseModel
 from tests.test_compile import DECODERS, randomize_batchnorms, tiny_lenet, tiny_resnet
+from tests.test_lowering import conv_stage
 
 PARITY = 1e-12
 
@@ -113,10 +114,9 @@ class TestPlanParity:
     def test_conv_output_never_aliases_pooled_storage(self, rng):
         # the reshape back to feature maps can be a view of the matmul
         # buffer, so a conv-output program must not pool its last instruction
-        from repro.core.lowering import lower_complex_conv2d
         from repro.nn.complex import ComplexConv2d
 
-        stage = lower_complex_conv2d(ComplexConv2d(2, 3, 3, rng=rng), "conv")
+        stage = conv_stage(ComplexConv2d(2, 3, 3, rng=rng))
         graph = GraphProgram(nodes=[GraphNode("conv", stage, (INPUT,))],
                              output="conv", readout=lambda s: s, num_classes=3)
         def signal():
@@ -130,10 +130,10 @@ class TestPlanParity:
     def test_flatten_output_over_conv_never_aliases_pool(self, rng):
         # FlattenStage returns a reshape *view*, so a conv whose result
         # reaches the output through a flatten chain must not pool either
-        from repro.core.lowering import FlattenStage, lower_complex_conv2d
+        from repro.core.lowering import FlattenStage
         from repro.nn.complex import ComplexConv2d
 
-        stage = lower_complex_conv2d(ComplexConv2d(2, 3, 3, rng=rng), "conv")
+        stage = conv_stage(ComplexConv2d(2, 3, 3, rng=rng))
         graph = GraphProgram(
             nodes=[GraphNode("conv", stage, (INPUT,)),
                    GraphNode("flat", FlattenStage(), ("conv",))],
@@ -155,7 +155,7 @@ class TestPlanParity:
         signal = encoded_light(program, rng.normal(size=(3, 1, 6, 6)), scheme)
         before = program.forward_signals(signal)     # caches the plan
         stale_plan = program.plan()
-        mesh = program.graph.nodes[0].op.layer.photonic_matrix.left_mesh
+        mesh = program.graph.nodes[0].op.matrix.left_mesh
         mesh.update_phases(thetas=mesh.thetas * 0.5)
         assert stale_plan.is_stale()
         after = program.forward_signals(signal)      # rebuilds the plan
@@ -280,10 +280,9 @@ class TestPlanStorage:
     def test_execute_never_writes_into_the_callers_array(self, rng):
         # a folded add -> CReLU reads the caller's array directly; it writes
         # into its own slot, never into the input
-        from repro.core.lowering import lower_complex_conv2d
         from repro.nn.complex import ComplexConv2d
 
-        stage = lower_complex_conv2d(ComplexConv2d(2, 2, 3, padding=1, rng=rng), "conv")
+        stage = conv_stage(ComplexConv2d(2, 2, 3, padding=1, rng=rng))
         graph = GraphProgram(
             nodes=[GraphNode("add", ElectronicAdd(), (INPUT, INPUT)),
                    GraphNode("act", ElectronicActivation(), ("add",)),
