@@ -6,9 +6,18 @@ gitignored directory, so a test run never rewrites the recorded snapshot in
 ``benchmarks/results/`` that the README cites.  Refreshing that snapshot is a
 deliberate copy from ``benchmarks/latest/``.
 
+Every speed floor times its sides with one timer,
+:func:`repro.experiments.reporting.time_interleaved` (one untimed call per
+side, then rounds that call every side once, rotating which goes first); a
+floor compares the sides' minima and each row records the median next to
+every minimum.  ``results_dir`` also writes ``benchmarks/latest/host.json``
+once per session: CPU affinity, the BLAS thread variables, the serving
+workers' thread rule for one replica, whether the native kernel loaded, the
+preset and the numpy version.  The harness records thread settings; it does
+not set them.
+
 The preset is selected with the ``REPRO_BENCH_PRESET`` environment variable
-("bench" by default, "smoke" for a fast sanity pass, "paper" for the full
-configuration -- not practical on CPU).
+(:mod:`bench_preset`; "paper" is not practical on CPU).
 """
 
 from __future__ import annotations
@@ -18,12 +27,9 @@ from pathlib import Path
 
 import pytest
 
+from bench_preset import bench_preset_name
+
 RESULTS_DIR = Path(__file__).parent / "latest"
-
-
-def bench_preset_name() -> str:
-    """Preset used by every benchmark in this session."""
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +39,22 @@ def preset_name() -> str:
 
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    """``benchmarks/latest/``, once ``host.json`` there records this session's host."""
+    import numpy as np
+
+    from repro.experiments.reporting import save_json
+    from repro.photonics import _native
+    from repro.serve.worker import blas_threads
+
+    save_json({"cpu_affinity": len(os.sched_getaffinity(0)),
+               "thread_env": {name: os.environ.get(name) for name in
+                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                               "MKL_NUM_THREADS")},
+               "blas_threads": blas_threads(1),
+               "cchain_loaded": _native.kernel() is not None,
+               "cchain_load_error": _native.load_error(),
+               "preset": bench_preset_name(),
+               "numpy": np.__version__}, RESULTS_DIR / "host.json")
     return RESULTS_DIR
 
 
@@ -51,47 +72,3 @@ def run_once(benchmark):
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return _run
-
-
-@pytest.fixture
-def best_of():
-    """Best-of-N wall-clock timer shared by the micro-benchmarks.
-
-    Minimum over repeats filters scheduler noise on shared runners; the
-    micro-benchmarks compare two such minima to assert a speedup floor.
-    """
-
-    def _best_of(fn, repeats: int = 5) -> float:
-        import time
-
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    return _best_of
-
-
-@pytest.fixture
-def interleaved_best_of():
-    """Best-of-N wall-clock timer of two callables run in alternation.
-
-    A slow spell of a shared runner then lands on both sides instead of on
-    whichever one happened to be measured during it, so the ratio of the two
-    minima is what a speedup floor compares.
-    """
-
-    def _interleaved(first, second, repeats: int = 9):
-        import time
-
-        first_times, second_times = [], []
-        for _ in range(repeats):
-            for fn, times in ((first, first_times), (second, second_times)):
-                start = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - start)
-        return min(first_times), min(second_times)
-
-    return _interleaved

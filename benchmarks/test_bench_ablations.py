@@ -1,4 +1,4 @@
-"""Benchmarks of the ablation studies called out in DESIGN.md.
+"""Benchmarks of the design ablations in :mod:`repro.experiments.ablations`.
 
 Covers: the distillation mixing factor, Reck vs Clements meshes, phase-noise
 robustness of the deployed split vs conventional ONN, encoder throughput and

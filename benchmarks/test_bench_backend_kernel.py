@@ -38,14 +38,14 @@ reference at 1e-10 before any floor is asserted.
 from __future__ import annotations
 
 import logging
-import os
 
 import numpy as np
 import pytest
 
+from bench_preset import bench_preset_name
 from repro import reference
-from repro.experiments.reporting import save_json
-from repro.photonics import _native, engine
+from repro.experiments.reporting import save_json, time_interleaved
+from repro.photonics import _native, engine, random_unitary
 from repro.photonics.mzi_mesh import (
     NULL_TOLERANCE,
     _clements_chain_scalar,
@@ -70,10 +70,6 @@ _results: dict = {
 }
 
 
-def bench_preset_name() -> str:
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
-
-
 def _save(results_dir) -> None:
     _results["native_kernel"] = _native.build_info()
     save_json(_results, results_dir / "backend_kernel.json")
@@ -93,19 +89,13 @@ def _require_kernel(results_dir):
     pytest.skip(f"native cchain kernel unavailable: {reason}")
 
 
-def _random_unitary(dim: int, rng) -> np.ndarray:
-    gaussian = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(gaussian)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def test_native_propagate_vs_column_program(best_of, results_dir):
+def test_native_propagate_vs_column_program(results_dir):
     _require_kernel(results_dir)
     dims = (16, 32) if bench_preset_name() == "smoke" else (16, 32, 64, 128)
     batch = 32
     rng = np.random.default_rng(0)
     for dim in dims:
-        mesh = clements_decompose(_random_unitary(dim, rng))
+        mesh = clements_decompose(random_unitary(dim, rng))
         program = mesh.compiled()
         states = rng.normal(size=(batch, dim)) + 1j * rng.normal(size=(batch, dim))
         native = engine.native_propagate(mesh.modes, states, mesh.thetas,
@@ -114,19 +104,19 @@ def test_native_propagate_vs_column_program(best_of, results_dir):
                                   mesh.output_phases)
         parity = float(np.abs(native - column).max())
         assert parity <= PARITY
-        native_seconds = best_of(
+        native_timing, column_timing = time_interleaved(
             lambda: engine.native_propagate(mesh.modes, states, mesh.thetas,
                                             mesh.phis, mesh.output_phases),
-            repeats=5)
-        column_seconds = best_of(
             lambda: engine.propagate(program, states, mesh.thetas, mesh.phis,
                                      mesh.output_phases),
-            repeats=5)
+            rounds=5)
         _results["propagate"].append({
             "dimension": dim, "batch": batch,
-            "native_seconds": native_seconds,
-            "column_seconds": column_seconds,
-            "speedup": column_seconds / native_seconds,
+            "native_seconds": native_timing.min_s,
+            "native_p50_seconds": native_timing.p50_s,
+            "column_seconds": column_timing.min_s,
+            "column_p50_seconds": column_timing.p50_s,
+            "speedup": column_timing.min_s / native_timing.min_s,
             "parity": parity,
         })
     _save(results_dir)
@@ -136,7 +126,7 @@ def test_native_propagate_vs_column_program(best_of, results_dir):
 
 
 @pytest.mark.parametrize("stack_size", [1, 2, 4])
-def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
+def test_clements_chain_vs_numpy(results_dir, stack_size):
     """Native Clements nulling chain vs the pure-numpy chain.
 
     ``stack_size == 2`` is the CI-pinned row: the two-matrix stacked
@@ -146,7 +136,7 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
     _require_kernel(results_dir)
     dimension = 16 if bench_preset_name() == "smoke" else 32
     rng = np.random.default_rng(stack_size)
-    stack = np.stack([_random_unitary(dimension, rng) for _ in range(stack_size)])
+    stack = np.stack([random_unitary(dimension, rng) for _ in range(stack_size)])
 
     def decompose_native():
         return clements_decompose_stack(stack)
@@ -166,13 +156,15 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
         for a, b, unitary in zip(native_meshes, numpy_meshes, stack))
     assert parity <= PARITY
 
-    native_seconds = best_of(decompose_native, repeats=5)
-    numpy_seconds = best_of(decompose_numpy, repeats=5)
-    speedup = numpy_seconds / native_seconds
+    native_timing, numpy_timing = time_interleaved(decompose_native,
+                                                   decompose_numpy, rounds=5)
+    speedup = numpy_timing.min_s / native_timing.min_s
     _results["clements_chain"].append({
         "dimension": dimension, "stack_size": stack_size,
-        "native_seconds": native_seconds,
-        "numpy_seconds": numpy_seconds,
+        "native_seconds": native_timing.min_s,
+        "native_p50_seconds": native_timing.p50_s,
+        "numpy_seconds": numpy_timing.min_s,
+        "numpy_p50_seconds": numpy_timing.p50_s,
         "speedup": speedup,
         "parity": parity,
     })
@@ -186,12 +178,12 @@ def test_clements_chain_vs_numpy(best_of, results_dir, stack_size):
 
 
 @pytest.mark.parametrize("dimension", [16, 96, 160])
-def test_push_phase_native_vs_numpy(best_of, results_dir, dimension):
+def test_push_phase_native_vs_numpy(results_dir, dimension):
     """Numpy push phase vs the whole native decomposition: no floor."""
     _require_kernel(results_dir)
     kernel = _native.kernel()
     ops = _clements_oplist(dimension)
-    stack = _random_unitary(dimension, np.random.default_rng(dimension))[None]
+    stack = random_unitary(dimension, np.random.default_rng(dimension))[None]
 
     def native():
         return kernel.clements_chain_stack(
@@ -216,21 +208,24 @@ def test_push_phase_native_vs_numpy(best_of, results_dir, dimension):
     # the tests' bounds: the chains' rounding reaches phi at ~2e-12
     assert parity["thetas"] <= 1e-12 and parity["output_phases"] <= 1e-12
     assert parity["phis"] <= 5e-12
+    native_timing, push_timing = time_interleaved(native, numpy_push, rounds=5)
     _results["push_phase"].append({
         "dimension": dimension,
-        "native_decomposition_seconds": best_of(native, repeats=5),
-        "numpy_push_seconds": best_of(numpy_push, repeats=5),
+        "native_decomposition_seconds": native_timing.min_s,
+        "native_decomposition_p50_seconds": native_timing.p50_s,
+        "numpy_push_seconds": push_timing.min_s,
+        "numpy_push_p50_seconds": push_timing.p50_s,
         "parity": parity,
     })
     _save(results_dir)
 
 
 @pytest.mark.parametrize("dimension", [16, 96, 144, 160])
-def test_warm_dense_apply_beats_chain_backends(best_of, results_dir, dimension):
+def test_warm_dense_apply_beats_chain_backends(results_dir, dimension):
     """The cached dense matmul must beat every chain walk at the fused widths."""
     batch = 32
     rng = np.random.default_rng(dimension)
-    mesh = clements_decompose(_random_unitary(dimension, rng))
+    mesh = clements_decompose(random_unitary(dimension, rng))
     program = mesh.compiled()
     states = rng.normal(size=(batch, dimension)) + 1j * rng.normal(size=(batch, dimension))
     dense = engine.dense_transfer(program, mesh.thetas, mesh.phis, mesh.output_phases)
@@ -238,20 +233,19 @@ def test_warm_dense_apply_beats_chain_backends(best_of, results_dir, dimension):
                               mesh.output_phases)
     assert np.abs(states @ dense.T - column).max() <= PARITY
 
-    seconds = {
-        "dense": best_of(lambda: states @ dense.T, repeats=5),
-        "column": best_of(
-            lambda: engine.propagate(program, states, mesh.thetas, mesh.phis,
-                                     mesh.output_phases), repeats=5),
-        "cchain": None,
+    backends = {
+        "dense": lambda: states @ dense.T,
+        "column": lambda: engine.propagate(program, states, mesh.thetas,
+                                           mesh.phis, mesh.output_phases),
     }
     if _native.kernel() is not None:
-        seconds["cchain"] = best_of(
-            lambda: engine.native_propagate(mesh.modes, states, mesh.thetas,
-                                            mesh.phis, mesh.output_phases),
-            repeats=5)
-    _results["dense_apply"].append({"dimension": dimension, "batch": batch,
-                                    "backend_seconds": seconds})
+        backends["cchain"] = lambda: engine.native_propagate(
+            mesh.modes, states, mesh.thetas, mesh.phis, mesh.output_phases)
+    timings = dict(zip(backends, time_interleaved(*backends.values(), rounds=5)))
+    seconds = {"cchain": None, **{name: timing.min_s for name, timing in timings.items()}}
+    _results["dense_apply"].append({
+        "dimension": dimension, "batch": batch, "backend_seconds": seconds,
+        "backend_p50_seconds": {name: timing.p50_s for name, timing in timings.items()}})
     _save(results_dir)
     for backend in ("column", "cchain"):
         if seconds[backend] is not None:
@@ -259,11 +253,11 @@ def test_warm_dense_apply_beats_chain_backends(best_of, results_dir, dimension):
 
 
 @pytest.mark.parametrize("dimension", [96, 160])
-def test_native_dense_build_vs_column_oracle(best_of, results_dir, dimension):
+def test_native_dense_build_vs_column_oracle(results_dir, dimension):
     """The native identity build must match and clearly beat dense_transfer."""
     _require_kernel(results_dir)
     rng = np.random.default_rng(dimension)
-    mesh = clements_decompose(_random_unitary(dimension, rng))
+    mesh = clements_decompose(random_unitary(dimension, rng))
     program = mesh.compiled()
 
     def oracle():
@@ -272,12 +266,14 @@ def test_native_dense_build_vs_column_oracle(best_of, results_dir, dimension):
 
     parity = float(np.abs(mesh.reconstruct() - oracle()).max())
     assert parity <= 1e-12
-    native_seconds = best_of(mesh.reconstruct, repeats=5)
-    column_seconds = best_of(oracle, repeats=5)
-    speedup = column_seconds / native_seconds
+    native_timing, column_timing = time_interleaved(mesh.reconstruct, oracle,
+                                                    rounds=5)
+    speedup = column_timing.min_s / native_timing.min_s
     _results["dense_build"].append({
-        "dimension": dimension, "native_seconds": native_seconds,
-        "column_seconds": column_seconds, "speedup": speedup,
+        "dimension": dimension, "native_seconds": native_timing.min_s,
+        "native_p50_seconds": native_timing.p50_s,
+        "column_seconds": column_timing.min_s,
+        "column_p50_seconds": column_timing.p50_s, "speedup": speedup,
         "parity": parity,
     })
     _save(results_dir)

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-import os
-
-from repro.experiments.reporting import save_json
+from bench_preset import bench_preset_name
+from repro.experiments.reporting import save_json, time_interleaved
 from repro.photonics import (
     clements_decompose_reference,
     decompose_unitary,
@@ -41,17 +40,15 @@ REFERENCES = {"clements": clements_decompose_reference,
               "reck": reck_decompose_reference}
 
 
-def bench_preset_name() -> str:
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
-
-
 @dataclass
 class StackBenchRow:
     dimension: int
     stack_size: int
     method: str
     per_matrix_seconds: float
+    per_matrix_p50_seconds: float
     batched_seconds: float
+    batched_p50_seconds: float
     speedup: float
     max_phase_deviation: float
 
@@ -63,7 +60,9 @@ class ResnetBenchRow:
     image_size: int
     mzi_count: int
     compile_seconds: float
+    compile_p50_seconds: float
     forward_seconds: float
+    forward_p50_seconds: float
     images_per_second: float
     max_logit_error: float
 
@@ -73,7 +72,9 @@ class CrossoverBenchRow:
     dimension: int
     stack_size: int
     scalar_seconds: float
+    scalar_p50_seconds: float
     batched_seconds: float
+    batched_p50_seconds: float
     speedup: float
     batched_chain_min_stack: int
 
@@ -93,17 +94,16 @@ def _bench_sizes():
 
 
 @pytest.mark.parametrize("method", ["clements", "reck"])
-def test_batched_stack_decomposition_speedup(benchmark, best_of, method, results_dir):
+def test_batched_stack_decomposition_speedup(benchmark, method, results_dir):
     dimension, stack_size = _bench_sizes()
     rng = np.random.default_rng(0)
     stack = np.stack([random_unitary(dimension, rng) for _ in range(stack_size)])
 
-    decompose_unitary_stack(stack, method=method)   # warm the schedule caches
-    batched_seconds = best_of(lambda: decompose_unitary_stack(stack, method=method),
-                              repeats=3)
-    per_matrix_seconds = best_of(
+    # the untimed first round warms the schedule caches
+    batched, per_matrix = time_interleaved(
+        lambda: decompose_unitary_stack(stack, method=method),
         lambda: [decompose_unitary(unitary, method=method) for unitary in stack],
-        repeats=3)
+        rounds=3)
     meshes = benchmark(decompose_unitary_stack, stack, method=method)
 
     deviation = 0.0
@@ -115,19 +115,20 @@ def test_batched_stack_decomposition_speedup(benchmark, best_of, method, results
                         float(np.abs(mesh.output_phases - reference.output_phases).max()))
     assert deviation <= 1e-10
 
-    speedup = per_matrix_seconds / batched_seconds
+    speedup = per_matrix.min_s / batched.min_s
     # measured ~8x (clements) / ~3x (reck) for a 16-stack at dimension 48;
     # pin a regression floor below the noise band of shared CI runners
     assert speedup >= 1.3
 
     _results["stack_decomposition"].append(StackBenchRow(
         dimension=dimension, stack_size=stack_size, method=method,
-        per_matrix_seconds=per_matrix_seconds, batched_seconds=batched_seconds,
+        per_matrix_seconds=per_matrix.min_s, per_matrix_p50_seconds=per_matrix.p50_s,
+        batched_seconds=batched.min_s, batched_p50_seconds=batched.p50_s,
         speedup=speedup, max_phase_deviation=deviation))
     _save(results_dir)
 
 
-def test_stack_threshold_crossover(best_of, monkeypatch, results_dir):
+def test_stack_threshold_crossover(monkeypatch, results_dir):
     """Re-measure the numpy Clements chain choice at small stacks.
 
     Without the native kernel, :func:`clements_decompose_stack` runs the
@@ -135,36 +136,39 @@ def test_stack_threshold_crossover(best_of, monkeypatch, results_dir):
     :data:`~repro.photonics.mzi_mesh.BATCHED_CHAIN_MIN_STACK` matrices and
     the batched chain from there up.  The constant is the smallest stack
     whose batched chain does not lose to the scalar loop; here each chain is
-    forced in turn by moving the constant.  At the configured size the
+    forced in turn by moving the constant, and the two chains alternate
+    under one timer.  At the configured size the
     batched chain must be at (or above) break-even, asserted with headroom
     for shared-runner noise.
     """
     monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
     configured = mzi_mesh.BATCHED_CHAIN_MIN_STACK
+    # restores the constant the chains below move
+    monkeypatch.setattr(mzi_mesh, "BATCHED_CHAIN_MIN_STACK", configured)
     dimension = 16 if bench_preset_name() == "smoke" else 32
     rng = np.random.default_rng(1)
 
-    def timed(stack, min_stack):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mzi_mesh, "BATCHED_CHAIN_MIN_STACK", min_stack)
-            return best_of(lambda: decompose_unitary_stack(stack), repeats=5)
+    def decompose(stack, min_stack):
+        mzi_mesh.BATCHED_CHAIN_MIN_STACK = min_stack
+        return decompose_unitary_stack(stack)
 
     for stack_size in (2, 3, 4):
         stack = np.stack([random_unitary(dimension, rng) for _ in range(stack_size)])
-        decompose_unitary_stack(stack)   # warm the schedule caches
-        batched_seconds = timed(stack, min_stack=1)
-        scalar_seconds = timed(stack, min_stack=stack_size + 1)
-        speedup = scalar_seconds / batched_seconds
+        batched, scalar = time_interleaved(
+            lambda: decompose(stack, min_stack=1),
+            lambda: decompose(stack, min_stack=stack_size + 1), rounds=5)
+        speedup = scalar.min_s / batched.min_s
         if stack_size == configured:
             assert speedup >= 0.7
         _results["numpy_chain_crossover"].append(CrossoverBenchRow(
             dimension=dimension, stack_size=stack_size,
-            scalar_seconds=scalar_seconds, batched_seconds=batched_seconds,
+            scalar_seconds=scalar.min_s, scalar_p50_seconds=scalar.p50_s,
+            batched_seconds=batched.min_s, batched_p50_seconds=batched.p50_s,
             speedup=speedup, batched_chain_min_stack=configured))
     _save(results_dir)
 
 
-def test_compiled_resnet_forward_throughput(best_of, results_dir):
+def test_compiled_resnet_forward_throughput(results_dir):
     import repro
     from repro.assignment import get_scheme
     from repro.core.training import prepare_batch
@@ -188,7 +192,7 @@ def test_compiled_resnet_forward_throughput(best_of, results_dir):
             module._set_buffer("running_mean", rng.normal(size=module.num_features) * 0.3)
             module._set_buffer("running_var", rng.uniform(0.5, 2.0, size=module.num_features))
 
-    compile_seconds = best_of(lambda: repro.compile(model), repeats=2)
+    (compile_timing,) = time_interleaved(lambda: repro.compile(model), rounds=2)
     program = repro.compile(model)
 
     scheme = get_scheme("CL")
@@ -199,13 +203,16 @@ def test_compiled_resnet_forward_throughput(best_of, results_dir):
     max_logit_error = float(np.abs(logits - software).max())
     assert max_logit_error <= 1e-8
 
-    forward_seconds = best_of(lambda: program.predict_logits(images, scheme), repeats=3)
+    (forward_timing,) = time_interleaved(
+        lambda: program.predict_logits(images, scheme), rounds=3)
 
     _results["deployed_resnet"].append(ResnetBenchRow(
         depth=model.depth, base_widths=widths, image_size=image,
         mzi_count=program.mzi_count,
-        compile_seconds=compile_seconds,
-        forward_seconds=forward_seconds,
-        images_per_second=batch / forward_seconds,
+        compile_seconds=compile_timing.min_s,
+        compile_p50_seconds=compile_timing.p50_s,
+        forward_seconds=forward_timing.min_s,
+        forward_p50_seconds=forward_timing.p50_s,
+        images_per_second=batch / forward_timing.min_s,
         max_logit_error=max_logit_error))
     _save(results_dir)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.experiments.reporting import save_json
+from repro.experiments.reporting import save_json, time_interleaved
 from repro.photonics import (
     clements_decompose,
     clements_decompose_reference,
@@ -30,7 +30,9 @@ class DecomposeBenchRow:
     dimension: int
     method: str
     reference_seconds: float
+    reference_p50_seconds: float
     vectorized_seconds: float
+    vectorized_p50_seconds: float
     speedup: float
     max_phase_deviation: float
 
@@ -40,16 +42,16 @@ _rows: list = []
 
 @pytest.mark.parametrize("dimension,method", [(32, "reck"), (64, "reck"),
                                               (32, "clements"), (64, "clements")])
-def test_decompose_speedup(benchmark, best_of, dimension, method, results_dir):
+def test_decompose_speedup(benchmark, dimension, method, results_dir):
     rng = np.random.default_rng(0)
     unitary = random_unitary(dimension, rng)
     fast = reck_decompose if method == "reck" else clements_decompose
     reference = (reck_decompose_reference if method == "reck"
                  else clements_decompose_reference)
 
-    fast(unitary)  # warm the per-dimension schedule caches
-    vectorized_seconds = best_of(lambda: fast(unitary), repeats=3)
-    reference_seconds = best_of(lambda: reference(unitary), repeats=2)
+    # the untimed first round warms the per-dimension schedule caches
+    vectorized, scalar = time_interleaved(lambda: fast(unitary),
+                                          lambda: reference(unitary), rounds=3)
 
     mesh = benchmark(fast, unitary)
     spec = reference(unitary)
@@ -59,7 +61,7 @@ def test_decompose_speedup(benchmark, best_of, dimension, method, results_dir):
     assert np.array_equal(mesh.modes, spec.modes)
     assert deviation < 1e-10
 
-    speedup = reference_seconds / vectorized_seconds
+    speedup = scalar.min_s / vectorized.min_s
     if dimension >= 64:
         # measured ~18x (reck) / ~9x (clements) at dimension 64; pin a
         # regression floor below the noise band of shared CI runners
@@ -67,8 +69,8 @@ def test_decompose_speedup(benchmark, best_of, dimension, method, results_dir):
 
     _rows.append(DecomposeBenchRow(
         dimension=dimension, method=method,
-        reference_seconds=reference_seconds,
-        vectorized_seconds=vectorized_seconds,
+        reference_seconds=scalar.min_s, reference_p50_seconds=scalar.p50_s,
+        vectorized_seconds=vectorized.min_s, vectorized_p50_seconds=vectorized.p50_s,
         speedup=speedup, max_phase_deviation=deviation,
     ))
     save_json(_rows, results_dir / "decompose.json")

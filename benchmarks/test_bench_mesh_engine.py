@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.experiments.reporting import save_json
+from repro.experiments.reporting import save_json, time_interleaved
 from repro.photonics import clements_decompose, random_unitary, reck_decompose
 from repro.photonics import engine
 from repro.photonics.engine import reference_apply
@@ -30,8 +30,11 @@ class MeshEngineBenchRow:
     batch: int
     optical_depth: int
     reference_seconds: float
+    reference_p50_seconds: float
     column_seconds: float
+    column_p50_seconds: float
     dense_seconds: float
+    dense_p50_seconds: float
     column_speedup: float
     dense_speedup: float
     dense_applies_per_second: float
@@ -41,7 +44,7 @@ _rows: list = []
 
 
 @pytest.mark.parametrize("dimension,method", [(16, "clements"), (64, "clements"), (64, "reck")])
-def test_mesh_engine_speedup(benchmark, best_of, dimension, method, results_dir):
+def test_mesh_engine_speedup(benchmark, dimension, method, results_dir):
     rng = np.random.default_rng(0)
     decompose = clements_decompose if method == "clements" else reck_decompose
     mesh = decompose(random_unitary(dimension, rng))
@@ -49,22 +52,21 @@ def test_mesh_engine_speedup(benchmark, best_of, dimension, method, results_dir)
     states = rng.normal(size=(batch, dimension)) + 1j * rng.normal(size=(batch, dimension))
     program = mesh.compiled()
 
-    reference_seconds = best_of(
+    # the untimed first round warms the dense transfer-matrix cache
+    reference, column, dense = time_interleaved(
         lambda: reference_apply(mesh.modes, mesh.thetas, mesh.phis,
-                                mesh.output_phases, states), repeats=3)
-    column_seconds = best_of(
+                                mesh.output_phases, states),
         lambda: engine.propagate(program, states, mesh.thetas, mesh.phis,
-                                 mesh.output_phases))
-    mesh.apply(states)  # warm the dense transfer-matrix cache
-    dense_seconds = best_of(lambda: mesh.apply(states))
+                                 mesh.output_phases),
+        lambda: mesh.apply(states), rounds=5)
 
     outputs = benchmark(mesh.apply, states)
     expected = reference_apply(mesh.modes, mesh.thetas, mesh.phis,
                                mesh.output_phases, states)
     assert np.abs(outputs - expected).max() < 1e-10
 
-    column_speedup = reference_seconds / column_seconds
-    dense_speedup = reference_seconds / dense_seconds
+    column_speedup = reference.min_s / column.min_s
+    dense_speedup = reference.min_s / dense.min_s
     if dimension >= 64:
         # the acceptance bar: mesh.apply (the consumer-facing path, dense at
         # this dimension) beats the seed per-MZI loop by >= 10x -- measured
@@ -78,15 +80,16 @@ def test_mesh_engine_speedup(benchmark, best_of, dimension, method, results_dir)
     _rows.append(MeshEngineBenchRow(
         dimension=dimension, method=method, batch=batch,
         optical_depth=program.depth,
-        reference_seconds=reference_seconds, column_seconds=column_seconds,
-        dense_seconds=dense_seconds, column_speedup=column_speedup,
-        dense_speedup=dense_speedup,
-        dense_applies_per_second=1.0 / dense_seconds,
+        reference_seconds=reference.min_s, reference_p50_seconds=reference.p50_s,
+        column_seconds=column.min_s, column_p50_seconds=column.p50_s,
+        dense_seconds=dense.min_s, dense_p50_seconds=dense.p50_s,
+        column_speedup=column_speedup, dense_speedup=dense_speedup,
+        dense_applies_per_second=1.0 / dense.min_s,
     ))
     save_json(_rows, results_dir / "mesh_engine.json")
 
 
-def test_trials_ensemble_throughput(benchmark, best_of, results_dir):
+def test_trials_ensemble_throughput(benchmark, results_dir):
     """A 32-realization noise ensemble propagates in one vectorized pass."""
     from repro.photonics import PhaseNoiseModel
 
@@ -99,7 +102,6 @@ def test_trials_ensemble_throughput(benchmark, best_of, results_dir):
     ensemble = benchmark(batched.apply, states)
 
     assert ensemble.shape == (trials, batch, dimension)
-    batched_seconds = best_of(lambda: batched.apply(states))
 
     def sequential():
         for t in range(trials):
@@ -108,5 +110,6 @@ def test_trials_ensemble_throughput(benchmark, best_of, results_dir):
             reference_apply(single.modes, single.thetas, single.phis,
                             single.output_phases, states)
 
-    sequential_seconds = best_of(sequential, repeats=2)
-    assert sequential_seconds / batched_seconds >= 10.0
+    vectorized, looped = time_interleaved(lambda: batched.apply(states), sequential,
+                                          rounds=5)
+    assert looped.min_s / vectorized.min_s >= 10.0

@@ -21,12 +21,12 @@ Two quantities are measured and recorded to ``benchmarks/latest/runtime.json``:
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 
+from bench_preset import bench_preset_name
 import repro
 from repro.assignment import get_scheme
 from repro.experiments.reporting import save_json
@@ -41,16 +41,14 @@ SERVING_BATCHES = (1, 8, 64)
 PLAN_BATCHES = (1, 4, 8, 64)
 
 
-def bench_preset_name() -> str:
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
-
-
 @dataclass
 class PlanBenchRow:
     model: str
     batch: int
     walk_seconds: float
+    walk_p50_seconds: float
     plan_seconds: float
+    plan_p50_seconds: float
     speedup: float
     max_deviation: float
     instructions: int
@@ -139,8 +137,8 @@ def test_dynamic_batcher_throughput(results_dir):
     by_budget = {row.max_batch: row for row in rows}
     # a flush budget of 64 coalesces the whole request wave into a couple of
     # forwards; measured ~10x over sequential on the dev box, floor well below.
-    # Each side is the best of three waves: a single wave on a shared 2-vCPU
-    # host read anywhere from 0.4x to 10x
+    # Each side is the best of three waves, alternating with the other side:
+    # a single wave on a shared 2-vCPU host read anywhere from 0.4x to 10x
     assert by_budget[64].throughput_gain >= 1.5
     # larger budgets must not serve (much) worse than single-sample flushes
     assert (by_budget[64].batched_requests_per_s

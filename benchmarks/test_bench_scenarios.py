@@ -18,10 +18,9 @@ Records to ``benchmarks/latest/scenarios.json``:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from bench_preset import bench_preset_name
 from repro.experiments.reporting import save_json
 from repro.experiments.scenarios import (
     run_drift_recalibration,
@@ -33,10 +32,6 @@ IMAGE_SHAPE = (1, 4, 4)
 RECOVERY_TOLERANCE = 0.01    # recalibrated accuracy within 1% of clean
 
 _results: dict = {}
-
-
-def bench_preset_name() -> str:
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
 
 
 def _bench_model() -> ComplexFCNN:

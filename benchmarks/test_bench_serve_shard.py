@@ -44,6 +44,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from bench_preset import bench_preset_name
 from repro.core.compile import HardwareTarget
 from repro.experiments.reporting import save_json
 from repro.experiments.serving import run_shard_benchmark
@@ -62,10 +63,6 @@ def noise_lane() -> HardwareTarget:
     """The seeded noisy target: trials-batched meshes, simulated per request."""
     return HardwareTarget(noise=PhaseNoiseModel.seeded(NOISE_SIGMA, seed=NOISE_SEED),
                           trials=1)
-
-
-def bench_preset_name() -> str:
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
 
 
 def effective_cpus() -> int:

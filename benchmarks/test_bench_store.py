@@ -24,15 +24,15 @@ the on-disk analogue of the serve-shard benchmark's /dev/shm leak check.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 
+from bench_preset import bench_preset_name
 from repro.assignment import get_scheme
 from repro.core.compile import compile as compile_model
-from repro.experiments.reporting import save_json
+from repro.experiments.reporting import save_json, time_interleaved
 from repro.models import ComplexFCNN, ComplexLeNet5, ComplexResNet
 from repro.store import ArtifactStore
 
@@ -52,10 +52,6 @@ def warm_speedup_floor() -> float:
     from repro.photonics import _native
 
     return 3.0 if _native.kernel() is not None else 10.0
-
-
-def bench_preset_name() -> str:
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
 
 
 def _build_model(name: str, smoke: bool):
@@ -88,7 +84,9 @@ class StoreBenchRow:
     entry_bytes: int
     publish_seconds: float       # first cold compile including the save
     live_seconds: float          # compile + plan without a store
+    live_p50_seconds: float
     warm_seconds: float          # compile + plan off the warm store
+    warm_p50_seconds: float
     warm_speedup: float
     max_parity: float
     store: dict
@@ -102,7 +100,7 @@ def _entry_bytes(store: ArtifactStore, key: str) -> int:
                for path in store.entry_path(key).rglob("*") if path.is_file())
 
 
-def test_store_cold_vs_warm_build(best_of, results_dir, tmp_path):
+def test_store_cold_vs_warm_build(results_dir, tmp_path):
     import time
 
     smoke = bench_preset_name() == "smoke"
@@ -128,11 +126,11 @@ def test_store_cold_vs_warm_build(best_of, results_dir, tmp_path):
         publish_seconds = time.perf_counter() - start
         assert not cold.store_hit and store.has(cold.store_key)
 
+        live_timing, warm_timing = time_interleaved(live_build, warm_build,
+                                                    rounds=3)
         live = live_build()
-        live_seconds = best_of(live_build, repeats=2)
         warm = warm_build()
         assert warm.store_hit
-        warm_seconds = best_of(warm_build, repeats=3)
 
         expected = live.predict_logits(images, scheme)
         max_parity = float(np.abs(warm.predict_logits(images, scheme)
@@ -144,9 +142,10 @@ def test_store_cold_vs_warm_build(best_of, results_dir, tmp_path):
         _results["rows"].append(asdict(StoreBenchRow(
             model=name, matrices=len(artifact.matrices),
             entry_bytes=_entry_bytes(store, cold.store_key),
-            publish_seconds=publish_seconds, live_seconds=live_seconds,
-            warm_seconds=warm_seconds,
-            warm_speedup=live_seconds / warm_seconds,
+            publish_seconds=publish_seconds,
+            live_seconds=live_timing.min_s, live_p50_seconds=live_timing.p50_s,
+            warm_seconds=warm_timing.min_s, warm_p50_seconds=warm_timing.p50_s,
+            warm_speedup=live_timing.min_s / warm_timing.min_s,
             max_parity=max_parity, store=store.stats.as_dict())))
 
     from repro.photonics import _native

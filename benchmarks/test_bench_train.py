@@ -16,13 +16,13 @@ must never lose to the reference anywhere else.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.experiments.reporting import save_json
+from bench_preset import bench_preset_name, train_batch_sizes
+from repro.experiments.reporting import save_json, time_interleaved
 from repro.models.fcnn import ComplexFCNN
 from repro.models.lenet import ComplexLeNet5
 from repro.models.resnet import ComplexResNet
@@ -32,16 +32,14 @@ from repro.optim import SGD, Adam
 from repro.tensor.tensor import Tensor
 
 
-def bench_preset_name() -> str:
-    return os.environ.get("REPRO_BENCH_PRESET", "bench")
-
-
 @dataclass
 class TrainStepRow:
     model: str
     batch: int
     fused_seconds: float
+    fused_p50_seconds: float
     reference_seconds: float
+    reference_p50_seconds: float
     speedup: float
     fused_steps_per_second: float
 
@@ -51,7 +49,9 @@ class OptimizerRow:
     optimizer: str
     parameter_count: int
     in_place_seconds: float
+    in_place_p50_seconds: float
     allocating_seconds: float
+    allocating_p50_seconds: float
     speedup: float
 
 
@@ -60,12 +60,6 @@ _results: dict = {"train_step": [], "optimizer_step": []}
 
 def _save(results_dir) -> None:
     save_json(_results, results_dir / "train.json")
-
-
-def _batch_sizes():
-    if bench_preset_name() == "smoke":
-        return (8, 32)
-    return (16, 64, 256)
 
 
 def _models():
@@ -98,8 +92,8 @@ def models():
 
 
 @pytest.mark.parametrize("model_name", ["fcnn", "lenet", "resnet"])
-@pytest.mark.parametrize("batch", _batch_sizes())
-def test_train_step_speedup(interleaved_best_of, results_dir, monkeypatch, models,
+@pytest.mark.parametrize("batch", train_batch_sizes())
+def test_train_step_speedup(results_dir, monkeypatch, models,
                             model_name, batch):
     smoke = bench_preset_name() == "smoke"
     if model_name == "resnet" and batch > (32 if smoke else 64):
@@ -125,13 +119,10 @@ def test_train_step_speedup(interleaved_best_of, results_dir, monkeypatch, model
         monkeypatch.setenv("REPRO_FORCE_REFERENCE", "1")
         step()
 
-    fused_step()  # one untimed step per side warms caches symmetrically
-    reference_step()
     repeats = 3 if model_name == "resnet" else 5
-    fused_seconds, reference_seconds = interleaved_best_of(
-        fused_step, reference_step, repeats=repeats)
-    monkeypatch.delenv("REPRO_FORCE_REFERENCE")
-    speedup = reference_seconds / fused_seconds
+    fused, reference = time_interleaved(fused_step, reference_step, rounds=repeats)
+    monkeypatch.delenv("REPRO_FORCE_REFERENCE", raising=False)
+    speedup = reference.min_s / fused.min_s
 
     # the fused path must not lose to the reference (0.8 floor leaves room
     # for shared-runner noise on the small fcnn steps); the LeNet CNN at
@@ -142,13 +133,14 @@ def test_train_step_speedup(interleaved_best_of, results_dir, monkeypatch, model
 
     _results["train_step"].append(TrainStepRow(
         model=model_name, batch=batch,
-        fused_seconds=fused_seconds, reference_seconds=reference_seconds,
-        speedup=speedup, fused_steps_per_second=1.0 / fused_seconds))
+        fused_seconds=fused.min_s, fused_p50_seconds=fused.p50_s,
+        reference_seconds=reference.min_s, reference_p50_seconds=reference.p50_s,
+        speedup=speedup, fused_steps_per_second=1.0 / fused.min_s))
     _save(results_dir)
 
 
 @pytest.mark.parametrize("optimizer_name", ["sgd", "sgd_nesterov", "adam"])
-def test_optimizer_step_cost(best_of, results_dir, models, optimizer_name):
+def test_optimizer_step_cost(results_dir, models, optimizer_name):
     model, _make_batch = models["lenet"]
     parameters = model.parameters()
     rng = np.random.default_rng(2)
@@ -163,14 +155,13 @@ def test_optimizer_step_cost(best_of, results_dir, models, optimizer_name):
     else:
         optimizer = Adam(parameters, lr=1e-5)
 
-    repeats = 20
-    in_place_seconds = best_of(optimizer.step, repeats=repeats)
-    allocating_seconds = best_of(optimizer.step_reference, repeats=repeats)
+    in_place, allocating = time_interleaved(optimizer.step,
+                                            optimizer.step_reference, rounds=20)
 
     _results["optimizer_step"].append(OptimizerRow(
         optimizer=optimizer_name,
         parameter_count=int(sum(parameter.size for parameter in parameters)),
-        in_place_seconds=in_place_seconds,
-        allocating_seconds=allocating_seconds,
-        speedup=allocating_seconds / in_place_seconds))
+        in_place_seconds=in_place.min_s, in_place_p50_seconds=in_place.p50_s,
+        allocating_seconds=allocating.min_s, allocating_p50_seconds=allocating.p50_s,
+        speedup=allocating.min_s / in_place.min_s))
     _save(results_dir)

@@ -2,7 +2,7 @@
 
 The execution environment has no copies of MNIST/CIFAR and no network access,
 so the paper's datasets are replaced by procedurally generated stand-ins (see
-``DESIGN.md`` for the substitution rationale):
+:mod:`repro.data.synthetic` for the substitution rationale):
 
 * :func:`~repro.data.synthetic.synthetic_mnist` -- 1-channel "digit" images
   built from class-specific stroke/blob prototypes with smooth spatial

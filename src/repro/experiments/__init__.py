@@ -20,7 +20,7 @@ Each module exposes a ``run_*`` function returning structured results plus a
   Monte-Carlo sweep.
 
 Accuracy numbers are obtained on synthetic dataset stand-ins at CPU scale
-(see ``DESIGN.md``); MZI/DC/PS counts are always evaluated on the paper's
+(see :mod:`repro.data.synthetic`); MZI/DC/PS counts are always evaluated on the paper's
 full-size model configurations, where they match the paper almost exactly.
 """
 

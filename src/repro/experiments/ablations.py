@@ -1,7 +1,7 @@
 """Ablation studies of OplixNet's design choices.
 
-Beyond the paper's tables and figures, DESIGN.md calls out several design
-decisions worth quantifying; each has a harness here:
+Beyond the paper's tables and figures, several of its design decisions are
+worth quantifying; each has a harness here:
 
 * :func:`run_alpha_sweep` -- sensitivity of mutual learning to the mixing
   factor alpha of Eqs. (3)/(4) (the paper fixes alpha = 1.0).

@@ -21,15 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.area_analysis import model_area_report
 from repro.core.pipeline import OplixNet
 from repro.experiments.common import WORKLOADS, Workload, get_workload, paper_specs, workload_config
+from repro.experiments.deployed import _deploy_and_sweep
 from repro.experiments.presets import Preset, get_preset
 from repro.experiments.reporting import format_table, percent
 from repro.models import build_model
-from repro.photonics.noise import PhaseNoiseModel
 
 #: decoder configurations compared in the paper's Fig. 9
 FIG9_DECODERS = ("merge", "linear", "unitary", "coherent")
@@ -102,39 +100,17 @@ def run_fig9_hardware(preset: str = "bench", decoders: Sequence[str] = FIG9_DECO
     Uses the FCNN workload.  For every decoder the trained student is deployed
     once; the whole sweep then runs as a single ``(sigmas, trials)`` batched
     mesh ensemble -- the sigma axis is an array axis of the noise model, not a
-    Python loop.
+    Python loop (:func:`repro.experiments.deployed._deploy_and_sweep`).
     """
-    preset_obj = get_preset(preset) if isinstance(preset, str) else preset
-    workload = get_workload("fcnn")
     rows: List[Fig9HardwareRow] = []
     for decoder in decoders:
-        config = workload_config(workload, preset_obj, seed=seed, decoder=decoder)
-        pipeline = OplixNet(config)
-        student, _ = pipeline.train_student(mutual_learning=False)
-        deployed = pipeline.deploy(student)
-        # evaluate through the plan runtime: compiling the plan up front keeps
-        # the noiseless pass and the batched ensemble off the interpreted walk
-        deployed.plan()
-        scheme = pipeline.student_scheme()
-
-        _train, test = pipeline.datasets()
-        count = min(eval_samples, len(test))
-        images = np.stack([test[i][0] for i in range(count)])
-        labels = np.array([test[i][1] for i in range(count)])
-        noiseless_accuracy = float((deployed.classify(images, scheme) == labels).mean())
-
-        # the sigma sweep rides along the trials axis: one (sigmas, trials)
-        # batched ensemble, one vectorized forward pass per decoder
-        sigma_axis = np.asarray(list(sigmas), dtype=float)
-        noise = PhaseNoiseModel(sigma=sigma_axis, rng=np.random.default_rng(seed + 17))
-        noisy = deployed.with_noise(noise=noise, trials=trials)
-        hits = noisy.classify(images, scheme) == labels      # (sigmas, trials, samples)
-        accuracies = hits.mean(axis=(1, 2))
-        for index, sigma in enumerate(sigma_axis):
-            rows.append(Fig9HardwareRow(decoder=decoder, sigma=float(sigma),
-                                        trials=int(trials),
-                                        noiseless_accuracy=noiseless_accuracy,
-                                        deployed_accuracy=float(accuracies[index])))
+        for row in _deploy_and_sweep("fcnn", preset, decoder, sigmas, trials, seed,
+                                     eval_samples, method="clements",
+                                     mutual_learning=False):
+            rows.append(Fig9HardwareRow(decoder=decoder, sigma=row.sigma,
+                                        trials=row.trials,
+                                        noiseless_accuracy=row.deployed_accuracy,
+                                        deployed_accuracy=row.noisy_accuracy))
     return rows
 
 

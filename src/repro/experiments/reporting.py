@@ -1,11 +1,13 @@
-"""Shared result formatting / persistence helpers for the experiment harness."""
+"""Shared result formatting / persistence / timing helpers for the experiment harness."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import statistics
+import time
 from pathlib import Path
-from typing import Any, Iterable, List, Sequence, Union
+from typing import Any, Callable, Iterable, List, Sequence, Union
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
@@ -56,6 +58,39 @@ def save_json(results: Union[Iterable[Any], dict], path: Union[str, Path]) -> Pa
         payload = as_dicts(results)
     path.write_text(json.dumps(payload, indent=2, default=_json_default))
     return path
+
+
+@dataclasses.dataclass(frozen=True)
+class Timing:
+    """Wall-clock samples of one callable timed by :func:`time_interleaved`."""
+
+    min_s: float
+    p50_s: float
+    samples_s: List[float]
+
+
+def time_interleaved(*callables: Callable[[], Any], rounds: int) -> List[Timing]:
+    """Time callables against each other: the one timer of every speed floor.
+
+    Each callable is called once untimed, so caches and lazy compiles warm on
+    every side alike; then each of ``rounds`` rounds calls every callable
+    once, round ``r`` starting with callable ``r mod n``, so a slow spell of
+    the host lands on all sides.  A speedup floor compares the sides'
+    ``min_s``.  With one callable this is a warmed one-sided timing.
+    """
+    if not callables or rounds < 1:
+        raise ValueError("time_interleaved needs callables and rounds >= 1")
+    for fn in callables:
+        fn()
+    samples: List[List[float]] = [[] for _ in callables]
+    for round_index in range(rounds):
+        for offset in range(len(callables)):
+            index = (round_index + offset) % len(callables)
+            start = time.perf_counter()
+            callables[index]()
+            samples[index].append(time.perf_counter() - start)
+    return [Timing(min_s=min(times), p50_s=statistics.median(times), samples_s=times)
+            for times in samples]
 
 
 def _json_default(value: Any):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence
 
@@ -23,37 +24,35 @@ import numpy as np
 import repro
 from repro.assignment import get_scheme
 from repro.core.compile import CompiledProgram, HardwareTarget
+from repro.experiments.reporting import time_interleaved
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.shard import ServiceOverloadedError, ShardedInferenceService
-
-
-def _best_of(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
 
 def measure_plan_speedup(program: CompiledProgram, images: np.ndarray,
                          scheme: Any, repeats: int = 5) -> dict:
     """Time plan execution against the reference node-walk on one batch.
 
-    Also reports the parity between the two executors (must be <= 1e-12; the
-    caller asserts it) and the plan's fusion statistics.
+    The two executors alternate for ``repeats`` rounds
+    (:func:`~repro.experiments.reporting.time_interleaved`); ``speedup`` is
+    the ratio of their minima.  Also reports the parity between the two
+    executors (must be <= 1e-12; the caller asserts it) and the plan's
+    fusion statistics.
     """
     signal = program.encode_images(images, scheme)
     plan = program.plan()
     walk = program.graph.forward_reference(signal)
     planned = plan.execute(signal)
     max_deviation = float(np.abs(walk - planned).max())
-    walk_seconds = _best_of(lambda: program.graph.forward_reference(signal), repeats)
-    plan_seconds = _best_of(lambda: plan.execute(signal), repeats)
+    walk_timing, plan_timing = time_interleaved(
+        lambda: program.graph.forward_reference(signal),
+        lambda: plan.execute(signal), rounds=repeats)
     return {"batch": int(images.shape[0]),
-            "walk_seconds": walk_seconds,
-            "plan_seconds": plan_seconds,
-            "speedup": walk_seconds / plan_seconds,
+            "walk_seconds": walk_timing.min_s,
+            "walk_p50_seconds": walk_timing.p50_s,
+            "plan_seconds": plan_timing.min_s,
+            "plan_p50_seconds": plan_timing.p50_s,
+            "speedup": walk_timing.min_s / plan_timing.min_s,
             "max_deviation": max_deviation,
             "instructions": plan.instruction_count,
             "buffer_slots": plan.slot_count,
@@ -69,7 +68,9 @@ class BatchingRow:
     requests: int
     images_per_request: int
     sequential_seconds: float
+    sequential_p50_seconds: float
     batched_seconds: float
+    batched_p50_seconds: float
     sequential_requests_per_s: float
     batched_requests_per_s: float
     throughput_gain: float
@@ -86,11 +87,14 @@ def run_serving_benchmark(program: CompiledProgram, scheme: Any,
     ``clients`` threads each submit their share of ``requests`` single
     (or ``images_per_request``-sized) requests and wait for every future;
     the sequential baseline runs the same requests one ``predict_logits``
-    call at a time.  A wave's clock starts once every client thread is
-    running and released together.  Each side is timed as the best of
-    ``repeats`` waves (the batcher's stats cover every wave), and every
-    wave's batched results are verified against the sequential ones before
-    timing is reported.
+    call at a time.  The client threads start once and serve every wave, so
+    a wave's clock covers only dispatching them and serving their requests.
+    The sequential pass and the batched wave alternate for ``repeats``
+    timed rounds after one untimed call each
+    (:func:`~repro.experiments.reporting.time_interleaved`); each side
+    reports its minimum and median, and the batcher's stats cover every
+    wave.  Every wave's batched results are checked against the sequential
+    ones (max-abs deviation <= 1e-10) before timing is reported.
     """
     rng = np.random.default_rng(seed)
     pool = rng.normal(size=(requests, images_per_request, *image_shape))
@@ -100,58 +104,45 @@ def run_serving_benchmark(program: CompiledProgram, scheme: Any,
                 for index in range(requests)]
 
     expected = run_sequential()
-    sequential_seconds = _best_of(run_sequential, repeats=repeats)
+    waves: List[List[Optional[np.ndarray]]] = []
 
-    batcher = DynamicBatcher(program, scheme, max_batch=max_batch,
-                             max_latency_s=max_latency_s, name="bench")
+    def client(worker: int) -> None:
+        results = waves[-1]
+        futures = [(index, batcher.submit(pool[index]))
+                   for index in range(worker, requests, clients)]
+        for index, future in futures:
+            results[index] = future.result(timeout=60)
 
-    def run_wave() -> float:
-        results: List[Optional[np.ndarray]] = [None] * requests
-        errors: List[BaseException] = []
-        go = threading.Event()
+    def run_wave() -> None:
+        waves.append([None] * requests)
+        list(executor.map(client, range(clients)))     # re-raises a client's error
 
-        def client(worker: int) -> None:
-            go.wait(timeout=60)
-            try:
-                futures = [(index, batcher.submit(pool[index]))
-                           for index in range(worker, requests, clients)]
-                for index, future in futures:
-                    results[index] = future.result(timeout=60)
-            except BaseException as error:  # noqa: BLE001 -- surfaced below
-                errors.append(error)
-
-        # every client is running before the clock starts: spawning threads
-        # while the executor holds the GIL took 12-22 ms of a 16-24 ms wave
-        threads = [threading.Thread(target=client, args=(worker,))
-                   for worker in range(clients)]
-        for thread in threads:
-            thread.start()
-        start = time.perf_counter()
-        go.set()
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - start
-        if errors:
-            raise errors[0]
-        for index in range(requests):
-            if not np.allclose(results[index], expected[index], atol=1e-10):
+    with ThreadPoolExecutor(max_workers=clients) as executor, \
+            DynamicBatcher(program, scheme, max_batch=max_batch,
+                           max_latency_s=max_latency_s, name="bench") as batcher:
+        # every client thread runs before any wave: the waves reuse them, and
+        # spawning threads while the executor holds the GIL took 12-22 ms of
+        # a 16-24 ms wave
+        started = threading.Barrier(clients)
+        list(executor.map(lambda _: started.wait(timeout=60), range(clients)))
+        sequential, batched = time_interleaved(run_sequential, run_wave,
+                                               rounds=repeats)
+        stats = batcher.stats.as_dict()
+    for results in waves:
+        for index, (got, want) in enumerate(zip(results, expected)):
+            if got.shape != want.shape or np.abs(got - want).max() > 1e-10:
                 raise AssertionError("batched serving returned different logits "
                                      f"for request {index}")
-        return seconds
-
-    try:
-        batched_seconds = min(run_wave() for _ in range(repeats))
-        stats = batcher.stats.as_dict()
-    finally:
-        batcher.close()
 
     return BatchingRow(
         max_batch=max_batch, clients=clients, requests=requests,
         images_per_request=images_per_request,
-        sequential_seconds=sequential_seconds, batched_seconds=batched_seconds,
-        sequential_requests_per_s=requests / sequential_seconds,
-        batched_requests_per_s=requests / batched_seconds,
-        throughput_gain=sequential_seconds / batched_seconds,
+        sequential_seconds=sequential.min_s,
+        sequential_p50_seconds=sequential.p50_s,
+        batched_seconds=batched.min_s, batched_p50_seconds=batched.p50_s,
+        sequential_requests_per_s=requests / sequential.min_s,
+        batched_requests_per_s=requests / batched.min_s,
+        throughput_gain=sequential.min_s / batched.min_s,
         batcher=stats)
 
 

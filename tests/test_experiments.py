@@ -24,7 +24,13 @@ from repro.experiments.common import WORKLOADS, get_workload, paper_specs, workl
 from repro.experiments.fig7 import FIG7_MODELS, device_counts, format_fig7, run_fig7
 from repro.experiments.fig8 import area_reduction_at_paper_scale, format_fig8, run_fig8
 from repro.experiments.fig9 import format_fig9, normalized_area_at_paper_scale, run_fig9
-from repro.experiments.reporting import as_dicts, format_table, percent, save_json
+from repro.experiments.reporting import (
+    as_dicts,
+    format_table,
+    percent,
+    save_json,
+    time_interleaved,
+)
 from repro.experiments.table2 import format_table2, paper_area_numbers, run_table2
 from repro.experiments.table3 import format_table3, run_table3, run_workload
 
@@ -79,6 +85,47 @@ class TestReportingHelpers:
     def test_as_dicts_type_error(self):
         with pytest.raises(TypeError):
             as_dicts([object()])
+
+
+class TestTimeInterleaved:
+    @staticmethod
+    def _recorders(names, calls):
+        return [lambda name=name: calls.append(name) for name in names]
+
+    def test_warms_each_side_once_then_rotates_the_first_side(self):
+        calls = []
+        timings = time_interleaved(*self._recorders("abc", calls), rounds=4)
+        # one untimed call each, then rounds starting at a, b, c, a
+        assert calls == list("abc" "abc" "bca" "cab" "abc")
+        assert len(timings) == 3
+        assert all(len(timing.samples_s) == 4 for timing in timings)
+
+    def test_two_sides_alternate_which_runs_first(self):
+        calls = []
+        time_interleaved(*self._recorders("ab", calls), rounds=3)
+        assert calls == list("ab" "ab" "ba" "ab")
+
+    def test_record_statistics(self):
+        fast, slow = time_interleaved(lambda: None,
+                                      lambda: sum(range(20_000)), rounds=5)
+        for timing in (fast, slow):
+            assert timing.min_s == min(timing.samples_s)
+            assert timing.min_s <= timing.p50_s <= max(timing.samples_s)
+            assert timing.p50_s == sorted(timing.samples_s)[2]
+        assert fast.min_s < slow.min_s
+
+    def test_one_callable_is_a_warmed_one_sided_timing(self):
+        calls = []
+        (timing,) = time_interleaved(*self._recorders("a", calls), rounds=3)
+        assert calls == ["a"] * 4
+        assert len(timing.samples_s) == 3
+        assert 0.0 <= timing.min_s <= timing.p50_s
+
+    def test_rejects_empty_requests(self):
+        with pytest.raises(ValueError):
+            time_interleaved(rounds=3)
+        with pytest.raises(ValueError):
+            time_interleaved(lambda: None, rounds=0)
 
 
 class TestTable2:

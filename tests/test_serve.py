@@ -272,8 +272,9 @@ class TestServingBenchmarkHarness:
         row = run_serving_benchmark(program, get_scheme("SI"),
                                     image_shape=(1, 6, 6), requests=12,
                                     clients=3, max_batch=8, max_latency_s=0.005)
-        assert row.batcher["requests"] == 12
-        assert row.batcher["samples"] == 12
+        # the stats cover the untimed warm-up wave and the one timed wave
+        assert row.batcher["requests"] == 24
+        assert row.batcher["samples"] == 24
         assert row.sequential_requests_per_s > 0
         assert row.batched_requests_per_s > 0
 
@@ -283,11 +284,27 @@ class TestServingBenchmarkHarness:
                                     image_shape=(1, 6, 6), requests=12,
                                     clients=3, max_batch=8, max_latency_s=0.005,
                                     repeats=3)
-        # the stats cover every wave; the timings are each side's best wave
-        assert row.batcher["requests"] == 36
-        assert row.batcher["samples"] == 36
+        # the stats cover every wave (the warm-up and three timed ones); the
+        # timings are each side's best and median timed wave
+        assert row.batcher["requests"] == 48
+        assert row.batcher["samples"] == 48
         assert row.throughput_gain == pytest.approx(
             row.sequential_seconds / row.batched_seconds)
+        assert row.sequential_seconds <= row.sequential_p50_seconds
+        assert row.batched_seconds <= row.batched_p50_seconds
+
+    def test_batched_logits_off_by_a_relative_1e6_are_rejected(self):
+        main = threading.main_thread()
+
+        def drifting(images):
+            logits = _identity_logits(images) + 1.0
+            # batched flushes run on the batcher thread, sequential calls here
+            return logits if threading.current_thread() is main else logits * (1 + 1e-6)
+
+        with pytest.raises(AssertionError, match="different logits"):
+            run_serving_benchmark(_StubProgram(drifting), None,
+                                  image_shape=(1, 2, 2), requests=6, clients=2,
+                                  max_batch=4, max_latency_s=0.005)
 
     def test_plan_speedup_reports_parity_and_plan_shape(self, lenet_program, rng):
         program, scheme = lenet_program
