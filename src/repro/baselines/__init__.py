@@ -1,14 +1,11 @@
 """Baseline ONN architectures the paper compares against.
 
-* :mod:`~repro.baselines.conventional` -- the conventional amplitude-only ONN
-  of Shen et al. [10] (the "Orig." column of Table II).
 * :mod:`~repro.baselines.offt` -- the FFT-based block-circulant ONN of Gu et
   al. [19] (the comparison of Fig. 7).
 * :mod:`~repro.baselines.pruning` -- magnitude pruning of ONN weight matrices
   in the spirit of the lottery-ticket photonic pruning of [18].
 """
 
-from repro.baselines.conventional import build_conventional_onn, conventional_area_report
 from repro.baselines.offt import (
     BlockCirculantLinear,
     OFFTFCNN,
@@ -19,8 +16,6 @@ from repro.baselines.offt import (
 from repro.baselines.pruning import magnitude_prune_model, pruned_area_report, sparsity_of_model
 
 __all__ = [
-    "build_conventional_onn",
-    "conventional_area_report",
     "BlockCirculantLinear",
     "OFFTFCNN",
     "offt_device_counts",

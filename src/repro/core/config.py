@@ -10,24 +10,21 @@ from typing import Optional, Tuple
 class TrainingConfig:
     """Hyper-parameters of one training run.
 
-    The defaults are CPU-scale; the paper's GPU-scale schedules simply use
-    more epochs and larger batches with the same structure.
+    Only the schedule's size, the learning rate, the distillation mixing
+    factor and the seed vary between runs.  The rest of the recipe is fixed
+    by the trainers: SGD with momentum 0.9 and weight decay 1e-4, the cosine
+    learning-rate schedule over ``epochs``, global gradient-norm clipping at
+    5.0 (:class:`~repro.core.training.Trainer`) and KD temperature 2.0
+    (:class:`~repro.core.distillation.MutualLearningTrainer`).  The defaults
+    are CPU-scale; the paper's GPU-scale schedules simply use more epochs and
+    larger batches with the same structure.
     """
 
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    optimizer: str = "sgd"              # "sgd" or "adam"
-    scheduler: str = "cosine"           # "cosine", "multistep" or "none"
-    milestones: Tuple[int, ...] = ()
-    grad_clip: Optional[float] = 5.0
-    label_smoothing: float = 0.0
     #: knowledge-distillation mixing factor alpha of Eqs. (3)/(4); the paper uses 1.0
     distillation_alpha: float = 1.0
-    #: softmax temperature of the distillation loss
-    distillation_temperature: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -35,10 +32,6 @@ class TrainingConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
-        if self.scheduler not in ("cosine", "multistep", "none"):
-            raise ValueError("scheduler must be 'cosine', 'multistep' or 'none'")
         if self.distillation_alpha < 0:
             raise ValueError("distillation_alpha must be non-negative")
 

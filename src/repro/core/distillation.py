@@ -51,6 +51,9 @@ from repro.nn.losses import DistillationLoss, peer_distribution
 from repro.nn.module import Module
 from repro.tensor.tensor import trace_tape
 
+#: softmax temperature of the distillation term
+TEMPERATURE = 2.0
+
 
 @dataclass
 class MutualLearningResult:
@@ -71,7 +74,9 @@ class MutualLearningTrainer:
         The two models.  The teacher is typically a larger network of the same
         family (e.g. CVNN ResNet-56 for an SCVNN ResNet-32 student).
     config:
-        Shared hyper-parameters; ``distillation_alpha`` is the paper's alpha.
+        Shared hyper-parameters; ``distillation_alpha`` is the paper's alpha,
+        and the KD term softens both networks' outputs at :data:`TEMPERATURE`.
+        Each network trains with :class:`~repro.core.training.Trainer`'s recipe.
     student_scheme:
         Data assignment of the student (e.g. spatial interlace).
     teacher_scheme:
@@ -90,8 +95,7 @@ class MutualLearningTrainer:
         self.student_trainer = Trainer(student, config, scheme=student_scheme)
         self.teacher_trainer = Trainer(teacher, config, scheme=self.teacher_scheme)
         self._loss = DistillationLoss(alpha=config.distillation_alpha,
-                                      temperature=config.distillation_temperature,
-                                      label_smoothing=config.label_smoothing)
+                                      temperature=TEMPERATURE)
 
     @property
     def plan_stats(self) -> dict:
@@ -189,9 +193,8 @@ class MutualLearningTrainer:
                 teacher_acc = evaluate_accuracy(self.teacher, test_loader, self.teacher_scheme)
                 result.student_history.test_accuracy.append(student_acc)
                 result.teacher_history.test_accuracy.append(teacher_acc)
-            for trainer in (self.student_trainer, self.teacher_trainer):
-                if trainer.scheduler is not None:
-                    trainer.scheduler.step()
+            self.student_trainer.scheduler.step()
+            self.teacher_trainer.scheduler.step()
             if verbose:
                 student_acc = (result.student_history.test_accuracy[-1]
                                if result.student_history.test_accuracy else float("nan"))

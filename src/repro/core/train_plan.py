@@ -53,10 +53,10 @@ lists executed against preallocated buffers:
   Arrays that live from the forward pass to the backward pass (the im2col
   columns, the weight block, batch-norm's centred and normalised inputs,
   relu masks, gradient slots) stay per node.
-* **update**: the optimizer tail (optional global-norm clip, then
-  ``begin_step`` + one ``step_parameter`` per contributing parameter) runs the
-  very same in-place kernels as ``Optimizer.step``, reading ``optimizer.lr``
-  at call time so scheduler changes apply to the next planned step.
+* **update**: the optimizer tail (the global-norm clip when ``grad_clip`` is
+  given, then one ``SGD.step_parameter`` per contributing parameter) runs the
+  very same in-place kernels as ``SGD.step``, reading ``optimizer.lr`` at
+  call time so the cosine schedule's changes apply to the next planned step.
 
 Replay is bit-identical to the eager tape except for the sign of floating
 zeros in scatter-style adjoints (the eager path adds ``-0.0`` into zeros,
@@ -733,7 +733,6 @@ class TrainStepPlan:
             optimizer = self._optimizer
             if self._grad_clip:
                 optimizer.clip_grad_norm(self._grad_clip)
-            optimizer.begin_step()
             for index in self._update_indices:
                 optimizer.step_parameter(index)
         return float(self._loss.data), self._logits.data.argmax(axis=1)

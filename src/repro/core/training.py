@@ -33,10 +33,17 @@ from repro.core.config import TrainingConfig
 from repro.core.train_plan import PlanUnsupported, TrainStepPlan, compile_train_step
 from repro.data.loader import DataLoader
 from repro.nn.complex import ComplexTensor
-from repro.nn.losses import cross_entropy, smoothed_targets
+from repro.nn.losses import cross_entropy
 from repro.nn.module import Module
-from repro.optim import SGD, Adam, CosineAnnealingLR, MultiStepLR
+from repro.optim import SGD, CosineAnnealingLR
+from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, mark_trace_input, no_grad, trace_tape
+
+#: the fixed part of the training recipe: SGD momentum and weight decay, and
+#: the global gradient-norm bound applied before every update
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-4
+GRAD_CLIP = 5.0
 
 
 def prepare_batch(images: np.ndarray, scheme: Optional[AssignmentScheme]):
@@ -69,7 +76,8 @@ def apply_parameter_constraints(model: Module) -> None:
 
 def evaluate_accuracy(model: Module, loader: DataLoader,
                       scheme: Optional[AssignmentScheme] = None) -> float:
-    """Top-1 accuracy of ``model`` over ``loader``."""
+    """Top-1 accuracy of ``model`` over ``loader``; leaves its mode as found."""
+    was_training = model.training
     model.eval()
     correct = 0
     total = 0
@@ -79,7 +87,7 @@ def evaluate_accuracy(model: Module, loader: DataLoader,
             predictions = logits.data.argmax(axis=1)
             correct += int((predictions == labels).sum())
             total += labels.shape[0]
-    model.train()
+    model.train(was_training)
     return correct / total if total else 0.0
 
 
@@ -105,7 +113,11 @@ class TrainingHistory:
 
 
 class Trainer:
-    """Standard cross-entropy trainer.
+    """Cross-entropy trainer with the one recipe every workload uses.
+
+    Each step clips the global gradient norm at :data:`GRAD_CLIP` and applies
+    ``SGD(momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)``; the learning rate
+    follows :class:`~repro.optim.CosineAnnealingLR` over ``config.epochs``.
 
     Parameters
     ----------
@@ -132,26 +144,12 @@ class Trainer:
         self.model = model
         self.config = config
         self.scheme = scheme
-        self.optimizer = self._build_optimizer()
-        self.scheduler = self._build_scheduler()
+        self.optimizer = SGD(model.parameters(), lr=config.learning_rate,
+                             momentum=MOMENTUM, weight_decay=WEIGHT_DECAY)
+        self.scheduler = CosineAnnealingLR(self.optimizer, total_epochs=config.epochs)
         self._plan_enabled = compile_train_step
         self._plans: Dict[Tuple, TrainStepPlan] = {}
         self._plan_fallback_reason: Optional[str] = None
-
-    def _build_optimizer(self):
-        params = self.model.parameters()
-        if self.config.optimizer == "adam":
-            return Adam(params, lr=self.config.learning_rate,
-                        weight_decay=self.config.weight_decay)
-        return SGD(params, lr=self.config.learning_rate, momentum=self.config.momentum,
-                   weight_decay=self.config.weight_decay)
-
-    def _build_scheduler(self):
-        if self.config.scheduler == "cosine":
-            return CosineAnnealingLR(self.optimizer, total_epochs=self.config.epochs)
-        if self.config.scheduler == "multistep" and self.config.milestones:
-            return MultiStepLR(self.optimizer, milestones=self.config.milestones)
-        return None
 
     # ------------------------------------------------------------------ #
     # the training step: compiled plan when possible, eager tape otherwise
@@ -189,16 +187,15 @@ class Trainer:
     def _eager_step(self, images: np.ndarray, labels: np.ndarray):
         """The reference step: graph walk, closure backward, optimizer loop."""
         logits = self.model(prepare_batch(images, self.scheme))
-        loss = cross_entropy(logits, labels, label_smoothing=self.config.label_smoothing)
+        loss = cross_entropy(logits, labels)
         self._update(loss)
         return float(loss.data), logits.data.argmax(axis=1)
 
     def _update(self, loss: Tensor) -> None:
-        """Backward of ``loss``, the optional clip, the optimizer step, constraints."""
+        """Backward of ``loss``, the clip, the optimizer step, constraints."""
         self.optimizer.zero_grad()
         loss.backward()
-        if self.config.grad_clip:
-            self.optimizer.clip_grad_norm(self.config.grad_clip)
+        self.optimizer.clip_grad_norm(GRAD_CLIP)
         self.optimizer.step()
         apply_parameter_constraints(self.model)
 
@@ -217,8 +214,7 @@ class Trainer:
         """Run one eager step under the tape tracer and lower it to a plan."""
         with trace_tape() as trace:
             logits = self.model(prepare_batch(images, self.scheme))
-            loss = cross_entropy(logits, labels,
-                                 label_smoothing=self.config.label_smoothing)
+            loss = cross_entropy(logits, labels)
         self._update(loss)
         self._compile(key, trace, loss, logits)
         return float(loss.data), logits.data.argmax(axis=1)
@@ -227,7 +223,7 @@ class Trainer:
         """Lower a traced (and already applied) step to the plan for ``key``."""
         try:
             self._plans[key] = compile_train_step(trace, loss, logits, self.optimizer,
-                                                  grad_clip=self.config.grad_clip)
+                                                  grad_clip=GRAD_CLIP)
         except PlanUnsupported as reason:
             # models the tracer cannot replay keep the eager path for good
             self._plan_fallback_reason = str(reason)
@@ -244,12 +240,8 @@ class Trainer:
             values["input_imag"] = result.imag
         target_meta = input_meta.get("cross_entropy_targets")
         if target_meta is not None:
-            values["cross_entropy_targets"] = smoothed_targets(
-                np.asarray(labels).astype(int).reshape(-1),
-                target_meta["num_classes"],
-                target_meta["label_smoothing"],
-                target_meta["dtype"],
-            )
+            values["cross_entropy_targets"] = F.one_hot(
+                labels, target_meta["num_classes"], dtype=target_meta["dtype"])
         return values
 
     def fit(self, train_loader: DataLoader, test_loader: Optional[DataLoader] = None,
@@ -276,8 +268,7 @@ class Trainer:
             history.train_accuracy.append(correct / max(seen, 1))
             if test_loader is not None:
                 history.test_accuracy.append(evaluate_accuracy(self.model, test_loader, self.scheme))
-            if self.scheduler is not None:
-                self.scheduler.step()
+            self.scheduler.step()
             if verbose:
                 test_acc = history.test_accuracy[-1] if history.test_accuracy else float("nan")
                 print(f"epoch {epoch + 1:3d}: loss={history.train_loss[-1]:.4f} "

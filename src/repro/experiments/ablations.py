@@ -20,6 +20,7 @@ worth quantifying; each has a harness here:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -218,7 +219,7 @@ def run_pruning_comparison(preset: str = "bench", sparsities: Sequence[float] = 
         mzi_fraction=1.0)]
 
     for sparsity in sparsities:
-        pruned, _ = pipeline.train_reference("cvnn")
+        pruned = copy.deepcopy(conventional)
         magnitude_prune_model(pruned, sparsity)
         accuracy = evaluate_accuracy(pruned, test_loader, conventional_scheme)
         area = pruned_area_report(pruned, sparsity)

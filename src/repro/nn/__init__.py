@@ -13,15 +13,7 @@ from repro.nn.pooling import MaxPool2d, AvgPool2d, GlobalAvgPool2d
 from repro.nn.activations import ReLU, LeakyReLU, Tanh, Sigmoid, Softmax
 from repro.nn.normalization import BatchNorm2d, BatchNorm1d
 from repro.nn.dropout import Dropout
-from repro.nn.losses import (
-    CrossEntropyLoss,
-    MSELoss,
-    KLDivergenceLoss,
-    DistillationLoss,
-    cross_entropy,
-    mse_loss,
-    kl_divergence,
-)
+from repro.nn.losses import DistillationLoss, cross_entropy, kl_divergence
 
 __all__ = [
     "Module",
@@ -43,11 +35,7 @@ __all__ = [
     "BatchNorm2d",
     "BatchNorm1d",
     "Dropout",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "KLDivergenceLoss",
     "DistillationLoss",
     "cross_entropy",
-    "mse_loss",
     "kl_divergence",
 ]

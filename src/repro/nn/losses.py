@@ -1,4 +1,4 @@
-"""Loss functions: classification, regression and knowledge-distillation losses.
+"""Loss functions: cross-entropy and the knowledge-distillation losses.
 
 The distillation losses implement Eqs. (3)/(4) of the OplixNet paper:
 
@@ -29,21 +29,7 @@ def _labels_to_array(labels: Union[Tensor, np.ndarray]) -> np.ndarray:
     return np.asarray(labels).astype(int).reshape(-1)
 
 
-def smoothed_targets(labels: np.ndarray, num_classes: int, label_smoothing: float,
-                     dtype) -> np.ndarray:
-    """The (optionally label-smoothed) target distribution of ``cross_entropy``.
-
-    Shared with the train-plan compiler, which recomputes the targets for each
-    new batch and copies them into the traced target leaf.
-    """
-    targets = F.one_hot(labels, num_classes, dtype=dtype)
-    if label_smoothing > 0.0:
-        targets = (1.0 - label_smoothing) * targets + label_smoothing / num_classes
-    return targets
-
-
-def cross_entropy(logits: Tensor, labels: Union[Tensor, np.ndarray],
-                  label_smoothing: float = 0.0) -> Tensor:
+def cross_entropy(logits: Tensor, labels: Union[Tensor, np.ndarray]) -> Tensor:
     """Mean cross-entropy between ``logits`` and integer class ``labels``.
 
     Parameters
@@ -52,31 +38,20 @@ def cross_entropy(logits: Tensor, labels: Union[Tensor, np.ndarray],
         ``(batch, num_classes)`` raw scores.
     labels:
         Integer class indices of shape ``(batch,)``.
-    label_smoothing:
-        Optional smoothing factor in ``[0, 1)``; the target distribution
-        becomes ``(1 - s) * one_hot + s / num_classes``.
+
+    The one-hot targets are marked as a trace input: the train-plan compiler
+    recomputes them for each new batch and copies them into the traced leaf.
     """
     logits = ensure_tensor(logits)
     labels = _labels_to_array(labels)
     batch, num_classes = logits.shape
     if labels.shape[0] != batch:
         raise ValueError(f"label count {labels.shape[0]} does not match batch size {batch}")
-    targets_tensor = Tensor(smoothed_targets(labels, num_classes, label_smoothing,
-                                             logits.dtype))
+    targets_tensor = Tensor(F.one_hot(labels, num_classes, dtype=logits.dtype))
     mark_trace_input(targets_tensor, "cross_entropy_targets",
-                     {"num_classes": num_classes,
-                      "label_smoothing": float(label_smoothing),
-                      "dtype": logits.dtype})
+                     {"num_classes": num_classes, "dtype": logits.dtype})
     log_probs = F.log_softmax(logits, axis=-1)
     return -(targets_tensor * log_probs).sum(axis=-1).mean()
-
-
-def mse_loss(prediction: Tensor, target: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean squared error."""
-    prediction = ensure_tensor(prediction)
-    target = ensure_tensor(target)
-    difference = prediction - target.detach()
-    return (difference * difference).mean()
 
 
 def peer_distribution(peer_logits: np.ndarray, temperature: float):
@@ -121,37 +96,6 @@ def kl_divergence(student_logits: Tensor, teacher_logits: Tensor,
     return divergence * (temperature ** 2)
 
 
-class CrossEntropyLoss(Module):
-    """Cross-entropy on raw logits and integer labels."""
-
-    def __init__(self, label_smoothing: float = 0.0):
-        super().__init__()
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ValueError("label_smoothing must be in [0, 1)")
-        self.label_smoothing = float(label_smoothing)
-
-    def forward(self, logits: Tensor, labels) -> Tensor:
-        return cross_entropy(logits, labels, label_smoothing=self.label_smoothing)
-
-
-class MSELoss(Module):
-    """Mean squared error loss."""
-
-    def forward(self, prediction: Tensor, target) -> Tensor:
-        return mse_loss(prediction, target)
-
-
-class KLDivergenceLoss(Module):
-    """Temperature-softened KL divergence used as the distillation term."""
-
-    def __init__(self, temperature: float = 1.0):
-        super().__init__()
-        self.temperature = float(temperature)
-
-    def forward(self, student_logits: Tensor, teacher_logits: Tensor) -> Tensor:
-        return kl_divergence(student_logits, teacher_logits, temperature=self.temperature)
-
-
 class DistillationLoss(Module):
     """Combined loss ``L_CE + alpha * L_KD`` of Eqs. (3)/(4).
 
@@ -164,17 +108,15 @@ class DistillationLoss(Module):
         Softening temperature for the KD term.
     """
 
-    def __init__(self, alpha: float = 1.0, temperature: float = 1.0,
-                 label_smoothing: float = 0.0):
+    def __init__(self, alpha: float = 1.0, temperature: float = 1.0):
         super().__init__()
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         self.alpha = float(alpha)
         self.temperature = float(temperature)
-        self.label_smoothing = float(label_smoothing)
 
     def forward(self, logits: Tensor, labels, peer_logits: Optional[Tensor] = None) -> Tensor:
-        loss = cross_entropy(logits, labels, label_smoothing=self.label_smoothing)
+        loss = cross_entropy(logits, labels)
         if peer_logits is not None and self.alpha > 0:
             loss = loss + self.alpha * kl_divergence(logits, peer_logits, temperature=self.temperature)
         return loss

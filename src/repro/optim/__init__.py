@@ -1,24 +1,6 @@
-"""Optimizers and learning-rate schedulers."""
+"""The optimizer and learning-rate schedule every training run uses."""
 
-from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
-from repro.optim.adam import Adam, AdamW
-from repro.optim.lr_scheduler import (
-    LRScheduler,
-    StepLR,
-    MultiStepLR,
-    CosineAnnealingLR,
-    WarmupWrapper,
-)
+from repro.optim.lr_scheduler import CosineAnnealingLR
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "AdamW",
-    "LRScheduler",
-    "StepLR",
-    "MultiStepLR",
-    "CosineAnnealingLR",
-    "WarmupWrapper",
-]
+__all__ = ["SGD", "CosineAnnealingLR"]

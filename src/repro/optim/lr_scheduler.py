@@ -1,90 +1,32 @@
-"""Learning-rate schedulers."""
+"""The cosine learning-rate schedule."""
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
 
-from repro.optim.optimizer import Optimizer
+from repro.optim.sgd import SGD
 
 
-class LRScheduler:
-    """Base class: adjusts ``optimizer.lr`` once per epoch via :meth:`step`."""
+class CosineAnnealingLR:
+    """Cosine decay from the base learning rate to zero over ``total_epochs``.
 
-    def __init__(self, optimizer: Optimizer):
+    :meth:`step` advances one epoch and sets ``optimizer.lr``.
+    """
+
+    def __init__(self, optimizer: SGD, total_epochs: int):
+        if total_epochs <= 0:
+            raise ValueError("total_epochs must be positive")
         self.optimizer = optimizer
         self.base_lr = optimizer.lr
         self.epoch = 0
+        self.total_epochs = int(total_epochs)
 
     def get_lr(self) -> float:
-        raise NotImplementedError
+        progress = min(self.epoch, self.total_epochs) / self.total_epochs
+        return 0.5 * self.base_lr * (1.0 + math.cos(math.pi * progress))
 
     def step(self) -> float:
         """Advance one epoch and update the optimizer's learning rate."""
         self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-        return self.optimizer.lr
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = int(step_size)
-        self.gamma = float(gamma)
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class MultiStepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` at each listed milestone epoch."""
-
-    def __init__(self, optimizer: Optimizer, milestones: Sequence[int], gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.milestones: List[int] = sorted(int(m) for m in milestones)
-        self.gamma = float(gamma)
-
-    def get_lr(self) -> float:
-        passed = sum(1 for milestone in self.milestones if self.epoch >= milestone)
-        return self.base_lr * self.gamma ** passed
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base learning rate to ``min_lr`` over ``total_epochs``."""
-
-    def __init__(self, optimizer: Optimizer, total_epochs: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if total_epochs <= 0:
-            raise ValueError("total_epochs must be positive")
-        self.total_epochs = int(total_epochs)
-        self.min_lr = float(min_lr)
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.total_epochs) / self.total_epochs
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + math.cos(math.pi * progress))
-
-
-class WarmupWrapper(LRScheduler):
-    """Linear warmup for the first ``warmup_epochs`` epochs, then delegate."""
-
-    def __init__(self, scheduler: LRScheduler, warmup_epochs: int):
-        super().__init__(scheduler.optimizer)
-        if warmup_epochs < 0:
-            raise ValueError("warmup_epochs must be non-negative")
-        self.scheduler = scheduler
-        self.warmup_epochs = int(warmup_epochs)
-
-    def get_lr(self) -> float:
-        if self.warmup_epochs and self.epoch <= self.warmup_epochs:
-            return self.base_lr * self.epoch / self.warmup_epochs
-        return self.scheduler.get_lr()
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.scheduler.epoch = self.epoch
         self.optimizer.lr = self.get_lr()
         return self.optimizer.lr

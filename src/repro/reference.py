@@ -17,7 +17,7 @@ with ``monkeypatch.setenv``.  Switched (fast path -> oracle):
   reports ``enabled: False``).
 
 Called directly by the tests and benchmarks instead: ``step_reference``
-(SGD/Adam), ``GraphProgram.forward_reference`` (vs ``ExecutionPlan``),
+(``SGD``), ``GraphProgram.forward_reference`` (vs ``ExecutionPlan``),
 ``F.conv2d_reference``, ``{reck,clements}_decompose_reference`` (vs the
 stack decomposition), ``engine.reference_apply`` and, per trainer,
 ``Trainer(compile_train_step=False)``.  Each oracle lives next to the code

@@ -102,12 +102,17 @@ class _LaneRetired(Exception):
     closed) before this request was enqueued; nothing was admitted."""
 
 
+#: workers always start by ``spawn``, the only start method they are audited
+#: for: a worker pins its BLAS thread count before numpy loads, and a forked
+#: child would inherit the frontend's numpy already loaded
+_SPAWN = multiprocessing.get_context("spawn")
+
+
 class _Replica:
     """One worker process plus its control queues and routing counter."""
 
-    def __init__(self, name: str, context, spec: bytes, threads: int):
+    def __init__(self, name: str, spec: bytes, threads: int):
         self.name = name
-        self._context = context
         self._spec = spec               # the lane's pickled WorkerSpec
         self._threads = threads
         self.ready: dict = {}
@@ -120,9 +125,9 @@ class _Replica:
 
     def _spawn(self) -> None:
         """Fresh process + control queues for this replica slot (not started)."""
-        self.requests = self._context.Queue()
-        self.responses = self._context.Queue()
-        self.process = self._context.Process(
+        self.requests = _SPAWN.Queue()
+        self.responses = _SPAWN.Queue()
+        self.process = _SPAWN.Process(
             target=worker_main,
             args=(self._threads, self.requests, self.responses),
             name=f"repro-{self.name}", daemon=True)
@@ -436,9 +441,6 @@ class ShardedInferenceService:
         ``None`` means ``8 * max_batch`` per replica.
     start_timeout_s:
         How long a worker may take to import, compile and report ready.
-    context:
-        Multiprocessing start method; ``"spawn"`` (the default) is the only
-        one the workers are audited for.
     store_path:
         Optional path of an ahead-of-time compilation artifact store
         (:mod:`repro.store`).  Every spawned worker opens it: warm entries
@@ -465,7 +467,7 @@ class ShardedInferenceService:
     def __init__(self, workers: int = 2, max_batch: int = 64,
                  max_latency_s: float = 0.002,
                  max_queue_samples: Optional[int] = None,
-                 start_timeout_s: float = 120.0, context: str = "spawn",
+                 start_timeout_s: float = 120.0,
                  store_path: Optional[str] = None,
                  max_worker_restarts: int = 2,
                  request_timeout_s: Optional[float] = 120.0,
@@ -488,7 +490,6 @@ class ShardedInferenceService:
                                   else float(request_timeout_s))
         self.store_prune_max_entries = store_prune_max_entries
         self.store_prune_max_age_s = store_prune_max_age_s
-        self._context = multiprocessing.get_context(context)
         self._lanes: Dict[str, _ModelLane] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -572,7 +573,7 @@ class ShardedInferenceService:
             model=model, scheme=_scheme_name(scheme), image_shape=image_shape,
             target=target, store_path=self.store_path, scenario=scenario))
         threads = blas_threads(replicas)
-        pool = [_Replica(f"{model_key}:r{index}", self._context, spec, threads)
+        pool = [_Replica(f"{model_key}:r{index}", spec, threads)
                 for index in range(replicas)]
         try:
             for replica in pool:    # start() returns at once: parallel warm-up

@@ -278,7 +278,7 @@ class Tensor:
         other live reference, letting the first accumulation bind it directly
         instead of copying.  Subsequent accumulations run in place
         (``self.grad`` is private by construction, the same invariant
-        ``Optimizer.clip_grad_norm`` already relies on).
+        ``SGD.clip_grad_norm`` already relies on).
         """
         reduced = _unbroadcast(grad, self.data.shape)
         if reduced is not grad:

@@ -6,8 +6,6 @@ import pytest
 from repro.baselines import (
     BlockCirculantLinear,
     OFFTFCNN,
-    build_conventional_onn,
-    conventional_area_report,
     magnitude_prune_model,
     offt_device_counts,
     offt_parameter_count,
@@ -16,7 +14,9 @@ from repro.baselines import (
 )
 from repro.baselines.offt import conventional_device_counts
 from repro.core.area_analysis import model_area_report
-from repro.models import ComplexFCNN, RealFCNN
+from repro.experiments.common import get_workload, paper_specs
+from repro.experiments.table2 import paper_area_numbers
+from repro.models import ComplexFCNN, RealFCNN, build_model
 from repro.tensor import Tensor, gradcheck, no_grad
 
 
@@ -92,15 +92,22 @@ class TestOFFTDeviceCounts:
 
 
 class TestConventionalBaseline:
-    def test_builder_returns_full_width_cvnn(self, rng):
-        model = build_conventional_onn("fcnn", (1, 8, 8), 4, rng=rng)
+    """The conventional ONN [10]: the CVNN flavour with a photodiode readout."""
+
+    def test_builder_returns_full_width_cvnn(self):
+        model = build_model(paper_specs(get_workload("fcnn"))[1])
         assert isinstance(model, ComplexFCNN)
-        assert model.in_features == 64
+        assert model.in_features == 28 * 28
         assert model.head.name == "photodiode"
 
+    def test_no_separate_builder_module(self):
+        with pytest.raises(ModuleNotFoundError):
+            __import__("repro.baselines.conventional")
+
     def test_area_report_matches_model_walk(self):
-        report = conventional_area_report("fcnn", (1, 28, 28), 10)
-        assert report.total_mzis == pytest.approx(31.7e4, rel=0.01)
+        # benchmarks/results/table2.json records 316991 for this row
+        area = paper_area_numbers(get_workload("fcnn"))
+        assert area["original_mzis"] == pytest.approx(31.7e4, rel=0.01)
 
 
 class TestPruning:

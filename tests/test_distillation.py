@@ -43,6 +43,13 @@ class TestMutualLearning:
         assert len(result.student_history.train_loss) == 5
         assert result.student_history.train_loss[-1] < result.student_history.train_loss[0]
 
+    def test_kd_term_uses_config_alpha_at_temperature_two(self, rng):
+        student, teacher = build_pair(rng)
+        trainer = MutualLearningTrainer(student, teacher,
+                                        TrainingConfig(epochs=1, distillation_alpha=0.3),
+                                        student_scheme=get_scheme("SI"))
+        assert (trainer._loss.alpha, trainer._loss.temperature) == (0.3, 2.0)
+
     def test_teacher_defaults_to_conventional_assignment(self, rng):
         student, teacher = build_pair(rng)
         trainer = MutualLearningTrainer(student, teacher, TrainingConfig(epochs=1),
@@ -165,8 +172,7 @@ class TestPlannedMutualStep:
         ("fcnn", {}),
         ("resnet", {}),
         ("fcnn", {"distillation_alpha": 0.0}),
-        ("resnet", {"grad_clip": None}),
-    ], ids=["fcnn", "resnet", "alpha0", "no-clip"])
+    ], ids=["fcnn", "resnet", "alpha0"])
     def test_multi_epoch_trajectory_is_bit_identical(self, name, overrides):
         eager, eager_result = fit_pair(name, False, **overrides)
         planned, planned_result = fit_pair(name, True, **overrides)

@@ -288,6 +288,18 @@ class TestAblations:
         assert [p.alpha for p in points] == [0.0, 1.0]
         assert "alpha" in format_alpha_sweep(points)
 
+    def test_pruning_comparison_trains_the_dense_cvnn_once(self, monkeypatch):
+        calls = []
+        train_reference = OplixNet.train_reference
+
+        def counting(pipeline, flavour, *args, **kwargs):
+            calls.append(flavour)
+            return train_reference(pipeline, flavour, *args, **kwargs)
+        monkeypatch.setattr(OplixNet, "train_reference", counting)
+        rows = run_pruning_comparison(preset="smoke", sparsities=(0.5, 0.9))
+        assert calls == ["cvnn"]
+        assert [row.sparsity for row in rows[:3]] == [0.0, 0.5, 0.9]
+
     def test_pruning_comparison_smoke(self):
         rows = run_pruning_comparison(preset="smoke", sparsities=(0.75,))
         labels = [row.configuration for row in rows]

@@ -1,10 +1,11 @@
-"""Tests of the optimizers and learning-rate schedulers."""
+"""Tests of the SGD optimizer and the cosine learning-rate schedule."""
 
 import numpy as np
 import pytest
 
+import repro.optim
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, AdamW, CosineAnnealingLR, MultiStepLR, StepLR, WarmupWrapper
+from repro.optim import SGD, CosineAnnealingLR
 from repro.tensor import Tensor
 
 
@@ -46,14 +47,6 @@ class TestSGD:
         optimizer.step()
         assert parameter.data[0] < 10.0
 
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, nesterov=True)
-
-    def test_nesterov_converges(self):
-        parameter = Parameter(np.zeros(3))
-        assert train(SGD([parameter], lr=0.05, momentum=0.9, nesterov=True), parameter) < 1e-6
-
     def test_empty_parameters_rejected(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
@@ -62,6 +55,45 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([Parameter(np.zeros(1))], lr=0.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(lr=-0.1),
+        dict(lr=0.1, momentum=-0.9),
+        dict(lr=0.1, weight_decay=-1e-4),
+    ], ids=["lr", "momentum", "weight_decay"])
+    def test_negative_hyperparameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SGD([Parameter(np.zeros(1))], **kwargs)
+
+    def test_nesterov_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            SGD([Parameter(np.zeros(1))], lr=0.1, momentum=0.9, nesterov=True)
+
+    @pytest.mark.parametrize("momentum,weight_decay", [
+        (0.0, 0.0), (0.9, 0.0), (0.0, 1e-4), (0.9, 1e-4),
+    ])
+    def test_steps_match_the_closed_form(self, momentum, weight_decay):
+        """``v <- m v + (g + wd p)``, ``p <- p - lr v``, worked by hand."""
+        lr, x, velocity = 0.05, 1.0, 0.0
+        parameter = Parameter(np.array([x]))
+        optimizer = SGD([parameter], lr=lr, momentum=momentum, weight_decay=weight_decay)
+        for _ in range(3):
+            optimizer.zero_grad()
+            quadratic_loss(parameter).backward()
+            optimizer.step()
+            velocity = momentum * velocity + (2.0 * (x - 3.0) + weight_decay * x)
+            x -= lr * velocity
+            assert parameter.data[0] == pytest.approx(x, rel=1e-12)
+
+    def test_learning_rate_changed_between_steps_takes_effect(self):
+        """The schedule writes ``optimizer.lr``; the next step must read it."""
+        parameter = Parameter(np.array([0.0]))
+        optimizer = SGD([parameter], lr=1.0)
+        parameter.grad = np.array([1.0])
+        optimizer.step()
+        optimizer.lr = 0.25
+        optimizer.step()
+        assert parameter.data[0] == pytest.approx(-1.25)
+
     def test_parameters_without_grad_are_skipped(self):
         used = Parameter(np.zeros(2))
         unused = Parameter(np.ones(2))
@@ -69,30 +101,6 @@ class TestSGD:
         quadratic_loss(used).backward()
         optimizer.step()
         assert np.allclose(unused.data, 1.0)
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self):
-        parameter = Parameter(np.zeros(4))
-        assert train(Adam([parameter], lr=0.1), parameter, steps=400) < 1e-4
-
-    def test_adamw_decoupled_decay(self):
-        parameter = Parameter(np.array([5.0]))
-        optimizer = AdamW([parameter], lr=0.01, weight_decay=0.1)
-        parameter.grad = np.zeros(1)
-        optimizer.step()
-        assert parameter.data[0] == pytest.approx(5.0 * (1 - 0.01 * 0.1))
-
-    def test_invalid_betas(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], betas=(1.0, 0.9))
-
-    def test_first_step_size_is_bounded_by_lr(self):
-        parameter = Parameter(np.array([0.0]))
-        optimizer = Adam([parameter], lr=0.1)
-        parameter.grad = np.array([100.0])
-        optimizer.step()
-        assert abs(parameter.data[0]) <= 0.1 + 1e-9
 
 
 class TestGradClipping:
@@ -116,40 +124,43 @@ class TestSchedulers:
     def _optimizer(self, lr=1.0):
         return SGD([Parameter(np.zeros(1))], lr=lr)
 
-    def test_step_lr(self):
-        optimizer = self._optimizer()
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        lrs = [scheduler.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_multistep_lr(self):
-        optimizer = self._optimizer()
-        scheduler = MultiStepLR(optimizer, milestones=[2, 4], gamma=0.5)
-        lrs = [scheduler.step() for _ in range(5)]
-        assert lrs == pytest.approx([1.0, 0.5, 0.5, 0.25, 0.25])
-
     def test_cosine_annealing_endpoints(self):
         optimizer = self._optimizer()
-        scheduler = CosineAnnealingLR(optimizer, total_epochs=10, min_lr=0.0)
+        scheduler = CosineAnnealingLR(optimizer, total_epochs=10)
         values = [scheduler.step() for _ in range(10)]
         assert values[0] < 1.0
         assert values[-1] == pytest.approx(0.0, abs=1e-12)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_warmup_wrapper(self):
-        optimizer = self._optimizer()
-        scheduler = WarmupWrapper(CosineAnnealingLR(optimizer, total_epochs=10), warmup_epochs=3)
-        lrs = [scheduler.step() for _ in range(5)]
-        assert lrs[0] == pytest.approx(1.0 / 3.0)
-        assert lrs[1] == pytest.approx(2.0 / 3.0)
-        assert lrs[2] == pytest.approx(1.0)
-        assert lrs[3] < 1.0
-
     def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            CosineAnnealingLR(self._optimizer(), total_epochs=0)
+
+    @pytest.mark.parametrize("total_epochs", [1, 3, 10])
+    def test_cosine_matches_the_closed_form(self, total_epochs):
+        scheduler = CosineAnnealingLR(self._optimizer(lr=0.05), total_epochs=total_epochs)
+        for epoch in range(1, total_epochs + 1):
+            expected = 0.5 * 0.05 * (1.0 + np.cos(np.pi * epoch / total_epochs))
+            assert scheduler.step() == pytest.approx(expected, abs=1e-15)
+
+    def test_step_sets_the_optimizer_learning_rate(self):
+        optimizer = self._optimizer(lr=0.1)
+        scheduler = CosineAnnealingLR(optimizer, total_epochs=4)
+        for _ in range(3):
+            returned = scheduler.step()
+            assert optimizer.lr == returned
+        assert scheduler.base_lr == 0.1
+
+    def test_learning_rate_stays_zero_after_the_last_epoch(self):
         optimizer = self._optimizer()
-        with pytest.raises(ValueError):
-            StepLR(optimizer, step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(optimizer, total_epochs=0)
-        with pytest.raises(ValueError):
-            WarmupWrapper(CosineAnnealingLR(optimizer, total_epochs=5), warmup_epochs=-1)
+        scheduler = CosineAnnealingLR(optimizer, total_epochs=2)
+        values = [scheduler.step() for _ in range(4)]
+        assert values[1:] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
+
+    def test_min_lr_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            CosineAnnealingLR(self._optimizer(), total_epochs=10, min_lr=0.01)
+
+
+def test_optim_exports_only_the_recipe():
+    assert sorted(repro.optim.__all__) == ["CosineAnnealingLR", "SGD"]

@@ -231,6 +231,12 @@ class TestShardedService:
         with pytest.raises(ValueError, match="workers"):
             ShardedInferenceService(workers=0)
 
+    def test_start_method_is_not_an_option(self):
+        # workers always start by spawn, the one method they are audited for;
+        # the keyword is refused before any lane or process exists
+        with pytest.raises(TypeError):
+            ShardedInferenceService(workers=1, context="fork")
+
     def test_closed_service_rejects_deploys_and_requests(self):
         # closed before any deploy: the checks below must fire before a lane
         # (and its worker processes) is built

@@ -7,8 +7,8 @@ Three invariants pin the fast path to its executable references:
   *gradients* -- to 1e-8 across stride/padding/bias combinations;
 * the sliding-window `im2col` and the bincount/reshape `col2im` agree with
   the seed index-table/`np.add.at` implementations exactly;
-* the in-place optimizer steps produce bit-identical trajectories to the
-  allocating `step_reference` implementations.
+* the in-place SGD step produces bit-identical trajectories to the
+  allocating `step_reference`.
 """
 
 import inspect
@@ -24,7 +24,7 @@ from repro.nn.complex import (
     complex_linear,
 )
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, AdamW
+from repro.optim import SGD
 from repro.tensor import Tensor, functional as F, gradcheck
 from repro.tensor.functional import (
     col2im,
@@ -248,26 +248,13 @@ class TestInPlaceOptimizerEquivalence:
     @pytest.mark.parametrize("kwargs", [
         dict(lr=0.1),
         dict(lr=0.05, momentum=0.9),
-        dict(lr=0.05, momentum=0.9, nesterov=True),
         dict(lr=0.1, weight_decay=0.01),
-        dict(lr=0.05, momentum=0.9, weight_decay=0.01, nesterov=True),
+        dict(lr=0.05, momentum=0.9, weight_decay=1e-4),
     ])
     def test_sgd_bit_identical_to_reference(self, rng, kwargs):
         fast, slow = _paired_parameters(rng)
         _run_trajectory(SGD(fast, **kwargs), fast, False, 10, rng)
         _run_trajectory(SGD(slow, **kwargs), slow, True, 10, rng)
-        for a, b in zip(fast, slow):
-            assert np.array_equal(a.data, b.data)
-
-    @pytest.mark.parametrize("cls,kwargs", [
-        (Adam, dict(lr=0.01)),
-        (Adam, dict(lr=0.01, weight_decay=0.02)),
-        (AdamW, dict(lr=0.01, weight_decay=0.02)),
-    ])
-    def test_adam_bit_identical_to_reference(self, rng, cls, kwargs):
-        fast, slow = _paired_parameters(rng)
-        _run_trajectory(cls(fast, **kwargs), fast, False, 10, rng)
-        _run_trajectory(cls(slow, **kwargs), slow, True, 10, rng)
         for a, b in zip(fast, slow):
             assert np.array_equal(a.data, b.data)
 
@@ -280,11 +267,11 @@ class TestInPlaceOptimizerEquivalence:
         optimizer.step()
         assert parameter.data is buffer_before
 
-    def test_moments_update_in_place(self, rng):
+    def test_velocity_updates_in_place(self, rng):
         parameter = Parameter(rng.normal(size=(4,)))
-        optimizer = Adam([parameter], lr=0.01)
-        moment1_before = optimizer._moment1[0]
+        optimizer = SGD([parameter], lr=0.01, momentum=0.9)
+        velocity_before = optimizer._velocity[0]
         parameter.grad = np.ones(4)
         optimizer.step()
-        assert optimizer._moment1[0] is moment1_before
-        assert np.any(moment1_before != 0.0)
+        assert optimizer._velocity[0] is velocity_before
+        assert np.any(velocity_before != 0.0)
